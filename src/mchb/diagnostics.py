@@ -45,6 +45,7 @@ class EnergyReport:
     source_work: float
     identity_residual: float
     residual_signed: float
+    e_before: float
 
 
 def _sigma_bc(bundle: SpecBundle, nutrient_mobility: float | np.ndarray):
@@ -199,7 +200,8 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
     return EnergyReport(t=after.t, e_total=e_after, ginzburg_landau=gl_after,
                         chemical=chem_after, dissipation=dissipation,
                         boundary_term=boundary, source_work=work,
-                        identity_residual=abs(signed), residual_signed=signed)
+                        identity_residual=abs(signed), residual_signed=signed,
+                        e_before=e_before)
 
 
 def csv_row(report: EnergyReport, dt: float, phi_masses, healthy: float,

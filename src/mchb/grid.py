@@ -274,6 +274,30 @@ def spectral_project(f: Field, k: int) -> Field:
     return Field(idctn(coeff, type=2, norm="ortho"), f.bc, g)
 
 
+def laplacian_symbol(grid: Grid, bc: BC) -> np.ndarray:
+    """Eigenvalues, shape ``(ny, nx)``, of the five-point ``-laplacian``.
+
+    The cell-centered type-II DCT diagonalizes the mirror-ghost (Neumann)
+    operator with modes ``m = 0..n-1``; the type-II DST diagonalizes the
+    sign-flipped-ghost (Dirichlet) operator with modes ``m = 1..n``.  Per
+    axis the eigenvalue is ``(2 - 2 cos(pi m / n)) / h**2``.  Entry
+    ``[my, mx]`` belongs to the coefficient at the same index of
+    ``dctn``/``dstn`` (``type=2``) of a field.
+    """
+    if isinstance(bc, Neumann):
+        first = 0
+    elif isinstance(bc, Dirichlet):
+        first = 1
+    else:
+        raise TypeError(f"no transform diagonalizes the closure {bc!r}")
+
+    def axis(n: int, h: float) -> np.ndarray:
+        m = np.arange(first, n + first)
+        return (2.0 - 2.0 * np.cos(m * np.pi / n)) / h**2
+
+    return axis(grid.ny, grid.hy)[:, None] + axis(grid.nx, grid.hx)[None, :]
+
+
 # ---------------------------------------------------------------------------
 # sparse operators (row-major flattening, index j*nx + i)
 

@@ -402,6 +402,9 @@ class ScenarioConfig:
                      f"got {self.source_variant!r}")
         if self.initial_condition not in ("stratified", "random-smooth", "uniform"):
             v.append(f"unknown initial_condition {self.initial_condition!r}")
+        if self.max_nonlinear_iter < 1:
+            v.append(f"max_nonlinear_iter must be at least 1, "
+                     f"got {self.max_nonlinear_iter}")
         return v
 
     def validate(self) -> "ScenarioConfig":

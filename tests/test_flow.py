@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
-from mchb.grid import EXTRAPOLATE, Field, Grid, cell_gradient, \
-    cell_divergence
-from mchb.flow import (BrinkmanOptions, darcy_residual, korteweg_force,
-                       solve_brinkman, solve_darcy)
+from mchb.grid import DIRICHLET, EXTRAPOLATE, Field, Grid, cell_gradient, \
+    cell_divergence, cell_gradient_matrix, fv_diffusion_matrix
+from mchb.flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
+                       korteweg_force, solve_brinkman, solve_darcy)
 
 
 def l2(a, grid):
@@ -95,6 +96,28 @@ class TestDarcy:
         with pytest.raises(ValueError):
             solve_darcy(np.zeros((2,) + grid.shape), np.zeros(grid.shape),
                         0.0, grid)
+
+    def test_pressure_matches_sparse_direct_solve(self):
+        grid = Grid(48, 32, 1.0, 1.3)
+        rng = np.random.default_rng(3)
+        force = rng.standard_normal((2,) + grid.shape)
+        s_v = rng.standard_normal(grid.shape)
+        nu = 0.7
+        div = cell_gradient_matrix(grid, 0, "extrapolate") @ force[0].ravel() \
+            + cell_gradient_matrix(grid, 1, "extrapolate") @ force[1].ravel()
+        mat, _ = fv_diffusion_matrix(grid, DIRICHLET)
+        ref = spsolve(mat.tocsc(), nu * s_v.ravel() - div).reshape(grid.shape)
+        res = solve_darcy(force, s_v, nu, grid, tol=1e-12)
+        assert np.abs(res.p - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert res.iterations == 1
+
+    def test_failed_residual_check_raises(self, grid):
+        _, _, s_v, force = manufactured(grid)
+        with pytest.raises(FlowSolverError):
+            solve_darcy(force, s_v, 1.0, grid, tol=0.0)
+        s_v[3, 5] = np.nan
+        with pytest.raises(FlowSolverError):
+            solve_darcy(force, s_v, 1.0, grid)
 
 
 class TestBrinkman:

@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.fft import dctn, dstn, idctn, idstn
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
                        Grid, Robin, advective_divergence,
                        arithmetic_face_coefficients, boundary_integral,
                        cell_divergence, cell_gradient, divergence,
                        face_divergence, face_gradient, fv_diffusion_matrix,
-                       gradient, inner_product, laplacian, spectral_project,
-                       _ghost)
+                       gradient, inner_product, laplacian, laplacian_symbol,
+                       spectral_project, _ghost)
 
 
 @pytest.fixture
@@ -155,6 +156,24 @@ class TestSpectralProjection:
             spectral_project(f, 0)
         with pytest.raises(ValueError):
             spectral_project(f, 100)
+
+
+class TestLaplacianSymbol:
+    @pytest.mark.parametrize("bc, fwd, inv", [(NEUMANN, dctn, idctn),
+                                              (DIRICHLET, dstn, idstn)])
+    def test_transform_applies_assembled_matrix(self, bc, fwd, inv):
+        grid = Grid(24, 40, 1.3, 0.7)
+        f = rand_field(grid, seed=5).data
+        mat, _ = fv_diffusion_matrix(grid, bc)
+        via_matrix = (mat @ f.ravel()).reshape(grid.shape)
+        via_symbol = inv(laplacian_symbol(grid, bc) * fwd(f, type=2, norm="ortho"),
+                         type=2, norm="ortho")
+        scale = np.abs(via_matrix).max()
+        assert np.abs(via_symbol - via_matrix).max() <= 1e-12 * scale
+
+    def test_robin_has_no_symbol(self, grid):
+        with pytest.raises(TypeError):
+            laplacian_symbol(grid, Robin(k=1.0, target=0.0, diffusivity=1.0))
 
 
 class TestAdvection:

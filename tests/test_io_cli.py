@@ -112,6 +112,9 @@ class TestCli:
         cfg.write_text(serialize_config(build_default_scenario("zero-source")))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+        bad = tmp_path / "zero_iter.json"
+        bad.write_text(json.dumps({"max_nonlinear_iter": 0}))
+        assert main(["run", "--config", str(bad)]) == 1
 
 
 class TestSweepCli:

@@ -97,6 +97,10 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError, match="dt"):
             load_config('{"dt": 0.0}')
 
+    def test_zero_nonlinear_iterations_rejected(self):
+        with pytest.raises(ConfigError, match="max_nonlinear_iter"):
+            config_from_dict({"max_nonlinear_iter": 0})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             load_config('{"dtt": 1.0}')

@@ -4,15 +4,36 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.optimize import newton_krylov
 
 import mchb.constitutive as cst
+import mchb.diagnostics
+import mchb.stepping
 from mchb.grid import NEUMANN, Robin, arithmetic_face_coefficients, \
     fv_diffusion_matrix
 from mchb.diagnostics import component_masses, free_energy
-from mchb.parameters import build_default_scenario
+from mchb.parameters import ConfigError, build_default_scenario, build_specs
 from mchb.state import StateFields, build_initial_state
 from mchb.stepping import TimeStepper
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call."""
+    calls = []
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def bundle_with(cfg, mobility):
+    return build_specs(cfg.model, source_variant=cfg.source_variant,
+                       eta0=cfg.eta0, lambda0=cfg.lambda0, mobility=mobility)
 
 
 def small_config(**over):
@@ -198,6 +219,72 @@ class TestRunControl:
         s0 = build_initial_state(cfg, st.bundle)
         with pytest.raises(ValueError):
             st.step(s0, 0.0)
+
+
+class TestTransformPhaseSolve:
+    @pytest.mark.parametrize("preset", ["zero-source", "stratified-tumor"])
+    def test_matches_factorized_path(self, preset, monkeypatch):
+        cfg = dataclasses.replace(build_default_scenario(preset),
+                                  grid_nx=32, grid_ny=32)
+        fast = TimeStepper(cfg)
+        # a constant-one mobility function is the same operator, but no
+        # transform is assumed for it, so it takes the LU path
+        ones = cst.MobilitySpec(m_funcs=(lambda p, s: 1.0,) * 3)
+        ref = TimeStepper(cfg, bundle_with(cfg, ones))
+        a = b = build_initial_state(cfg, fast.bundle)
+        factorizations = counting(monkeypatch, spla, "splu")
+        for k in range(10):
+            a, rep_a = fast.step(a, cfg.dt)
+            assert len(factorizations) == 3 * k
+            b, rep_b = ref.step(b, cfg.dt)
+            assert np.abs(a.phi - b.phi).max() <= 1e-10
+            assert rep_a.energy_after == pytest.approx(rep_b.energy_after,
+                                                       rel=1e-10, abs=0.0)
+        assert len(factorizations) == 30
+
+    def test_large_step_falls_back_to_factorization(self, monkeypatch):
+        cfg = build_default_scenario("stratified-tumor")
+        st = TimeStepper(cfg)
+        s0 = build_initial_state(cfg, st.bundle)
+        factorizations = counting(monkeypatch, spla, "splu")
+        s1, rep = st.step(s0, 64 * cfg.dt)
+        assert len(factorizations) == 3
+        s1.check_finite()
+        assert rep.energy_after < rep.energy_before
+        assert rep.picard_iters <= cfg.max_nonlinear_iter
+
+
+class TestStepWork:
+    def test_zero_nonlinear_iterations_rejected(self):
+        with pytest.raises(ConfigError, match="max_nonlinear_iter"):
+            TimeStepper(dataclasses.replace(small_config(),
+                                            max_nonlinear_iter=0))
+
+    def test_energy_before_reused_from_energy_law(self, monkeypatch):
+        cfg = small_config()
+        st = TimeStepper(cfg)
+        s0 = build_initial_state(cfg, st.bundle)
+        e0, _, _ = free_energy(s0, st.bundle)
+        calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
+        _, rep = st.step(s0, cfg.dt)
+        assert len(calls) == 2
+        assert rep.energy_before == e0
+
+    def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
+        cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
+                                  grid_nx=16, grid_ny=16)
+        cached = TimeStepper(cfg)
+        # a constant-one nutrient mobility function assembles every step
+        ones = cst.MobilitySpec(d_func=lambda p, s: 1.0)
+        fresh = TimeStepper(cfg, bundle_with(cfg, ones))
+        s0 = build_initial_state(cfg, cached.bundle)
+        assemblies = counting(monkeypatch, mchb.stepping, "fv_diffusion_matrix")
+        a, _ = cached.step(s0, cfg.dt)
+        assert assemblies == []
+        b, _ = fresh.step(s0, cfg.dt)
+        assert len(assemblies) == 2
+        assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.phi, b.phi)
 
 
 class TestVariableMobilityPath:
