@@ -172,12 +172,6 @@ def _column(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape + (1,) * (like.ndim - 1))
 
 
-def g_sigma(p: np.ndarray, spec: ChemicalEnergySpec) -> np.ndarray:
-    """Derivative of the coupling part in the nutrient direction, ``B p + b``."""
-    return np.einsum("ml,l...->m...", spec.coupling, np.asarray(p, dtype=float)) \
-        + _column(spec.b_vec, np.asarray(p))
-
-
 # ---------------------------------------------------------------------------
 # scalar model functions
 

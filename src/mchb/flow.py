@@ -18,13 +18,17 @@ discretization exactly, up to solver tolerances.  The outer Uzawa iteration
 updates the pressure with residual-minimizing (GCR) steps preconditioned by
 the sine-basis symbol of the Schur operator, which keeps the sweep count
 mesh-independent across viscosity levels; the inner velocity subproblems
-reuse one sparse factorization of the fixed SPD momentum operator.
+reuse one sparse factorization of the fixed SPD momentum operator.  That
+operator depends only on the viscosity fields, so its factorization is kept
+across calls and rebuilt only when the fields (or the grid, ``nu`` or the
+preconditioner scaling) change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,6 +233,58 @@ def _schur_model_eigenvalues(grid: Grid, eta_hat: float, nu: float) -> np.ndarra
     return lc / (nu + eta_hat * lc)
 
 
+class _BrinkmanSystem(NamedTuple):
+    """The right-hand-side independent part of a Brinkman solve."""
+
+    K: sp.csr_matrix                 # momentum operator nu I + V(eta, lam)
+    k_lu: spla.SuperLU               # its sparse LU
+    correction: sp.csr_matrix        # Rhie-Chow stabilization of the constraint
+    model: np.ndarray                # Schur preconditioner eigenvalues
+
+
+# ((grid, eta, lam, nu, rho), system) of the last build, or None
+_brinkman_entry: tuple | None = None
+
+
+def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray, nu: float,
+                     rho: float) -> _BrinkmanSystem:
+    """Build the Brinkman system, or reuse the last one for equal inputs.
+
+    One entry is kept, keyed on copies of ``eta`` and ``lam`` and compared
+    exactly, so an unmodulated viscosity is factorized once per run and a
+    modulated one is rebuilt every call.  A miss drops the entry before
+    factorizing, so at most one cached LU is alive.  The entry is a single
+    tuple swapped by one assignment: a concurrent caller sees the old entry
+    or the new one whole, so a race costs a rebuild, never a wrong operator.
+    """
+    global _brinkman_entry
+    entry = _brinkman_entry
+    if entry is not None:
+        (grid0, eta0, lam0, nu0, rho0), system = entry
+        if (grid0 == grid and nu0 == nu and rho0 == rho
+                and np.array_equal(eta0, eta) and np.array_equal(lam0, lam)):
+            return system
+    # the locals hold the old LU too; release it before the new one exists
+    _brinkman_entry = entry = system = None
+    ops = _FlowOperators(grid)
+    n = grid.ncells
+    K = _velocity_operator(grid, eta, lam, nu)
+    k_lu = spla.splu(K.tocsc())
+    kdiag = K.diagonal()
+    # deviates from the Darcy weight nu only quadratically in the viscous
+    # diagonal, so the vanishing-viscosity fixed point stays the Darcy solve
+    cx = np.maximum((ops.avg_xf @ kdiag[:n]) - nu, 0.0)
+    cy = np.maximum((ops.avg_yf @ kdiag[n:]) - nu, 0.0)
+    dx_face = nu + cx**2 / (nu + cx)
+    dy_face = nu + cy**2 / (nu + cy)
+    correction = ops.rhie_chow_correction(dx_face, dy_face)
+    eta_hat = float(2.0 * eta.mean() + lam.mean())
+    model = _schur_model_eigenvalues(grid, eta_hat, nu) / rho
+    system = _BrinkmanSystem(K, k_lu, correction, model)
+    _brinkman_entry = ((grid, eta.copy(), lam.copy(), nu, rho), system)
+    return system
+
+
 def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
                    lam: np.ndarray, nu: float, grid: Grid,
                    opts: BrinkmanOptions | None = None) -> FlowResult:
@@ -240,19 +296,8 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
         raise ValueError("shear viscosity must be positive for the Brinkman solve")
     ops = _FlowOperators(grid)
     n = grid.ncells
-    K = _velocity_operator(grid, eta, lam, nu)
-    k_lu = spla.splu(K.tocsc())
+    K, k_lu, correction, model = _brinkman_system(grid, eta, lam, nu, opts.rho)
     f_flat = force.reshape(-1)
-    kdiag = K.diagonal()
-    # deviates from the Darcy weight nu only quadratically in the viscous
-    # diagonal, so the vanishing-viscosity fixed point stays the Darcy solve
-    cx = np.maximum((ops.avg_xf @ kdiag[:n]) - nu, 0.0)
-    cy = np.maximum((ops.avg_yf @ kdiag[n:]) - nu, 0.0)
-    dx_face = nu + cx**2 / (nu + cx)
-    dy_face = nu + cy**2 / (nu + cy)
-    correction = ops.rhie_chow_correction(dx_face, dy_face)
-    eta_hat = float(2.0 * eta.mean() + lam.mean())
-    model = _schur_model_eigenvalues(grid, eta_hat, nu) / opts.rho
 
     def precondition(r: np.ndarray) -> np.ndarray:
         coef = dstn(r.reshape(grid.shape), type=2, norm="ortho")

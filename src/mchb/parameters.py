@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,30 @@ class ConfigError(ValueError):
 
 class StrictAssumptionError(ConfigError):
     """Assumption violation under strict enforcement."""
+
+
+# annotation -> (check, what a field with it must be)
+_FIELD_KINDS = {
+    "int": (lambda val: isinstance(val, numbers.Integral)
+            and not isinstance(val, bool), "an integer"),
+    "float": (lambda val: isinstance(val, numbers.Real)
+              and not isinstance(val, bool) and math.isfinite(val),
+              "a finite number"),
+    "bool": (lambda val: isinstance(val, bool), "true or false"),
+}
+
+
+def _type_violations(obj) -> list[str]:
+    """Numeric and boolean fields whose value does not fit their annotation."""
+    out = []
+    for f in fields(obj):
+        if f.type not in _FIELD_KINDS:
+            continue
+        ok, what = _FIELD_KINDS[f.type]
+        val = getattr(obj, f.name)
+        if not ok(val):
+            out.append(f"{f.name} must be {what}, got {val!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,7 +87,9 @@ class ModelParameters:
     d: int = 2                  # spatial dimension (fixed)
 
     def violations(self) -> list[str]:
-        v = []
+        v = _type_violations(self)
+        if v:
+            return v  # the value checks below assume well-typed fields
         pos = [("gamma", self.gamma), ("epsilon", self.epsilon), ("nu", self.nu),
                ("chi_sigma", self.chi_sigma), ("rate_p", self.rate_p),
                ("rate_q", self.rate_q), ("rate_a", self.rate_a),
@@ -383,6 +410,9 @@ class ScenarioConfig:
 
     def violations(self) -> list[str]:
         v = self.model.violations()
+        bad_types = _type_violations(self)
+        if bad_types:
+            return v + bad_types  # the value checks below assume well-typed fields
         if not self.dt > 0:
             v.append(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
@@ -405,6 +435,15 @@ class ScenarioConfig:
         if self.max_nonlinear_iter < 1:
             v.append(f"max_nonlinear_iter must be at least 1, "
                      f"got {self.max_nonlinear_iter}")
+        for name in ("tol_flow", "tol_ch", "tol_nutrient"):
+            if not getattr(self, name) > 0:
+                v.append(f"{name} must be positive, got {getattr(self, name)}")
+        if self.init_modes < 1:
+            v.append(f"init_modes must be at least 1, got {self.init_modes}")
+        if self.snapshot_every < 0:
+            v.append(f"snapshot_every must be nonnegative, got {self.snapshot_every}")
+        if self.seed < 0:
+            v.append(f"seed must be nonnegative, got {self.seed}")
         return v
 
     def validate(self) -> "ScenarioConfig":

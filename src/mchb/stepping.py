@@ -8,14 +8,14 @@ coupling, sources and transport explicit, and (iv) one SPD nutrient solve
 with the updated phase field inside the flux and the Robin wall closure.
 
 The phase update is solved per component by a preconditioned iteration
-``x <- x - P^-1 R(x)`` on the implicit residual ``R``.  With the constant
-phase mobility, ``P`` is the constant-coefficient stabilized operator
-``I + dt A (gamma eps A + gamma/eps c)`` of Eyre's convex split with the
+``x <- x - P^-1 R(x)`` on the implicit residual ``R``.  With a constant
+phase mobility ``m``, ``P`` is the constant-coefficient stabilized operator
+``I + dt m A (gamma eps A + gamma/eps c)`` of Eyre's convex split with the
 Shen-Yang stabilization, where ``A`` is the Neumann Laplacian and ``c`` the
 mid-range of the convex-part Hessian ``h`` at the step's starting state.
 The cosine transform diagonalizes ``P``, so each sweep costs two transforms.
 The sweep contracts the linearized error in L2 by at most
-``rho = max dt gamma/eps delta lambda / P(lambda)`` over the eigenvalues
+``rho = max dt m gamma/eps delta lambda / P(lambda)`` over the eigenvalues
 ``lambda`` of ``A``, ``delta`` being the half-range of ``h``; the sweep runs
 when ``rho <= 1/2``.  Otherwise (a step size well above the interface
 relaxation time, or a variable phase mobility, which no transform
@@ -72,10 +72,6 @@ class StepReport:
     div_residual: float
     energy: diag.EnergyReport | None = None
 
-    @property
-    def energy_identity_residual(self) -> float:
-        return self.energy.identity_residual if self.energy else float("nan")
-
 
 @dataclass
 class RunSummary:
@@ -106,7 +102,14 @@ class TimeStepper:
         self._neu_laplacian, _ = fv_diffusion_matrix(self.grid, NEUMANN)
         self._neu_symbol = laplacian_symbol(self.grid, NEUMANN)
         self._identity = sp.identity(self.grid.ncells, format="csr")
-        self._phase_mobility_constant = self.bundle.mobility.m_funcs is None
+        # with no m_funcs the phase mobility is the constant max(1, floor), and
+        # the phase operator is that multiple of the Neumann Laplacian
+        self._phase_mobility = None
+        if self.bundle.mobility.m_funcs is None:
+            phase_m, _ = cst.mobility(np.zeros(config.model.L), np.zeros(1),
+                                      self.bundle.mobility)
+            self._phase_mobility = float(phase_m[0])
+            self._phase_laplacian = self._phase_mobility * self._neu_laplacian
         self._nutrient_ops = None
         if self.bundle.mobility.d_func is None:
             _, nut_m = cst.mobility(np.zeros((config.model.L,) + self.grid.shape),
@@ -118,8 +121,8 @@ class TimeStepper:
     # -- phase-field update -------------------------------------------------
 
     def _phase_matrix(self, mob_i: np.ndarray):
-        if self._phase_mobility_constant:
-            return self._neu_laplacian
+        if self._phase_mobility is not None:
+            return self._phase_laplacian
         cx, cy = arithmetic_face_coefficients(mob_i, self.grid)
         mat, _ = fv_diffusion_matrix(self.grid, NEUMANN, cx, cy)
         return mat
@@ -130,15 +133,16 @@ class TimeStepper:
         Returns ``r -> P^-1 r`` when the phase mobility is constant and the
         contraction bound of the sweep is at most ``SWEEP_CONTRACTION_LIMIT``.
         """
-        if not self._phase_mobility_constant:
+        if self._phase_mobility is None:
             return None
         m = self.config.model
         gi = m.gamma / m.epsilon
         lam = self._neu_symbol
+        dt_m = dt * self._phase_mobility
         h_hi, h_lo = float(hess.max()), float(hess.min())
-        symbol = 1.0 + dt * lam * (m.gamma * m.epsilon * lam
-                                   + gi * 0.5 * (h_hi + h_lo))
-        rho = float((dt * gi * 0.5 * (h_hi - h_lo) * lam / symbol).max())
+        symbol = 1.0 + dt_m * lam * (m.gamma * m.epsilon * lam
+                                     + gi * 0.5 * (h_hi + h_lo))
+        rho = float((dt_m * gi * 0.5 * (h_hi - h_lo) * lam / symbol).max())
         if not rho <= SWEEP_CONTRACTION_LIMIT:
             return None
         shape = self.grid.shape

@@ -1,8 +1,20 @@
 """Flow solves: Darcy, Brinkman, the vanishing-viscosity bridge, forces."""
 
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from numpy.testing import assert_array_equal
 from scipy.sparse.linalg import spsolve
+
+import mchb.flow
+from mchb.cli import run_darcy_sweep
+from mchb.parameters import build_default_scenario
+from mchb.state import build_initial_state
+from mchb.stepping import TimeStepper
 
 from mchb.grid import DIRICHLET, EXTRAPOLATE, Field, Grid, cell_gradient, \
     cell_divergence, cell_gradient_matrix, fv_diffusion_matrix
@@ -200,6 +212,130 @@ class TestBrinkman:
         with pytest.raises(ValueError):
             solve_brinkman(np.zeros((2,) + grid.shape), np.zeros(grid.shape),
                            np.zeros(grid.shape), np.zeros(grid.shape), 1.0, grid)
+
+
+def count_factorizations(monkeypatch):
+    calls = []
+    orig = spla.splu
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", wrapper)
+    return calls
+
+
+def cold_brinkman(monkeypatch, *args):
+    """A solve that starts from no kept factorization."""
+    monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
+    return solve_brinkman(*args)
+
+
+class TestBrinkmanSystemReuse:
+    @pytest.fixture
+    def problem(self):
+        grid = Grid(24, 24, 1.0, 1.0)
+        _, _, s_v, force = manufactured(grid)
+        x, y = grid.cell_centers()
+        modulated = 0.05 * (1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        return grid, force, s_v, modulated
+
+    def test_warm_call_matches_cold_call(self, problem, monkeypatch):
+        grid, force, s_v, _ = problem
+        eta = np.full(grid.shape, 0.05)
+        args = (force, s_v, eta, eta, 1.0, grid)
+        cold = cold_brinkman(monkeypatch, *args)
+        factorizations = count_factorizations(monkeypatch)
+        warm = solve_brinkman(*args)
+        assert factorizations == []
+        assert_array_equal(warm.v, cold.v)
+        assert_array_equal(warm.p, cold.p)
+
+    def test_key_changes_rebuild(self, problem, monkeypatch):
+        grid, force, s_v, _ = problem
+        eta = np.full(grid.shape, 0.05)
+        solve_brinkman(force, s_v, eta, eta, 1.0, grid)
+        factorizations = count_factorizations(monkeypatch)
+        solve_brinkman(force, s_v, eta, eta, 2.0, grid)
+        solve_brinkman(force, s_v, eta, eta, 2.0, grid,
+                       BrinkmanOptions(rho=0.5))
+        solve_brinkman(force, s_v, eta, 0.5 * eta, 2.0, grid,
+                       BrinkmanOptions(rho=0.5))
+        assert len(factorizations) == 3
+
+    def test_eta_mutated_in_place_rebuilds(self, problem, monkeypatch):
+        grid, force, s_v, _ = problem
+        eta = np.full(grid.shape, 0.05)
+        lam = eta.copy()
+        solve_brinkman(force, s_v, eta, lam, 1.0, grid)
+        eta[: grid.ny // 2] *= 2.0
+        factorizations = count_factorizations(monkeypatch)
+        got = solve_brinkman(force, s_v, eta, lam, 1.0, grid)
+        assert len(factorizations) == 1
+        fresh = cold_brinkman(monkeypatch, force, s_v, eta.copy(), lam, 1.0,
+                              grid)
+        assert_array_equal(got.v, fresh.v)
+        assert_array_equal(got.p, fresh.p)
+
+    def test_modulated_viscosity_rebuilt_every_call(self, problem,
+                                                    monkeypatch):
+        grid, force, s_v, modulated = problem
+        fields = (modulated, modulated[::-1].copy())
+        fresh = [cold_brinkman(monkeypatch, force, s_v, e, 0.5 * e, 1.0, grid)
+                 for e in fields]
+        factorizations = count_factorizations(monkeypatch)
+        for k in (0, 1, 0, 1):
+            got = solve_brinkman(force, s_v, fields[k], 0.5 * fields[k], 1.0,
+                                 grid)
+            assert_array_equal(got.v, fresh[k].v)
+            assert_array_equal(got.p, fresh[k].p)
+        assert len(factorizations) == 4
+
+    def test_threads_never_see_a_wrong_operator(self, problem, monkeypatch):
+        grid, force, s_v, modulated = problem
+        fields = (np.full(grid.shape, 0.05), modulated, 2.0 * modulated)
+        fresh = [cold_brinkman(monkeypatch, force, s_v, e, e, 1.0, grid)
+                 for e in fields]
+
+        def worker(offset):
+            for k in range(6):
+                j = (k + offset) % len(fields)
+                got = solve_brinkman(force, s_v, fields[j], fields[j], 1.0,
+                                     grid)
+                assert_array_equal(got.v, fresh[j].v)
+                assert_array_equal(got.p, fresh[j].p)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(worker, k % 2) for k in range(4)]
+                for fut in futures:
+                    fut.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stepper_factorizes_once_per_run(self, monkeypatch):
+        cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
+                                  grid_nx=16, grid_ny=16)
+        monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
+        st = TimeStepper(cfg)
+        factorizations = count_factorizations(monkeypatch)
+        summary = st.run(state=build_initial_state(cfg, st.bundle))
+        assert len(summary.reports) == 5
+        assert len(factorizations) == 1
+
+    def test_sweep_threads_match_serial(self, monkeypatch):
+        cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
+                                  grid_nx=16, grid_ny=16)
+        levels = (1e-1, 1e-2, 1e-3)
+        serial = run_darcy_sweep(cfg, levels, jobs=1, snapshot_steps=1)
+        monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
+        threaded = run_darcy_sweep(cfg, levels, jobs=2, snapshot_steps=1)
+        assert not serial.partial and not threaded.partial
+        assert_array_equal(threaded.velocity_gaps, serial.velocity_gaps)
+        assert_array_equal(threaded.darcy_residuals, serial.darcy_residuals)
 
 
 class TestKortewegForce:

@@ -112,9 +112,14 @@ class TestCli:
         cfg.write_text(serialize_config(build_default_scenario("zero-source")))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
-        bad = tmp_path / "zero_iter.json"
-        bad.write_text(json.dumps({"max_nonlinear_iter": 0}))
-        assert main(["run", "--config", str(bad)]) == 1
+        for doc in ({"max_nonlinear_iter": 0}, {"grid_nx": "64"},
+                    {"grid_nx": 64.5}, {"flow_enabled": "no"},
+                    {"t_end": float("nan")},
+                    {"flow_backend": "brinkman", "lambda0": float("nan")}):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(bad),
+                         "--out-dir", str(tmp_path / "out")]) == 1, doc
 
 
 class TestSweepCli:

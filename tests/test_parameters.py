@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,25 @@ class TestConfigDocuments:
         assert cfg.model.epsilon == 0.06
         with pytest.raises(StrictAssumptionError, match="A8"):
             load_config(doc, strict=True)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"grid_nx": "64"}, "grid_nx"),
+        ({"grid_nx": 64.5}, "grid_nx"),
+        ({"flow_enabled": "no"}, "flow_enabled"),
+        ({"t_end": math.nan}, "t_end"),
+        ({"flow_backend": "brinkman", "lambda0": math.nan}, "lambda0"),
+        ({"model": {"gamma": "1"}}, "gamma"),
+        ({"model": {"L": 3.0}}, "L"),
+        ({"tol_ch": -1e-12}, "tol_ch"),
+        ({"snapshot_every": -3}, "snapshot_every"),
+        ({"init_modes": 0}, "init_modes"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_malformed_values_rejected(self, doc, field):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(doc)
+        with pytest.raises(ConfigError, match=field):
+            load_config(json.dumps(doc))
 
     def test_invariants_enforced(self):
         with pytest.raises(ConfigError):

@@ -242,6 +242,21 @@ class TestTransformPhaseSolve:
                                                        rel=1e-10, abs=0.0)
         assert len(factorizations) == 30
 
+    def test_mobility_floor_scales_transform_path(self, monkeypatch):
+        # with no m_funcs the phase mobility is the constant max(1, floor),
+        # which the transform path must use, as the LU path does
+        cfg = small_config(flow_enabled=False)
+        floored = cst.MobilitySpec(floor=2.0)
+        twos = cst.MobilitySpec(m_funcs=(lambda p, s: 2.0,) * 3, floor=2.0)
+        fast = TimeStepper(cfg, bundle_with(cfg, floored))
+        ref = TimeStepper(cfg, bundle_with(cfg, twos))
+        s0 = build_initial_state(cfg, fast.bundle)
+        factorizations = counting(monkeypatch, spla, "splu")
+        a, _ = fast.step(s0, cfg.dt)
+        assert factorizations == []
+        b, _ = ref.step(s0, cfg.dt)
+        assert np.abs(a.phi - b.phi).max() <= cfg.tol_ch
+
     def test_large_step_falls_back_to_factorization(self, monkeypatch):
         cfg = build_default_scenario("stratified-tumor")
         st = TimeStepper(cfg)
