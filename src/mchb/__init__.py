@@ -2,14 +2,13 @@
 
 from .grid import (Grid, Field, FaceVector, Neumann, Dirichlet, Extrapolate,
                    Robin, gradient, divergence, laplacian, inner_product,
-                   boundary_integral, spectral_project, advective_divergence)
+                   spectral_project, advective_divergence)
 from .constitutive import (PotentialSpec, ChemicalEnergySpec, SourceSpec,
                            MobilitySpec, ViscositySpec, potential_eval,
                            potential_split, chemical_energy,
                            saturating_proliferation, truncation,
                            interface_polynomial, source_phase, source_nutrient,
-                           source_velocity, source_boundary, mobility,
-                           stress_tensor)
+                           source_velocity, mobility)
 from .parameters import (ModelParameters, AssumptionReport, ScenarioConfig,
                          ConfigError, StrictAssumptionError, SpecBundle,
                          build_specs, default_parameters, validate_assumptions,

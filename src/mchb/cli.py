@@ -23,10 +23,11 @@ import numpy as np
 from . import verification
 from .flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
                    korteweg_force, solve_brinkman, solve_darcy)
+from .grid import l2_norm
 from .io_formats import RunWriter, write_sweep_csv
 from .parameters import (ConfigError, ScenarioConfig, StrictAssumptionError,
                          build_default_scenario, load_config,
-                         validate_assumptions)
+                         require_assumptions, validate_assumptions)
 from .state import build_initial_state
 from .stepping import TimeStepper
 from . import constitutive as cst
@@ -69,13 +70,7 @@ def _resolve_config(args) -> ScenarioConfig:
     else:
         cfg = build_default_scenario(args.preset)
         if strict:
-            report = validate_assumptions(cfg.model, eta0=cfg.eta0,
-                                          lambda0=cfg.lambda0,
-                                          flow_backend=cfg.flow_backend)
-            if not report.all_pass:
-                raise StrictAssumptionError(
-                    "assumption check failed under strict mode: "
-                    + ", ".join(report.failing()))
+            require_assumptions(cfg)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -134,13 +129,13 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
     grid = state.grid
     nu = cfg.model.nu
     reference = solve_darcy(force, s_v, nu, grid, tol=tol)
-    ref_norm = float(np.sqrt((reference.v**2).sum() * grid.cell_area))
+    ref_norm = l2_norm(reference.v, grid)
     opts = BrinkmanOptions(tol=tol)
 
     def level(eta):
         eta_f = np.full(grid.shape, eta)
         res = solve_brinkman(force, s_v, eta_f, eta_f, nu, grid, opts)
-        gap = float(np.sqrt(((res.v - reference.v)**2).sum() * grid.cell_area))
+        gap = l2_norm(res.v - reference.v, grid)
         dres = darcy_residual(res.v, res.p, force, nu, grid)
         return gap, dres
 

@@ -3,10 +3,9 @@
 Everything in this module is closed-form algebra: the componentwise
 double-well potential and its convex split, the quadratic-minus-affine
 chemical free energy, the saturating proliferation law, truncations, the
-phase/nutrient/velocity/boundary source terms, mobilities, viscosities and
-the viscous stress.  Functions broadcast over trailing axes, so they evaluate
-equally on single points (shape ``(L,)``) and on field stacks
-(shape ``(L, ny, nx)``).
+phase/nutrient/velocity source terms, mobilities and viscosities.  Functions
+broadcast over trailing axes, so they evaluate equally on single points
+(shape ``(L,)``) and on field stacks (shape ``(L, ny, nx)``).
 
 Component conventions: ``p[0]`` proliferating, ``p[1]`` quiescent, ``p[2]``
 necrotic tumor fraction; ``s[0]`` the single nutrient density.
@@ -29,7 +28,6 @@ class PotentialSpec:
     Lipschitz gradient).
     """
 
-    kind: str = "componentwise-double-well"
     split_shift: float = 1.0
 
     def __post_init__(self):
@@ -119,11 +117,15 @@ class ViscositySpec:
 # ---------------------------------------------------------------------------
 # potential
 
+def _double_well_gradient(p: np.ndarray) -> np.ndarray:
+    return 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
+
+
 def potential_eval(p: np.ndarray, spec: PotentialSpec | None = None):
     """Value, gradient and Hessian of ``psi(p) = sum_i p_i^2 (1 - p_i)^2``."""
     p = np.asarray(p, dtype=float)
     value = (p**2 * (1.0 - p) ** 2).sum(axis=0)
-    grad = 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
+    grad = _double_well_gradient(p)
     diag = 12.0 * p**2 - 12.0 * p + 2.0
     L = p.shape[0]
     hess = np.zeros((L,) + p.shape)
@@ -135,9 +137,8 @@ def potential_eval(p: np.ndarray, spec: PotentialSpec | None = None):
 def potential_split(p: np.ndarray, spec: PotentialSpec):
     """Convex/concave gradient parts; they sum to the full gradient exactly."""
     p = np.asarray(p, dtype=float)
-    _, grad, _ = potential_eval(p, spec)
     s0 = spec.split_shift
-    return grad + s0 * p, -s0 * p
+    return _double_well_gradient(p) + s0 * p, -s0 * p
 
 
 def convex_part_diag_hessian(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
@@ -277,12 +278,6 @@ def source_velocity(p, s, spec: SourceSpec) -> np.ndarray:
     return _lambda_phase(p, s, spec).sum(axis=0) + source_healthy(p, s, spec)
 
 
-def source_boundary(p, s, spec: SourceSpec) -> np.ndarray:
-    """Boundary nutrient source ``K (sigma_Gamma - s)``; K=0 is no-flux."""
-    s = np.asarray(s, dtype=float)
-    return spec.k_boundary * (spec.sigma_gamma - s)
-
-
 def source_growth_constant(spec: SourceSpec) -> float:
     """Analytic constant B_S with |S_phi| + |S_sigma| <= B_S (|p|+|s|+|m|+1)."""
     hr_max = spec.r + 2.0
@@ -321,7 +316,7 @@ def _poly_sup(r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# mobilities, viscosities, stress
+# mobilities
 
 def mobility(p, s, spec: MobilitySpec):
     """Diagonal phase mobilities and the nutrient mobility, floored below."""
@@ -343,15 +338,3 @@ def mobility(p, s, spec: MobilitySpec):
     if tail:
         return phase, nutrient
     return phase.reshape(L), float(nutrient)
-
-
-def stress_tensor(grad_v: np.ndarray, div_v: float, pressure: float,
-                  p: np.ndarray, spec: ViscositySpec) -> np.ndarray:
-    """Viscous stress ``2 eta Dv + lambda div(v) I - pressure I``."""
-    grad_v = np.asarray(grad_v, dtype=float)
-    d = grad_v.shape[0]
-    sym = 0.5 * (grad_v + grad_v.T)
-    p = np.asarray(p, dtype=float)
-    eta = float(spec.eta_field(p.reshape(p.shape + (1,))).ravel()[0])
-    lam = float(spec.lambda_field(p.reshape(p.shape + (1,))).ravel()[0])
-    return 2.0 * eta * sym + (lam * div_v - pressure) * np.eye(d)

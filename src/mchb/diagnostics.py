@@ -48,7 +48,8 @@ class EnergyReport:
     e_before: float
 
 
-def _sigma_bc(bundle: SpecBundle, nutrient_mobility: float | np.ndarray):
+def nutrient_bc(bundle: SpecBundle, nutrient_mobility: float | np.ndarray):
+    """Nutrient wall closure: Robin with the mean diffusivity, or no-flux."""
     k = bundle.sources.k_boundary
     if k == 0.0:
         return NEUMANN
@@ -77,7 +78,7 @@ def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
     chem = bundle.chem
     if sigma_bc is None:
         _, nut = cst.mobility(state.phi, state.sigma, bundle.mobility)
-        sigma_bc = _sigma_bc(bundle, nut)
+        sigma_bc = nutrient_bc(bundle, nut)
     gs = face_gradient(Field(state.sigma[0], sigma_bc, g))
     gx = chem.chi_sigma * gs.gx
     gy = chem.chi_sigma * gs.gy
@@ -102,7 +103,7 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
         fv = face_gradient(Field(state.mu[i], NEUMANN, g))
         cx, cy = arithmetic_face_coefficients(phase_m[i], g)
         total += inner_product(FaceVector(cx * fv.gx, cy * fv.gy, g), fv)
-    gn = nutrient_flux_gradient(state, bundle, _sigma_bc(bundle, nut_m))
+    gn = nutrient_flux_gradient(state, bundle, nutrient_bc(bundle, nut_m))
     dx, dy = arithmetic_face_coefficients(nut_m, g)
     total += inner_product(FaceVector(dx * gn.gx, dy * gn.gy, g), gn)
     if include_flow:
@@ -127,7 +128,7 @@ def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
     if k == 0.0:
         return 0.0
     _, nut_m = cst.mobility(state.phi, state.sigma, bundle.mobility)
-    f = Field(state.sigma[0], _sigma_bc(bundle, nut_m), state.grid)
+    f = Field(state.sigma[0], nutrient_bc(bundle, nut_m), state.grid)
     return k * bundle.chem.chi_sigma * sum(
         float((tr**2).sum()) * h for tr, h in wall_traces(f))
 
@@ -170,7 +171,7 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
         k = bundle.sources.k_boundary
         if k > 0.0:
             _, nut_m = cst.mobility(before.phi, before.sigma, bundle.mobility)
-            bc = _sigma_bc(bundle, nut_m)
+            bc = nutrient_bc(bundle, nut_m)
             chem = bundle.chem
             for wall in range(4):
                 s_tr, h = wall_traces(Field(after.sigma[0], bc, g))[wall]

@@ -35,8 +35,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
-from .grid import (DIRICHLET, NEUMANN, Field, Grid, cell_gradient,
-                   cell_gradient_matrix, fv_diffusion_matrix, laplacian_symbol)
+from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, Grid,
+                   cell_gradient, cell_gradient_matrix, face_average_matrix,
+                   face_divergence_matrix, face_gradient_matrix,
+                   fv_diffusion_matrix, l2_norm, laplacian_symbol)
 
 
 class FlowSolverError(RuntimeError):
@@ -59,43 +61,6 @@ class BrinkmanOptions:
     rho: float = 1.0    # scaling of the model preconditioner
 
 
-def _face_average_1d(n: int) -> sp.csr_matrix:
-    """Cells to faces, arithmetic interior average, quadratic at the walls."""
-    rows, cols, vals = [], [], []
-    for f in range(1, n):
-        rows += [f, f]
-        cols += [f - 1, f]
-        vals += [0.5, 0.5]
-    rows += [0, 0, 0]
-    cols += [0, 1, 2]
-    vals += [2.0, -1.5, 0.5]
-    rows += [n, n, n]
-    cols += [n - 1, n - 2, n - 3]
-    vals += [2.0, -1.5, 0.5]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
-
-
-def _face_divergence_1d(n: int, h: float) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows += [i, i]
-        cols += [i, i + 1]
-        vals += [-1.0 / h, 1.0 / h]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n + 1))
-
-
-def _face_gradient_dirichlet_1d(n: int, h: float) -> sp.csr_matrix:
-    """Compact face differences of a cell field with zero face values at walls."""
-    rows, cols, vals = [], [], []
-    for f in range(1, n):
-        rows += [f, f]
-        cols += [f - 1, f]
-        vals += [-1.0 / h, 1.0 / h]
-    rows += [0]; cols += [0]; vals += [2.0 / h]
-    rows += [n]; cols += [n - 1]; vals += [-2.0 / h]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
-
-
 @lru_cache(maxsize=8)
 class _FlowOperators:
     """Grid-bound sparse operators shared by both backends."""
@@ -103,24 +68,18 @@ class _FlowOperators:
     def __init__(self, grid: Grid):
         self.grid = grid
         n = grid.ncells
-        self.dx_e = cell_gradient_matrix(grid, 0, "extrapolate")
-        self.dy_e = cell_gradient_matrix(grid, 1, "extrapolate")
-        self.gx_d = cell_gradient_matrix(grid, 0, "flip")
-        self.gy_d = cell_gradient_matrix(grid, 1, "flip")
+        self.dx_e = cell_gradient_matrix(grid, 0, EXTRAPOLATE)
+        self.dy_e = cell_gradient_matrix(grid, 1, EXTRAPOLATE)
+        self.gx_d = cell_gradient_matrix(grid, 0, DIRICHLET)
+        self.gy_d = cell_gradient_matrix(grid, 1, DIRICHLET)
         self.poisson_dir, _ = fv_diffusion_matrix(grid, DIRICHLET)
         self.poisson_dir_symbol = laplacian_symbol(grid, DIRICHLET)
-        iy = sp.identity(grid.ny, format="csr")
-        ix = sp.identity(grid.nx, format="csr")
-        self.avg_xf = sp.kron(iy, _face_average_1d(grid.nx), format="csr")
-        self.avg_yf = sp.kron(_face_average_1d(grid.ny), ix, format="csr")
-        self.div_xf = sp.kron(iy, _face_divergence_1d(grid.nx, grid.hx),
-                              format="csr")
-        self.div_yf = sp.kron(_face_divergence_1d(grid.ny, grid.hy), ix,
-                              format="csr")
-        self.gradd_xf = sp.kron(iy, _face_gradient_dirichlet_1d(grid.nx, grid.hx),
-                                format="csr")
-        self.gradd_yf = sp.kron(_face_gradient_dirichlet_1d(grid.ny, grid.hy),
-                                ix, format="csr")
+        self.avg_xf = face_average_matrix(grid, 0, EXTRAPOLATE)
+        self.avg_yf = face_average_matrix(grid, 1, EXTRAPOLATE)
+        self.div_xf = face_divergence_matrix(grid, 0)
+        self.div_yf = face_divergence_matrix(grid, 1)
+        self.gradd_xf = face_gradient_matrix(grid, 0, DIRICHLET)
+        self.gradd_yf = face_gradient_matrix(grid, 1, DIRICHLET)
         self.n = n
 
     def div_cells(self, v: np.ndarray) -> np.ndarray:
@@ -145,10 +104,6 @@ class _FlowOperators:
         cx = self.div_xf @ wx @ (self.avg_xf @ self.gx_d - self.gradd_xf)
         cy = self.div_yf @ wy @ (self.avg_yf @ self.gy_d - self.gradd_yf)
         return (cx + cy).tocsr()
-
-
-def _l2(a: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt((a**2).sum() * grid.cell_area))
 
 
 def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
@@ -192,8 +147,8 @@ def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
         raise FlowSolverError(
             f"pressure solve residual {defect:.3e} exceeds {bound:.3e}")
     v = (force - ops.grad_pressure(p)) / nu
-    div_res = _l2(ops.div_cells(v) - s_v, grid)
-    mom = _l2(ops.grad_pressure(p) + nu * v - force, grid)
+    div_res = l2_norm(ops.div_cells(v) - s_v, grid)
+    mom = l2_norm(ops.grad_pressure(p) + nu * v - force, grid)
     return FlowResult(v=v, p=p, div_residual=div_res,
                       momentum_residual=mom, iterations=1)
 
@@ -202,7 +157,7 @@ def darcy_residual(v: np.ndarray, p: np.ndarray, force: np.ndarray,
                    nu: float, grid: Grid) -> float:
     """Distance to the Darcy law, ``|| grad p + nu v - force ||_2``."""
     ops = _FlowOperators(grid)
-    return _l2(ops.grad_pressure(p) + nu * v - force, grid)
+    return l2_norm(ops.grad_pressure(p) + nu * v - force, grid)
 
 
 def _velocity_operator(grid: Grid, eta: np.ndarray, lam: np.ndarray,
@@ -317,11 +272,11 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
             + correction @ z
         return sz, dv
 
-    scale = max(_l2(force, grid) / nu, _l2(s_v, grid), 1e-300)
+    scale = max(l2_norm(force, grid) / nu, l2_norm(s_v, grid), 1e-300)
     p = np.zeros(n)
     v_flat = velocity_of(p)
     r = schur_residual(p, v_flat)
-    rnorm = float(np.sqrt((r**2).sum() * grid.cell_area))
+    rnorm = l2_norm(r, grid)
     history = [rnorm]
     dirs: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
     sweeps = 0
@@ -349,15 +304,15 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
         p = p + alpha * z
         v_flat = v_flat + alpha * dv
         r = r - alpha * w
-        rnorm = float(np.sqrt((r**2).sum() * grid.cell_area))
+        rnorm = l2_norm(r, grid)
         history.append(rnorm)
         dirs.append((z, w, dv, norm2))
         if len(dirs) >= 40:
             dirs.clear()  # periodic restart; sliding truncation can cycle
     v = v_flat.reshape(2, grid.ny, grid.nx)
-    div_res = _l2(ops.div_cells(v) - s_v, grid)
+    div_res = l2_norm(ops.div_cells(v) - s_v, grid)
     mom = (K @ v_flat + np.concatenate([ops.gx_d @ p, ops.gy_d @ p])
            - f_flat).reshape(2, grid.ny, grid.nx)
     return FlowResult(v=v, p=p.reshape(grid.shape), div_residual=div_res,
-                      momentum_residual=_l2(mom, grid),
+                      momentum_residual=l2_norm(mom, grid),
                       iterations=max(sweeps, 1))

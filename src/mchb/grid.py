@@ -8,13 +8,17 @@ summation by parts is exact for zero-flux closures.  Cell-centered gradients
 are obtained by averaging the two adjacent faces, which reproduces the usual
 centered stencil in the interior.
 
-Boundary closures are ghost-cell based:
+Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
-* ``neumann-zero``   mirror ghost, zero normal derivative at the face,
-* ``dirichlet-zero`` sign-flipped ghost, zero value at the face,
-* ``extrapolate``    linear one-sided ghost for fields without a physical
+* ``Neumann``      mirror ghost, zero normal derivative at the face,
+* ``Dirichlet``    sign-flipped ghost, zero value at the face,
+* ``Extrapolate``  quadratic one-sided ghost for fields without a physical
   boundary condition (velocities, assembled forces),
-* ``robin``          flux closure ``c dfdn = k (target - f)`` at the face.
+* ``Robin``        flux closure ``c dfdn = k (target - f)`` at the face.
+
+The sparse stencils (``cell_gradient_matrix`` and the face matrices of the
+flow solves) are derived from the same ghost closures, so each closure has
+one definition.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class Dirichlet:
 
 @dataclass(frozen=True)
 class Extrapolate:
-    """Linear one-sided ghost; no physical condition imposed."""
+    """Quadratic one-sided ghost; no physical condition imposed."""
 
 
 @dataclass(frozen=True)
@@ -149,22 +153,22 @@ def _ghost(edge: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray, bc: BC,
     raise TypeError(f"unknown boundary condition {bc!r}")
 
 
+def _ghost_layers(f: Field):
+    """Left, right, bottom and top ghost layers of a field, one ``_ghost`` each."""
+    g = f.grid
+    a = f.data
+    return (_ghost(a[:, 0], a[:, 1], a[:, 2], f.bc, g.hx),
+            _ghost(a[:, -1], a[:, -2], a[:, -3], f.bc, g.hx),
+            _ghost(a[0, :], a[1, :], a[2, :], f.bc, g.hy),
+            _ghost(a[-1, :], a[-2, :], a[-3, :], f.bc, g.hy))
+
+
 def face_gradient(f: Field) -> FaceVector:
     """Differences at the faces, boundary faces closed through ghost cells."""
     g = f.grid
-    a = f.data
-    gx = np.empty((g.ny, g.nx + 1))
-    gy = np.empty((g.ny + 1, g.nx))
-    gx[:, 1:-1] = (a[:, 1:] - a[:, :-1]) / g.hx
-    gy[1:-1, :] = (a[1:, :] - a[:-1, :]) / g.hy
-    gl = _ghost(a[:, 0], a[:, 1], a[:, 2], f.bc, g.hx)
-    gr = _ghost(a[:, -1], a[:, -2], a[:, -3], f.bc, g.hx)
-    gx[:, 0] = (a[:, 0] - gl) / g.hx
-    gx[:, -1] = (gr - a[:, -1]) / g.hx
-    gb = _ghost(a[0, :], a[1, :], a[2, :], f.bc, g.hy)
-    gt = _ghost(a[-1, :], a[-2, :], a[-3, :], f.bc, g.hy)
-    gy[0, :] = (a[0, :] - gb) / g.hy
-    gy[-1, :] = (gt - a[-1, :]) / g.hy
+    gl, gr, gb, gt = _ghost_layers(f)
+    gx = np.diff(np.column_stack([gl, f.data, gr]), axis=1) / g.hx
+    gy = np.diff(np.vstack([gb, f.data, gt]), axis=0) / g.hy
     return FaceVector(gx, gy, g)
 
 
@@ -186,38 +190,12 @@ def laplacian(f: Field) -> Field:
     return divergence(gradient(f))
 
 
-def faces_from_cells(f: Field) -> FaceVector:
-    """Interpolate cell values onto faces (averaging, ghosts at the walls)."""
-    g = f.grid
-    a = f.data
-    fx = np.empty((g.ny, g.nx + 1))
-    fy = np.empty((g.ny + 1, g.nx))
-    fx[:, 1:-1] = 0.5 * (a[:, 1:] + a[:, :-1])
-    fy[1:-1, :] = 0.5 * (a[1:, :] + a[:-1, :])
-    gl = _ghost(a[:, 0], a[:, 1], a[:, 2], f.bc, g.hx)
-    gr = _ghost(a[:, -1], a[:, -2], a[:, -3], f.bc, g.hx)
-    fx[:, 0] = 0.5 * (a[:, 0] + gl)
-    fx[:, -1] = 0.5 * (a[:, -1] + gr)
-    gb = _ghost(a[0, :], a[1, :], a[2, :], f.bc, g.hy)
-    gt = _ghost(a[-1, :], a[-2, :], a[-3, :], f.bc, g.hy)
-    fy[0, :] = 0.5 * (a[0, :] + gb)
-    fy[-1, :] = 0.5 * (a[-1, :] + gt)
-    return FaceVector(fx, fy, g)
-
-
 def cell_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
     """Centered gradient at cell centers (face average of ``face_gradient``)."""
     fv = face_gradient(f)
     gx = 0.5 * (fv.gx[:, 1:] + fv.gx[:, :-1])
     gy = 0.5 * (fv.gy[1:, :] + fv.gy[:-1, :])
     return gx, gy
-
-
-def cell_divergence(vx: Field, vy: Field) -> np.ndarray:
-    """Centered divergence of a cell vector via face interpolation."""
-    fx = faces_from_cells(vx)
-    fy = faces_from_cells(vy)
-    return face_divergence(FaceVector(fx.gx, fy.gy, vx.grid))
 
 
 def inner_product(f, g) -> float:
@@ -234,25 +212,18 @@ def inner_product(f, g) -> float:
     return float((fa * ga).sum() * grid.cell_area)
 
 
+def l2_norm(a: np.ndarray, grid: Grid) -> float:
+    """Midpoint-quadrature L2 norm of a cell array or a stack of them."""
+    return float(np.sqrt((a**2).sum() * grid.cell_area))
+
+
 def wall_traces(f: Field) -> list[tuple[np.ndarray, float]]:
     """Boundary-face traces (ghost-interior midpoints) with edge lengths."""
     g = f.grid
     a = f.data
-    out = []
-    gl = _ghost(a[:, 0], a[:, 1], a[:, 2], f.bc, g.hx)
-    out.append((0.5 * (a[:, 0] + gl), g.hy))
-    gr = _ghost(a[:, -1], a[:, -2], a[:, -3], f.bc, g.hx)
-    out.append((0.5 * (a[:, -1] + gr), g.hy))
-    gb = _ghost(a[0, :], a[1, :], a[2, :], f.bc, g.hy)
-    out.append((0.5 * (a[0, :] + gb), g.hx))
-    gt = _ghost(a[-1, :], a[-2, :], a[-3, :], f.bc, g.hy)
-    out.append((0.5 * (a[-1, :] + gt), g.hx))
-    return out
-
-
-def boundary_integral(f: Field) -> float:
-    """Edge-midpoint quadrature of the boundary trace of ``f``."""
-    return float(sum(tr.sum() * h for tr, h in wall_traces(f)))
+    gl, gr, gb, gt = _ghost_layers(f)
+    return [(0.5 * (a[:, 0] + gl), g.hy), (0.5 * (a[:, -1] + gr), g.hy),
+            (0.5 * (a[0, :] + gb), g.hx), (0.5 * (a[-1, :] + gt), g.hx)]
 
 
 def spectral_project(f: Field, k: int) -> Field:
@@ -300,45 +271,64 @@ def laplacian_symbol(grid: Grid, bc: BC) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # sparse operators (row-major flattening, index j*nx + i)
+#
+# Every 1-D stencil is a product of the padding map cells -> [ghost, cells,
+# ghost], whose wall rows are ``_ghost`` applied to unit vectors, and
+# two-point differences or averages.  ``1/h`` scales the product last, so
+# the entries are those of the array operators to the last bit.  The 2-D
+# matrix is the Kronecker product with the identity along the other axis.
 
-def _gradient_matrix_1d(n: int, h: float, ghost: str) -> sp.csr_matrix:
-    """Centered first derivative with a one-sided ghost closure at the walls."""
-    rows, cols, vals = [], [], []
-    inv2h = 1.0 / (2.0 * h)
-    for i in range(n):
-        if 0 < i < n - 1:
-            rows += [i, i]
-            cols += [i - 1, i + 1]
-            vals += [-inv2h, inv2h]
-            continue
-        lo = i == 0
-        j0, j1 = (0, 1) if lo else (n - 1, n - 2)
-        sign = 1.0 if lo else -1.0
-        if ghost == "mirror":       # ghost = f[j0]
-            rows += [i, i]
-            cols += [j1, j0]
-            vals += [sign * inv2h, -sign * inv2h]
-        elif ghost == "flip":       # ghost = -f[j0]
-            rows += [i, i]
-            cols += [j1, j0]
-            vals += [sign * inv2h, sign * inv2h]
-        elif ghost == "extrapolate":  # quadratic ghost, one-sided 3-point
-            j2 = 2 if lo else n - 3
-            rows += [i, i, i]
-            cols += [j0, j1, j2]
-            vals += [-sign * 3 * inv2h, sign * 4 * inv2h, -sign * inv2h]
-        else:
-            raise ValueError(f"unknown ghost kind {ghost!r}")
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _pad_1d(n: int, bc: BC, h: float) -> sp.csr_matrix:
+    """Cells to ``[ghost, cells, ghost]``, shape ``(n+2, n)``."""
+    if isinstance(bc, Robin):
+        raise TypeError(f"the affine closure {bc!r} has no matrix form")
+    e = np.eye(3)
+    wall = _ghost(e[0], e[1], e[2], bc, h)
+    rows = np.concatenate([np.zeros(3), np.arange(1, n + 1), np.full(3, n + 1)])
+    cols = np.concatenate([np.arange(3), np.arange(n), n - 1 - np.arange(3)])
+    vals = np.concatenate([wall, np.ones(n), wall])
+    keep = vals != 0.0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                         shape=(n + 2, n))
 
 
-def cell_gradient_matrix(grid: Grid, axis: int, ghost: str) -> sp.csr_matrix:
-    """Sparse cell-centered d/dx (axis=0) or d/dy (axis=1) on flattened fields."""
+def _pair_1d(m: int, a: float, b: float) -> sp.csr_matrix:
+    """Two-point stencil ``x -> a x[:-1] + b x[1:]``, shape ``(m, m+1)``."""
+    return sp.diags([np.full(m, a), np.full(m, b)], [0, 1], shape=(m, m + 1),
+                    format="csr")
+
+
+def _along(grid: Grid, axis: int, stencil) -> sp.csr_matrix:
+    """The 1-D ``stencil(n, h)`` applied along x (axis=0) or y (axis=1)."""
     if axis == 0:
-        g1 = _gradient_matrix_1d(grid.nx, grid.hx, ghost)
-        return sp.kron(sp.identity(grid.ny, format="csr"), g1, format="csr")
-    g1 = _gradient_matrix_1d(grid.ny, grid.hy, ghost)
-    return sp.kron(g1, sp.identity(grid.nx, format="csr"), format="csr")
+        return sp.kron(sp.identity(grid.ny, format="csr"),
+                       stencil(grid.nx, grid.hx), format="csr")
+    return sp.kron(stencil(grid.ny, grid.hy),
+                   sp.identity(grid.nx, format="csr"), format="csr")
+
+
+def face_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
+    """Sparse ``face_gradient`` component on the faces normal to ``axis``."""
+    return _along(grid, axis, lambda n, h: (
+        _pair_1d(n + 1, -1.0, 1.0) @ _pad_1d(n, bc, h)) * (1.0 / h))
+
+
+def face_average_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
+    """Two-point average of the cells onto the faces normal to ``axis``."""
+    return _along(grid, axis,
+                  lambda n, h: _pair_1d(n + 1, 0.5, 0.5) @ _pad_1d(n, bc, h))
+
+
+def face_divergence_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
+    """The ``face_divergence`` term of the faces normal to ``axis``."""
+    return _along(grid, axis, lambda n, h: _pair_1d(n, -1.0, 1.0) * (1.0 / h))
+
+
+def cell_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
+    """Sparse ``cell_gradient`` component, d/dx (axis=0) or d/dy (axis=1)."""
+    return _along(grid, axis, lambda n, h: (
+        _pair_1d(n, 0.5, 0.5) @ _pair_1d(n + 1, -1.0, 1.0)
+        @ _pad_1d(n, bc, h)) * (1.0 / h))
 
 
 def robin_face_coefficient(k: float, diffusivity, h: float):

@@ -135,35 +135,35 @@ class SpecBundle:
     viscosity: cst.ViscositySpec
 
 
+def _chemical_spec(model: ModelParameters) -> cst.ChemicalEnergySpec:
+    """The concrete model's chemical energy coefficients."""
+    return cst.ChemicalEnergySpec(
+        chi_sigma=model.chi_sigma,
+        coupling=np.array([[model.chi_phi, -model.alpha, -model.beta]]),
+        a_vec=np.array([0.0, model.alpha * model.c_q, model.beta * model.c_n]),
+        b_vec=np.zeros(1))
+
+
 def build_specs(model: ModelParameters, *, source_variant: str = "linear",
                 eta0: float = 1e-2, lambda0: float = 1e-2,
                 split_shift: float = 1.0,
-                mobility: cst.MobilitySpec | None = None,
-                viscosity_modulation=None,
-                k_boundary: float | None = None) -> SpecBundle:
+                mobility: cst.MobilitySpec | None = None) -> SpecBundle:
     """Assemble the concrete-model spec objects from the scalar constants."""
-    coupling = np.array([[model.chi_phi, -model.alpha, -model.beta]])
-    a_vec = np.array([0.0, model.alpha * model.c_q, model.beta * model.c_n])
-    b_vec = np.zeros(1)
-    chem = cst.ChemicalEnergySpec(chi_sigma=model.chi_sigma, coupling=coupling,
-                                  a_vec=a_vec, b_vec=b_vec, c_scalar=0.0)
     sources = cst.SourceSpec(
         variant=source_variant,
         rate_p=model.rate_p, rate_q=model.rate_q, rate_a=model.rate_a,
         rate_d=model.rate_d, rate_c=model.rate_c, rate_b=model.rate_b,
         kappa=model.kappa, c_p=model.c_p, r=model.r, epsilon=model.epsilon,
-        sigma_omega=model.sigma_Omega,
-        k_boundary=model.K if k_boundary is None else k_boundary,
+        sigma_omega=model.sigma_Omega, k_boundary=model.K,
         sigma_gamma=model.sigma_Gamma,
     )
     return SpecBundle(
         params=model,
         potential=cst.PotentialSpec(split_shift=split_shift),
-        chem=chem,
+        chem=_chemical_spec(model),
         sources=sources,
         mobility=mobility or cst.MobilitySpec(),
-        viscosity=cst.ViscositySpec(eta0=eta0, lambda0=lambda0,
-                                    modulation=viscosity_modulation),
+        viscosity=cst.ViscositySpec(eta0=eta0, lambda0=lambda0),
     )
 
 
@@ -250,24 +250,10 @@ def validate_assumptions(model: ModelParameters,
     msgs: list[str] = []
     param_errors = model.violations()
 
-    bundle = None
-    if not param_errors:
-        bundle = build_specs(model, source_variant=source_variant,
-                             eta0=eta0 if eta0 is not None else 1e-2,
-                             lambda0=lambda0 if lambda0 is not None else 1e-2,
-                             split_shift=potential.split_shift)
-        chem = bundle.chem
-    else:
-        chem = cst.ChemicalEnergySpec(
-            chi_sigma=max(model.chi_sigma, 1e-300),
-            coupling=np.array([[model.chi_phi, -model.alpha, -model.beta]]),
-            a_vec=np.array([0.0, model.alpha * model.c_q, model.beta * model.c_n]),
-            b_vec=np.zeros(1))
-
+    chem = _chemical_spec(model)
     a_psi = potential_coercivity_constant()
     c_g = chemical_growth_constant(chem)
-    eps_b = model.gamma * model.chi_sigma * a_psi / (8.0 * c_g**2) \
-        if c_g > 0 else math.inf
+    eps_b = epsilon_bound(model, chem) if c_g > 0 else math.inf
 
     if param_errors:
         for key in (f"A{i}" for i in range(1, 9)):
@@ -275,6 +261,10 @@ def validate_assumptions(model: ModelParameters,
         msgs.append("parameter-ordering failures reported before assumption checks")
         return AssumptionReport(passed, a_psi, c_g, eps_b, msgs, param_errors)
 
+    bundle = build_specs(model, source_variant=source_variant,
+                         eta0=eta0 if eta0 is not None else 1e-2,
+                         lambda0=lambda0 if lambda0 is not None else 1e-2,
+                         split_shift=potential.split_shift)
     rng = np.random.default_rng(rng_seed)
 
     # A1: domain and positive coefficients (rectangle stands in for smooth).
@@ -361,16 +351,23 @@ def validate_assumptions(model: ModelParameters,
     return AssumptionReport(passed, a_psi, c_g, eps_b, msgs, [])
 
 
+def require_assumptions(config: ScenarioConfig) -> None:
+    """Raise ``StrictAssumptionError`` unless every assumption holds."""
+    report = validate_assumptions(
+        config.model, source_variant=config.source_variant,
+        eta0=config.eta0, lambda0=config.lambda0,
+        flow_backend=config.flow_backend)
+    if not report.all_pass:
+        raise StrictAssumptionError(
+            "assumption check failed under strict mode: "
+            + ", ".join(report.failing()))
+
+
 def default_parameters(**overrides) -> ModelParameters:
     """Order-one defaults with epsilon placed at 0.8 of its admissible bound."""
     base = ModelParameters(**overrides)
     if "epsilon" not in overrides:
-        chem = cst.ChemicalEnergySpec(
-            chi_sigma=base.chi_sigma,
-            coupling=np.array([[base.chi_phi, -base.alpha, -base.beta]]),
-            a_vec=np.array([0.0, base.alpha * base.c_q, base.beta * base.c_n]),
-            b_vec=np.zeros(1))
-        base = replace(base, epsilon=0.8 * epsilon_bound(base, chem))
+        base = replace(base, epsilon=0.8 * epsilon_bound(base, _chemical_spec(base)))
     return base.validate()
 
 
@@ -527,14 +524,8 @@ def config_from_dict(doc: dict, *, strict: bool = False) -> ScenarioConfig:
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
     config = config.validate()
-    report = validate_assumptions(
-        config.model, source_variant=config.source_variant,
-        eta0=config.eta0, lambda0=config.lambda0,
-        flow_backend=config.flow_backend)
-    if strict and not report.all_pass:
-        raise StrictAssumptionError(
-            "assumption check failed under strict mode: "
-            + ", ".join(report.failing()))
+    if strict:
+        require_assumptions(config)
     # non-strict violations downgrade to warnings, surfaced by the caller
     return config
 

@@ -44,7 +44,7 @@ from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, korteweg_force, \
     solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Field, Grid, Robin, advective_divergence,
+from .grid import (NEUMANN, Field, Grid, advective_divergence,
                    arithmetic_face_coefficients, fv_diffusion_matrix,
                    laplacian_symbol)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
@@ -178,11 +178,9 @@ class TimeStepper:
             x = phi_n[i].ravel().copy()
             r0 = rhs0[i].ravel()
             cmu = const_mu_part[i].ravel()
-            s0 = pot.split_shift
             converged = False
             for it in range(max_iter):
-                xx = x.reshape(self.grid.shape)
-                grad1 = (2.0 * xx * (1.0 - xx) * (1.0 - 2.0 * xx) + s0 * xx).ravel()
+                grad1 = cst.potential_split(x, pot)[0]
                 mu_flat = ge * (self._neu_laplacian @ x) + gi * grad1 + cmu
                 res = x + dt * (B @ mu_flat) - r0
                 res_norm = float(np.abs(res).max())
@@ -206,11 +204,8 @@ class TimeStepper:
         """Nutrient diffusion matrix with its Robin rhs, and the coupling matrix."""
         chem = self.bundle.chem
         g = self.grid
-        k = self.bundle.sources.k_boundary
         dx, dy = arithmetic_face_coefficients(nut_m, g)
-        bc = Robin(k=k, target=self.bundle.sources.sigma_gamma,
-                   diffusivity=float(np.mean(nut_m)) * chem.chi_sigma) \
-            if k > 0 else NEUMANN
+        bc = diag.nutrient_bc(self.bundle, nut_m)
         a_chi, rhs_rob = fv_diffusion_matrix(g, bc, chem.chi_sigma * dx,
                                              chem.chi_sigma * dy)
         a_d, _ = fv_diffusion_matrix(g, NEUMANN, dx, dy)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constitutive as cst
 from .grid import (NEUMANN, Field, Grid, advective_divergence,
-                   arithmetic_face_coefficients, fv_diffusion_matrix)
+                   arithmetic_face_coefficients, fv_diffusion_matrix, l2_norm)
 from .flow import solve_darcy
 from .parameters import SpecBundle, build_specs, default_parameters
 
@@ -37,10 +37,6 @@ def _fit_slope(ns, errors) -> float:
     return float(np.polyfit(h, e, 1)[0])
 
 
-def _l2(a: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt((a**2).sum() * grid.cell_area))
-
-
 def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
     """Pressure-Poisson/Darcy solve against sin-sin pressure, smooth velocity."""
     p_errs, v_errs = [], []
@@ -55,8 +51,8 @@ def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
         gpy = np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
         force = np.stack([gpx + nu * vx, gpy + nu * vy])
         res = solve_darcy(force, s_v, nu, grid, tol=1e-12)
-        p_errs.append(_l2(res.p - p_star, grid))
-        v_errs.append(_l2(np.stack([res.v[0] - vx, res.v[1] - vy]), grid))
+        p_errs.append(l2_norm(res.p - p_star, grid))
+        v_errs.append(l2_norm(np.stack([res.v[0] - vx, res.v[1] - vy]), grid))
     return (ConvergenceStudy("darcy-pressure", list(ns), p_errs,
                              _fit_slope(ns, p_errs)),
             ConvergenceStudy("darcy-velocity", list(ns), v_errs,
@@ -93,7 +89,7 @@ def mms_ch_operator(ns=(32, 64, 128, 256), bundle: SpecBundle | None = None):
             + m.gamma / m.epsilon * grad[i]
             for i in range(3)
         ])
-        errs.append(_l2(mu_h - mu_star, grid))
+        errs.append(l2_norm(mu_h - mu_star, grid))
     return ConvergenceStudy("ch-operator", list(ns), errs, _fit_slope(ns, errs))
 
 
@@ -115,7 +111,7 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256), bundle: SpecBundle | None = Non
         n_sigma = chem.chi_sigma * sigma \
             - sum(chem.coupling[0, l] * phi[l] for l in range(3))
         applied = -(a_d @ n_sigma.ravel()).reshape(grid.shape)
-        errs.append(_l2(applied - target, grid))
+        errs.append(l2_norm(applied - target, grid))
     return ConvergenceStudy("nutrient-operator", list(ns), errs,
                             _fit_slope(ns, errs))
 
@@ -134,7 +130,7 @@ def mms_advection(ns=(32, 64, 128, 256)):
         div_v = 0.5 * np.pi * np.cos(np.pi * x) * np.cos(np.pi * y)
         target = qx * vx + qy * vy + q * div_v
         got = advective_divergence(Field(q, NEUMANN, grid), vx, vy, div_v)
-        errs.append(_l2(got - target, grid))
+        errs.append(l2_norm(got - target, grid))
     return ConvergenceStudy("advective-divergence", list(ns), errs,
                             _fit_slope(ns, errs))
 

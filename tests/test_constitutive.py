@@ -240,20 +240,6 @@ class TestSources:
         assert cst.source_velocity(np.ones(3), np.array([2.0]), b.sources) \
             == pytest.approx(0.0, abs=1e-12)
 
-    def test_boundary_source(self):
-        b = bundle(K=2.0, sigma_Gamma=1.0)
-        assert cst.source_boundary(np.zeros(3), np.array([1.0]), b.sources)[0] == 0.0
-        assert cst.source_boundary(np.zeros(3), np.array([0.0]), b.sources)[0] == 2.0
-        b0 = bundle(K=0.0)
-        assert cst.source_boundary(np.zeros(3), np.array([7.0]), b0.sources)[0] == 0.0
-
-    @given(st.floats(-100, 100, allow_nan=False))
-    @settings(max_examples=100, deadline=None)
-    def test_boundary_source_affine_form(self, s):
-        b = bundle(K=2.5, sigma_Gamma=1.5)
-        val = cst.source_boundary(np.zeros(3), np.array([s]), b.sources)[0]
-        assert val == 2.5 * (1.5 - s)
-
     @pytest.mark.parametrize("variant", ["linear", "interfacial"])
     def test_growth_bounds_large_arguments(self, variant):
         b = build_specs(default_parameters(), source_variant=variant)
@@ -308,20 +294,3 @@ class TestMobilityAndStress:
                                 d_func=lambda p, s: -1.0, floor=1e-8)
         phase, nut = cst.mobility(np.zeros(3), np.zeros(1), spec)
         assert np.all(phase == 1e-8) and nut == 1e-8
-
-    def test_stress_pressure_only(self):
-        spec = cst.ViscositySpec(eta0=1.0, lambda0=1.0)
-        t = cst.stress_tensor(np.zeros((2, 2)), 0.0, 3.0, np.zeros(3), spec)
-        assert np.allclose(t, -3.0 * np.eye(2))
-
-    def test_stress_annihilates_antisymmetric(self):
-        spec = cst.ViscositySpec(eta0=1.0, lambda0=0.0)
-        grad_v = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        t = cst.stress_tensor(grad_v, 0.0, 0.0, np.zeros(3), spec)
-        assert np.allclose(t, 0.0)
-
-    def test_stress_identity_gradient(self):
-        spec = cst.ViscositySpec(eta0=1.0, lambda0=1.0)
-        t = cst.stress_tensor(np.eye(2), 2.0, 0.0, np.zeros(3), spec)
-        assert np.allclose(t, 4.0 * np.eye(2))
-        assert np.allclose(t, t.T)

@@ -6,10 +6,11 @@ from scipy.fft import dctn, dstn, idctn, idstn
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
                        Grid, Robin, advective_divergence,
-                       arithmetic_face_coefficients, boundary_integral,
-                       cell_divergence, cell_gradient, divergence,
-                       face_divergence, face_gradient, fv_diffusion_matrix,
-                       gradient, inner_product, laplacian, laplacian_symbol,
+                       arithmetic_face_coefficients, cell_gradient,
+                       cell_gradient_matrix, divergence, face_average_matrix,
+                       face_divergence, face_divergence_matrix, face_gradient,
+                       face_gradient_matrix, fv_diffusion_matrix, gradient,
+                       inner_product, laplacian, laplacian_symbol,
                        spectral_project, _ghost)
 
 
@@ -100,11 +101,6 @@ class TestBoundaryClosures:
         # wall-face derivative of sin(pi x) at x = 0 is pi, second order
         assert fv.gx[:, 0] == pytest.approx(np.pi, rel=2e-2)
 
-    def test_boundary_integral(self):
-        g = Grid(16, 16, 1.0, 1.0)
-        one = Field(np.ones(g.shape), NEUMANN, g)
-        assert boundary_integral(one) == pytest.approx(4.0)
-
     def test_inner_product_basics(self):
         g = Grid(16, 16, 1.0, 1.0)
         one = Field(np.ones(g.shape), NEUMANN, g)
@@ -176,6 +172,55 @@ class TestLaplacianSymbol:
             laplacian_symbol(grid, Robin(k=1.0, target=0.0, diffusivity=1.0))
 
 
+class TestSparseStencils:
+    """The sparse stencils share the ghost closures of the array operators."""
+
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, EXTRAPOLATE])
+    def test_matrices_match_array_operators(self, grid, bc):
+        # the matrices sum the same terms in another order
+        def close(got, want):
+            assert np.abs(got - want.ravel()).max() <= 1e-13 * np.abs(want).max()
+
+        f = rand_field(grid, bc, seed=4)
+        flat = f.data.ravel()
+        gx, gy = cell_gradient(f)
+        close(cell_gradient_matrix(grid, 0, bc) @ flat, gx)
+        close(cell_gradient_matrix(grid, 1, bc) @ flat, gy)
+        fv = face_gradient(f)
+        close(face_gradient_matrix(grid, 0, bc) @ flat, fv.gx)
+        close(face_gradient_matrix(grid, 1, bc) @ flat, fv.gy)
+        close(face_divergence_matrix(grid, 0) @ fv.gx.ravel()
+              + face_divergence_matrix(grid, 1) @ fv.gy.ravel(),
+              face_divergence(fv))
+
+    @pytest.mark.parametrize("build", [cell_gradient_matrix, face_gradient_matrix,
+                                       face_average_matrix])
+    def test_robin_has_no_matrix_form(self, grid, build):
+        with pytest.raises(TypeError):
+            build(grid, 0, Robin(k=1.0, target=0.5, diffusivity=1.0))
+
+    def test_wall_rows_pinned(self):
+        # n = 8: the quadratic face average and the sign-flipped face
+        # gradient behind the Rhie-Chow correction
+        g = Grid(8, 8, 2.0, 1.0)
+        h = g.hx
+        avg = np.zeros((9, 8))
+        grad = np.zeros((9, 8))
+        for f in range(1, 8):
+            avg[f, f - 1:f + 1] = 0.5
+            grad[f, f - 1:f + 1] = [-1.0 / h, 1.0 / h]
+        avg[0, :3] = [2.0, -1.5, 0.5]
+        avg[8, 5:] = [0.5, -1.5, 2.0]
+        grad[0, 0] = 2.0 / h
+        grad[8, 7] = -2.0 / h
+        m_avg = face_average_matrix(g, 0, EXTRAPOLATE)
+        m_grad = face_gradient_matrix(g, 0, DIRICHLET)
+        assert np.array_equal(m_avg.toarray()[:9, :8], avg)
+        assert np.array_equal(m_grad.toarray()[:9, :8], grad)
+        assert m_avg.nnz == 8 * (2 * 7 + 6)
+        assert m_grad.nnz == 8 * (2 * 7 + 2)
+
+
 class TestAdvection:
     def test_zero_velocity(self, grid):
         q = rand_field(grid, seed=10)
@@ -212,5 +257,5 @@ class TestGridValidation:
         x, y = g.cell_centers()
         vx = Field(2.0 * x, EXTRAPOLATE, g)
         vy = Field(-1.0 * y, EXTRAPOLATE, g)
-        div = cell_divergence(vx, vy)
+        div = cell_gradient(vx)[0] + cell_gradient(vy)[1]
         assert np.abs(div - 1.0).max() < 1e-11
