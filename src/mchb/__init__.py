@@ -1,8 +1,7 @@
 """Multiphase Cahn-Hilliard-Brinkman/Darcy tumor-growth simulator."""
 
 from .grid import (Grid, Field, FaceVector, Neumann, Dirichlet, Extrapolate,
-                   Robin, gradient, divergence, laplacian, inner_product,
-                   spectral_project, advective_divergence)
+                   Robin, inner_product, advective_divergence)
 from .constitutive import (PotentialSpec, ChemicalEnergySpec, SourceSpec,
                            MobilitySpec, ViscositySpec, potential_eval,
                            potential_split, chemical_energy,
@@ -16,7 +15,7 @@ from .parameters import (ModelParameters, AssumptionReport, ScenarioConfig,
 from .flow import (FlowResult, BrinkmanOptions, FlowSolverError,
                    korteweg_force, solve_darcy, solve_brinkman, darcy_residual)
 from .state import StateFields, build_initial_state
-from .stepping import TimeStepper, StepReport, RunSummary, StepFailure, step, run
+from .stepping import TimeStepper, StepReport, RunSummary, StepFailure
 from .diagnostics import (EnergyReport, free_energy, dissipation_rate,
                           energy_law_residual, component_masses, CSV_HEADER)
 

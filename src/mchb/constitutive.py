@@ -95,23 +95,10 @@ class MobilitySpec:
 
 @dataclass(frozen=True)
 class ViscositySpec:
-    """Constant shear/bulk viscosity levels with optional bounded modulation."""
+    """Constant shear/bulk viscosity levels."""
 
     eta0: float
     lambda0: float
-    modulation: Callable | None = None
-
-    def eta_field(self, p: np.ndarray) -> np.ndarray:
-        base = np.full(p.shape[1:], self.eta0)
-        if self.modulation is not None:
-            base = self.eta0 * np.clip(self.modulation(p), 0.1, 10.0)
-        return base
-
-    def lambda_field(self, p: np.ndarray) -> np.ndarray:
-        base = np.full(p.shape[1:], self.lambda0)
-        if self.modulation is not None:
-            base = self.lambda0 * np.clip(self.modulation(p), 0.1, 10.0)
-        return base
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +108,7 @@ def _double_well_gradient(p: np.ndarray) -> np.ndarray:
     return 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
 
 
-def potential_eval(p: np.ndarray, spec: PotentialSpec | None = None):
+def potential_eval(p: np.ndarray):
     """Value, gradient and Hessian of ``psi(p) = sum_i p_i^2 (1 - p_i)^2``."""
     p = np.asarray(p, dtype=float)
     value = (p**2 * (1.0 - p) ** 2).sum(axis=0)

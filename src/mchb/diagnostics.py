@@ -72,13 +72,10 @@ def free_energy(state: StateFields, bundle: SpecBundle):
 
 
 def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
-                           sigma_bc=None) -> FaceVector:
+                           sigma_bc) -> FaceVector:
     """Face gradient of N_sigma by the chain rule, chi grad(sigma) - B grad(phi)."""
     g = state.grid
     chem = bundle.chem
-    if sigma_bc is None:
-        _, nut = cst.mobility(state.phi, state.sigma, bundle.mobility)
-        sigma_bc = nutrient_bc(bundle, nut)
     gs = face_gradient(Field(state.sigma[0], sigma_bc, g))
     gx = chem.chi_sigma * gs.gx
     gy = chem.chi_sigma * gs.gy
@@ -109,8 +106,8 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
     if include_flow:
         total += m.nu * float((state.v**2).sum()) * g.cell_area
         if flow_backend == "brinkman":
-            eta = bundle.viscosity.eta_field(ref.phi)
-            lam = bundle.viscosity.lambda_field(ref.phi)
+            eta = bundle.viscosity.eta0
+            lam = bundle.viscosity.lambda0
             vx = Field(state.v[0], EXTRAPOLATE, g)
             vy = Field(state.v[1], EXTRAPOLATE, g)
             uxx, uxy = cell_gradient(vx)

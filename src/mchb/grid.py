@@ -3,10 +3,10 @@
 All fields live at cell centers of a uniform rectangular mesh.  Gradients are
 evaluated at cell faces (x-faces have shape ``(ny, nx+1)``, y-faces
 ``(ny+1, nx)``); the divergence of a face vector is the compact flux balance,
-so ``divergence(gradient(f)) == laplacian(f)`` holds to machine precision and
-summation by parts is exact for zero-flux closures.  Cell-centered gradients
-are obtained by averaging the two adjacent faces, which reproduces the usual
-centered stencil in the interior.
+so ``face_divergence(face_gradient(f))`` is the five-point Laplacian to
+machine precision and summation by parts is exact for zero-flux closures.
+Cell-centered gradients are obtained by averaging the two adjacent faces,
+which reproduces the usual centered stencil in the interior.
 
 Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dctn, idctn
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,6 @@ class Field:
             raise ValueError(
                 f"field shape {self.data.shape} does not match grid {self.grid.shape}")
 
-    def copy(self) -> "Field":
-        return Field(self.data.copy(), self.bc, self.grid)
-
 
 @dataclass
 class FaceVector:
@@ -178,18 +174,6 @@ def face_divergence(v: FaceVector) -> np.ndarray:
     return (v.gx[:, 1:] - v.gx[:, :-1]) / g.hx + (v.gy[1:, :] - v.gy[:-1, :]) / g.hy
 
 
-def gradient(f: Field) -> FaceVector:
-    return face_gradient(f)
-
-
-def divergence(v: FaceVector) -> Field:
-    return Field(face_divergence(v), NEUMANN, v.grid)
-
-
-def laplacian(f: Field) -> Field:
-    return divergence(gradient(f))
-
-
 def cell_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
     """Centered gradient at cell centers (face average of ``face_gradient``)."""
     fv = face_gradient(f)
@@ -224,25 +208,6 @@ def wall_traces(f: Field) -> list[tuple[np.ndarray, float]]:
     gl, gr, gb, gt = _ghost_layers(f)
     return [(0.5 * (a[:, 0] + gl), g.hy), (0.5 * (a[:, -1] + gr), g.hy),
             (0.5 * (a[0, :] + gb), g.hx), (0.5 * (a[-1, :] + gt), g.hx)]
-
-
-def spectral_project(f: Field, k: int) -> Field:
-    """Projection onto the first k x k tensor cosine (Neumann-Laplacian) modes.
-
-    The cell-centered type-II DCT diagonalizes the mirror-ghost Laplacian, so
-    these discrete modes are the exact finite-difference analogues of the
-    continuous Neumann eigenfunctions; mode (0, 0) is the constant
-    ``|domain|**-0.5``.  The projection is orthogonal and idempotent.
-    """
-    g = f.grid
-    if not isinstance(f.bc, Neumann):
-        raise ValueError("spectral projection requires a neumann-zero field")
-    if k < 1 or k > min(g.nx, g.ny):
-        raise ValueError(f"mode count {k} out of range 1..{min(g.nx, g.ny)}")
-    coeff = dctn(f.data, type=2, norm="ortho")
-    coeff[k:, :] = 0.0
-    coeff[:, k:] = 0.0
-    return Field(idctn(coeff, type=2, norm="ortho"), f.bc, g)
 
 
 def laplacian_symbol(grid: Grid, bc: BC) -> np.ndarray:

@@ -41,6 +41,8 @@ def write_field_dump(path, components: np.ndarray) -> None:
 def read_field_dump(path) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"truncated field dump header ({len(head)} bytes)")
         magic, version, nx, ny, ncomp = _HEADER.unpack(head)
         if magic != MAGIC:
             raise ValueError(f"not a field dump (magic {magic!r})")

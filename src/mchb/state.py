@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constitutive as cst
-from .grid import NEUMANN, Field, Grid, laplacian
+from .grid import NEUMANN, Field, Grid, face_divergence, face_gradient
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 
 
@@ -70,7 +70,7 @@ def consistent_mu(phi: np.ndarray, sigma: np.ndarray, bundle: SpecBundle,
     _, n_phi, _, _ = cst.chemical_energy(phi, sigma, bundle.chem)
     mu = np.empty_like(phi)
     for i in range(phi.shape[0]):
-        lap = laplacian(Field(phi[i], NEUMANN, grid)).data
+        lap = face_divergence(face_gradient(Field(phi[i], NEUMANN, grid)))
         mu[i] = -m.gamma * m.epsilon * lap \
             + m.gamma / m.epsilon * grad[i] + n_phi[i]
     return mu

@@ -267,10 +267,9 @@ class TimeStepper:
             if cfg.flow_backend == "darcy":
                 flow = solve_darcy(force, s_v, m.nu, g, tol=cfg.tol_flow)
             else:
-                eta = bundle.viscosity.eta_field(state.phi)
-                lam = bundle.viscosity.lambda_field(state.phi)
-                flow = solve_brinkman(force, s_v, eta, lam, m.nu, g,
-                                      self._brinkman_opts)
+                visc = bundle.viscosity
+                flow = solve_brinkman(force, s_v, visc.eta0, visc.lambda0,
+                                      m.nu, g, self._brinkman_opts)
             v, p = flow.v, flow.p
             flow_iters = flow.iterations
             div_residual = flow.div_residual
@@ -354,14 +353,3 @@ class TimeStepper:
             writer.snapshot(state, step=step_idx)
         return RunSummary(reports, state, aborted=False, dt_final=dt,
                           seed=cfg.seed, e_initial=e0)
-
-
-def step(state: StateFields, config: ScenarioConfig, dt: float,
-         bundle: SpecBundle | None = None):
-    """One-shot step helper (builds a stepper; prefer TimeStepper for runs)."""
-    return TimeStepper(config, bundle).step(state, dt)
-
-
-def run(config: ScenarioConfig, writer=None) -> RunSummary:
-    """Advance the configured scenario to its final time."""
-    return TimeStepper(config).run(writer)

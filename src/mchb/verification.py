@@ -16,7 +16,7 @@ from . import constitutive as cst
 from .grid import (NEUMANN, Field, Grid, advective_divergence,
                    arithmetic_face_coefficients, fv_diffusion_matrix, l2_norm)
 from .flow import solve_darcy
-from .parameters import SpecBundle, build_specs, default_parameters
+from .parameters import build_specs, default_parameters
 
 
 @dataclass
@@ -73,10 +73,9 @@ def _manufactured_phase(grid: Grid):
     return phi, lap
 
 
-def mms_ch_operator(ns=(32, 64, 128, 256), bundle: SpecBundle | None = None):
+def mms_ch_operator(ns=(32, 64, 128, 256)):
     """Apply the chemical-potential operator to a manufactured phase field."""
-    bundle = bundle or build_specs(default_parameters())
-    m = bundle.params
+    m = default_parameters()
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
@@ -93,10 +92,9 @@ def mms_ch_operator(ns=(32, 64, 128, 256), bundle: SpecBundle | None = None):
     return ConvergenceStudy("ch-operator", list(ns), errs, _fit_slope(ns, errs))
 
 
-def mms_nutrient_operator(ns=(32, 64, 128, 256), bundle: SpecBundle | None = None):
+def mms_nutrient_operator(ns=(32, 64, 128, 256)):
     """Apply the nutrient flux operator div(D grad N_sigma) with no-flux walls."""
-    bundle = bundle or build_specs(default_parameters())
-    chem = bundle.chem
+    chem = build_specs(default_parameters()).chem
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)

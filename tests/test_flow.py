@@ -258,11 +258,8 @@ class TestBrinkmanSystemReuse:
         solve_brinkman(force, s_v, eta, eta, 1.0, grid)
         factorizations = count_factorizations(monkeypatch)
         solve_brinkman(force, s_v, eta, eta, 2.0, grid)
-        solve_brinkman(force, s_v, eta, eta, 2.0, grid,
-                       BrinkmanOptions(rho=0.5))
-        solve_brinkman(force, s_v, eta, 0.5 * eta, 2.0, grid,
-                       BrinkmanOptions(rho=0.5))
-        assert len(factorizations) == 3
+        solve_brinkman(force, s_v, eta, 0.5 * eta, 2.0, grid)
+        assert len(factorizations) == 2
 
     def test_eta_mutated_in_place_rebuilds(self, problem, monkeypatch):
         grid, force, s_v, _ = problem

@@ -1,4 +1,4 @@
-"""Grid operators: exactness, adjointness, closures, projection, convection."""
+"""Grid operators: exactness, adjointness, closures, symbols, convection."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from scipy.fft import dctn, dstn, idctn, idstn
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
                        Grid, Robin, advective_divergence,
                        arithmetic_face_coefficients, cell_gradient,
-                       cell_gradient_matrix, divergence, face_average_matrix,
+                       cell_gradient_matrix, face_average_matrix,
                        face_divergence, face_divergence_matrix, face_gradient,
-                       face_gradient_matrix, fv_diffusion_matrix, gradient,
-                       inner_product, laplacian, laplacian_symbol,
-                       spectral_project, _ghost)
+                       face_gradient_matrix, fv_diffusion_matrix,
+                       inner_product, laplacian_symbol, _ghost)
 
 
 @pytest.fixture
@@ -23,13 +22,12 @@ def rand_field(grid, bc=NEUMANN, seed=0):
     rng = np.random.default_rng(seed)
     return Field(rng.standard_normal(grid.shape), bc, grid)
 
-
 class TestOperators:
     def test_constant_field(self, grid):
         f = Field(np.full(grid.shape, 2.5), NEUMANN, grid)
-        fv = gradient(f)
+        fv = face_gradient(f)
         assert np.abs(fv.gx).max() == 0.0 and np.abs(fv.gy).max() == 0.0
-        assert np.abs(laplacian(f).data).max() == 0.0
+        assert np.abs(face_divergence(face_gradient(f))).max() == 0.0
 
     def test_laplacian_cosine_convergence(self):
         errs = []
@@ -39,27 +37,34 @@ class TestOperators:
             x, _ = g.cell_centers()
             f = Field(np.cos(np.pi * x / g.lx), NEUMANN, g)
             exact = -(np.pi / g.lx) ** 2 * f.data
-            err = laplacian(f).data - exact
+            err = face_divergence(face_gradient(f)) - exact
             errs.append(np.sqrt((err**2).sum() * g.cell_area))
         slope = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
     def test_composition_identity(self, grid):
+        # div(grad f) is the mirror-ghost five-point stencil, written out here
         f = rand_field(grid)
-        assert np.array_equal(face_divergence(face_gradient(f)),
-                              laplacian(f).data)
+        a = np.pad(f.data, 1, mode="edge")
+        five_point = ((a[1:-1, 2:] - 2.0 * f.data + a[1:-1, :-2]) / grid.hx**2
+                      + (a[2:, 1:-1] - 2.0 * f.data + a[:-2, 1:-1]) / grid.hy**2)
+        assert np.allclose(face_divergence(face_gradient(f)), five_point,
+                           rtol=0.0, atol=1e-10 * np.abs(five_point).max())
 
     def test_adjointness_zero_flux(self, grid):
         f = rand_field(grid, seed=1)
         w = rand_field(grid, seed=2)
-        lhs = inner_product(divergence(gradient(w)), f)
-        rhs = -inner_product(gradient(w), gradient(f))
+        lhs = inner_product(face_divergence(face_gradient(w)), f)
+        rhs = -inner_product(face_gradient(w), face_gradient(f))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
+        assembled = -inner_product((a_neu @ w.data.ravel()).reshape(grid.shape), f)
+        assert abs(lhs - assembled) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_quadratic_exactness_interior(self, grid):
         x, y = grid.cell_centers()
         q = Field(x**2 + 3 * x * y + 2 * y**2 + x - y + 1, EXTRAPOLATE, grid)
-        lap = laplacian(q).data
+        lap = face_divergence(face_gradient(q))
         assert np.abs(lap[1:-1, 1:-1] - 6.0).max() < 1e-10
         gx, gy = cell_gradient(q)
         assert np.abs(gx - (2 * x + 3 * y + 1)).max() < 1e-10
@@ -70,7 +75,7 @@ class TestOperators:
         a_neu, rhs = fv_diffusion_matrix(grid, NEUMANN)
         assert np.all(rhs == 0.0)
         lhs = (a_neu @ f.data.ravel()).reshape(grid.shape)
-        assert np.allclose(lhs, -laplacian(f).data, atol=1e-12)
+        assert np.allclose(lhs, -face_divergence(face_gradient(f)), atol=1e-12)
 
     def test_robin_matrix_matches_face_operator(self, grid):
         bc = Robin(k=2.0, target=1.5, diffusivity=0.7)
@@ -118,40 +123,6 @@ class TestBoundaryClosures:
         h = Field(np.ones((24, 24)), NEUMANN, Grid(24, 24, 1.0, 1.0))
         with pytest.raises(ValueError):
             inner_product(f, h)
-
-
-class TestSpectralProjection:
-    def test_constant_unchanged(self, grid):
-        f = Field(np.full(grid.shape, 3.3), NEUMANN, grid)
-        assert np.allclose(spectral_project(f, 1).data, 3.3)
-
-    def test_single_mode(self):
-        g = Grid(32, 32, 1.0, 1.0)
-        x, y = g.cell_centers()
-        f = Field(np.cos(3 * np.pi * x) * np.cos(2 * np.pi * y), NEUMANN, g)
-        assert np.allclose(spectral_project(f, 4).data, f.data, atol=1e-12)
-        assert np.abs(spectral_project(f, 2).data).max() < 1e-12
-
-    def test_idempotent_and_self_adjoint(self, grid):
-        f = rand_field(grid, seed=7)
-        w = rand_field(grid, seed=8)
-        pf = spectral_project(f, 5)
-        assert np.allclose(spectral_project(pf, 5).data, pf.data, atol=1e-13)
-        lhs = inner_product(pf, w)
-        rhs = inner_product(f, spectral_project(w, 5))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_bessel_inequality(self, grid):
-        f = rand_field(grid, seed=9)
-        pf = spectral_project(f, 6)
-        assert inner_product(pf, pf) <= inner_product(f, f) + 1e-12
-
-    def test_mode_count_out_of_range(self, grid):
-        f = rand_field(grid)
-        with pytest.raises(ValueError):
-            spectral_project(f, 0)
-        with pytest.raises(ValueError):
-            spectral_project(f, 100)
 
 
 class TestLaplacianSymbol:

@@ -1,16 +1,23 @@
 """Field dumps, CSV schema, and the command-line surface."""
 
+import contextlib
+import io
 import json
+import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mchb.diagnostics import CSV_HEADER
 from mchb.io_formats import (MAGIC, read_csv_report, read_field_dump,
                              write_field_dump)
-from mchb.parameters import build_default_scenario, serialize_config
+from mchb.parameters import (ConfigError, ModelParameters, ScenarioConfig,
+                             build_default_scenario, load_config,
+                             serialize_config)
 from mchb.cli import main
 
 
@@ -49,6 +56,30 @@ class TestFieldDumps:
         path.write_bytes(b"NOPE" + bytes(60))
         with pytest.raises(ValueError, match="magic"):
             read_field_dump(path)
+
+    @pytest.mark.parametrize("raw", [b"", MAGIC + bytes(6)],
+                             ids=["empty", "magic-and-6-bytes"])
+    def test_short_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "short.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated"):
+            read_field_dump(path)
+
+    @settings(deadline=None)
+    @given(raw=st.binary(max_size=80)
+           | st.binary(max_size=80).map(lambda tail: MAGIC + tail)
+           | st.builds(lambda head, tail: struct.pack("<4sIIII12x", MAGIC, *head)
+                       + tail,
+                       st.tuples(*[st.integers(0, 3)] * 4),
+                       st.binary(max_size=80)))
+    def test_any_bytes_read_or_raise_value_error(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+        path.write_bytes(raw)
+        try:
+            arr = read_field_dump(path)
+        except ValueError:
+            return
+        assert 32 + 8 * arr.size == len(raw)
 
 
 class TestCli:
@@ -120,6 +151,52 @@ class TestCli:
             bad.write_text(json.dumps(doc))
             assert main(["run", "--config", str(bad),
                          "--out-dir", str(tmp_path / "out")]) == 1, doc
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+WORDS = ("darcy", "brinkman", "linear", "interfacial", "stratified",
+         "random-smooth", "uniform", "stokes")
+TYPED = {"int": st.integers(), "float": st.floats() | st.integers(),
+         "bool": st.booleans(), "str": st.sampled_from(WORDS)}
+
+
+def keyed_object(cls, **extra):
+    """Objects over the fields of ``cls``: mostly well typed, sometimes not."""
+    known = {f.name: TYPED.get(f.type, JSON_VALUES) | JSON_VALUES
+             for f in fields(cls) if f.name != "model"}
+    return st.fixed_dictionaries({}, optional={**known, **extra})
+
+
+CONFIG_DOCUMENTS = st.builds(
+    lambda doc, unknown: {**unknown, **doc},
+    keyed_object(ScenarioConfig, model=keyed_object(ModelParameters) | JSON_VALUES,
+                 out_dir=st.none() | st.text(max_size=8)),
+    st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=2)
+    | st.just({})) | JSON_VALUES
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=CONFIG_DOCUMENTS)
+def test_config_document_loads_or_is_config_error(tmp_path_factory, doc):
+    text = json.dumps(doc)
+    try:
+        load_config(text)
+        expected = 0
+    except ConfigError:
+        expected = 1
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["validate", "--config", str(path)])
+    assert code == expected
+    if expected:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestSweepCli:

@@ -35,6 +35,21 @@ class TestValidator:
         assert "kappa" in report.parameter_errors[0]
         assert not report.all_pass
 
+    @pytest.mark.parametrize("field, value", [("alpha", "2"), ("chi_phi", "x")])
+    def test_mistyped_field_reported_not_raised(self, field, value):
+        bad = dataclasses.replace(default_parameters(), **{field: value})
+        report = validate_assumptions(bad)
+        assert not report.all_pass
+        assert any(field in err for err in report.parameter_errors)
+        assert report.failing() == [f"A{i}" for i in range(1, 9)]
+        assert any("parameter error" in line for line in report.lines())
+
+    def test_coupling_past_float_range_fails_a8(self):
+        bad = dataclasses.replace(default_parameters(), chi_phi=1e200)
+        report = validate_assumptions(bad)
+        assert report.eps_bound == 0.0
+        assert report.failing() == ["A8"]
+
     def test_eps_bound_formula(self):
         m = default_parameters()
         report = validate_assumptions(m)
@@ -107,10 +122,18 @@ class TestConfigDocuments:
             load_config('{"dtt": 1.0}')
         with pytest.raises(ConfigError, match="unknown model"):
             load_config('{"model": {"gammo": 1.0}}')
+        with pytest.raises(ConfigError, match="out_dir"):
+            load_config('{"out_dir": "runs"}')
 
     def test_parse_error_cites_location(self):
         with pytest.raises(ConfigError, match="line 1"):
             load_config("{not json")
+
+    def test_unparsable_documents_are_config_errors(self):
+        with pytest.raises(ConfigError, match="parse error"):
+            load_config('{"seed": 1' + "0" * 5000 + "}")  # past int's digit limit
+        with pytest.raises(ConfigError, match="parse error"):
+            load_config("[" * 100000 + "]" * 100000)
 
     def test_strict_mode_rejects_oversized_epsilon(self):
         doc = json.dumps({"model": {"epsilon": 0.06}})
@@ -131,6 +154,7 @@ class TestConfigDocuments:
         ({"snapshot_every": -3}, "snapshot_every"),
         ({"init_modes": 0}, "init_modes"),
         ({"seed": -1}, "seed"),
+        ({"dt": 10**400}, "dt"),
     ])
     def test_malformed_values_rejected(self, doc, field):
         with pytest.raises(ConfigError, match=field):
