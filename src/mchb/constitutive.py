@@ -108,10 +108,16 @@ def _double_well_gradient(p: np.ndarray) -> np.ndarray:
     return 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
 
 
+def potential_value(p: np.ndarray) -> np.ndarray:
+    """Value of ``psi(p) = sum_i p_i^2 (1 - p_i)^2`` alone."""
+    p = np.asarray(p, dtype=float)
+    return (p**2 * (1.0 - p) ** 2).sum(axis=0)
+
+
 def potential_eval(p: np.ndarray):
     """Value, gradient and Hessian of ``psi(p) = sum_i p_i^2 (1 - p_i)^2``."""
     p = np.asarray(p, dtype=float)
-    value = (p**2 * (1.0 - p) ** 2).sum(axis=0)
+    value = potential_value(p)
     grad = _double_well_gradient(p)
     diag = 12.0 * p**2 - 12.0 * p + 2.0
     L = p.shape[0]

@@ -61,7 +61,7 @@ def free_energy(state: StateFields, bundle: SpecBundle):
     """Total free energy and its Ginzburg-Landau / chemical split."""
     g = state.grid
     m = bundle.params
-    psi, _, _ = cst.potential_eval(state.phi)
+    psi = cst.potential_value(state.phi)
     gl = m.gamma / m.epsilon * float(psi.sum()) * g.cell_area
     for i in range(state.phi.shape[0]):
         fv = face_gradient(Field(state.phi[i], NEUMANN, g))

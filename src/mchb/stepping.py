@@ -269,7 +269,8 @@ class TimeStepper:
             else:
                 visc = bundle.viscosity
                 flow = solve_brinkman(force, s_v, visc.eta0, visc.lambda0,
-                                      m.nu, g, self._brinkman_opts)
+                                      m.nu, g, self._brinkman_opts,
+                                      p0=state.p)
             v, p = flow.v, flow.p
             flow_iters = flow.iterations
             div_residual = flow.div_residual

@@ -335,6 +335,80 @@ class TestBrinkmanSystemReuse:
         assert_array_equal(threaded.darcy_residuals, serial.darcy_residuals)
 
 
+
+def darcy_limit_stepper(n=32):
+    cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
+                              grid_nx=n, grid_ny=n)
+    return cfg, TimeStepper(cfg)
+
+
+class TestBrinkmanWarmStart:
+    @pytest.fixture
+    def problem(self):
+        cfg, st = darcy_limit_stepper()
+        g = st.grid
+        visc = st.bundle.viscosity
+        x, y = g.cell_centers()
+        force = np.stack([np.sin(np.pi * x) * np.cos(np.pi * y),
+                          -np.cos(2 * np.pi * x) * np.sin(np.pi * y)])
+        s_v = 0.1 * np.cos(np.pi * x) * np.cos(np.pi * y)
+        return (force, s_v, np.full(g.shape, visc.eta0),
+                np.full(g.shape, visc.lambda0), cfg.model.nu, g)
+
+    def test_symmetric_mode_lu_matches_direct_solve(self, problem):
+        _, _, eta, lam, nu, g = problem
+        system = mchb.flow._brinkman_system(g, eta, lam, nu)
+        b = np.random.default_rng(0).standard_normal(2 * g.ncells)
+        ref = spsolve(system.K, b)
+        got = system.k_lu.solve(b)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_perturbed_guess_matches_cold_solve(self, problem):
+        g = problem[-1]
+        opts = BrinkmanOptions(tol=1e-9)
+        cold = solve_brinkman(*problem, opts)
+        x, y = g.cell_centers()
+        guess = cold.p + 0.1 * np.abs(cold.p).max() \
+            * np.sin(3 * np.pi * x) * np.sin(2 * np.pi * y)
+        warm = solve_brinkman(*problem, opts, p0=guess)
+        # the velocity inherits the constraint tolerance; the pressure error
+        # is the Schur operator's conditioning times it
+        assert l2(warm.v - cold.v, g) <= opts.tol * l2(cold.v, g)
+        assert l2(warm.p - cold.p, g) <= 1e-7 * l2(cold.p, g)
+
+    def test_converged_guess_takes_one_sweep(self, problem):
+        cold = solve_brinkman(*problem)
+        again = solve_brinkman(*problem, p0=cold.p.ravel())
+        assert cold.iterations > 1 and again.iterations == 1
+        assert np.abs(again.v - cold.v).max() <= 1e-12 * np.abs(cold.v).max()
+
+    def test_guess_on_zero_data_returns_zero(self, problem):
+        _, _, eta, lam, nu, g = problem
+        guess = np.random.default_rng(1).standard_normal(g.shape)
+        res = solve_brinkman(np.zeros((2,) + g.shape), np.zeros(g.shape), eta,
+                             lam, nu, g, p0=guess)
+        assert np.abs(res.v).max() == 0.0 and np.abs(res.p).max() == 0.0
+
+    @pytest.mark.parametrize("guess", [np.zeros((31, 32)), np.zeros(32 * 33),
+                                       np.full((32, 32), np.nan)])
+    def test_malformed_guess_rejected(self, problem, guess):
+        with pytest.raises(ValueError):
+            solve_brinkman(*problem, p0=guess)
+
+    def test_stepper_warm_start_saves_sweeps(self):
+        cfg, st = darcy_limit_stepper()
+        warm = cold = build_initial_state(cfg, st.bundle)
+        iters = []
+        for _ in range(5):
+            warm, rep = st.step(warm, cfg.dt)
+            iters.append(rep.flow_iterations)
+            cold, _ = st.step(dataclasses.replace(cold, p=np.zeros(cold.p.shape)),
+                              cfg.dt)
+        assert all(k < iters[0] for k in iters[1:]), iters
+        for a, b in ((warm.v, cold.v), (warm.p, cold.p)):
+            assert np.abs(a - b).max() <= 1e-7 * np.abs(b).max()
+
+
 class TestKortewegForce:
     def test_constant_fields_give_zero(self, grid):
         phi = np.full((3,) + grid.shape, 0.3)
