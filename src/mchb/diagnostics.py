@@ -142,11 +142,17 @@ def component_masses(state: StateFields):
 def energy_law_residual(before: StateFields, after: StateFields, dt: float,
                         bundle: SpecBundle, *, flow_enabled: bool = True,
                         flow_backend: str = "darcy",
-                        sources_enabled: bool = True) -> EnergyReport:
-    """Assemble the one-step energy identity and return its residual."""
+                        sources_enabled: bool = True,
+                        e_before: float | None = None) -> EnergyReport:
+    """Assemble the one-step energy identity and return its residual.
+
+    ``e_before`` is the free energy of ``before`` when the caller already
+    has it, as a stepper does from its previous step; otherwise it is
+    computed here.
+    """
     g = before.grid
-    m = bundle.params
-    e_before, _, _ = free_energy(before, bundle)
+    if e_before is None:
+        e_before, _, _ = free_energy(before, bundle)
     e_after, gl_after, chem_after = free_energy(after, bundle)
 
     dissipation = dissipation_rate(after, bundle, mobility_state=before,

@@ -22,16 +22,25 @@ viscosity: on a darcy-limit state at tolerance 1e-9 a cold start (zero
 pressure) takes 11, 17 and 26 sweeps at 32x32, 64x64 and 128x128 for
 ``eta = lambda = 1e-2``, and 4-5 at ``1e-4``.  The time stepper starts each
 solve from the previous step's pressure, which cuts the count to 8, 13 and
-21 on the steps after the first.  The inner velocity subproblems reuse one
-sparse factorization of the fixed SPD momentum operator, a symmetric-mode LU
-(minimum-degree ordering of the symmetric pattern, diagonal pivots) with
-about two thirds of the fill of a general column-ordered LU.  That operator
-depends only on the viscosity fields, so its factorization is kept across
-calls and rebuilt only when the fields (or the grid or ``nu``) change.
+21 on the steps after the first.  The Schur operator is fixed for a run, so
+the stepper also keeps the search directions found so far (``UzawaSpace``):
+a solve first removes the part of its residual that lies in their span and
+sweeps only on the rest.  Over a darcy-limit run the counts then fall to
+11, 7, 7, 4, 2, 1, 1, 1 at 32x32 and 17, 13, 12, 7, 4, 2, 2, 1 at 64x64,
+then stay at 1-2; at 128x128 they fall to 2-4 by the eighth step and
+return to about 20 for a few steps whenever the 80 kept directions fill and
+restart.  The inner velocity subproblems
+reuse one sparse factorization of the fixed SPD momentum operator, a
+symmetric-mode LU (minimum-degree ordering of the symmetric pattern,
+diagonal pivots) with about two thirds of the fill of a general
+column-ordered LU.  That operator depends only on the viscosity fields, so
+its factorization is kept across calls and rebuilt only when the fields (or
+the grid or ``nu``) change.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -66,6 +75,7 @@ class BrinkmanOptions:
 
 
 MAX_SWEEPS = 600  # Uzawa sweeps of one Brinkman solve
+MAX_DIRECTIONS = 80  # Uzawa search directions kept before a restart
 
 
 class _FlowOperators:
@@ -204,10 +214,12 @@ class _BrinkmanSystem(NamedTuple):
     k_lu: spla.SuperLU               # its sparse LU
     correction: sp.csr_matrix        # Rhie-Chow stabilization of the constraint
     model: np.ndarray                # Schur preconditioner eigenvalues
+    serial: int                      # build number, unique per build
 
 
 # ((grid, eta, lam, nu), system) of the last build, or None
 _brinkman_entry: tuple | None = None
+_brinkman_builds = itertools.count()
 
 
 def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
@@ -248,21 +260,54 @@ def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
     correction = ops.rhie_chow_correction(dx_face, dy_face)
     eta_hat = float(2.0 * eta.mean() + lam.mean())
     model = _schur_model_eigenvalues(grid, eta_hat, nu)
-    system = _BrinkmanSystem(K, k_lu, correction, model)
+    system = _BrinkmanSystem(K, k_lu, correction, model,
+                             next(_brinkman_builds))
     _brinkman_entry = ((grid, eta.copy(), lam.copy(), nu), system)
     return system
+
+
+class UzawaSpace:
+    """Search directions of the Brinkman pressure solve, kept across solves.
+
+    Rows ``Z[:k]`` are pressure directions and ``W[:k] = S Z[:k]`` their
+    images under the Schur operator ``S`` of the system with build number
+    ``serial``; ``W[:k]`` is orthonormal.  ``S`` depends only on the
+    viscosities, so directions found for one right-hand side stay exact for
+    every later one: a solve first removes the part of its initial residual
+    that lies in ``span W`` (no velocity solves) and sweeps only on the rest,
+    adding each new direction to the space.  Owned by one caller at a time.
+    """
+
+    def __init__(self) -> None:
+        self.Z = self.W = np.empty((0, 0))
+        self.k = 0
+        self.serial = -1
+
+    def clear(self) -> None:
+        self.k = 0
+
+    def attach(self, serial: int, n: int) -> None:
+        """Empty the space unless it was filled against system ``serial``."""
+        if self.serial != serial or self.Z.shape != (MAX_DIRECTIONS, n):
+            self.Z = np.empty((MAX_DIRECTIONS, n))
+            self.W = np.empty((MAX_DIRECTIONS, n))
+            self.k = 0
+            self.serial = serial
 
 
 def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
                    lam: np.ndarray, nu: float, grid: Grid,
                    opts: BrinkmanOptions | None = None,
-                   p0: np.ndarray | None = None) -> FlowResult:
+                   p0: np.ndarray | None = None,
+                   space: UzawaSpace | None = None) -> FlowResult:
     """Uzawa-preconditioned Brinkman solve; see the module docstring.
 
     ``p0`` is an initial pressure, shaped like the grid or flat; without it
     the iteration starts from zero.  A close guess, such as the previous
     step's pressure, saves sweeps; the result agrees with the cold solve to
-    the tolerance.
+    the tolerance.  ``space`` carries search directions from earlier solves
+    with the same viscosities and receives this solve's; a solve that raises
+    leaves it empty.
     """
     opts = opts or BrinkmanOptions()
     if p0 is not None:
@@ -278,7 +323,9 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
         raise ValueError("shear viscosity must be positive for the Brinkman solve")
     ops = _flow_operators(grid)
     n = grid.ncells
-    K, k_lu, correction, model = _brinkman_system(grid, eta, lam, nu)
+    K, k_lu, correction, model, serial = _brinkman_system(grid, eta, lam, nu)
+    space = space if space is not None else UzawaSpace()
+    space.attach(serial, n)
     f_flat = force.reshape(-1)
 
     def precondition(r: np.ndarray) -> np.ndarray:
@@ -288,16 +335,11 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     def velocity_of(p: np.ndarray) -> np.ndarray:
         return k_lu.solve(f_flat - np.concatenate([ops.gx_d @ p, ops.gy_d @ p]))
 
-    def schur_residual(p: np.ndarray, v_flat: np.ndarray) -> np.ndarray:
-        v = v_flat.reshape(2, grid.ny, grid.nx)
-        return s_v.ravel() - ops.div_cells(v).ravel() - correction @ p
-
-    def schur_apply(z: np.ndarray):
-        """S z for S p := -div_F K^-1 G p + C p, with the velocity increment."""
+    def schur_apply(z: np.ndarray) -> np.ndarray:
+        """S z for S p := -div_F K^-1 G p + C p."""
         dv = k_lu.solve(-np.concatenate([ops.gx_d @ z, ops.gy_d @ z]))
-        sz = ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel() \
+        return ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel() \
             + correction @ z
-        return sz, dv
 
     floor = 1e-300
     scale = max(l2_norm(force, grid) / nu, l2_norm(s_v, grid), floor)
@@ -306,42 +348,53 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
         # meets a tolerance relative to that data
         p = np.zeros(n)
     else:
-        p = p0.ravel()
-    v_flat = velocity_of(p)
-    r = schur_residual(p, v_flat)
+        p = p0.ravel().copy()
+    v = velocity_of(p).reshape(2, grid.ny, grid.nx)
+    r = s_v.ravel() - ops.div_cells(v).ravel() - correction @ p
+    if space.k and scale != floor:
+        # least-squares correction over the kept directions
+        c = space.W[:space.k] @ r
+        p += c @ space.Z[:space.k]
+        r -= c @ space.W[:space.k]
     rnorm = l2_norm(r, grid)
     history = [rnorm]
-    dirs: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]] = []
     sweeps = 0
-    # residual-minimizing pressure updates (GCR) on the Schur system
-    while rnorm > opts.tol * scale:
-        sweeps += 1
-        if sweeps > MAX_SWEEPS:
-            raise FlowSolverError(
-                f"Uzawa iteration cap reached ({MAX_SWEEPS} sweeps, "
-                f"residual {rnorm:.3e})")
-        if len(history) > 50 and history[-1] > 0.999**50 * history[-51]:
-            raise FlowSolverError(
-                f"Uzawa stagnation: residual {rnorm:.3e} after {sweeps} sweeps")
-        z = precondition(r)
-        w, dv = schur_apply(z)
-        for zj, wj, dvj, n2j in dirs:
-            beta = float(w @ wj) / n2j
-            z = z - beta * zj
-            w = w - beta * wj
-            dv = dv - beta * dvj
-        norm2 = float(w @ w)
-        if norm2 <= 0.0 or not np.isfinite(norm2):
-            raise FlowSolverError("Uzawa breakdown: degenerate search direction")
-        alpha = float(r @ w) / norm2
-        p = p + alpha * z
-        v_flat = v_flat + alpha * dv
-        r = r - alpha * w
-        rnorm = l2_norm(r, grid)
-        history.append(rnorm)
-        dirs.append((z, w, dv, norm2))
-        if len(dirs) >= 40:
-            dirs.clear()  # periodic restart; sliding truncation can cycle
+    try:
+        # residual-minimizing pressure updates (GCR) on the Schur system
+        while rnorm > opts.tol * scale:
+            sweeps += 1
+            if sweeps > MAX_SWEEPS:
+                raise FlowSolverError(
+                    f"Uzawa iteration cap reached ({MAX_SWEEPS} sweeps, "
+                    f"residual {rnorm:.3e})")
+            if len(history) > 50 and history[-1] > 0.999**50 * history[-51]:
+                raise FlowSolverError(
+                    f"Uzawa stagnation: residual {rnorm:.3e} after {sweeps} sweeps")
+            z = precondition(r)
+            w = schur_apply(z)
+            if space.k == MAX_DIRECTIONS:
+                space.k = 0  # periodic restart; sliding truncation can cycle
+            k = space.k
+            for _ in range(2):  # block Gram-Schmidt, repeated for orthogonality
+                c = space.W[:k] @ w
+                w -= c @ space.W[:k]
+                z -= c @ space.Z[:k]
+            norm = float(np.linalg.norm(w))
+            if not 0.0 < norm < np.inf:
+                raise FlowSolverError("Uzawa breakdown: degenerate search direction")
+            space.Z[k] = z / norm
+            space.W[k] = w / norm
+            space.k = k + 1
+            alpha = float(r @ space.W[k])
+            p += alpha * space.Z[k]
+            r -= alpha * space.W[k]
+            rnorm = l2_norm(r, grid)
+            history.append(rnorm)
+    except BaseException:
+        # a retry after a failure starts from nothing the failed solve left
+        space.clear()
+        raise
+    v_flat = velocity_of(p)
     v = v_flat.reshape(2, grid.ny, grid.nx)
     div_res = l2_norm(ops.div_cells(v) - s_v, grid)
     mom = (K @ v_flat + np.concatenate([ops.gx_d @ p, ops.gy_d @ p])

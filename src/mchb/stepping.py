@@ -42,8 +42,8 @@ from scipy.fft import dctn, idctn
 
 from . import constitutive as cst
 from . import diagnostics as diag
-from .flow import BrinkmanOptions, FlowSolverError, korteweg_force, \
-    solve_brinkman, solve_darcy
+from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
+    korteweg_force, solve_brinkman, solve_darcy
 from .grid import (NEUMANN, Field, Grid, advective_divergence,
                    arithmetic_face_coefficients, fv_diffusion_matrix,
                    laplacian_symbol)
@@ -117,6 +117,9 @@ class TimeStepper:
                                     self.bundle.mobility)
             self._nutrient_ops = self._nutrient_operators(nut_m)
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
+        self._uzawa_space = UzawaSpace()
+        # (phi, sigma, free energy) of the state the last step returned
+        self._energy_carry: tuple | None = None
 
     # -- phase-field update -------------------------------------------------
 
@@ -270,7 +273,7 @@ class TimeStepper:
                 visc = bundle.viscosity
                 flow = solve_brinkman(force, s_v, visc.eta0, visc.lambda0,
                                       m.nu, g, self._brinkman_opts,
-                                      p0=state.p)
+                                      p0=state.p, space=self._uzawa_space)
             v, p = flow.v, flow.p
             flow_iters = flow.iterations
             div_residual = flow.div_residual
@@ -301,10 +304,16 @@ class TimeStepper:
                                 v=v, p=p, t=state.t + dt, grid=g)
         new_state.check_finite()
 
+        carry = self._energy_carry
+        e_before = None
+        if (carry is not None and np.array_equal(carry[0], state.phi)
+                and np.array_equal(carry[1], state.sigma)):
+            e_before = carry[2]
         energy = diag.energy_law_residual(
             state, new_state, dt, bundle,
             flow_enabled=cfg.flow_enabled, flow_backend=cfg.flow_backend,
-            sources_enabled=sources_on)
+            sources_enabled=sources_on, e_before=e_before)
+        self._energy_carry = (phi_new.copy(), sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,
                             picard_iters=picard_iters,
                             picard_residual=picard_res,
@@ -321,6 +330,9 @@ class TimeStepper:
         cfg = self.config
         state = state or build_initial_state(cfg, self.bundle)
         e0, _, _ = diag.free_energy(state, self.bundle)
+        # each run starts from no kept directions, so equal runs are bit-equal
+        self._uzawa_space.clear()
+        self._energy_carry = (state.phi.copy(), state.sigma.copy(), e0)
         if writer is not None:
             writer.snapshot(state, step=0)
         reports: list[StepReport] = []

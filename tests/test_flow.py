@@ -409,6 +409,106 @@ class TestBrinkmanWarmStart:
             assert np.abs(a - b).max() <= 1e-7 * np.abs(b).max()
 
 
+def darcy_limit_run(steps, n=32):
+    cfg = build_default_scenario("darcy-limit")
+    cfg = dataclasses.replace(cfg, grid_nx=n, grid_ny=n, t_end=steps * cfg.dt)
+    st = TimeStepper(cfg)
+    return st, st.run(state=build_initial_state(cfg, st.bundle))
+
+
+def assert_close(a, b, rel):
+    assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+class TestUzawaSpace:
+    problem = TestBrinkmanWarmStart.problem
+
+    @staticmethod
+    def filled(problem):
+        space = mchb.flow.UzawaSpace()
+        solve_brinkman(*problem, space=space)
+        assert space.k > 0
+        return space
+
+    def test_cap_leaves_space_empty(self, problem, monkeypatch):
+        space = self.filled(problem)
+        monkeypatch.setattr(mchb.flow, "MAX_SWEEPS", 1)
+        with pytest.raises(FlowSolverError, match="cap"):
+            solve_brinkman(problem[0][::-1].copy(), *problem[1:], space=space)
+        assert space.k == 0
+
+    def test_breakdown_leaves_space_empty(self, problem, monkeypatch):
+        space = self.filled(problem)
+        calls = []
+        idstn = mchb.flow.idstn
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            out = idstn(*args, **kwargs)
+            return out if len(calls) < 3 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(mchb.flow, "idstn", failing)
+        with pytest.raises(FlowSolverError, match="breakdown"):
+            solve_brinkman(problem[0][::-1].copy(), *problem[1:], space=space)
+        assert space.k == 0
+
+    def test_zero_data_skips_projection(self, problem):
+        _, _, eta, lam, nu, g = problem
+        space = self.filled(problem)
+        guess = np.random.default_rng(1).standard_normal(g.shape)
+        res = solve_brinkman(np.zeros((2,) + g.shape), np.zeros(g.shape), eta,
+                             lam, nu, g, p0=guess, space=space)
+        assert np.abs(res.v).max() == 0.0 and np.abs(res.p).max() == 0.0
+
+    @pytest.mark.parametrize("change", ["nu", "eta", "lam"])
+    def test_space_of_another_system_emptied(self, problem, change):
+        force, s_v, eta, lam, nu, g = problem
+        space = self.filled(problem)
+        args = dict(eta=eta, lam=lam, nu=nu)
+        args[change] = 2.0 * args[change]
+        got = solve_brinkman(force, s_v, grid=g, space=space, **args)
+        fresh = solve_brinkman(force, s_v, grid=g, **args)
+        assert_array_equal(got.v, fresh.v)
+        assert_array_equal(got.p, fresh.p)
+        assert space.k == got.iterations
+
+    def test_stepper_solves_match_solves_without_space(self, monkeypatch):
+        pairs = []
+
+        def both(*args, **kwargs):
+            got = solve_brinkman(*args, **kwargs)
+            kwargs.pop("space")
+            pairs.append((got, solve_brinkman(*args, **kwargs)))
+            return got
+
+        monkeypatch.setattr(mchb.stepping, "solve_brinkman", both)
+        darcy_limit_run(8)
+        assert len(pairs) == 8
+        assert sum(a.iterations for a, _ in pairs) \
+            < sum(b.iterations for _, b in pairs)
+        for a, b in pairs:
+            assert_close(a.v, b.v, 1e-7)
+            assert_close(a.p, b.p, 1e-7)
+
+    def test_restarts_converge_to_the_same_run(self, monkeypatch):
+        _, full = darcy_limit_run(8)
+        monkeypatch.setattr(mchb.flow, "MAX_DIRECTIONS", 4)
+        _, capped = darcy_limit_run(8)
+        assert len(capped.reports) == 8 and not capped.aborted
+        assert_close(capped.state.v, full.state.v, 1e-7)
+        assert_close(capped.state.p, full.state.p, 1e-7)
+
+    def test_recycled_sweeps_fall_and_runs_repeat(self):
+        st, first = darcy_limit_run(8)
+        iters = [r.flow_iterations for r in first.reports]
+        assert max(iters[5:]) <= 2, iters
+        again = st.run(state=build_initial_state(st.config, st.bundle))
+        assert again.reports == first.reports
+        for name in ("phi", "mu", "sigma", "v", "p"):
+            assert_array_equal(getattr(again.state, name),
+                               getattr(first.state, name))
+
+
 class TestKortewegForce:
     def test_constant_fields_give_zero(self, grid):
         phi = np.full((3,) + grid.shape, 0.3)

@@ -285,6 +285,26 @@ class TestStepWork:
         assert len(calls) == 2
         assert rep.energy_before == e0
 
+    def test_energy_after_carried_to_next_step(self, monkeypatch):
+        cfg = small_config()
+        st = TimeStepper(cfg)
+        s1, rep1 = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
+        _, rep2 = st.step(s1, cfg.dt)
+        assert len(calls) == 1
+        assert rep2.energy_before == rep1.energy_after
+
+    def test_state_mutated_in_place_recomputes_energy(self, monkeypatch):
+        cfg = small_config()
+        st = TimeStepper(cfg)
+        s1, _ = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        s1.phi[0, 0, 0] += 1e-3
+        e1, _, _ = free_energy(s1, st.bundle)
+        calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
+        _, rep2 = st.step(s1, cfg.dt)
+        assert len(calls) == 2
+        assert rep2.energy_before == e1
+
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
                                   grid_nx=16, grid_ny=16)
