@@ -37,13 +37,12 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChemicalEnergySpec:
-    """Coefficients of ``N(p, s) = chi_sigma/2 |s|^2 - (s.B p + a.p + b.s + c)``."""
+    """Coefficients of ``N(p, s) = chi_sigma/2 |s|^2 - (s.B p + a.p + b.s)``."""
 
     chi_sigma: float
     coupling: np.ndarray     # (M, L)
     a_vec: np.ndarray        # (L,)
     b_vec: np.ndarray        # (M,)
-    c_scalar: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +126,16 @@ def potential_eval(p: np.ndarray):
     return value, grad, hess
 
 
+def concave_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
+    """Gradient of the concave part ``-split_shift |p|^2 / 2`` of the split."""
+    return -spec.split_shift * np.asarray(p, dtype=float)
+
+
 def potential_split(p: np.ndarray, spec: PotentialSpec):
     """Convex/concave gradient parts; they sum to the full gradient exactly."""
     p = np.asarray(p, dtype=float)
-    s0 = spec.split_shift
-    return _double_well_gradient(p) + s0 * p, -s0 * p
+    return (_double_well_gradient(p) + spec.split_shift * p,
+            concave_gradient(p, spec))
 
 
 def convex_part_diag_hessian(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
@@ -153,8 +157,7 @@ def chemical_energy(p: np.ndarray, s: np.ndarray, spec: ChemicalEnergySpec):
     n_val = (0.5 * spec.chi_sigma * (s**2).sum(axis=0)
              - (s * bp).sum(axis=0)
              - np.einsum("l,l...->...", spec.a_vec, p)
-             - np.einsum("m,m...->...", spec.b_vec, s)
-             - spec.c_scalar)
+             - np.einsum("m,m...->...", spec.b_vec, s))
     n_phi = -np.einsum("ml,m...->l...", B, s) - _column(spec.a_vec, p)
     n_sigma = spec.chi_sigma * s - bp - _column(spec.b_vec, s)
     n_ss = spec.chi_sigma * np.eye(M)

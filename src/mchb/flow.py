@@ -34,13 +34,15 @@ reuse one sparse factorization of the fixed SPD momentum operator, a
 symmetric-mode LU (minimum-degree ordering of the symmetric pattern,
 diagonal pivots) with about two thirds of the fill of a general
 column-ordered LU.  That operator depends only on the viscosity fields, so
-its factorization is kept across calls and rebuilt only when the fields (or
-the grid or ``nu``) change.
+the caller's ``UzawaSpace`` keeps its factorization next to the directions
+and rebuilds both only when the fields, the grid or ``nu`` change: one LU
+per live stepper, and steppers with different viscosities never evict each
+other.  A call without a space builds its own system, so it is cold and
+shares nothing with concurrent calls.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -167,9 +169,9 @@ def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
             f"pressure solve residual {defect:.3e} exceeds {bound:.3e}")
     v = (force - ops.grad_pressure(p)) / nu
     div_res = l2_norm(ops.div_cells(v) - s_v, grid)
-    mom = l2_norm(ops.grad_pressure(p) + nu * v - force, grid)
     return FlowResult(v=v, p=p, div_residual=div_res,
-                      momentum_residual=mom, iterations=1)
+                      momentum_residual=darcy_residual(v, p, force, nu, grid),
+                      iterations=1)
 
 
 def darcy_residual(v: np.ndarray, p: np.ndarray, force: np.ndarray,
@@ -214,34 +216,11 @@ class _BrinkmanSystem(NamedTuple):
     k_lu: spla.SuperLU               # its sparse LU
     correction: sp.csr_matrix        # Rhie-Chow stabilization of the constraint
     model: np.ndarray                # Schur preconditioner eigenvalues
-    serial: int                      # build number, unique per build
-
-
-# ((grid, eta, lam, nu), system) of the last build, or None
-_brinkman_entry: tuple | None = None
-_brinkman_builds = itertools.count()
 
 
 def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
                      nu: float) -> _BrinkmanSystem:
-    """Build the Brinkman system, or reuse the last one for equal inputs.
-
-    One entry is kept, keyed on copies of ``eta`` and ``lam`` and compared
-    exactly, so a run's constant viscosity is factorized once and fields
-    that change between calls are rebuilt on each.  A miss drops the entry before
-    factorizing, so at most one cached LU is alive.  The entry is a single
-    tuple swapped by one assignment: a concurrent caller sees the old entry
-    or the new one whole, so a race costs a rebuild, never a wrong operator.
-    """
-    global _brinkman_entry
-    entry = _brinkman_entry
-    if entry is not None:
-        (grid0, eta0, lam0, nu0), system = entry
-        if (grid0 == grid and nu0 == nu and np.array_equal(eta0, eta)
-                and np.array_equal(lam0, lam)):
-            return system
-    # the locals hold the old LU too; release it before the new one exists
-    _brinkman_entry = entry = system = None
+    """Build everything a Brinkman solve needs apart from its right-hand side."""
     ops = _flow_operators(grid)
     n = grid.ncells
     K = _velocity_operator(grid, eta, lam, nu)
@@ -260,39 +239,49 @@ def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
     correction = ops.rhie_chow_correction(dx_face, dy_face)
     eta_hat = float(2.0 * eta.mean() + lam.mean())
     model = _schur_model_eigenvalues(grid, eta_hat, nu)
-    system = _BrinkmanSystem(K, k_lu, correction, model,
-                             next(_brinkman_builds))
-    _brinkman_entry = ((grid, eta.copy(), lam.copy(), nu), system)
-    return system
+    return _BrinkmanSystem(K, k_lu, correction, model)
 
 
 class UzawaSpace:
-    """Search directions of the Brinkman pressure solve, kept across solves.
+    """What a Brinkman solve reuses across solves: its system and directions.
 
-    Rows ``Z[:k]`` are pressure directions and ``W[:k] = S Z[:k]`` their
-    images under the Schur operator ``S`` of the system with build number
-    ``serial``; ``W[:k]`` is orthonormal.  ``S`` depends only on the
-    viscosities, so directions found for one right-hand side stay exact for
-    every later one: a solve first removes the part of its initial residual
-    that lies in ``span W`` (no velocity solves) and sweeps only on the rest,
-    adding each new direction to the space.  Owned by one caller at a time.
+    The factorized system is kept for the key ``(grid, eta, lam, nu)``, with
+    copies of ``eta`` and ``lam`` compared exactly, so a run's constant
+    viscosity is factorized once and an in-place change rebuilds.  Rows
+    ``Z[:k]`` are pressure directions and ``W[:k] = S Z[:k]`` their images
+    under the Schur operator ``S`` of that system; ``W[:k]`` is orthonormal.
+    ``S`` depends only on the key, so directions found for one right-hand
+    side stay exact for every later one: a solve first removes the part of
+    its initial residual that lies in ``span W`` (no velocity solves) and
+    sweeps only on the rest, adding each new direction to the space.  Owned
+    by one caller at a time.
     """
 
     def __init__(self) -> None:
+        self.key: tuple | None = None
+        self.system: _BrinkmanSystem | None = None
         self.Z = self.W = np.empty((0, 0))
         self.k = 0
-        self.serial = -1
 
     def clear(self) -> None:
         self.k = 0
 
-    def attach(self, serial: int, n: int) -> None:
-        """Empty the space unless it was filled against system ``serial``."""
-        if self.serial != serial or self.Z.shape != (MAX_DIRECTIONS, n):
-            self.Z = np.empty((MAX_DIRECTIONS, n))
-            self.W = np.empty((MAX_DIRECTIONS, n))
-            self.k = 0
-            self.serial = serial
+    def system_for(self, grid: Grid, eta: np.ndarray, lam: np.ndarray,
+                   nu: float) -> _BrinkmanSystem:
+        """The kept system if the key matches, else a new one on an empty space."""
+        if self.key is not None:
+            grid0, eta0, lam0, nu0 = self.key
+            if (grid0 == grid and nu0 == nu and np.array_equal(eta0, eta)
+                    and np.array_equal(lam0, lam)):
+                return self.system
+        # release the old LU before the new one exists
+        self.key = self.system = None
+        self.Z = np.empty((MAX_DIRECTIONS, grid.ncells))
+        self.W = np.empty((MAX_DIRECTIONS, grid.ncells))
+        self.k = 0
+        self.system = _brinkman_system(grid, eta, lam, nu)
+        self.key = (grid, eta.copy(), lam.copy(), nu)
+        return self.system
 
 
 def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
@@ -305,10 +294,15 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     ``p0`` is an initial pressure, shaped like the grid or flat; without it
     the iteration starts from zero.  A close guess, such as the previous
     step's pressure, saves sweeps; the result agrees with the cold solve to
-    the tolerance.  ``space`` carries search directions from earlier solves
-    with the same viscosities and receives this solve's; a solve that raises
-    leaves it empty.
+    the tolerance.  ``space`` keeps the factorized system and the search
+    directions of earlier solves and receives this solve's; a solve that
+    raises leaves its directions empty.  Without it the call builds and
+    factorizes its own system, so it is cold and shares nothing.  Non-finite
+    ``force`` or ``s_v`` raises ``FlowSolverError``; zero data returns the
+    exact ``v = 0``, ``p = 0`` without building anything.
     """
+    if nu <= 0:
+        raise ValueError("permeability coefficient nu must be positive")
     opts = opts or BrinkmanOptions()
     if p0 is not None:
         p0 = np.asarray(p0, dtype=float)
@@ -321,11 +315,19 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     lam = np.broadcast_to(np.asarray(lam, dtype=float), grid.shape)
     if eta.min() <= 0:
         raise ValueError("shear viscosity must be positive for the Brinkman solve")
+    norms = (l2_norm(force, grid) / nu, l2_norm(s_v, grid))
+    if not np.isfinite(norms).all():
+        raise FlowSolverError("Brinkman force or volume source is not finite")
+    scale = max(norms)
+    if scale == 0.0:
+        # the exact solution; no nonzero guess meets a tolerance relative to
+        # vanishing data
+        return FlowResult(v=np.zeros((2,) + grid.shape), p=np.zeros(grid.shape),
+                          div_residual=0.0, momentum_residual=0.0, iterations=1)
     ops = _flow_operators(grid)
     n = grid.ncells
-    K, k_lu, correction, model, serial = _brinkman_system(grid, eta, lam, nu)
     space = space if space is not None else UzawaSpace()
-    space.attach(serial, n)
+    K, k_lu, correction, model = space.system_for(grid, eta, lam, nu)
     f_flat = force.reshape(-1)
 
     def precondition(r: np.ndarray) -> np.ndarray:
@@ -341,17 +343,10 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
         return ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel() \
             + correction @ z
 
-    floor = 1e-300
-    scale = max(l2_norm(force, grid) / nu, l2_norm(s_v, grid), floor)
-    if p0 is None or scale == floor:
-        # vanishing data has the exact solution p = 0, and no nonzero guess
-        # meets a tolerance relative to that data
-        p = np.zeros(n)
-    else:
-        p = p0.ravel().copy()
+    p = np.zeros(n) if p0 is None else p0.ravel().copy()
     v = velocity_of(p).reshape(2, grid.ny, grid.nx)
     r = s_v.ravel() - ops.div_cells(v).ravel() - correction @ p
-    if space.k and scale != floor:
+    if space.k:
         # least-squares correction over the kept directions
         c = space.W[:space.k] @ r
         p += c @ space.Z[:space.k]

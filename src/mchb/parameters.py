@@ -198,8 +198,7 @@ def chemical_growth_constant(chem: cst.ChemicalEnergySpec) -> float:
     """C_G with ``|G(p, s)| <= C_G (|p||s| + |p| + |s| + 1)``."""
     return max(float(np.linalg.norm(chem.coupling, 2)),
                float(np.linalg.norm(chem.a_vec)),
-               float(np.linalg.norm(chem.b_vec)),
-               abs(chem.c_scalar))
+               float(np.linalg.norm(chem.b_vec)))
 
 
 def epsilon_bound(model: ModelParameters, chem: cst.ChemicalEnergySpec) -> float:

@@ -292,8 +292,8 @@ class TimeStepper:
 
         # phase update: implicit convex part, everything else explicit
         rhs0 = state.phi - dt * conv_phi + dt * s_phi
-        const_mu = m.gamma / m.epsilon * (-bundle.potential.split_shift
-                                          * state.phi) + n_phi
+        const_mu = m.gamma / m.epsilon * cst.concave_gradient(
+            state.phi, bundle.potential) + n_phi
         phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
             state.phi, rhs0, const_mu, phase_m, dt)
 

@@ -213,6 +213,27 @@ class TestBrinkman:
             solve_brinkman(np.zeros((2,) + grid.shape), np.zeros(grid.shape),
                            np.zeros(grid.shape), np.zeros(grid.shape), 1.0, grid)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0])
+    def test_nu_must_be_positive(self, grid, nu):
+        _, _, s_v, force = manufactured(grid)
+        eta = np.full(grid.shape, 0.1)
+        with pytest.raises(ValueError):
+            solve_brinkman(force, s_v, eta, eta, nu, grid)
+
+    @pytest.mark.parametrize("target,value", [("force", np.nan),
+                                              ("s_v", np.inf),
+                                              ("s_v", np.nan)])
+    def test_non_finite_data_raises(self, grid, monkeypatch, target, value):
+        _, _, s_v, force = manufactured(grid)
+        data = {"force": force, "s_v": s_v}
+        data[target].reshape(-1)[7] = value
+        space = mchb.flow.UzawaSpace()
+        factorizations = count_factorizations(monkeypatch)
+        with pytest.raises(FlowSolverError, match="not finite"):
+            solve_brinkman(force, s_v, np.full(grid.shape, 0.1),
+                           np.full(grid.shape, 0.1), 1.0, grid, space=space)
+        assert factorizations == [] and space.system is None
+
 
 def count_factorizations(monkeypatch):
     calls = []
@@ -224,12 +245,6 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", wrapper)
     return calls
-
-
-def cold_brinkman(monkeypatch, *args):
-    """A solve that starts from no kept factorization."""
-    monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
-    return solve_brinkman(*args)
 
 
 class TestBrinkmanSystemReuse:
@@ -245,9 +260,12 @@ class TestBrinkmanSystemReuse:
         grid, force, s_v, _ = problem
         eta = np.full(grid.shape, 0.05)
         args = (force, s_v, eta, eta, 1.0, grid)
-        cold = cold_brinkman(monkeypatch, *args)
+        cold = solve_brinkman(*args)
+        space = mchb.flow.UzawaSpace()
+        solve_brinkman(*args, space=space)
+        space.clear()
         factorizations = count_factorizations(monkeypatch)
-        warm = solve_brinkman(*args)
+        warm = solve_brinkman(*args, space=space)
         assert factorizations == []
         assert_array_equal(warm.v, cold.v)
         assert_array_equal(warm.p, cold.p)
@@ -255,23 +273,24 @@ class TestBrinkmanSystemReuse:
     def test_key_changes_rebuild(self, problem, monkeypatch):
         grid, force, s_v, _ = problem
         eta = np.full(grid.shape, 0.05)
-        solve_brinkman(force, s_v, eta, eta, 1.0, grid)
+        space = mchb.flow.UzawaSpace()
+        solve_brinkman(force, s_v, eta, eta, 1.0, grid, space=space)
         factorizations = count_factorizations(monkeypatch)
-        solve_brinkman(force, s_v, eta, eta, 2.0, grid)
-        solve_brinkman(force, s_v, eta, 0.5 * eta, 2.0, grid)
+        solve_brinkman(force, s_v, eta, eta, 2.0, grid, space=space)
+        solve_brinkman(force, s_v, eta, 0.5 * eta, 2.0, grid, space=space)
         assert len(factorizations) == 2
 
     def test_eta_mutated_in_place_rebuilds(self, problem, monkeypatch):
         grid, force, s_v, _ = problem
         eta = np.full(grid.shape, 0.05)
         lam = eta.copy()
-        solve_brinkman(force, s_v, eta, lam, 1.0, grid)
+        space = mchb.flow.UzawaSpace()
+        solve_brinkman(force, s_v, eta, lam, 1.0, grid, space=space)
         eta[: grid.ny // 2] *= 2.0
         factorizations = count_factorizations(monkeypatch)
-        got = solve_brinkman(force, s_v, eta, lam, 1.0, grid)
+        got = solve_brinkman(force, s_v, eta, lam, 1.0, grid, space=space)
         assert len(factorizations) == 1
-        fresh = cold_brinkman(monkeypatch, force, s_v, eta.copy(), lam, 1.0,
-                              grid)
+        fresh = solve_brinkman(force, s_v, eta.copy(), lam, 1.0, grid)
         assert_array_equal(got.v, fresh.v)
         assert_array_equal(got.p, fresh.p)
 
@@ -279,21 +298,21 @@ class TestBrinkmanSystemReuse:
                                                     monkeypatch):
         grid, force, s_v, modulated = problem
         fields = (modulated, modulated[::-1].copy())
-        fresh = [cold_brinkman(monkeypatch, force, s_v, e, 0.5 * e, 1.0, grid)
+        fresh = [solve_brinkman(force, s_v, e, 0.5 * e, 1.0, grid)
                  for e in fields]
+        space = mchb.flow.UzawaSpace()
         factorizations = count_factorizations(monkeypatch)
         for k in (0, 1, 0, 1):
             got = solve_brinkman(force, s_v, fields[k], 0.5 * fields[k], 1.0,
-                                 grid)
+                                 grid, space=space)
             assert_array_equal(got.v, fresh[k].v)
             assert_array_equal(got.p, fresh[k].p)
         assert len(factorizations) == 4
 
-    def test_threads_never_see_a_wrong_operator(self, problem, monkeypatch):
+    def test_threads_never_see_a_wrong_operator(self, problem):
         grid, force, s_v, modulated = problem
         fields = (np.full(grid.shape, 0.05), modulated, 2.0 * modulated)
-        fresh = [cold_brinkman(monkeypatch, force, s_v, e, e, 1.0, grid)
-                 for e in fields]
+        fresh = [solve_brinkman(force, s_v, e, e, 1.0, grid) for e in fields]
 
         def worker(offset):
             for k in range(6):
@@ -316,24 +335,51 @@ class TestBrinkmanSystemReuse:
     def test_stepper_factorizes_once_per_run(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
                                   grid_nx=16, grid_ny=16)
-        monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
         st = TimeStepper(cfg)
         factorizations = count_factorizations(monkeypatch)
         summary = st.run(state=build_initial_state(cfg, st.bundle))
         assert len(summary.reports) == 5
         assert len(factorizations) == 1
 
-    def test_sweep_threads_match_serial(self, monkeypatch):
+    def test_alternating_steppers_keep_their_systems(self, monkeypatch):
+        def stepper(eta):
+            cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
+                                      grid_nx=32, grid_ny=32, eta0=eta,
+                                      lambda0=eta)
+            st = TimeStepper(cfg)
+            return st, build_initial_state(cfg, st.bundle), []
+
+        def advance(run):
+            st, state, iters = run
+            state, rep = st.step(state, st.config.dt)
+            iters.append(rep.flow_iterations)
+            return st, state, iters
+
+        alone = []
+        for eta in (1e-2, 1e-3):
+            run = stepper(eta)
+            for _ in range(6):
+                run = advance(run)
+            alone.append(run)
+        runs = [stepper(1e-2), stepper(1e-3)]
+        factorizations = count_factorizations(monkeypatch)
+        for _ in range(6):
+            runs = [advance(run) for run in runs]
+        assert len(factorizations) == 2
+        for (_, state, iters), (_, ref, ref_iters) in zip(runs, alone):
+            assert iters == ref_iters
+            for name in ("phi", "mu", "sigma", "v", "p"):
+                assert_array_equal(getattr(state, name), getattr(ref, name))
+
+    def test_sweep_threads_match_serial(self):
         cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
                                   grid_nx=16, grid_ny=16)
         levels = (1e-1, 1e-2, 1e-3)
         serial = run_darcy_sweep(cfg, levels, jobs=1, snapshot_steps=1)
-        monkeypatch.setattr(mchb.flow, "_brinkman_entry", None)
         threaded = run_darcy_sweep(cfg, levels, jobs=2, snapshot_steps=1)
         assert not serial.partial and not threaded.partial
         assert_array_equal(threaded.velocity_gaps, serial.velocity_gaps)
         assert_array_equal(threaded.darcy_residuals, serial.darcy_residuals)
-
 
 
 def darcy_limit_stepper(n=32):
@@ -397,13 +443,15 @@ class TestBrinkmanWarmStart:
 
     def test_stepper_warm_start_saves_sweeps(self):
         cfg, st = darcy_limit_stepper()
+        _, ref = darcy_limit_stepper()
         warm = cold = build_initial_state(cfg, st.bundle)
         iters = []
         for _ in range(5):
             warm, rep = st.step(warm, cfg.dt)
             iters.append(rep.flow_iterations)
-            cold, _ = st.step(dataclasses.replace(cold, p=np.zeros(cold.p.shape)),
-                              cfg.dt)
+            ref._uzawa_space.clear()
+            cold, _ = ref.step(dataclasses.replace(cold, p=np.zeros(cold.p.shape)),
+                               cfg.dt)
         assert all(k < iters[0] for k in iters[1:]), iters
         for a, b in ((warm.v, cold.v), (warm.p, cold.p)):
             assert np.abs(a - b).max() <= 1e-7 * np.abs(b).max()
