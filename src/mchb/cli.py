@@ -12,6 +12,7 @@ Exit codes are a total function of the outcome class:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -22,15 +23,14 @@ import numpy as np
 
 from . import verification
 from .flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
-                   korteweg_force, solve_brinkman, solve_darcy)
+                   solve_brinkman, solve_darcy)
 from .grid import l2_norm
 from .io_formats import RunWriter, write_sweep_csv
 from .parameters import (ConfigError, ScenarioConfig, StrictAssumptionError,
-                         build_default_scenario, load_config,
-                         require_assumptions, validate_assumptions)
+                         assumption_report, build_default_scenario,
+                         load_config, require_assumptions)
 from .state import build_initial_state
-from .stepping import TimeStepper
-from . import constitutive as cst
+from .stepping import TimeStepper, explicit_terms
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,15 +49,6 @@ class SweepResult:
     darcy_residuals: list[float]
     reference: object
     partial: bool = False
-
-    def __post_init__(self):
-        n = len(self.eta_levels)
-        if any(len(lst) != n for lst in (self.velocity_gaps,
-                                         self.velocity_gaps_rel,
-                                         self.darcy_residuals)):
-            raise ValueError("sweep level lists must share length")
-        if any(b >= a for a, b in zip(self.eta_levels, self.eta_levels[1:])):
-            raise ValueError("eta levels must be strictly decreasing")
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -90,8 +81,7 @@ def _out_dir(args) -> Path:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    report = validate_assumptions(cfg.model, eta0=cfg.eta0, lambda0=cfg.lambda0,
-                                  flow_backend=cfg.flow_backend)
+    report = assumption_report(cfg)
     for name in report.failing():
         print(f"warning: assumption {name} violated", file=sys.stderr)
     out = _out_dir(args)
@@ -111,20 +101,19 @@ def frozen_snapshot(cfg: ScenarioConfig, steps: int = 5):
     state = build_initial_state(cfg, stepper.bundle)
     for _ in range(steps):
         state, _ = stepper.step(state, cfg.dt)
-    bundle = stepper.bundle
-    _, _, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma, bundle.chem)
-    force = korteweg_force(state.phi, state.mu, state.sigma, n_sigma,
-                           state.grid)
-    if cfg.sources_enabled:
-        s_v = cst.source_velocity(state.phi, state.sigma, bundle.sources)
-    else:
-        s_v = np.zeros(state.grid.shape)
-    return state, force, s_v
+    terms = explicit_terms(state, stepper.bundle, cfg.sources_enabled, True)
+    return state, terms.force, terms.s_v
 
 
 def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
                     snapshot_steps: int = 5, tol: float = 1e-10) -> SweepResult:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     eta_levels = sorted(eta_levels, reverse=True)
+    if not (all(0 < eta < math.inf for eta in eta_levels)
+            and len(set(eta_levels)) == len(eta_levels)):
+        raise ConfigError(f"eta levels must be distinct, positive and finite, "
+                          f"got {eta_levels}")
     state, force, s_v = frozen_snapshot(cfg, steps=snapshot_steps)
     grid = state.grid
     nu = cfg.model.nu
@@ -139,43 +128,30 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
         dres = darcy_residual(res.v, res.p, force, nu, grid)
         return gap, dres
 
-    gaps, gaps_rel, residuals = [], [], []
-    partial = False
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(level, eta) for eta in eta_levels]
-            results = []
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except FlowSolverError:
-                    results.append(None)
-                    partial = True
-    else:
-        results = []
-        for eta in eta_levels:
+    results = []
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for fut in [pool.submit(level, eta) for eta in eta_levels]:
             try:
-                results.append(level(eta))
+                results.append(fut.result())
             except FlowSolverError:
                 results.append(None)
-                partial = True
-    kept_levels = []
-    for eta, res in zip(eta_levels, results):
-        if res is None:
-            break
-        kept_levels.append(eta)
-        gaps.append(res[0])
-        gaps_rel.append(res[0] / max(ref_norm, 1e-300))
-        residuals.append(res[1])
-    return SweepResult(kept_levels, gaps, gaps_rel, residuals, reference,
-                       partial=partial)
+    # a failed level ends the ladder; the levels before it are kept
+    partial = None in results
+    rows = results[:results.index(None)] if partial else results
+    gaps = [gap for gap, _ in rows]
+    return SweepResult(eta_levels[:len(rows)], gaps,
+                       [gap / max(ref_norm, 1e-300) for gap in gaps],
+                       [res for _, res in rows], reference, partial=partial)
 
 
 def cmd_sweep_darcy(args) -> int:
     cfg = _resolve_config(args)
     if cfg.flow_backend != "brinkman":
         cfg = replace(cfg, flow_backend="brinkman").validate()
-    levels = [float(tok) for tok in args.levels.split(",") if tok]
+    try:
+        levels = [float(tok) for tok in args.levels.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"bad eta ladder: {exc}") from None
     if not levels:
         raise ConfigError("empty eta ladder")
     result = run_darcy_sweep(cfg, levels, jobs=args.jobs,
@@ -212,8 +188,7 @@ def cmd_mms(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _resolve_config(args)
-    report = validate_assumptions(cfg.model, eta0=cfg.eta0, lambda0=cfg.lambda0,
-                                  flow_backend=cfg.flow_backend)
+    report = assumption_report(cfg)
     for line in report.lines():
         print(line)
     if args.strict and not report.all_pass:

@@ -7,26 +7,35 @@ convex-split update.
 
 The energy-identity residual balances one step: change of energy per unit
 time, plus dissipation and the boundary absorption term, minus the work done
-by the sources, by transport, and by the flow force.  Dissipation integrands
-use the updated fields with the mobilities/viscosities frozen at the earlier
-state, sources use the earlier state, matching the stepper's lagging.  A
-positive signed residual means spurious energy production.
+by the sources, by transport, and by the flow force.  The identity consumes
+the step's own explicit terms, built once by ``stepping.explicit_terms`` and
+``stepping.transport_terms``: the mobilities, sources and Korteweg force of
+the earlier state and the transport in the new velocity.  Dissipation
+integrands use the updated fields with those mobilities, and the boundary
+terms use the Robin closure the nutrient solve used.  A positive signed
+residual means spurious energy production.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import constitutive as cst
 from .grid import (EXTRAPOLATE, NEUMANN, Field, FaceVector, Robin,
-                   arithmetic_face_coefficients, advective_divergence,
-                   cell_gradient, face_gradient, inner_product,
-                   wall_traces)
-from .flow import korteweg_force
+                   arithmetic_face_coefficients, cell_gradient, face_gradient,
+                   inner_product, wall_traces)
 from .parameters import SpecBundle
 from .state import StateFields
+
+# unused here: kept only because the benchmark's span tracer wraps these names
+from .flow import korteweg_force  # noqa: F401
+from .grid import advective_divergence  # noqa: F401
+
+if TYPE_CHECKING:
+    from .stepping import StepTerms
 
 CSV_HEADER = ["t", "dt", "E", "ginzburg_landau", "chemical", "dissipation",
               "boundary_term", "source_work", "identity_residual",
@@ -86,15 +95,13 @@ def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
     return FaceVector(gx, gy, g)
 
 
-def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
-                     mobility_state: StateFields | None = None,
+def dissipation_rate(state: StateFields, bundle: SpecBundle,
+                     phase_m: np.ndarray, nut_m: np.ndarray, *,
                      include_flow: bool = True,
                      flow_backend: str = "darcy") -> float:
-    """Nonnegative dissipation functional of one state."""
+    """Nonnegative dissipation functional of ``state`` under the given mobilities."""
     g = state.grid
     m = bundle.params
-    ref = mobility_state or state
-    phase_m, nut_m = cst.mobility(ref.phi, ref.sigma, bundle.mobility)
     total = 0.0
     for i in range(state.mu.shape[0]):
         fv = face_gradient(Field(state.mu[i], NEUMANN, g))
@@ -106,25 +113,24 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
     if include_flow:
         total += m.nu * float((state.v**2).sum()) * g.cell_area
         if flow_backend == "brinkman":
-            eta = bundle.viscosity.eta0
-            lam = bundle.viscosity.lambda0
-            vx = Field(state.v[0], EXTRAPOLATE, g)
-            vy = Field(state.v[1], EXTRAPOLATE, g)
-            uxx, uxy = cell_gradient(vx)
-            vyx, vyy = cell_gradient(vy)
+            visc = bundle.viscosity
+            uxx, uxy = cell_gradient(Field(state.v[0], EXTRAPOLATE, g))
+            vyx, vyy = cell_gradient(Field(state.v[1], EXTRAPOLATE, g))
             d12 = 0.5 * (uxy + vyx)
             dv2 = uxx**2 + vyy**2 + 2.0 * d12**2
             divv = uxx + vyy
-            total += float((2.0 * eta * dv2 + lam * divv**2).sum()) * g.cell_area
+            total += float((2.0 * visc.eta0 * dv2 + visc.lambda0 * divv**2)
+                           .sum()) * g.cell_area
     return total
 
 
-def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
-    """Boundary term ``int_Gamma K chi_sigma |sigma|^2``."""
+def boundary_absorption(state: StateFields, bundle: SpecBundle,
+                        nut_m: float | np.ndarray) -> float:
+    """Boundary term ``int_Gamma K chi_sigma |sigma|^2`` under the Robin
+    closure of the nutrient mobility ``nut_m``."""
     k = bundle.sources.k_boundary
     if k == 0.0:
         return 0.0
-    _, nut_m = cst.mobility(state.phi, state.sigma, bundle.mobility)
     f = Field(state.sigma[0], nutrient_bc(bundle, nut_m), state.grid)
     return k * bundle.chem.chi_sigma * sum(
         float((tr**2).sum()) * h for tr, h in wall_traces(f))
@@ -140,65 +146,55 @@ def component_masses(state: StateFields):
 
 
 def energy_law_residual(before: StateFields, after: StateFields, dt: float,
-                        bundle: SpecBundle, *, flow_enabled: bool = True,
+                        bundle: SpecBundle, terms: StepTerms,
+                        transport: tuple | None, *,
                         flow_backend: str = "darcy",
                         sources_enabled: bool = True,
                         e_before: float | None = None) -> EnergyReport:
     """Assemble the one-step energy identity and return its residual.
 
-    ``e_before`` is the free energy of ``before`` when the caller already
-    has it, as a stepper does from its previous step; otherwise it is
-    computed here.
+    ``terms`` are the step's explicit terms at ``before`` (``explicit_terms``
+    in ``stepping``) and ``transport`` its ``(conv_phi, conv_sigma)`` in the
+    new velocity, None when the flow is off.  ``e_before`` is the free energy
+    of ``before`` when the caller already has it, as a stepper does from its
+    previous step; otherwise it is computed here.
     """
     g = before.grid
     if e_before is None:
         e_before, _, _ = free_energy(before, bundle)
     e_after, gl_after, chem_after = free_energy(after, bundle)
 
-    dissipation = dissipation_rate(after, bundle, mobility_state=before,
-                                   include_flow=flow_enabled,
+    dissipation = dissipation_rate(after, bundle, terms.phase_m, terms.nut_m,
+                                   include_flow=transport is not None,
                                    flow_backend=flow_backend)
-    boundary = boundary_absorption(after, bundle)
+    boundary = boundary_absorption(after, bundle, terms.nut_m)
 
-    _, n_phi_b, n_sigma_b, _ = cst.chemical_energy(before.phi, before.sigma,
-                                                   bundle.chem)
     _, _, n_sigma_a, _ = cst.chemical_energy(after.phi, after.sigma, bundle.chem)
 
     work = 0.0
     if sources_enabled:
-        s_phi = cst.source_phase(before.phi, before.sigma, before.mu, bundle.sources)
-        s_sig = cst.source_nutrient(before.phi, before.sigma, before.mu,
-                                    bundle.sources)
-        work += float((s_phi * after.mu).sum()) * g.cell_area
-        work -= float((s_sig * n_sigma_a).sum()) * g.cell_area
+        work += float((terms.s_phi * after.mu).sum()) * g.cell_area
+        work -= float((terms.s_sigma * n_sigma_a).sum()) * g.cell_area
         k = bundle.sources.k_boundary
         if k > 0.0:
-            _, nut_m = cst.mobility(before.phi, before.sigma, bundle.mobility)
-            bc = nutrient_bc(bundle, nut_m)
             chem = bundle.chem
-            for wall in range(4):
-                s_tr, h = wall_traces(Field(after.sigma[0], bc, g))[wall]
-                gphi = [wall_traces(Field(after.phi[l], NEUMANN, g))[wall][0]
-                        for l in range(after.phi.shape[0])]
-                gsig_tr = sum(chem.coupling[0, l] * gphi[l] for l in range(len(gphi))) \
-                    + chem.b_vec[0]
+            bc = nutrient_bc(bundle, terms.nut_m)
+            phi_tr = [wall_traces(Field(c, NEUMANN, g)) for c in after.phi]
+            sigma_tr = wall_traces(Field(after.sigma[0], bc, g))
+            for wall, (s_tr, h) in enumerate(sigma_tr):
+                gsig_tr = sum(chem.coupling[0, l] * tr[wall][0]
+                              for l, tr in enumerate(phi_tr)) + chem.b_vec[0]
                 n_tr = chem.chi_sigma * s_tr - gsig_tr
                 work += k * float((bundle.sources.sigma_gamma * n_tr
                                    + s_tr * gsig_tr).sum()) * h
 
-    if flow_enabled:
-        s_v = (cst.source_velocity(before.phi, before.sigma, bundle.sources)
-               if sources_enabled else np.zeros(g.shape))
-        force = korteweg_force(before.phi, before.mu, before.sigma, n_sigma_b, g)
+    if transport is not None:
+        conv_phi, conv_sigma = transport
         for i in range(before.phi.shape[0]):
-            conv = advective_divergence(Field(before.phi[i], NEUMANN, g),
-                                        after.v[0], after.v[1], s_v)
-            work -= float((conv * after.mu[i]).sum()) * g.cell_area
-        conv_s = advective_divergence(Field(before.sigma[0], NEUMANN, g),
-                                      after.v[0], after.v[1], s_v)
-        work -= float((conv_s * n_sigma_a[0]).sum()) * g.cell_area
-        work += float((force * after.v).sum()) * g.cell_area
-        work += float((after.p * s_v).sum()) * g.cell_area
+            work -= float((conv_phi[i] * after.mu[i]).sum()) * g.cell_area
+        work -= float((conv_sigma * n_sigma_a[0]).sum()) * g.cell_area
+        work += float((terms.force * after.v).sum()) * g.cell_area
+        work += float((after.p * terms.s_v).sum()) * g.cell_area
 
     signed = (e_after - e_before) / dt + dissipation + boundary - work
     return EnergyReport(t=after.t, e_total=e_after, ginzburg_landau=gl_after,

@@ -134,14 +134,10 @@ def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
         raise ValueError("fields do not share the flow grid")
     fx = np.zeros(grid.shape)
     fy = np.zeros(grid.shape)
-    for i in range(phi.shape[0]):
-        gx, gy = cell_gradient(Field(phi[i], NEUMANN, grid))
-        fx += gx * mu[i]
-        fy += gy * mu[i]
-    for j in range(sigma.shape[0]):
-        gx, gy = cell_gradient(Field(sigma[j], NEUMANN, grid))
-        fx += gx * n_sigma[j]
-        fy += gy * n_sigma[j]
+    for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):
+        gx, gy = cell_gradient(Field(q, NEUMANN, grid))
+        fx += gx * w
+        fy += gy * w
     return np.stack([fx, fy])
 
 
@@ -297,9 +293,10 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     the tolerance.  ``space`` keeps the factorized system and the search
     directions of earlier solves and receives this solve's; a solve that
     raises leaves its directions empty.  Without it the call builds and
-    factorizes its own system, so it is cold and shares nothing.  Non-finite
-    ``force`` or ``s_v`` raises ``FlowSolverError``; zero data returns the
-    exact ``v = 0``, ``p = 0`` without building anything.
+    factorizes its own system, so it is cold and shares nothing.  Viscosities
+    outside assumption A3 raise ``ValueError``, non-finite ``force`` or ``s_v``
+    raises ``FlowSolverError`` and zero data returns the exact ``v = 0``,
+    ``p = 0``; none of these builds anything.
     """
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
@@ -313,8 +310,11 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
             raise ValueError("initial pressure is not finite")
     eta = np.broadcast_to(np.asarray(eta, dtype=float), grid.shape)
     lam = np.broadcast_to(np.asarray(lam, dtype=float), grid.shape)
-    if eta.min() <= 0:
-        raise ValueError("shear viscosity must be positive for the Brinkman solve")
+    # assumption A3: finite viscosities with eta > 0 and lam >= 0
+    if not (np.isfinite(eta).all() and eta.min() > 0):
+        raise ValueError("shear viscosity must be finite and positive")
+    if not (np.isfinite(lam).all() and lam.min() >= 0):
+        raise ValueError("bulk viscosity must be finite and nonnegative")
     norms = (l2_norm(force, grid) / nu, l2_norm(s_v, grid))
     if not np.isfinite(norms).all():
         raise FlowSolverError("Brinkman force or volume source is not finite")

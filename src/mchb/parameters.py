@@ -354,12 +354,17 @@ def validate_assumptions(model: ModelParameters, *,
     return AssumptionReport(passed, a_psi, c_g, eps_b, msgs, [])
 
 
-def require_assumptions(config: ScenarioConfig) -> None:
-    """Raise ``StrictAssumptionError`` unless every assumption holds."""
-    report = validate_assumptions(
+def assumption_report(config: ScenarioConfig) -> AssumptionReport:
+    """The assumption report of a scenario: its model, source variant and flow."""
+    return validate_assumptions(
         config.model, source_variant=config.source_variant,
         eta0=config.eta0, lambda0=config.lambda0,
         flow_backend=config.flow_backend)
+
+
+def require_assumptions(config: ScenarioConfig) -> None:
+    """Raise ``StrictAssumptionError`` unless every assumption holds."""
+    report = assumption_report(config)
     if not report.all_pass:
         raise StrictAssumptionError(
             "assumption check failed under strict mode: "

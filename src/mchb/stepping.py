@@ -88,6 +88,50 @@ class RunSummary:
         return np.array([r.energy_after for r in self.reports])
 
 
+@dataclass
+class StepTerms:
+    """A step's explicit terms at its starting state; see ``explicit_terms``."""
+    n_phi: np.ndarray
+    n_sigma: np.ndarray
+    phase_m: np.ndarray
+    nut_m: np.ndarray
+    s_phi: np.ndarray
+    s_sigma: np.ndarray
+    s_v: np.ndarray
+    force: np.ndarray | None
+
+
+def explicit_terms(state: StateFields, bundle: SpecBundle,
+                   sources_enabled: bool, flow_enabled: bool) -> StepTerms:
+    """Chemical derivatives, mobilities, sources and Korteweg force of ``state``.
+
+    Sources are zeros when sources are off and the force is None when the
+    flow is off.  The step, its energy identity and the Darcy sweep's frozen
+    snapshot all take their terms from here, so each is evaluated once.
+    """
+    p, s, mu = state.phi, state.sigma, state.mu
+    _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
+    phase_m, nut_m = cst.mobility(p, s, bundle.mobility)
+    if sources_enabled:
+        sources = (cst.source_phase(p, s, mu, bundle.sources),
+                   cst.source_nutrient(p, s, mu, bundle.sources),
+                   cst.source_velocity(p, s, bundle.sources))
+    else:
+        sources = (np.zeros_like(p), np.zeros_like(s),
+                   np.zeros(state.grid.shape))
+    force = korteweg_force(p, mu, s, n_sigma, state.grid) if flow_enabled \
+        else None
+    return StepTerms(n_phi, n_sigma, phase_m, nut_m, *sources, force)
+
+
+def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
+    """Advective divergences ``(conv_phi, conv_sigma)`` of ``state`` in ``v``."""
+    g = state.grid
+    conv = [advective_divergence(Field(q, NEUMANN, g), v[0], v[1], s_v)
+            for q in [*state.phi, state.sigma[0]]]
+    return np.stack(conv[:-1]), conv[-1]
+
+
 class TimeStepper:
     """Owns the grid-bound operators and advances states."""
 
@@ -102,19 +146,19 @@ class TimeStepper:
         self._neu_laplacian, _ = fv_diffusion_matrix(self.grid, NEUMANN)
         self._neu_symbol = laplacian_symbol(self.grid, NEUMANN)
         self._identity = sp.identity(self.grid.ncells, format="csr")
-        # with no m_funcs the phase mobility is the constant max(1, floor), and
-        # the phase operator is that multiple of the Neumann Laplacian
+        # a mobility with no m_funcs or no d_func is the constant
+        # max(1, floor): the phase operator is then that multiple of the
+        # Neumann Laplacian, and the nutrient operators are built once here
+        mob = self.bundle.mobility
+        phase_m, nut_m = cst.mobility(
+            np.zeros((config.model.L,) + self.grid.shape),
+            np.zeros((1,) + self.grid.shape), mob)
         self._phase_mobility = None
-        if self.bundle.mobility.m_funcs is None:
-            phase_m, _ = cst.mobility(np.zeros(config.model.L), np.zeros(1),
-                                      self.bundle.mobility)
-            self._phase_mobility = float(phase_m[0])
+        if mob.m_funcs is None:
+            self._phase_mobility = float(phase_m[0, 0, 0])
             self._phase_laplacian = self._phase_mobility * self._neu_laplacian
         self._nutrient_ops = None
-        if self.bundle.mobility.d_func is None:
-            _, nut_m = cst.mobility(np.zeros((config.model.L,) + self.grid.shape),
-                                    np.zeros((1,) + self.grid.shape),
-                                    self.bundle.mobility)
+        if mob.d_func is None:
             self._nutrient_ops = self._nutrient_operators(nut_m)
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
@@ -217,10 +261,8 @@ class TimeStepper:
     def _nutrient_solve(self, sigma_n, phi_new, conv_sigma, s_sigma, nut_m, dt):
         chem = self.bundle.chem
         g = self.grid
-        if self._nutrient_ops is None:
-            a_chi, rhs_rob, a_d = self._nutrient_operators(nut_m)
-        else:
-            a_chi, rhs_rob, a_d = self._nutrient_ops
+        a_chi, rhs_rob, a_d = (self._nutrient_ops
+                               or self._nutrient_operators(nut_m))
         bphi = np.einsum("ml,lxy->mxy", chem.coupling, phi_new)[0]
         rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel() \
             + rhs_rob + a_d @ bphi.ravel()
@@ -247,58 +289,38 @@ class TimeStepper:
         m = cfg.model
         g = self.grid
         bundle = self.bundle
-        sources_on = cfg.sources_enabled
+        terms = explicit_terms(state, bundle, cfg.sources_enabled,
+                               cfg.flow_enabled)
 
-        _, n_phi, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma,
-                                                   bundle.chem)
-        phase_m, nut_m = cst.mobility(state.phi, state.sigma, bundle.mobility)
-        if sources_on:
-            s_phi = cst.source_phase(state.phi, state.sigma, state.mu,
-                                     bundle.sources)
-            s_sigma = cst.source_nutrient(state.phi, state.sigma, state.mu,
-                                          bundle.sources)
-            s_v = cst.source_velocity(state.phi, state.sigma, bundle.sources)
-        else:
-            s_phi = np.zeros_like(state.phi)
-            s_sigma = np.zeros_like(state.sigma)
-            s_v = np.zeros(g.shape)
-
-        flow_iters = 0
-        div_residual = 0.0
+        flow_iters, div_residual, transport = 0, 0.0, None
         if cfg.flow_enabled:
-            force = korteweg_force(state.phi, state.mu, state.sigma, n_sigma, g)
             if cfg.flow_backend == "darcy":
-                flow = solve_darcy(force, s_v, m.nu, g, tol=cfg.tol_flow)
+                flow = solve_darcy(terms.force, terms.s_v, m.nu, g,
+                                   tol=cfg.tol_flow)
             else:
                 visc = bundle.viscosity
-                flow = solve_brinkman(force, s_v, visc.eta0, visc.lambda0,
-                                      m.nu, g, self._brinkman_opts,
-                                      p0=state.p, space=self._uzawa_space)
+                flow = solve_brinkman(terms.force, terms.s_v, visc.eta0,
+                                      visc.lambda0, m.nu, g,
+                                      self._brinkman_opts, p0=state.p,
+                                      space=self._uzawa_space)
             v, p = flow.v, flow.p
-            flow_iters = flow.iterations
-            div_residual = flow.div_residual
+            flow_iters, div_residual = flow.iterations, flow.div_residual
+            transport = transport_terms(state, v, terms.s_v)
         else:
             v = np.zeros((2, g.ny, g.nx))
             p = np.zeros(g.shape)
-
-        conv_phi = np.zeros_like(state.phi)
-        conv_sigma = np.zeros(g.shape)
-        if cfg.flow_enabled:
-            for i in range(m.L):
-                conv_phi[i] = advective_divergence(
-                    Field(state.phi[i], NEUMANN, g), v[0], v[1], s_v)
-            conv_sigma = advective_divergence(
-                Field(state.sigma[0], NEUMANN, g), v[0], v[1], s_v)
+        # no flow, no transport: subtracting 0.0 leaves the rest bit-equal
+        conv_phi, conv_sigma = transport or (0.0, 0.0)
 
         # phase update: implicit convex part, everything else explicit
-        rhs0 = state.phi - dt * conv_phi + dt * s_phi
+        rhs0 = state.phi - dt * conv_phi + dt * terms.s_phi
         const_mu = m.gamma / m.epsilon * cst.concave_gradient(
-            state.phi, bundle.potential) + n_phi
+            state.phi, bundle.potential) + terms.n_phi
         phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
-            state.phi, rhs0, const_mu, phase_m, dt)
+            state.phi, rhs0, const_mu, terms.phase_m, dt)
 
         sigma_new, nutrient_iters = self._nutrient_solve(
-            state.sigma, phi_new, conv_sigma, s_sigma, nut_m, dt)
+            state.sigma, phi_new, conv_sigma, terms.s_sigma, terms.nut_m, dt)
 
         new_state = StateFields(phi=phi_new, mu=mu_new, sigma=sigma_new,
                                 v=v, p=p, t=state.t + dt, grid=g)
@@ -310,9 +332,9 @@ class TimeStepper:
                 and np.array_equal(carry[1], state.sigma)):
             e_before = carry[2]
         energy = diag.energy_law_residual(
-            state, new_state, dt, bundle,
-            flow_enabled=cfg.flow_enabled, flow_backend=cfg.flow_backend,
-            sources_enabled=sources_on, e_before=e_before)
+            state, new_state, dt, bundle, terms, transport,
+            flow_backend=cfg.flow_backend, sources_enabled=cfg.sources_enabled,
+            e_before=e_before)
         self._energy_carry = (phi_new.copy(), sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,
                             picard_iters=picard_iters,

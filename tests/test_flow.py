@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_array_equal
 from scipy.sparse.linalg import spsolve
 
+import mchb.cli
 import mchb.flow
 from mchb.cli import run_darcy_sweep
 from mchb.parameters import build_default_scenario
@@ -235,6 +236,27 @@ class TestBrinkman:
         assert factorizations == [] and space.system is None
 
 
+    @pytest.mark.parametrize("target,value", [("eta", np.nan),
+                                              ("eta", np.inf),
+                                              ("eta", -1.0),
+                                              ("lam", np.nan),
+                                              ("lam", np.inf),
+                                              ("lam", -1.0)])
+    def test_bad_viscosity_raises_before_building(self, monkeypatch, target,
+                                                  value):
+        # assumption A3: finite eta > 0 and lam >= 0
+        grid = Grid(16, 16, 1.0, 1.0)
+        _, _, s_v, force = manufactured(grid)
+        visc = {"eta": np.full(grid.shape, 0.1), "lam": np.full(grid.shape, 0.1)}
+        visc[target][3, 5] = value
+        space = mchb.flow.UzawaSpace()
+        factorizations = count_factorizations(monkeypatch)
+        with pytest.raises(ValueError, match="viscosity"):
+            solve_brinkman(force, s_v, visc["eta"], visc["lam"], 1.0, grid,
+                           space=space)
+        assert factorizations == [] and space.system is None
+
+
 def count_factorizations(monkeypatch):
     calls = []
     orig = spla.splu
@@ -380,6 +402,25 @@ class TestBrinkmanSystemReuse:
         assert not serial.partial and not threaded.partial
         assert_array_equal(threaded.velocity_gaps, serial.velocity_gaps)
         assert_array_equal(threaded.darcy_residuals, serial.darcy_residuals)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_keeps_the_levels_before_a_failure(self, monkeypatch, jobs):
+        cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
+                                  grid_nx=16, grid_ny=16)
+        solve = mchb.cli.solve_brinkman
+
+        def fail_at_1e_3(force, s_v, eta, *args, **kwargs):
+            if eta.flat[0] == 1e-3:
+                raise FlowSolverError("injected")
+            return solve(force, s_v, eta, *args, **kwargs)
+
+        monkeypatch.setattr(mchb.cli, "solve_brinkman", fail_at_1e_3)
+        full = run_darcy_sweep(cfg, (1e-1, 1e-2), jobs=jobs, snapshot_steps=1)
+        got = run_darcy_sweep(cfg, (1e-4, 1e-1, 1e-3, 1e-2), jobs=jobs,
+                              snapshot_steps=1)
+        assert got.partial and not full.partial
+        assert got.eta_levels == [1e-1, 1e-2]
+        assert got.velocity_gaps == full.velocity_gaps
 
 
 def darcy_limit_stepper(n=32):

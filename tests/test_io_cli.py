@@ -151,6 +151,19 @@ class TestCli:
             bad.write_text(json.dumps(doc))
             assert main(["run", "--config", str(bad),
                          "--out-dir", str(tmp_path / "out")]) == 1, doc
+        for sweep in (["--jobs", "0"], ["--jobs", "-1"], ["--levels=abc"],
+                      ["--levels=1e-2,1e-2"], ["--levels=-1e-2"],
+                      ["--levels=nan"]):
+            assert main(["sweep-darcy", *sweep,
+                         "--out-dir", str(tmp_path / "out")]) == 1, sweep
+
+    def test_validate_reports_the_configured_source_variant(self, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"source_variant": "interfacial"}))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "B_S = 6.661e+05" in out and "A_S = 4.441e+05" in out
 
 
 JSON_VALUES = st.recursive(

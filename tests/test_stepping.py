@@ -1,6 +1,7 @@
 """Time stepper: fixed points, splitting order, conservation, run control."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -304,6 +305,29 @@ class TestStepWork:
         _, rep2 = st.step(s1, cfg.dt)
         assert len(calls) == 2
         assert rep2.energy_before == e1
+
+    @pytest.mark.parametrize("preset", ["stratified-tumor", "darcy-limit",
+                                        "zero-source"])
+    def test_explicit_terms_evaluated_once_per_step(self, monkeypatch, preset):
+        # the flow, the phase and nutrient updates and the energy identity
+        # share one evaluation of each explicit term
+        cfg = dataclasses.replace(build_default_scenario(preset),
+                                  grid_nx=16, grid_ny=16)
+        st = TimeStepper(cfg)
+        s1, _ = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        targets = [(module, name) for module in (mchb.stepping, mchb.diagnostics)
+                   for name in ("korteweg_force", "advective_divergence")]
+        targets += [(cst, name) for name in ("chemical_energy", "mobility",
+                                             "source_phase", "source_nutrient",
+                                             "source_velocity")]
+        calls = [counting(monkeypatch, owner, name) for owner, name in targets]
+        st.step(s1, cfg.dt)
+        counts = Counter(name for c in calls for name in c)
+        assert counts.pop("chemical_energy") <= 3
+        src = int(cfg.sources_enabled)
+        assert counts == Counter(korteweg_force=1, advective_divergence=4,
+                                 mobility=1, source_phase=src,
+                                 source_nutrient=src, source_velocity=src)
 
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
