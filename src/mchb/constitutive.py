@@ -14,7 +14,6 @@ necrotic tumor fraction; ``s[0]`` the single nutrient density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -50,10 +49,9 @@ class SourceSpec:
     """Rates and shape choices for the phase/nutrient/velocity sources.
 
     ``variant`` selects the truncated linear exchange chain ("linear") or the
-    interfacial form scaled by 1/epsilon ("interfacial").  ``theta_phi`` and
-    ``theta_sigma`` carry the optional chemical-potential couplings of the
-    general decomposition ``S = Lambda(p, s) - theta(p, s) m``; both vanish in
-    the concrete model but the evaluation path supports them.
+    interfacial form scaled by 1/epsilon ("interfacial").  The paper's
+    general decomposition ``S = Lambda(p, s) - theta(p, s) m`` has
+    ``theta = 0`` in this model, so the sources are ``Lambda`` alone.
     """
 
     variant: str
@@ -70,26 +68,10 @@ class SourceSpec:
     sigma_omega: float
     k_boundary: float
     sigma_gamma: float
-    theta_phi: np.ndarray | None = None
-    theta_sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in ("linear", "interfacial"):
             raise ValueError(f"unknown source variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class MobilitySpec:
-    """Diagonal phase mobilities and the scalar nutrient mobility.
-
-    ``m_funcs``/``d_func`` default to the constant-one choice; any modulation
-    is clamped from below by ``floor`` so the tensors stay uniformly positive
-    definite.
-    """
-
-    m_funcs: tuple[Callable, ...] | None = None
-    d_func: Callable | None = None
-    floor: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -232,17 +214,13 @@ def _lambda_phase(p: np.ndarray, s: np.ndarray, spec: SourceSpec) -> np.ndarray:
 
 
 def source_phase(p, s, m, spec: SourceSpec) -> np.ndarray:
-    """Phase source ``Lambda_phi(p, s) - theta_phi(p, s) m``."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    lam = _lambda_phase(p, s, spec)
-    if spec.theta_phi is not None:
-        lam = lam - np.einsum("kl,l...->k...", spec.theta_phi, np.asarray(m, dtype=float))
-    return lam
+    """Phase source ``Lambda_phi(p, s)``; ``m`` is unused since theta = 0."""
+    return _lambda_phase(np.asarray(p, dtype=float), np.asarray(s, dtype=float),
+                         spec)
 
 
 def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
-    """Nutrient source ``C h_r(p1) s - B (sigma_Omega - s)`` minus theta term.
+    """Nutrient source ``C h_r(p1) s - B (sigma_Omega - s)``; ``m`` is unused.
 
     The proliferating fraction is truncated so the consumption term keeps the
     linear growth bound; on the physical range of the phase field the
@@ -250,11 +228,8 @@ def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    lam = (spec.rate_c * truncation(p[0], spec.r) * s[0]
-           - spec.rate_b * (spec.sigma_omega - s[0]))[None]
-    if spec.theta_sigma is not None:
-        lam = lam - np.einsum("ml,l...->m...", spec.theta_sigma, np.asarray(m, dtype=float))
-    return lam
+    return (spec.rate_c * truncation(p[0], spec.r) * s[0]
+            - spec.rate_b * (spec.sigma_omega - s[0]))[None]
 
 
 def source_healthy(p, s, spec: SourceSpec):
@@ -286,11 +261,7 @@ def source_growth_constant(spec: SourceSpec) -> float:
                         abs(spec.rate_q - spec.rate_a), abs(spec.rate_a - spec.rate_d))
         b_phi = 3.0 * poly_max * (rate_span + spec.rate_q + spec.rate_p) / spec.epsilon
     b_sig = spec.rate_c * hr_max + spec.rate_b * (spec.sigma_omega + 1.0)
-    theta = 0.0
-    for th in (spec.theta_phi, spec.theta_sigma):
-        if th is not None:
-            theta += float(np.linalg.norm(th, 2))
-    return b_phi + b_sig + theta
+    return b_phi + b_sig
 
 
 def velocity_source_bound(spec: SourceSpec) -> float:
@@ -314,23 +285,11 @@ def _poly_sup(r: float) -> float:
 # ---------------------------------------------------------------------------
 # mobilities
 
-def mobility(p, s, spec: MobilitySpec):
-    """Diagonal phase mobilities and the nutrient mobility, floored below."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    L = p.shape[0]
-    tail = p.shape[1:]
-    if spec.m_funcs is None:
-        phase = np.ones((L,) + tail)
-    else:
-        phase = np.stack([np.broadcast_to(np.asarray(f(p, s), dtype=float), tail)
-                          for f in spec.m_funcs])
-    if spec.d_func is None:
-        nutrient = np.ones(tail)
-    else:
-        nutrient = np.broadcast_to(np.asarray(spec.d_func(p, s), dtype=float), tail).copy()
-    phase = np.maximum(phase, spec.floor)
-    nutrient = np.maximum(nutrient, spec.floor)
-    if tail:
-        return phase, nutrient
-    return phase.reshape(L), float(nutrient)
+def mobility(p, s):
+    """Diagonal phase mobilities and the nutrient mobility: all equal to one.
+
+    The model's mobilities are the unit ones; the update operators and the
+    dissipation are built on that fact, and this is its one definition.
+    """
+    shape = np.shape(p)
+    return np.ones(shape), np.ones(shape[1:])

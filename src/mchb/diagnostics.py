@@ -9,11 +9,11 @@ The energy-identity residual balances one step: change of energy per unit
 time, plus dissipation and the boundary absorption term, minus the work done
 by the sources, by transport, and by the flow force.  The identity consumes
 the step's own explicit terms, built once by ``stepping.explicit_terms`` and
-``stepping.transport_terms``: the mobilities, sources and Korteweg force of
-the earlier state and the transport in the new velocity.  Dissipation
-integrands use the updated fields with those mobilities, and the boundary
-terms use the Robin closure the nutrient solve used.  A positive signed
-residual means spurious energy production.
+``stepping.transport_terms``: the sources and Korteweg force of the earlier
+state and the transport in the new velocity.  Dissipation integrands use the
+updated fields with the model's unit mobilities, and the boundary terms use
+the Robin closure the nutrient solve used.  A positive signed residual means
+spurious energy production.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import constitutive as cst
 from .grid import (EXTRAPOLATE, NEUMANN, Field, FaceVector, Robin,
-                   arithmetic_face_coefficients, cell_gradient, face_gradient,
-                   inner_product, wall_traces)
+                   cell_gradient, face_gradient, inner_product, wall_traces)
 from .parameters import SpecBundle
 from .state import StateFields
 
@@ -57,13 +54,13 @@ class EnergyReport:
     e_before: float
 
 
-def nutrient_bc(bundle: SpecBundle, nutrient_mobility: float | np.ndarray):
-    """Nutrient wall closure: Robin with the mean diffusivity, or no-flux."""
+def nutrient_bc(bundle: SpecBundle):
+    """Nutrient wall closure: Robin with diffusivity chi_sigma, or no-flux."""
     k = bundle.sources.k_boundary
     if k == 0.0:
         return NEUMANN
-    diff = float(np.mean(nutrient_mobility)) * bundle.chem.chi_sigma
-    return Robin(k=k, target=bundle.sources.sigma_gamma, diffusivity=diff)
+    return Robin(k=k, target=bundle.sources.sigma_gamma,
+                 diffusivity=bundle.chem.chi_sigma)
 
 
 def free_energy(state: StateFields, bundle: SpecBundle):
@@ -95,21 +92,18 @@ def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
     return FaceVector(gx, gy, g)
 
 
-def dissipation_rate(state: StateFields, bundle: SpecBundle,
-                     phase_m: np.ndarray, nut_m: np.ndarray, *,
+def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
                      include_flow: bool = True,
                      flow_backend: str = "darcy") -> float:
-    """Nonnegative dissipation functional of ``state`` under the given mobilities."""
+    """Nonnegative dissipation functional of ``state`` (unit mobilities)."""
     g = state.grid
     m = bundle.params
     total = 0.0
     for i in range(state.mu.shape[0]):
         fv = face_gradient(Field(state.mu[i], NEUMANN, g))
-        cx, cy = arithmetic_face_coefficients(phase_m[i], g)
-        total += inner_product(FaceVector(cx * fv.gx, cy * fv.gy, g), fv)
-    gn = nutrient_flux_gradient(state, bundle, nutrient_bc(bundle, nut_m))
-    dx, dy = arithmetic_face_coefficients(nut_m, g)
-    total += inner_product(FaceVector(dx * gn.gx, dy * gn.gy, g), gn)
+        total += inner_product(fv, fv)
+    gn = nutrient_flux_gradient(state, bundle, nutrient_bc(bundle))
+    total += inner_product(gn, gn)
     if include_flow:
         total += m.nu * float((state.v**2).sum()) * g.cell_area
         if flow_backend == "brinkman":
@@ -124,14 +118,13 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle,
     return total
 
 
-def boundary_absorption(state: StateFields, bundle: SpecBundle,
-                        nut_m: float | np.ndarray) -> float:
+def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
     """Boundary term ``int_Gamma K chi_sigma |sigma|^2`` under the Robin
-    closure of the nutrient mobility ``nut_m``."""
+    closure of the nutrient wall."""
     k = bundle.sources.k_boundary
     if k == 0.0:
         return 0.0
-    f = Field(state.sigma[0], nutrient_bc(bundle, nut_m), state.grid)
+    f = Field(state.sigma[0], nutrient_bc(bundle), state.grid)
     return k * bundle.chem.chi_sigma * sum(
         float((tr**2).sum()) * h for tr, h in wall_traces(f))
 
@@ -164,10 +157,10 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
         e_before, _, _ = free_energy(before, bundle)
     e_after, gl_after, chem_after = free_energy(after, bundle)
 
-    dissipation = dissipation_rate(after, bundle, terms.phase_m, terms.nut_m,
+    dissipation = dissipation_rate(after, bundle,
                                    include_flow=transport is not None,
                                    flow_backend=flow_backend)
-    boundary = boundary_absorption(after, bundle, terms.nut_m)
+    boundary = boundary_absorption(after, bundle)
 
     _, _, n_sigma_a, _ = cst.chemical_energy(after.phi, after.sigma, bundle.chem)
 
@@ -178,7 +171,7 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
         k = bundle.sources.k_boundary
         if k > 0.0:
             chem = bundle.chem
-            bc = nutrient_bc(bundle, terms.nut_m)
+            bc = nutrient_bc(bundle)
             phi_tr = [wall_traces(Field(c, NEUMANN, g)) for c in after.phi]
             sigma_tr = wall_traces(Field(after.sigma[0], bc, g))
             for wall, (s_tr, h) in enumerate(sigma_tr):

@@ -355,19 +355,6 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff_x=None, coeff_y=None):
     return mat, rhs.ravel()
 
 
-def arithmetic_face_coefficients(c: np.ndarray, grid: Grid):
-    """Face coefficients from a cell coefficient by arithmetic averaging."""
-    cx = np.empty((grid.ny, grid.nx + 1))
-    cy = np.empty((grid.ny + 1, grid.nx))
-    cx[:, 1:-1] = 0.5 * (c[:, 1:] + c[:, :-1])
-    cx[:, 0] = c[:, 0]
-    cx[:, -1] = c[:, -1]
-    cy[1:-1, :] = 0.5 * (c[1:, :] + c[:-1, :])
-    cy[0, :] = c[0, :]
-    cy[-1, :] = c[-1, :]
-    return cx, cy
-
-
 def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,
                          s_v: np.ndarray) -> np.ndarray:
     """Convective term ``(grad q) . v + q s_v`` with upwind-biased gradients.

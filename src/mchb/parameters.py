@@ -133,7 +133,6 @@ class SpecBundle:
     potential: cst.PotentialSpec
     chem: cst.ChemicalEnergySpec
     sources: cst.SourceSpec
-    mobility: cst.MobilitySpec
     viscosity: cst.ViscositySpec
 
 
@@ -147,8 +146,7 @@ def _chemical_spec(model: ModelParameters) -> cst.ChemicalEnergySpec:
 
 
 def build_specs(model: ModelParameters, *, source_variant: str = "linear",
-                eta0: float = 1e-2, lambda0: float = 1e-2,
-                mobility: cst.MobilitySpec | None = None) -> SpecBundle:
+                eta0: float = 1e-2, lambda0: float = 1e-2) -> SpecBundle:
     """Assemble the concrete-model spec objects from the scalar constants."""
     sources = cst.SourceSpec(
         variant=source_variant,
@@ -163,7 +161,6 @@ def build_specs(model: ModelParameters, *, source_variant: str = "linear",
         potential=cst.PotentialSpec(),
         chem=_chemical_spec(model),
         sources=sources,
-        mobility=mobility or cst.MobilitySpec(),
         viscosity=cst.ViscositySpec(eta0=eta0, lambda0=lambda0),
     )
 
@@ -277,10 +274,9 @@ def validate_assumptions(model: ModelParameters, *,
     # A2: mobility tensors uniformly positive definite.
     p_s = rng.uniform(-2.0, 3.0, size=(3, 256))
     s_s = rng.uniform(-1.0, 3.0, size=(1, 256))
-    phase_m, nut_m = cst.mobility(p_s, s_s, bundle.mobility)
-    passed["A2"] = bundle.mobility.floor > 0 and phase_m.min() >= bundle.mobility.floor \
-        and nut_m.min() >= bundle.mobility.floor
-    msgs.append(f"A2: diagonal mobilities with floor {bundle.mobility.floor:g}")
+    phase_m, nut_m = cst.mobility(p_s, s_s)
+    passed["A2"] = bool(phase_m.min() > 0.0 and nut_m.min() > 0.0)
+    msgs.append("A2: unit diagonal phase mobilities and unit nutrient mobility")
 
     # A3: viscosity bounds (only binding for the Brinkman backend).
     if flow_backend == "brinkman" or eta0 is not None:

@@ -7,22 +7,26 @@ convex part of the potential implicit and the concave part, chemical
 coupling, sources and transport explicit, and (iv) one SPD nutrient solve
 with the updated phase field inside the flux and the Robin wall closure.
 
+The phase and nutrient mobilities are the unit ones
+(``constitutive.mobility``), so every diffusion operator is the plain
+finite-volume Laplacian and is assembled once per stepper.
+
 The phase update is solved per component by a preconditioned iteration
-``x <- x - P^-1 R(x)`` on the implicit residual ``R``.  With a constant
-phase mobility ``m``, ``P`` is the constant-coefficient stabilized operator
-``I + dt m A (gamma eps A + gamma/eps c)`` of Eyre's convex split with the
-Shen-Yang stabilization, where ``A`` is the Neumann Laplacian and ``c`` the
-mid-range of the convex-part Hessian ``h`` at the step's starting state.
-The cosine transform diagonalizes ``P``, so each sweep costs two transforms.
-The sweep contracts the linearized error in L2 by at most
-``rho = max dt m gamma/eps delta lambda / P(lambda)`` over the eigenvalues
-``lambda`` of ``A``, ``delta`` being the half-range of ``h``; the sweep runs
-when ``rho <= 1/2``.  Otherwise (a step size well above the interface
-relaxation time, or a variable phase mobility, which no transform
-diagonalizes) the Jacobian frozen at the starting state is factorized once
-(sparse LU) and reused, which converges in a handful of sweeps because the
-Hessian drifts only O(dt) within a step.  Plain fixed-point iteration on
-the convex term is not a contraction at the default step size.
+``x <- x - P^-1 R(x)`` on the implicit residual ``R``.  ``P`` is the
+constant-coefficient stabilized operator ``I + dt A (gamma eps A + gamma/eps
+c)`` of Eyre's convex split with the Shen-Yang stabilization, where ``A`` is
+the Neumann Laplacian and ``c`` the mid-range of the convex-part Hessian
+``h`` at the step's starting state.  The cosine transform diagonalizes
+``P``, so each sweep costs two transforms.  The sweep contracts the
+linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
+P(lambda)`` over the eigenvalues ``lambda`` of ``A``, ``delta`` being the
+half-range of ``h``; the sweep runs when ``rho <= 1/2``.  Otherwise (a step
+size well above the interface relaxation time) the Jacobian frozen at the
+starting state is factorized once (sparse LU) and reused, which converges in
+a handful of sweeps because the Hessian drifts only O(dt) within a step.
+Plain fixed-point iteration on the convex term is not a contraction at the
+default step size.  Overflow or an invalid value in the phase solve raises
+``FloatingPointError``, which the run loop retries at half the step.
 
 With sources off, the flow off, and zero boundary permeability the update
 dissipates the discrete free energy unconditionally: the convex split, the
@@ -45,8 +49,7 @@ from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
     korteweg_force, solve_brinkman, solve_darcy
 from .grid import (NEUMANN, Field, Grid, advective_divergence,
-                   arithmetic_face_coefficients, fv_diffusion_matrix,
-                   laplacian_symbol)
+                   fv_diffusion_matrix, laplacian_symbol)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
 
@@ -93,8 +96,6 @@ class StepTerms:
     """A step's explicit terms at its starting state; see ``explicit_terms``."""
     n_phi: np.ndarray
     n_sigma: np.ndarray
-    phase_m: np.ndarray
-    nut_m: np.ndarray
     s_phi: np.ndarray
     s_sigma: np.ndarray
     s_v: np.ndarray
@@ -103,7 +104,7 @@ class StepTerms:
 
 def explicit_terms(state: StateFields, bundle: SpecBundle,
                    sources_enabled: bool, flow_enabled: bool) -> StepTerms:
-    """Chemical derivatives, mobilities, sources and Korteweg force of ``state``.
+    """Chemical derivatives, sources and Korteweg force of ``state``.
 
     Sources are zeros when sources are off and the force is None when the
     flow is off.  The step, its energy identity and the Darcy sweep's frozen
@@ -111,7 +112,6 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
     """
     p, s, mu = state.phi, state.sigma, state.mu
     _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
-    phase_m, nut_m = cst.mobility(p, s, bundle.mobility)
     if sources_enabled:
         sources = (cst.source_phase(p, s, mu, bundle.sources),
                    cst.source_nutrient(p, s, mu, bundle.sources),
@@ -121,7 +121,7 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
                    np.zeros(state.grid.shape))
     force = korteweg_force(p, mu, s, n_sigma, state.grid) if flow_enabled \
         else None
-    return StepTerms(n_phi, n_sigma, phase_m, nut_m, *sources, force)
+    return StepTerms(n_phi, n_sigma, *sources, force)
 
 
 def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
@@ -135,31 +135,23 @@ def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
 class TimeStepper:
     """Owns the grid-bound operators and advances states."""
 
-    def __init__(self, config: ScenarioConfig, bundle: SpecBundle | None = None):
+    def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.grid = Grid(config.grid_nx, config.grid_ny,
-                         config.domain_lx, config.domain_ly)
-        self.bundle = bundle or build_specs(
+        g = self.grid = Grid(config.grid_nx, config.grid_ny,
+                             config.domain_lx, config.domain_ly)
+        self.bundle = build_specs(
             config.model, source_variant=config.source_variant,
             eta0=config.eta0, lambda0=config.lambda0)
-        self._neu_laplacian, _ = fv_diffusion_matrix(self.grid, NEUMANN)
-        self._neu_symbol = laplacian_symbol(self.grid, NEUMANN)
-        self._identity = sp.identity(self.grid.ncells, format="csr")
-        # a mobility with no m_funcs or no d_func is the constant
-        # max(1, floor): the phase operator is then that multiple of the
-        # Neumann Laplacian, and the nutrient operators are built once here
-        mob = self.bundle.mobility
-        phase_m, nut_m = cst.mobility(
-            np.zeros((config.model.L,) + self.grid.shape),
-            np.zeros((1,) + self.grid.shape), mob)
-        self._phase_mobility = None
-        if mob.m_funcs is None:
-            self._phase_mobility = float(phase_m[0, 0, 0])
-            self._phase_laplacian = self._phase_mobility * self._neu_laplacian
-        self._nutrient_ops = None
-        if mob.d_func is None:
-            self._nutrient_ops = self._nutrient_operators(nut_m)
+        self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
+        self._neu_symbol = laplacian_symbol(g, NEUMANN)
+        self._identity = sp.identity(g.ncells, format="csr")
+        # nutrient flux chi_sigma grad(sigma) - B grad(phi) under the Robin
+        # wall closure; the coupling part is the Neumann Laplacian
+        chi = self.bundle.chem.chi_sigma
+        self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
+            g, diag.nutrient_bc(self.bundle), np.full((g.ny, g.nx + 1), chi),
+            np.full((g.ny + 1, g.nx), chi))
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (phi, sigma, free energy) of the state the last step returned
@@ -167,29 +159,19 @@ class TimeStepper:
 
     # -- phase-field update -------------------------------------------------
 
-    def _phase_matrix(self, mob_i: np.ndarray):
-        if self._phase_mobility is not None:
-            return self._phase_laplacian
-        cx, cy = arithmetic_face_coefficients(mob_i, self.grid)
-        mat, _ = fv_diffusion_matrix(self.grid, NEUMANN, cx, cy)
-        return mat
-
     def _sweep_preconditioner(self, hess: np.ndarray, dt: float):
         """Transform solve with the stabilized operator, or None.
 
-        Returns ``r -> P^-1 r`` when the phase mobility is constant and the
-        contraction bound of the sweep is at most ``SWEEP_CONTRACTION_LIMIT``.
+        Returns ``r -> P^-1 r`` when the contraction bound of the sweep is at
+        most ``SWEEP_CONTRACTION_LIMIT``.
         """
-        if self._phase_mobility is None:
-            return None
         m = self.config.model
         gi = m.gamma / m.epsilon
         lam = self._neu_symbol
-        dt_m = dt * self._phase_mobility
         h_hi, h_lo = float(hess.max()), float(hess.min())
-        symbol = 1.0 + dt_m * lam * (m.gamma * m.epsilon * lam
-                                     + gi * 0.5 * (h_hi + h_lo))
-        rho = float((dt_m * gi * 0.5 * (h_hi - h_lo) * lam / symbol).max())
+        symbol = 1.0 + dt * lam * (m.gamma * m.epsilon * lam
+                                   + gi * 0.5 * (h_hi + h_lo))
+        rho = float((dt * gi * 0.5 * (h_hi - h_lo) * lam / symbol).max())
         if not rho <= SWEEP_CONTRACTION_LIMIT:
             return None
         shape = self.grid.shape
@@ -200,8 +182,12 @@ class TimeStepper:
         return solve
 
     def _ch_solve(self, phi_n: np.ndarray, rhs0: np.ndarray,
-                  const_mu_part: np.ndarray, phase_m: np.ndarray, dt: float):
-        """Per-component implicit solve for (phi, mu) at the new time level."""
+                  const_mu_part: np.ndarray, dt: float):
+        """Per-component implicit solve for (phi, mu) at the new time level.
+
+        Each component takes up to ``max_nonlinear_iter`` updates, and the
+        residual is checked after every one of them.
+        """
         m = self.config.model
         pot = self.bundle.potential
         ge = m.gamma * m.epsilon
@@ -213,60 +199,44 @@ class TimeStepper:
         mu_new = np.empty_like(phi_n)
         iters_used = 0
         res_max = 0.0
+        A = self._neu_laplacian
         for i in range(L):
-            B = self._phase_matrix(phase_m[i])
             hess = cst.convex_part_diag_hessian(phi_n[i], pot)
             solve = self._sweep_preconditioner(hess, dt)
             if solve is None:
                 jac = (self._identity
-                       + dt * ge * (B @ self._neu_laplacian)
-                       + dt * gi * (B @ sp.diags(hess.ravel()))).tocsc()
+                       + dt * ge * (A @ A)
+                       + dt * gi * (A @ sp.diags(hess.ravel()))).tocsc()
                 solve = spla.splu(jac).solve
             x = phi_n[i].ravel().copy()
             r0 = rhs0[i].ravel()
             cmu = const_mu_part[i].ravel()
-            converged = False
-            for it in range(max_iter):
+            for it in range(max_iter + 1):
                 grad1 = cst.potential_split(x, pot)[0]
-                mu_flat = ge * (self._neu_laplacian @ x) + gi * grad1 + cmu
-                res = x + dt * (B @ mu_flat) - r0
+                mu_flat = ge * (A @ x) + gi * grad1 + cmu
+                res = x + dt * (A @ mu_flat) - r0
                 res_norm = float(np.abs(res).max())
                 if res_norm <= tol * (1.0 + float(np.abs(x).max())):
-                    converged = True
-                    iters_used = max(iters_used, it)
-                    res_max = max(res_max, res_norm)
                     break
+                if it == max_iter:
+                    raise StepFailure(
+                        f"phase solve stalled at residual {res_norm:.3e} "
+                        f"after {max_iter} iterations (component {i})")
                 x = x - solve(res)
-            if not converged:
-                raise StepFailure(
-                    f"phase solve stalled at residual {res_norm:.3e} "
-                    f"after {max_iter} iterations (component {i})")
+            iters_used = max(iters_used, it)
+            res_max = max(res_max, res_norm)
             phi_new[i] = x.reshape(self.grid.shape)
             mu_new[i] = mu_flat.reshape(self.grid.shape)
         return phi_new, mu_new, iters_used, res_max
 
     # -- nutrient update ----------------------------------------------------
 
-    def _nutrient_operators(self, nut_m: np.ndarray):
-        """Nutrient diffusion matrix with its Robin rhs, and the coupling matrix."""
-        chem = self.bundle.chem
+    def _nutrient_solve(self, sigma_n, phi_new, conv_sigma, s_sigma, dt):
         g = self.grid
-        dx, dy = arithmetic_face_coefficients(nut_m, g)
-        bc = diag.nutrient_bc(self.bundle, nut_m)
-        a_chi, rhs_rob = fv_diffusion_matrix(g, bc, chem.chi_sigma * dx,
-                                             chem.chi_sigma * dy)
-        a_d, _ = fv_diffusion_matrix(g, NEUMANN, dx, dy)
-        return a_chi, rhs_rob, a_d
-
-    def _nutrient_solve(self, sigma_n, phi_new, conv_sigma, s_sigma, nut_m, dt):
-        chem = self.bundle.chem
-        g = self.grid
-        a_chi, rhs_rob, a_d = (self._nutrient_ops
-                               or self._nutrient_operators(nut_m))
-        bphi = np.einsum("ml,lxy->mxy", chem.coupling, phi_new)[0]
+        bphi = np.einsum("ml,lxy->mxy", self.bundle.chem.coupling, phi_new)[0]
         rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel() \
-            + rhs_rob + a_d @ bphi.ravel()
-        mat = (self._identity / dt + a_chi).tocsr()
+            + self._nutrient_rhs + self._neu_laplacian @ bphi.ravel()
+        mat = (self._identity / dt + self._nutrient_matrix).tocsr()
         iters = 0
 
         def cb(_):
@@ -316,11 +286,13 @@ class TimeStepper:
         rhs0 = state.phi - dt * conv_phi + dt * terms.s_phi
         const_mu = m.gamma / m.epsilon * cst.concave_gradient(
             state.phi, bundle.potential) + terms.n_phi
-        phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
-            state.phi, rhs0, const_mu, terms.phase_m, dt)
+        # overflow ends the step as a FloatingPointError the run loop retries
+        with np.errstate(over="raise", invalid="raise"):
+            phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
+                state.phi, rhs0, const_mu, dt)
 
         sigma_new, nutrient_iters = self._nutrient_solve(
-            state.sigma, phi_new, conv_sigma, terms.s_sigma, terms.nut_m, dt)
+            state.sigma, phi_new, conv_sigma, terms.s_sigma, dt)
 
         new_state = StateFields(phi=phi_new, mu=mu_new, sigma=sigma_new,
                                 v=v, p=p, t=state.t + dt, grid=g)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import constitutive as cst
 from .grid import (NEUMANN, Field, Grid, advective_divergence,
-                   arithmetic_face_coefficients, fv_diffusion_matrix, l2_norm)
+                   fv_diffusion_matrix, l2_norm)
 from .flow import solve_darcy
 from .parameters import build_specs, default_parameters
 
@@ -104,8 +104,7 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256)):
         lap_sigma = -0.3 * 5.0 * np.pi**2 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
         target = chem.chi_sigma * lap_sigma \
             - sum(chem.coupling[0, l] * lap_phi[l] for l in range(3))
-        d_face = arithmetic_face_coefficients(np.ones(grid.shape), grid)
-        a_d, _ = fv_diffusion_matrix(grid, NEUMANN, d_face[0], d_face[1])
+        a_d, _ = fv_diffusion_matrix(grid, NEUMANN)
         n_sigma = chem.chi_sigma * sigma \
             - sum(chem.coupling[0, l] * phi[l] for l in range(3))
         applied = -(a_d @ n_sigma.ravel()).reshape(grid.shape)

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import mchb.constitutive as cst
 from mchb.diagnostics import (boundary_absorption, component_masses,
                               dissipation_rate, energy_law_residual,
                               free_energy)
@@ -24,10 +23,6 @@ def uniform_state(grid, phi_vals=(0.0, 0.0, 0.0), sigma_val=0.0):
                        sigma=np.full((1,) + grid.shape, sigma_val),
                        v=np.zeros((2,) + grid.shape), p=np.zeros(grid.shape),
                        t=0.0, grid=grid)
-
-
-def mobilities(state, bundle):
-    return cst.mobility(state.phi, state.sigma, bundle.mobility)
 
 
 @pytest.fixture
@@ -76,7 +71,7 @@ class TestFreeEnergy:
 class TestDissipation:
     def test_uniform_state_zero(self, grid, bundle):
         state = uniform_state(grid, (0.3, 0.2, 0.1), 1.0)
-        assert dissipation_rate(state, bundle, *mobilities(state, bundle)) \
+        assert dissipation_rate(state, bundle) \
             == pytest.approx(0.0, abs=1e-13)
 
     def test_single_mode_chemical_potential(self, grid):
@@ -85,8 +80,7 @@ class TestDissipation:
         state = uniform_state(grid)
         x, _ = grid.cell_centers()
         state.mu[0] = 0.7 * np.cos(np.pi * x)
-        got = dissipation_rate(state, bundle, *mobilities(state, bundle),
-                               include_flow=False)
+        got = dissipation_rate(state, bundle, include_flow=False)
         exact = 0.7**2 * np.pi**2 * 0.5
         assert got == pytest.approx(exact, rel=5e-3)
 
@@ -96,10 +90,9 @@ class TestDissipation:
         state = uniform_state(grid)
         rng = np.random.default_rng(0)
         state.mu = rng.standard_normal(state.mu.shape)
-        mob = mobilities(state, bundle)
-        d1 = dissipation_rate(state, bundle, *mob, include_flow=False)
+        d1 = dissipation_rate(state, bundle, include_flow=False)
         state.mu *= 2.0
-        assert dissipation_rate(state, bundle, *mob, include_flow=False) \
+        assert dissipation_rate(state, bundle, include_flow=False) \
             == pytest.approx(4.0 * d1, rel=1e-12)
 
     def test_nonnegative_on_random_states(self, grid, bundle):
@@ -110,7 +103,7 @@ class TestDissipation:
             state.mu = rng.standard_normal(state.mu.shape)
             state.sigma = rng.standard_normal(state.sigma.shape)
             state.v = rng.standard_normal(state.v.shape)
-            assert dissipation_rate(state, bundle, *mobilities(state, bundle),
+            assert dissipation_rate(state, bundle,
                                     flow_backend="brinkman") >= 0.0
 
     def test_boundary_absorption_at_equilibrium_trace(self, grid):
@@ -118,7 +111,7 @@ class TestDissipation:
         b = build_specs(default_parameters(K=2.0, sigma_Gamma=0.8,
                                            sigma_Omega=0.8))
         state = uniform_state(grid, sigma_val=0.8)
-        got = boundary_absorption(state, b, mobilities(state, b)[1])
+        got = boundary_absorption(state, b)
         assert got == pytest.approx(2.0 * 1.0 * 0.8**2 * 4.0, rel=1e-12)
 
 
@@ -179,16 +172,3 @@ class TestEnergyIdentity:
                 flow_backend="darcy", sources_enabled=True)
             assert redo == rep.energy
             before = after
-
-    def test_boundary_term_uses_the_step_mobility(self):
-        # the Robin closure of the boundary term is the one the nutrient
-        # solve used: the mean nutrient mobility of the starting state
-        cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
-                                  grid_nx=16, grid_ny=16, flow_enabled=False)
-        spec = cst.MobilitySpec(d_func=lambda p, s: 1.0 + 0.5 * s[0]**2)
-        bundle = build_specs(cfg.model, mobility=spec)
-        s0 = build_initial_state(cfg, bundle)
-        s1, rep = TimeStepper(cfg, bundle).step(s0, cfg.dt)
-        before, after = (boundary_absorption(s1, bundle, mobilities(s, bundle)[1])
-                         for s in (s0, s1))
-        assert rep.energy.boundary_term == before != after

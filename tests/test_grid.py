@@ -5,8 +5,7 @@ import pytest
 from scipy.fft import dctn, dstn, idctn, idstn
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
-                       Grid, Robin, advective_divergence,
-                       arithmetic_face_coefficients, cell_gradient,
+                       Grid, Robin, advective_divergence, cell_gradient,
                        cell_gradient_matrix, face_average_matrix,
                        face_divergence, face_divergence_matrix, face_gradient,
                        face_gradient_matrix, fv_diffusion_matrix,
@@ -80,8 +79,9 @@ class TestOperators:
     def test_robin_matrix_matches_face_operator(self, grid):
         bc = Robin(k=2.0, target=1.5, diffusivity=0.7)
         f = rand_field(grid, bc=bc, seed=4)
-        cx, cy = arithmetic_face_coefficients(np.full(grid.shape, 0.7), grid)
-        a_rob, rhs = fv_diffusion_matrix(grid, bc, cx, cy)
+        a_rob, rhs = fv_diffusion_matrix(grid, bc,
+                                         np.full((grid.ny, grid.nx + 1), 0.7),
+                                         np.full((grid.ny + 1, grid.nx), 0.7))
         via_matrix = (a_rob @ f.data.ravel() - rhs).reshape(grid.shape)
         fv = face_gradient(f)
         via_faces = -face_divergence(FaceVector(0.7 * fv.gx, 0.7 * fv.gy, grid))

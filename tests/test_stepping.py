@@ -11,10 +11,9 @@ from scipy.optimize import newton_krylov
 import mchb.constitutive as cst
 import mchb.diagnostics
 import mchb.stepping
-from mchb.grid import NEUMANN, Robin, arithmetic_face_coefficients, \
-    fv_diffusion_matrix
+from mchb.grid import NEUMANN, Robin, fv_diffusion_matrix
 from mchb.diagnostics import component_masses, free_energy
-from mchb.parameters import ConfigError, build_default_scenario, build_specs
+from mchb.parameters import ConfigError, build_default_scenario
 from mchb.state import StateFields, build_initial_state
 from mchb.stepping import TimeStepper
 
@@ -30,11 +29,6 @@ def counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
-
-
-def bundle_with(cfg, mobility):
-    return build_specs(cfg.model, source_variant=cfg.source_variant,
-                       eta0=cfg.eta0, lambda0=cfg.lambda0, mobility=mobility)
 
 
 def small_config(**over):
@@ -58,13 +52,12 @@ class ReferenceImplicit:
         m = stepper.config.model
         bundle = stepper.bundle
         self.a_neu, _ = fv_diffusion_matrix(g, NEUMANN)
-        dfc = arithmetic_face_coefficients(np.ones(g.shape), g)
+        chi = bundle.chem.chi_sigma
         k = bundle.sources.k_boundary
         bc = Robin(k=k, target=bundle.sources.sigma_gamma,
-                   diffusivity=bundle.chem.chi_sigma) if k > 0 else NEUMANN
+                   diffusivity=chi) if k > 0 else NEUMANN
         self.a_rob, self.rhs_rob = fv_diffusion_matrix(
-            g, bc, bundle.chem.chi_sigma * dfc[0], bundle.chem.chi_sigma * dfc[1])
-        self.a_d, _ = fv_diffusion_matrix(g, NEUMANN, dfc[0], dfc[1])
+            g, bc, np.full((g.ny, g.nx + 1), chi), np.full((g.ny + 1, g.nx), chi))
 
     def step(self, state: StateFields, dt: float) -> StateFields:
         st, g = self.st, self.st.grid
@@ -98,7 +91,7 @@ class ReferenceImplicit:
                     + dt * (self.a_neu @ mu) - dt * s_phi[i]
             bphi = np.einsum("ml,ln->mn", bundle.chem.coupling, phi)[0]
             out[3 * n:] = sig[0] - sign[0] \
-                + dt * (self.a_rob @ sig[0] - self.rhs_rob - self.a_d @ bphi) \
+                + dt * (self.a_rob @ sig[0] - self.rhs_rob - self.a_neu @ bphi) \
                 + dt * s_sig[0]
             return out
 
@@ -207,6 +200,34 @@ class TestRunControl:
         assert "halv" in summary.message
         assert summary.dt_final < 1.0
 
+    def test_last_allowed_update_is_checked(self):
+        # a step that needs exactly max_nonlinear_iter updates converges
+        cfg = small_config(t_end=small_config().dt)
+        default = TimeStepper(cfg).run()
+        n = default.reports[0].picard_iters
+        assert n >= 1
+        tight = TimeStepper(dataclasses.replace(cfg, max_nonlinear_iter=n)).run()
+        assert not tight.aborted
+        assert tight.reports == default.reports
+        for name in ("phi", "mu", "sigma", "v", "p"):
+            assert np.array_equal(getattr(tight.state, name),
+                                  getattr(default.state, name))
+
+    def test_overflow_in_phase_solve_is_retried(self):
+        # at 50 dt0 the first sweeps overflow the double-well gradient; the
+        # run halves dt as for any failed step and then decays in energy
+        cfg = build_default_scenario("zero-source")
+        dt = 50 * cfg.dt
+        cfg = dataclasses.replace(cfg, grid_nx=8, grid_ny=8, flow_enabled=False,
+                                  sources_enabled=False,
+                                  initial_condition="stratified",
+                                  dt=dt, t_end=3 * dt)
+        summary = TimeStepper(cfg).run()
+        assert not summary.aborted and summary.dt_final < dt
+        assert summary.state.t == pytest.approx(cfg.t_end)
+        energies = np.concatenate([[summary.e_initial], summary.energies])
+        assert np.all(np.diff(energies) <= 0.0)
+
     def test_run_summary_energies(self):
         cfg = small_config(t_end=3 * small_config().dt)
         summary = TimeStepper(cfg).run()
@@ -227,36 +248,20 @@ class TestTransformPhaseSolve:
     def test_matches_factorized_path(self, preset, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario(preset),
                                   grid_nx=32, grid_ny=32)
-        fast = TimeStepper(cfg)
-        # a constant-one mobility function is the same operator, but no
-        # transform is assumed for it, so it takes the LU path
-        ones = cst.MobilitySpec(m_funcs=(lambda p, s: 1.0,) * 3)
-        ref = TimeStepper(cfg, bundle_with(cfg, ones))
+        fast, ref = TimeStepper(cfg), TimeStepper(cfg)
         a = b = build_initial_state(cfg, fast.bundle)
         factorizations = counting(monkeypatch, spla, "splu")
         for k in range(10):
             a, rep_a = fast.step(a, cfg.dt)
             assert len(factorizations) == 3 * k
-            b, rep_b = ref.step(b, cfg.dt)
+            # a zero contraction limit sends the reference onto the LU path
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mchb.stepping, "SWEEP_CONTRACTION_LIMIT", 0.0)
+                b, rep_b = ref.step(b, cfg.dt)
             assert np.abs(a.phi - b.phi).max() <= 1e-10
             assert rep_a.energy_after == pytest.approx(rep_b.energy_after,
                                                        rel=1e-10, abs=0.0)
         assert len(factorizations) == 30
-
-    def test_mobility_floor_scales_transform_path(self, monkeypatch):
-        # with no m_funcs the phase mobility is the constant max(1, floor),
-        # which the transform path must use, as the LU path does
-        cfg = small_config(flow_enabled=False)
-        floored = cst.MobilitySpec(floor=2.0)
-        twos = cst.MobilitySpec(m_funcs=(lambda p, s: 2.0,) * 3, floor=2.0)
-        fast = TimeStepper(cfg, bundle_with(cfg, floored))
-        ref = TimeStepper(cfg, bundle_with(cfg, twos))
-        s0 = build_initial_state(cfg, fast.bundle)
-        factorizations = counting(monkeypatch, spla, "splu")
-        a, _ = fast.step(s0, cfg.dt)
-        assert factorizations == []
-        b, _ = ref.step(s0, cfg.dt)
-        assert np.abs(a.phi - b.phi).max() <= cfg.tol_ch
 
     def test_large_step_falls_back_to_factorization(self, monkeypatch):
         cfg = build_default_scenario("stratified-tumor")
@@ -310,7 +315,8 @@ class TestStepWork:
                                         "zero-source"])
     def test_explicit_terms_evaluated_once_per_step(self, monkeypatch, preset):
         # the flow, the phase and nutrient updates and the energy identity
-        # share one evaluation of each explicit term
+        # share one evaluation of each explicit term, and the unit
+        # mobilities are not evaluated at all
         cfg = dataclasses.replace(build_default_scenario(preset),
                                   grid_nx=16, grid_ny=16)
         st = TimeStepper(cfg)
@@ -326,41 +332,19 @@ class TestStepWork:
         assert counts.pop("chemical_energy") <= 3
         src = int(cfg.sources_enabled)
         assert counts == Counter(korteweg_force=1, advective_divergence=4,
-                                 mobility=1, source_phase=src,
+                                 source_phase=src,
                                  source_nutrient=src, source_velocity=src)
 
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
                                   grid_nx=16, grid_ny=16)
-        cached = TimeStepper(cfg)
-        # a constant-one nutrient mobility function assembles every step
-        ones = cst.MobilitySpec(d_func=lambda p, s: 1.0)
-        fresh = TimeStepper(cfg, bundle_with(cfg, ones))
-        s0 = build_initial_state(cfg, cached.bundle)
+        # the operators are built with the stepper, none in a step
+        st = TimeStepper(cfg)
+        s = build_initial_state(cfg, st.bundle)
         assemblies = counting(monkeypatch, mchb.stepping, "fv_diffusion_matrix")
-        a, _ = cached.step(s0, cfg.dt)
+        for _ in range(3):
+            s, _ = st.step(s, cfg.dt)
         assert assemblies == []
-        b, _ = fresh.step(s0, cfg.dt)
-        assert len(assemblies) == 2
-        assert np.array_equal(a.sigma, b.sigma)
-        assert np.array_equal(a.phi, b.phi)
-
-
-class TestVariableMobilityPath:
-    def test_step_with_modulated_mobility(self):
-        from mchb.parameters import build_specs
-        cfg = small_config(flow_enabled=False)
-        spec = cst.MobilitySpec(m_funcs=(
-            lambda p, s: 1.0 + 0.5 * p[0]**2,
-            lambda p, s: 1.0,
-            lambda p, s: 1.0,
-        ), d_func=lambda p, s: 1.0 + 0.1 * s[0]**2)
-        bundle = build_specs(cfg.model, mobility=spec)
-        st = TimeStepper(cfg, bundle)
-        s0 = build_initial_state(cfg, bundle)
-        e0, _, _ = free_energy(s0, bundle)
-        s1, rep = st.step(s0, cfg.dt)
-        assert rep.energy_after < e0  # decay survives variable mobilities
 
 
 class TestScenarioBehaviors:
