@@ -3,7 +3,7 @@
 Exit codes are a total function of the outcome class:
 
 * 0  success
-* 1  configuration error
+* 1  configuration error, including a malformed command line
 * 2  aborted run / aborted sweep
 * 3  verification (convergence-slope) failure
 * 4  strict assumption failure
@@ -173,9 +173,13 @@ def cmd_sweep_darcy(args) -> int:
 
 
 def cmd_mms(args) -> int:
-    ns = [int(tok) for tok in args.grids.split(",") if tok]
-    if len(ns) < 2:
-        raise ConfigError("convergence study needs at least two grids")
+    try:
+        ns = [int(tok) for tok in args.grids.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigError(f"bad grid ladder: {exc}") from None
+    if len(ns) < 2 or len(set(ns)) < len(ns) or min(ns) < 8:
+        raise ConfigError(f"convergence study needs at least two distinct "
+                          f"cell counts, each at least 8, got {ns}")
     studies = verification.run_all(tuple(ns))
     for s in studies:
         print(s.line())
@@ -198,9 +202,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``ConfigError``."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="mchb",
-                                 description=__doc__.splitlines()[0])
+    ap = _Parser(prog="mchb", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, preset_default):
@@ -241,18 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except StrictAssumptionError as exc:
+    except (ConfigError, FlowSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRICT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FlowSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+        if isinstance(exc, StrictAssumptionError):
+            return EXIT_STRICT
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_ABORTED
 
 
 if __name__ == "__main__":

@@ -11,22 +11,22 @@ The phase and nutrient mobilities are the unit ones
 (``constitutive.mobility``), so every diffusion operator is the plain
 finite-volume Laplacian and is assembled once per stepper.
 
-The phase update is solved per component by a preconditioned iteration
-``x <- x - P^-1 R(x)`` on the implicit residual ``R``.  ``P`` is the
-constant-coefficient stabilized operator ``I + dt A (gamma eps A + gamma/eps
-c)`` of Eyre's convex split with the Shen-Yang stabilization, where ``A`` is
-the Neumann Laplacian and ``c`` the mid-range of the convex-part Hessian
-``h`` at the step's starting state.  The cosine transform diagonalizes
-``P``, so each sweep costs two transforms.  The sweep contracts the
-linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
-P(lambda)`` over the eigenvalues ``lambda`` of ``A``, ``delta`` being the
-half-range of ``h``; the sweep runs when ``rho <= 1/2``.  Otherwise (a step
-size well above the interface relaxation time) the Jacobian frozen at the
-starting state is factorized once (sparse LU) and reused, which converges in
-a handful of sweeps because the Hessian drifts only O(dt) within a step.
-Plain fixed-point iteration on the convex term is not a contraction at the
-default step size.  Overflow or an invalid value in the phase solve raises
-``FloatingPointError``, which the run loop retries at half the step.
+The phase update is solved per component on the implicit residual ``R``
+with the constant-coefficient stabilized operator ``P = I + dt A (gamma eps
+A + gamma/eps c)`` of Eyre's convex split with the Shen-Yang stabilization:
+``A`` is the Neumann Laplacian and ``c`` the mid-range of the convex-part
+Hessian ``h`` at the step's starting state.  The cosine transform
+diagonalizes ``P``, so a sweep ``x <- x - P^-1 R(x)`` costs two transforms.
+It contracts the linearized error in L2 by at most
+``rho = max dt gamma/eps delta lambda / P(lambda)`` over the eigenvalues
+``lambda`` of ``A``, ``delta`` being the half-range of ``h``;
+``h = 12 p^2 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives ``c >= delta``, so
+``rho < 1`` at every ``dt``.  Near ``rho = 1`` (a step well above the
+interface relaxation time), once a sweep shrinks the residual by less than
+half, the update switches to Newton steps solved by GMRES preconditioned
+with ``P``.  A component not converged after ``max_nonlinear_iter``
+updates is a ``StepFailure``, and overflow or an invalid value raises
+``FloatingPointError``; the run loop retries either at half the step.
 
 With sources off, the flow off, and zero boundary permeability the update
 dissipates the discrete free energy unconditionally: the convex split, the
@@ -56,11 +56,6 @@ from .state import StateFields, build_initial_state
 
 class StepFailure(RuntimeError):
     """Non-convergence of one time step."""
-
-
-# largest L2 contraction bound for which the phase solve runs the transform
-# sweep instead of factorizing the frozen Jacobian
-SWEEP_CONTRACTION_LIMIT = 0.5
 
 
 @dataclass
@@ -152,34 +147,14 @@ class TimeStepper:
         self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
             g, diag.nutrient_bc(self.bundle), np.full((g.ny, g.nx + 1), chi),
             np.full((g.ny + 1, g.nx), chi))
+        # (dt, I/dt + nutrient matrix) of the last nutrient solve
+        self._nutrient_system: tuple | None = None
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (phi, sigma, free energy) of the state the last step returned
         self._energy_carry: tuple | None = None
 
     # -- phase-field update -------------------------------------------------
-
-    def _sweep_preconditioner(self, hess: np.ndarray, dt: float):
-        """Transform solve with the stabilized operator, or None.
-
-        Returns ``r -> P^-1 r`` when the contraction bound of the sweep is at
-        most ``SWEEP_CONTRACTION_LIMIT``.
-        """
-        m = self.config.model
-        gi = m.gamma / m.epsilon
-        lam = self._neu_symbol
-        h_hi, h_lo = float(hess.max()), float(hess.min())
-        symbol = 1.0 + dt * lam * (m.gamma * m.epsilon * lam
-                                   + gi * 0.5 * (h_hi + h_lo))
-        rho = float((dt * gi * 0.5 * (h_hi - h_lo) * lam / symbol).max())
-        if not rho <= SWEEP_CONTRACTION_LIMIT:
-            return None
-        shape = self.grid.shape
-
-        def solve(r: np.ndarray) -> np.ndarray:
-            coef = dctn(r.reshape(shape), type=2, norm="ortho")
-            return idctn(coef / symbol, type=2, norm="ortho").ravel()
-        return solve
 
     def _ch_solve(self, phi_n: np.ndarray, rhs0: np.ndarray,
                   const_mu_part: np.ndarray, dt: float):
@@ -194,23 +169,27 @@ class TimeStepper:
         gi = m.gamma / m.epsilon
         tol = self.config.tol_ch
         max_iter = self.config.max_nonlinear_iter
-        L = phi_n.shape[0]
         phi_new = np.empty_like(phi_n)
         mu_new = np.empty_like(phi_n)
         iters_used = 0
         res_max = 0.0
         A = self._neu_laplacian
-        for i in range(L):
+        lam = self._neu_symbol
+        shape = self.grid.shape
+        n = self.grid.ncells
+        for i in range(phi_n.shape[0]):
             hess = cst.convex_part_diag_hessian(phi_n[i], pot)
-            solve = self._sweep_preconditioner(hess, dt)
-            if solve is None:
-                jac = (self._identity
-                       + dt * ge * (A @ A)
-                       + dt * gi * (A @ sp.diags(hess.ravel()))).tocsc()
-                solve = spla.splu(jac).solve
+            # the symbol of P, with c the mid-range of the Hessian
+            symbol = 1.0 + dt * lam * (
+                ge * lam + gi * 0.5 * (float(hess.max()) + float(hess.min())))
+
+            def solve(r: np.ndarray) -> np.ndarray:  # r -> P^-1 r
+                coef = dctn(r.reshape(shape), type=2, norm="ortho")
+                return idctn(coef / symbol, type=2, norm="ortho").ravel()
             x = phi_n[i].ravel().copy()
             r0 = rhs0[i].ravel()
             cmu = const_mu_part[i].ravel()
+            newton, res_prev = False, np.inf
             for it in range(max_iter + 1):
                 grad1 = cst.potential_split(x, pot)[0]
                 mu_flat = ge * (A @ x) + gi * grad1 + cmu
@@ -222,11 +201,24 @@ class TimeStepper:
                     raise StepFailure(
                         f"phase solve stalled at residual {res_norm:.3e} "
                         f"after {max_iter} iterations (component {i})")
-                x = x - solve(res)
+                # once a sweep shrinks the residual by less than half, take
+                # Newton steps: P-preconditioned GMRES on the Jacobian at x
+                newton = newton or res_norm > 0.5 * res_prev
+                res_prev = res_norm
+                if newton:
+                    h = gi * cst.convex_part_diag_hessian(x, pot)
+                    J = spla.LinearOperator(
+                        (n, n), lambda d: d + dt * (A @ (ge * (A @ d) + h * d)),
+                        dtype=float)
+                    P = spla.LinearOperator((n, n), solve, dtype=float)
+                    x = x - spla.gmres(J, res, M=P, rtol=1e-3, atol=0.0,
+                                       maxiter=5)[0]
+                else:
+                    x = x - solve(res)
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
-            phi_new[i] = x.reshape(self.grid.shape)
-            mu_new[i] = mu_flat.reshape(self.grid.shape)
+            phi_new[i] = x.reshape(shape)
+            mu_new[i] = mu_flat.reshape(shape)
         return phi_new, mu_new, iters_used, res_max
 
     # -- nutrient update ----------------------------------------------------
@@ -236,14 +228,16 @@ class TimeStepper:
         bphi = np.einsum("ml,lxy->mxy", self.bundle.chem.coupling, phi_new)[0]
         rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel() \
             + self._nutrient_rhs + self._neu_laplacian @ bphi.ravel()
-        mat = (self._identity / dt + self._nutrient_matrix).tocsr()
+        if self._nutrient_system is None or self._nutrient_system[0] != dt:
+            self._nutrient_system = (
+                dt, (self._identity / dt + self._nutrient_matrix).tocsr())
         iters = 0
 
         def cb(_):
             nonlocal iters
             iters += 1
 
-        x, info = spla.cg(mat, rhs, x0=sigma_n[0].ravel(),
+        x, info = spla.cg(self._nutrient_system[1], rhs, x0=sigma_n[0].ravel(),
                           rtol=self.config.tol_nutrient, atol=0.0,
                           maxiter=10 * g.ncells, callback=cb)
         if info != 0:
@@ -332,10 +326,8 @@ class TimeStepper:
         reports: list[StepReport] = []
         dt = cfg.dt
         halvings = 0
-        step_idx = 0
-        t_end = cfg.t_end
-        while state.t < t_end - 0.5 * dt:
-            dt_step = min(dt, t_end - state.t)
+        while state.t < cfg.t_end - 0.5 * dt:
+            dt_step = min(dt, cfg.t_end - state.t)
             try:
                 new_state, rep = self.step(state, dt_step)
             except (StepFailure, FlowSolverError, FloatingPointError) as exc:
@@ -347,16 +339,16 @@ class TimeStepper:
                 dt *= 0.5
                 continue
             state = new_state
-            step_idx += 1
             reports.append(rep)
             if writer is not None:
                 phi_m, sig_m, healthy = diag.component_masses(state)
                 writer.write_row(diag.csv_row(rep.energy, rep.dt, phi_m, healthy,
                                               sig_m, rep.div_residual,
                                               rep.picard_iters))
-                if cfg.snapshot_every > 0 and step_idx % cfg.snapshot_every == 0:
-                    writer.snapshot(state, step=step_idx)
-        if writer is not None and step_idx > 0:
-            writer.snapshot(state, step=step_idx)
+                if (cfg.snapshot_every > 0
+                        and len(reports) % cfg.snapshot_every == 0):
+                    writer.snapshot(state, step=len(reports))
+        if writer is not None and reports:
+            writer.snapshot(state, step=len(reports))
         return RunSummary(reports, state, aborted=False, dt_final=dt,
                           seed=cfg.seed, e_initial=e0)

@@ -156,6 +156,17 @@ class TestCli:
                       ["--levels=nan"]):
             assert main(["sweep-darcy", *sweep,
                          "--out-dir", str(tmp_path / "out")]) == 1, sweep
+        for grids in ("32,abc", "4,8", "32,32", "64,-128"):
+            assert main(["mms", "--grids", grids]) == 1, grids
+
+    def test_usage_errors_are_config_errors(self, capsys):
+        for argv in ([], ["run", "--steps", "abc"], ["run", "--bogus"],
+                     ["frobnicate"]):
+            assert main(argv) == 1, argv
+            assert "usage: mchb" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
 
     def test_validate_reports_the_configured_source_variant(self, tmp_path,
                                                             capsys):

@@ -5,13 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import newton_krylov
 
 import mchb.constitutive as cst
 import mchb.diagnostics
 import mchb.stepping
-from mchb.grid import NEUMANN, Robin, fv_diffusion_matrix
+from mchb.grid import NEUMANN, Robin, fv_diffusion_matrix, laplacian_symbol
 from mchb.diagnostics import component_masses, free_energy
 from mchb.parameters import ConfigError, build_default_scenario
 from mchb.state import StateFields, build_initial_state
@@ -102,6 +103,43 @@ class ReferenceImplicit:
         out.sigma = x[3 * n:].reshape(1, g.ny, g.nx)
         out.t = state.t + dt
         return out
+
+
+class ChordReference(TimeStepper):
+    """The phase solve as a chord iteration on the frozen Jacobian.
+
+    Each component factorizes the Jacobian of its residual at the step's
+    starting state once (sparse LU) and reuses it until the residual meets
+    the stepper's stopping test.
+    """
+
+    def _ch_solve(self, phi_n, rhs0, const_mu_part, dt):
+        m = self.config.model
+        pot = self.bundle.potential
+        ge, gi = m.gamma * m.epsilon, m.gamma / m.epsilon
+        A = self._neu_laplacian
+        eye = sp.identity(self.grid.ncells, format="csr")
+        phi_new, mu_new = np.empty_like(phi_n), np.empty_like(phi_n)
+        iters, res_max = 0, 0.0
+        for i in range(phi_n.shape[0]):
+            hess = cst.convex_part_diag_hessian(phi_n[i], pot).ravel()
+            jac = eye + dt * ge * (A @ A) + dt * gi * (A @ sp.diags(hess))
+            solve = spla.splu(jac.tocsc()).solve
+            x = phi_n[i].ravel().copy()
+            for it in range(self.config.max_nonlinear_iter + 1):
+                mu = ge * (A @ x) + gi * cst.potential_split(x, pot)[0] \
+                    + const_mu_part[i].ravel()
+                res = x + dt * (A @ mu) - rhs0[i].ravel()
+                res_norm = float(np.abs(res).max())
+                if res_norm <= self.config.tol_ch * (1.0 + np.abs(x).max()):
+                    break
+                x = x - solve(res)
+            else:
+                raise AssertionError("chord reference did not converge")
+            iters, res_max = max(iters, it), max(res_max, res_norm)
+            phi_new[i] = x.reshape(self.grid.shape)
+            mu_new[i] = mu.reshape(self.grid.shape)
+        return phi_new, mu_new, iters, res_max
 
 
 class TestFixedPoint:
@@ -213,20 +251,46 @@ class TestRunControl:
             assert np.array_equal(getattr(tight.state, name),
                                   getattr(default.state, name))
 
-    def test_overflow_in_phase_solve_is_retried(self):
-        # at 50 dt0 the first sweeps overflow the double-well gradient; the
-        # run halves dt as for any failed step and then decays in energy
-        cfg = build_default_scenario("zero-source")
-        dt = 50 * cfg.dt
-        cfg = dataclasses.replace(cfg, grid_nx=8, grid_ny=8, flow_enabled=False,
-                                  sources_enabled=False,
-                                  initial_condition="stratified",
-                                  dt=dt, t_end=3 * dt)
+    def test_overflow_in_phase_solve_is_retried(self, monkeypatch):
+        # a phase field of order 1e104 overflows the cubic convex gradient;
+        # the guard ends the step as a FloatingPointError, not a warning,
+        # and the run loop retries it at half the step
+        cfg = small_config(flow_enabled=False, sources_enabled=False,
+                           t_end=2 * small_config().dt)
+        st = TimeStepper(cfg)
+        s0 = build_initial_state(cfg, st.bundle)
+        with pytest.raises(FloatingPointError):
+            st.step(dataclasses.replace(s0, phi=1e104 * s0.phi), cfg.dt)
+        solve = TimeStepper._ch_solve
+        scales = iter([1e104])  # only the first solve starts from it
+
+        def first_overflows(self, phi_n, *args):
+            return solve(self, next(scales, 1.0) * phi_n, *args)
+
+        monkeypatch.setattr(TimeStepper, "_ch_solve", first_overflows)
         summary = TimeStepper(cfg).run()
-        assert not summary.aborted and summary.dt_final < dt
+        assert not summary.aborted and summary.dt_final == 0.5 * cfg.dt
         assert summary.state.t == pytest.approx(cfg.t_end)
         energies = np.concatenate([[summary.e_initial], summary.energies])
         assert np.all(np.diff(energies) <= 0.0)
+
+    @pytest.mark.parametrize("n, factor, sources", [(16, 89, True),
+                                                    (8, 411, False)])
+    def test_stalling_sweep_switches_to_newton(self, n, factor, sources):
+        # from the stratified field the sweep alone stalls at these steps
+        # and at 5 halvings of them; the Newton steps finish at full size
+        cfg = build_default_scenario("zero-source")
+        dt = factor * cfg.dt
+        cfg = dataclasses.replace(cfg, grid_nx=n, grid_ny=n, flow_enabled=False,
+                                  sources_enabled=sources,
+                                  initial_condition="stratified",
+                                  dt=dt, t_end=3 * dt)
+        summary = TimeStepper(cfg).run()
+        assert not summary.aborted and summary.dt_final == dt
+        assert summary.state.t == pytest.approx(cfg.t_end)
+        summary.state.check_finite()
+        energies = np.concatenate([[summary.e_initial], summary.energies])
+        assert sources or np.all(np.diff(energies) < 0.0)
 
     def test_run_summary_energies(self):
         cfg = small_config(t_end=3 * small_config().dt)
@@ -248,31 +312,71 @@ class TestTransformPhaseSolve:
     def test_matches_factorized_path(self, preset, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario(preset),
                                   grid_nx=32, grid_ny=32)
-        fast, ref = TimeStepper(cfg), TimeStepper(cfg)
+        fast, ref = TimeStepper(cfg), ChordReference(cfg)
         a = b = build_initial_state(cfg, fast.bundle)
         factorizations = counting(monkeypatch, spla, "splu")
         for k in range(10):
+            # the stepper factorizes nothing; the reference 3 per step
             a, rep_a = fast.step(a, cfg.dt)
             assert len(factorizations) == 3 * k
-            # a zero contraction limit sends the reference onto the LU path
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mchb.stepping, "SWEEP_CONTRACTION_LIMIT", 0.0)
-                b, rep_b = ref.step(b, cfg.dt)
+            b, rep_b = ref.step(b, cfg.dt)
             assert np.abs(a.phi - b.phi).max() <= 1e-10
             assert rep_a.energy_after == pytest.approx(rep_b.energy_after,
                                                        rel=1e-10, abs=0.0)
         assert len(factorizations) == 30
 
-    def test_large_step_falls_back_to_factorization(self, monkeypatch):
+    def test_newton_steps_match_factorized_path(self, monkeypatch):
+        # at 64 dt0 on 64^2 a sweep shrinks the residual by less than half,
+        # so the solve switches to P-preconditioned GMRES Newton steps
         cfg = build_default_scenario("stratified-tumor")
+        cfg = dataclasses.replace(cfg, dt=64 * cfg.dt)
         st = TimeStepper(cfg)
         s0 = build_initial_state(cfg, st.bundle)
+        newton_solves = counting(monkeypatch, spla, "gmres")
+        a, rep_a = st.step(s0, cfg.dt)
+        assert newton_solves
+        b, rep_b = ChordReference(cfg).step(s0, cfg.dt)
+        assert np.abs(a.phi - b.phi).max() <= 1e-10
+        assert rep_a.energy_after == pytest.approx(rep_b.energy_after,
+                                                   rel=1e-10, abs=0.0)
+
+    def test_large_step_run_recovers_without_factorizing(self, monkeypatch):
+        # at 64 dt0 the sweep nears rho = 1; the Newton steps finish every
+        # step at full size without a factorization
+        cfg = build_default_scenario("stratified-tumor")
+        dt = 64 * cfg.dt
+        cfg = dataclasses.replace(cfg, dt=dt, t_end=2 * dt)
         factorizations = counting(monkeypatch, spla, "splu")
-        s1, rep = st.step(s0, 64 * cfg.dt)
-        assert len(factorizations) == 3
-        s1.check_finite()
-        assert rep.energy_after < rep.energy_before
-        assert rep.picard_iters <= cfg.max_nonlinear_iter
+        summary = TimeStepper(cfg).run()
+        assert not summary.aborted and summary.dt_final == dt
+        assert summary.state.t == pytest.approx(cfg.t_end)
+        assert factorizations == []
+        summary.state.check_finite()
+        energies = np.concatenate([[summary.e_initial], summary.energies])
+        assert np.all(np.diff(energies) < 0.0)
+
+    def test_default_split_sweep_contracts_at_every_step_size(self):
+        # rho = max dt gamma/eps delta lambda / P(lambda) < 1 because the
+        # convex-part Hessian is >= split_shift - 1 >= 0, so its mid-range c
+        # is at least its half-range delta
+        cfg = build_default_scenario("stratified-tumor")
+        m = cfg.model
+        st = TimeStepper(cfg)
+        lam = laplacian_symbol(st.grid, NEUMANN)
+        fields = [build_initial_state(cfg, st.bundle).phi,
+                  build_initial_state(dataclasses.replace(
+                      cfg, initial_condition="random-smooth"), st.bundle).phi,
+                  np.random.default_rng(5).uniform(-2.0, 3.0, (3, *st.grid.shape))]
+        for phi in fields:
+            for p in phi:
+                h = cst.convex_part_diag_hessian(p, st.bundle.potential)
+                c, delta = 0.5 * (h.max() + h.min()), 0.5 * (h.max() - h.min())
+                assert h.min() >= 0.0
+                for dt in cfg.dt * np.logspace(0.0, 4.0, 9):
+                    symbol = 1.0 + dt * lam * (m.gamma * m.epsilon * lam
+                                               + m.gamma / m.epsilon * c)
+                    rho = (dt * m.gamma / m.epsilon * delta * lam / symbol).max()
+                    assert rho < 1.0
 
 
 class TestStepWork:
@@ -338,13 +442,24 @@ class TestStepWork:
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
                                   grid_nx=16, grid_ny=16)
-        # the operators are built with the stepper, none in a step
+        # the operators are built with the stepper, none in a step; the
+        # nutrient system I/dt + N is built again only when dt changes
         st = TimeStepper(cfg)
         s = build_initial_state(cfg, st.bundle)
         assemblies = counting(monkeypatch, mchb.stepping, "fv_diffusion_matrix")
-        for _ in range(3):
-            s, _ = st.step(s, cfg.dt)
+        systems = []  # kept alive, so distinct matrices have distinct ids
+        cg = spla.cg
+
+        def recording_cg(mat, *args, **kwargs):
+            systems.append(mat)
+            return cg(mat, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", recording_cg)
+        for dt in (cfg.dt, cfg.dt, cfg.dt, 0.5 * cfg.dt, 0.5 * cfg.dt):
+            s, _ = st.step(s, dt)
         assert assemblies == []
+        ids = [id(mat) for mat in systems]
+        assert [ids.index(key) for key in ids] == [0, 0, 0, 3, 3]
 
 
 class TestScenarioBehaviors:
