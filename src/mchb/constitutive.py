@@ -85,7 +85,8 @@ class ViscositySpec:
 # ---------------------------------------------------------------------------
 # potential
 
-def _double_well_gradient(p: np.ndarray) -> np.ndarray:
+def double_well_gradient(p: np.ndarray) -> np.ndarray:
+    """Gradient of ``psi(p) = sum_i p_i^2 (1 - p_i)^2`` alone."""
     return 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
 
 
@@ -99,7 +100,7 @@ def potential_eval(p: np.ndarray):
     """Value, gradient and Hessian of ``psi(p) = sum_i p_i^2 (1 - p_i)^2``."""
     p = np.asarray(p, dtype=float)
     value = potential_value(p)
-    grad = _double_well_gradient(p)
+    grad = double_well_gradient(p)
     diag = 12.0 * p**2 - 12.0 * p + 2.0
     L = p.shape[0]
     hess = np.zeros((L,) + p.shape)
@@ -116,7 +117,7 @@ def concave_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
 def potential_split(p: np.ndarray, spec: PotentialSpec):
     """Convex/concave gradient parts; they sum to the full gradient exactly."""
     p = np.asarray(p, dtype=float)
-    return (_double_well_gradient(p) + spec.split_shift * p,
+    return (double_well_gradient(p) + spec.split_shift * p,
             concave_gradient(p, spec))
 
 

@@ -63,8 +63,13 @@ def nutrient_bc(bundle: SpecBundle):
                  diffusivity=bundle.chem.chi_sigma)
 
 
-def free_energy(state: StateFields, bundle: SpecBundle):
-    """Total free energy and its Ginzburg-Landau / chemical split."""
+def free_energy(state: StateFields, bundle: SpecBundle, *,
+                with_n_sigma: bool = False):
+    """Total free energy and its Ginzburg-Landau / chemical split.
+
+    With ``with_n_sigma`` the chemical derivative ``N_sigma`` of ``state``
+    follows as a fourth item, from the same evaluation of ``N``.
+    """
     g = state.grid
     m = bundle.params
     psi = cst.potential_value(state.phi)
@@ -72,9 +77,11 @@ def free_energy(state: StateFields, bundle: SpecBundle):
     for i in range(state.phi.shape[0]):
         fv = face_gradient(Field(state.phi[i], NEUMANN, g))
         gl += 0.5 * m.gamma * m.epsilon * inner_product(fv, fv)
-    n_val, _, _, _ = cst.chemical_energy(state.phi, state.sigma, bundle.chem)
+    n_val, _, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma,
+                                               bundle.chem)
     chem = float(n_val.sum()) * g.cell_area
-    return gl + chem, gl, chem
+    return (gl + chem, gl, chem, n_sigma) if with_n_sigma \
+        else (gl + chem, gl, chem)
 
 
 def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
@@ -155,14 +162,13 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
     g = before.grid
     if e_before is None:
         e_before, _, _ = free_energy(before, bundle)
-    e_after, gl_after, chem_after = free_energy(after, bundle)
+    e_after, gl_after, chem_after, n_sigma_a = free_energy(
+        after, bundle, with_n_sigma=True)
 
     dissipation = dissipation_rate(after, bundle,
                                    include_flow=transport is not None,
                                    flow_backend=flow_backend)
     boundary = boundary_absorption(after, bundle)
-
-    _, _, n_sigma_a, _ = cst.chemical_energy(after.phi, after.sigma, bundle.chem)
 
     work = 0.0
     if sources_enabled:

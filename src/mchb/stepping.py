@@ -11,22 +11,47 @@ The phase and nutrient mobilities are the unit ones
 (``constitutive.mobility``), so every diffusion operator is the plain
 finite-volume Laplacian and is assembled once per stepper.
 
-The phase update is solved per component on the implicit residual ``R``
-with the constant-coefficient stabilized operator ``P = I + dt A (gamma eps
-A + gamma/eps c)`` of Eyre's convex split with the Shen-Yang stabilization:
-``A`` is the Neumann Laplacian and ``c`` the mid-range of the convex-part
-Hessian ``h`` at the step's starting state.  The cosine transform
-diagonalizes ``P``, so a sweep ``x <- x - P^-1 R(x)`` costs two transforms.
-It contracts the linearized error in L2 by at most
-``rho = max dt gamma/eps delta lambda / P(lambda)`` over the eigenvalues
-``lambda`` of ``A``, ``delta`` being the half-range of ``h``;
-``h = 12 p^2 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives ``c >= delta``, so
-``rho < 1`` at every ``dt``.  Near ``rho = 1`` (a step well above the
-interface relaxation time), once a sweep shrinks the residual by less than
-half, the update switches to Newton steps solved by GMRES preconditioned
-with ``P``.  A component not converged after ``max_nonlinear_iter``
-updates is a ``StepFailure``, and overflow or an invalid value raises
-``FloatingPointError``; the run loop retries either at half the step.
+The phase update is solved per component on the implicit residual
+``R(x) = x + dt A mu(x) - rhs``, ``mu(x) = gamma eps A x + gamma/eps
+psi1'(x) + (explicit part)``, with the constant-coefficient stabilized
+operator ``P = I + dt A (gamma eps A + gamma/eps c)`` of Eyre's convex split
+with the Shen-Yang stabilization: ``A`` is the Neumann Laplacian and ``c``
+the mid-range of the convex-part Hessian ``h`` at the step's starting
+state.  The cosine transform diagonalizes ``A`` exactly, so the sweep
+``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``: with the
+linear part ``s0 x`` of ``psi1'`` in the symbol ``lin = 1 + dt lambda
+(gamma eps lambda + gamma/eps s0)``, ``R^ = lin x^ + dt gamma/eps lambda
+DCT(psi_dw'(x)) + b^``, ``b^`` being formed once per component.  A sweep
+is one forward transform of the double-well gradient, one inverse
+transform of ``x^`` and pointwise work; ``mu`` is formed once, at the
+converged ``x``.  The stopping test is ``max|R| <= tol_ch (1 + max|x|)`` in
+physical space.  The RMS of ``R^`` equals that of ``R`` and never exceeds
+``max|R|``, so it gates the test: only a residual whose RMS meets the bound
+is transformed back for the exact max-norm check.  The sweep contracts the
+linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
+P(lambda)`` over the eigenvalues ``lambda`` of ``A``, ``delta`` being the
+half-range of ``h``; ``h = 12 p^2 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives
+``c >= delta``, so ``rho < 1`` at every ``dt``.  Near ``rho = 1`` (a step
+well above the interface relaxation time), once a sweep shrinks the RMS of
+the residual by less than half against the sweep before, the update
+switches to Newton steps in physical space, solved by GMRES preconditioned
+with ``P``.  A component not converged after ``max_nonlinear_iter`` updates
+is a ``StepFailure`` that reports its max-norm residual, and overflow or an
+invalid value raises ``FloatingPointError``; the run loop retries either at
+half the step.
+
+Each component starts from the Lagrange extrapolation to the new time of
+the last states the stepper returned, as ``(t, phi)``: none on a run's first
+step, linear on its second, quadratic after.  Times, not step counts, set
+the weights, so a retry at half the step extrapolates to its own end.  A
+state the stepper did not return last (another ``phi`` or ``t``) starts
+from ``phi^n``, and ``run`` forgets the history, so equal runs are
+bit-equal.  The start moves only where the iteration begins.  Counting
+the largest component of each step of 16-step runs at 64^2 and the default
+``dt``, zero-source takes 93 sweeps (8, 7, 7, then 5-6 a step) where a
+start from ``phi^n`` takes 117 (7-8 a step), and stratified-tumor 51 (3 a
+step from the third) against 80 (5 a step); a 200-step flow-off zero-source
+run takes 584 against 993.
 
 With sources off, the flow off, and zero boundary permeability the update
 dissipates the discrete free energy unconditionally: the convex split, the
@@ -127,6 +152,24 @@ def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
     return np.stack(conv[:-1]), conv[-1]
 
 
+def extrapolate(history, t: float) -> np.ndarray | None:
+    """Lagrange extrapolation to ``t`` of the ``(t_k, phi_k)`` in ``history``.
+
+    None for a single state; two states extrapolate linearly and three
+    quadratically.
+    """
+    if len(history) < 2:
+        return None
+    out = 0.0
+    for j, (tj, phi) in enumerate(history):
+        w = 1.0
+        for k, (tk, _) in enumerate(history):
+            if k != j:
+                w *= (t - tk) / (tj - tk)
+        out = out + w * phi
+    return out
+
+
 class TimeStepper:
     """Owns the grid-bound operators and advances states."""
 
@@ -151,8 +194,11 @@ class TimeStepper:
         self._nutrient_system: tuple | None = None
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
-        # (phi, sigma, free energy) of the state the last step returned
-        self._energy_carry: tuple | None = None
+        # (history, sigma, free energy) of the state the last step returned;
+        # history holds (t, phi) of it and of up to two states before it
+        self._carry: tuple | None = None
+        # start of the phase solve in progress; None starts from phi^n
+        self._phase_start: np.ndarray | None = None
 
     # -- phase-field update -------------------------------------------------
 
@@ -160,8 +206,9 @@ class TimeStepper:
                   const_mu_part: np.ndarray, dt: float):
         """Per-component implicit solve for (phi, mu) at the new time level.
 
-        Each component takes up to ``max_nonlinear_iter`` updates, and the
-        residual is checked after every one of them.
+        Each component starts from ``_phase_start`` (phi_n when it is None)
+        and takes up to ``max_nonlinear_iter`` updates; the residual is
+        checked after every one of them.
         """
         m = self.config.model
         pot = self.bundle.potential
@@ -177,6 +224,11 @@ class TimeStepper:
         lam = self._neu_symbol
         shape = self.grid.shape
         n = self.grid.ncells
+        start = phi_n if self._phase_start is None else self._phase_start
+        # R^ = lin x^ + dt gamma/eps lam DCT(psi'_dw(x)) + b^: the linear
+        # part s0 x of the convex gradient sits in lin
+        lin = 1.0 + dt * lam * (ge * lam + gi * pot.split_shift)
+        nonlin = dt * gi * lam
         for i in range(phi_n.shape[0]):
             hess = cst.convex_part_diag_hessian(phi_n[i], pot)
             # the symbol of P, with c the mid-range of the Hessian
@@ -186,39 +238,54 @@ class TimeStepper:
             def solve(r: np.ndarray) -> np.ndarray:  # r -> P^-1 r
                 coef = dctn(r.reshape(shape), type=2, norm="ortho")
                 return idctn(coef / symbol, type=2, norm="ortho").ravel()
-            x = phi_n[i].ravel().copy()
-            r0 = rhs0[i].ravel()
+            x = start[i]
+            x_hat = dctn(x, type=2, norm="ortho")
             cmu = const_mu_part[i].ravel()
-            newton, res_prev = False, np.inf
+            b_hat = dctn((dt * (A @ cmu)).reshape(shape) - rhs0[i],
+                         type=2, norm="ortho")
+            inv_symbol = 1.0 / symbol
+            newton, rms_prev = False, np.inf
             for it in range(max_iter + 1):
-                grad1 = cst.potential_split(x, pot)[0]
-                mu_flat = ge * (A @ x) + gi * grad1 + cmu
-                res = x + dt * (A @ mu_flat) - r0
-                res_norm = float(np.abs(res).max())
-                if res_norm <= tol * (1.0 + float(np.abs(x).max())):
-                    break
+                r_hat = dctn(cst.double_well_gradient(x), type=2, norm="ortho")
+                r_hat *= nonlin
+                r_hat += b_hat
+                r_hat += lin * x_hat
+                bound = tol * (1.0 + max(float(x.max()), -float(x.min())))
+                rms = float(np.sqrt(np.vdot(r_hat, r_hat) / n))
+                # once a sweep shrinks the residual's RMS by less than half,
+                # take Newton steps: P-preconditioned GMRES on the Jacobian
+                newton = newton or rms > 0.5 * rms_prev
+                rms_prev = rms
+                # the RMS of R never exceeds max|R|, so the residual goes back
+                # to physical space for the max test only once its RMS meets
+                # the bound, or for a Newton step or the failure report
+                if rms <= bound or newton or it == max_iter:
+                    res = idctn(r_hat, type=2, norm="ortho")
+                    res_norm = float(np.abs(res).max())
+                    if res_norm <= bound:
+                        break
                 if it == max_iter:
                     raise StepFailure(
                         f"phase solve stalled at residual {res_norm:.3e} "
                         f"after {max_iter} iterations (component {i})")
-                # once a sweep shrinks the residual by less than half, take
-                # Newton steps: P-preconditioned GMRES on the Jacobian at x
-                newton = newton or res_norm > 0.5 * res_prev
-                res_prev = res_norm
                 if newton:
-                    h = gi * cst.convex_part_diag_hessian(x, pot)
+                    h = gi * cst.convex_part_diag_hessian(x, pot).ravel()
                     J = spla.LinearOperator(
                         (n, n), lambda d: d + dt * (A @ (ge * (A @ d) + h * d)),
                         dtype=float)
                     P = spla.LinearOperator((n, n), solve, dtype=float)
-                    x = x - spla.gmres(J, res, M=P, rtol=1e-3, atol=0.0,
-                                       maxiter=5)[0]
+                    x = x - spla.gmres(J, res.ravel(), M=P, rtol=1e-3,
+                                       atol=0.0, maxiter=5)[0].reshape(shape)
+                    x_hat = dctn(x, type=2, norm="ortho")
                 else:
-                    x = x - solve(res)
+                    x_hat -= r_hat * inv_symbol
+                    x = idctn(x_hat, type=2, norm="ortho")
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
-            phi_new[i] = x.reshape(shape)
-            mu_new[i] = mu_flat.reshape(shape)
+            phi_new[i] = x
+            mu_new[i] = (ge * (A @ x.ravel())
+                         + gi * cst.potential_split(x.ravel(), pot)[0]
+                         + cmu).reshape(shape)
         return phi_new, mu_new, iters_used, res_max
 
     # -- nutrient update ----------------------------------------------------
@@ -276,10 +343,23 @@ class TimeStepper:
         # no flow, no transport: subtracting 0.0 leaves the rest bit-equal
         conv_phi, conv_sigma = transport or (0.0, 0.0)
 
-        # phase update: implicit convex part, everything else explicit
+        # phase update: implicit convex part, everything else explicit; it
+        # starts from the extrapolation of the states the stepper returned
+        # last, if it returned this one
         rhs0 = state.phi - dt * conv_phi + dt * terms.s_phi
         const_mu = m.gamma / m.epsilon * cst.concave_gradient(
             state.phi, bundle.potential) + terms.n_phi
+        e_before, history = None, None
+        if self._carry is not None:
+            kept, sigma, energy = self._carry
+            t_last, phi_last = kept[-1]
+            if np.array_equal(phi_last, state.phi):
+                if np.array_equal(sigma, state.sigma):
+                    e_before = energy
+                if t_last == state.t:
+                    history = kept
+        history = history or ((state.t, state.phi.copy()),)
+        self._phase_start = extrapolate(history, state.t + dt)
         # overflow ends the step as a FloatingPointError the run loop retries
         with np.errstate(over="raise", invalid="raise"):
             phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
@@ -292,16 +372,14 @@ class TimeStepper:
                                 v=v, p=p, t=state.t + dt, grid=g)
         new_state.check_finite()
 
-        carry = self._energy_carry
-        e_before = None
-        if (carry is not None and np.array_equal(carry[0], state.phi)
-                and np.array_equal(carry[1], state.sigma)):
-            e_before = carry[2]
         energy = diag.energy_law_residual(
             state, new_state, dt, bundle, terms, transport,
             flow_backend=cfg.flow_backend, sources_enabled=cfg.sources_enabled,
             e_before=e_before)
-        self._energy_carry = (phi_new.copy(), sigma_new.copy(), energy.e_total)
+        # a step too short to advance t in floating point restarts the history
+        kept = history[-2:] if new_state.t > state.t else ()
+        history = (*kept, (new_state.t, phi_new.copy()))
+        self._carry = (history, sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,
                             picard_iters=picard_iters,
                             picard_residual=picard_res,
@@ -318,9 +396,10 @@ class TimeStepper:
         cfg = self.config
         state = state or build_initial_state(cfg, self.bundle)
         e0, _, _ = diag.free_energy(state, self.bundle)
-        # each run starts from no kept directions, so equal runs are bit-equal
+        # each run starts from no kept directions and no earlier states, so
+        # equal runs are bit-equal
         self._uzawa_space.clear()
-        self._energy_carry = (state.phi.copy(), state.sigma.copy(), e0)
+        self._carry = (((state.t, state.phi.copy()),), state.sigma.copy(), e0)
         if writer is not None:
             writer.snapshot(state, step=0)
         reports: list[StepReport] = []
