@@ -30,7 +30,7 @@ from .parameters import (ConfigError, ScenarioConfig, StrictAssumptionError,
                          assumption_report, build_default_scenario,
                          load_config, require_assumptions)
 from .state import build_initial_state
-from .stepping import TimeStepper, explicit_terms
+from .stepping import StepFailure, TimeStepper, explicit_terms
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -47,6 +47,7 @@ class SweepResult:
     velocity_gaps: list[float]
     velocity_gaps_rel: list[float]
     darcy_residuals: list[float]
+    sweeps: list[int]            # Uzawa sweeps of each level's solve
     reference: object
     partial: bool = False
 
@@ -109,6 +110,9 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
                     snapshot_steps: int = 5, tol: float = 1e-10) -> SweepResult:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if snapshot_steps < 0:
+        raise ConfigError(f"snapshot steps must be nonnegative, "
+                          f"got {snapshot_steps}")
     eta_levels = sorted(eta_levels, reverse=True)
     if not (all(0 < eta < math.inf for eta in eta_levels)
             and len(set(eta_levels)) == len(eta_levels)):
@@ -126,7 +130,7 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
         res = solve_brinkman(force, s_v, eta_f, eta_f, nu, grid, opts)
         gap = l2_norm(res.v - reference.v, grid)
         dres = darcy_residual(res.v, res.p, force, nu, grid)
-        return gap, dres
+        return gap, dres, res.iterations
 
     results = []
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -138,10 +142,12 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
     # a failed level ends the ladder; the levels before it are kept
     partial = None in results
     rows = results[:results.index(None)] if partial else results
-    gaps = [gap for gap, _ in rows]
+    gaps = [gap for gap, _, _ in rows]
     return SweepResult(eta_levels[:len(rows)], gaps,
                        [gap / max(ref_norm, 1e-300) for gap in gaps],
-                       [res for _, res in rows], reference, partial=partial)
+                       [res for _, res, _ in rows],
+                       [sweeps for _, _, sweeps in rows], reference,
+                       partial=partial)
 
 
 def cmd_sweep_darcy(args) -> int:
@@ -154,17 +160,23 @@ def cmd_sweep_darcy(args) -> int:
         raise ConfigError(f"bad eta ladder: {exc}") from None
     if not levels:
         raise ConfigError("empty eta ladder")
-    result = run_darcy_sweep(cfg, levels, jobs=args.jobs,
-                             snapshot_steps=args.snapshot_steps)
+    try:
+        result = run_darcy_sweep(cfg, levels, jobs=args.jobs,
+                                 snapshot_steps=args.snapshot_steps)
+    except (StepFailure, FlowSolverError, FloatingPointError) as exc:
+        # a snapshot step or the Darcy reference failed: no level was solved
+        print(f"sweep aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
     out = _out_dir(args)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out / "sweep_darcy.csv", result.eta_levels,
                     result.velocity_gaps, result.velocity_gaps_rel,
                     result.darcy_residuals, partial=result.partial)
-    for eta, gap, rel, res in zip(result.eta_levels, result.velocity_gaps,
-                                  result.velocity_gaps_rel,
-                                  result.darcy_residuals):
-        print(f"eta={eta:.3e}  gap={gap:.6e}  rel={rel:.6e}  residual={res:.6e}")
+    for eta, gap, rel, res, sweeps in zip(
+            result.eta_levels, result.velocity_gaps, result.velocity_gaps_rel,
+            result.darcy_residuals, result.sweeps):
+        print(f"eta={eta:.3e}  gap={gap:.6e}  rel={rel:.6e}  residual={res:.6e}"
+              f"  sweeps={sweeps}")
     if result.partial:
         print("sweep aborted: solver failure, partial results flagged",
               file=sys.stderr)

@@ -15,20 +15,23 @@ divergence constraint carries a momentum-interpolation correction in the
 pressure (Rhie-Chow style): it suppresses collocated checkerboarding and
 makes the vanishing-viscosity fixed point coincide with the Darcy
 discretization exactly, up to solver tolerances.  The outer Uzawa iteration
-updates the pressure with residual-minimizing (GCR) steps preconditioned by
-the sine-basis symbol of the Schur operator.  The symbol ignores the
-traction-free wall rows, so the sweep count grows with the grid at finite
-viscosity: on a darcy-limit state at tolerance 1e-9 a cold start (zero
-pressure) takes 11, 17 and 26 sweeps at 32x32, 64x64 and 128x128 for
-``eta = lambda = 1e-2``, and 4-5 at ``1e-4``.  The time stepper starts each
-solve from the previous step's pressure, which cuts the count to 8, 13 and
-21 on the steps after the first.  The Schur operator is fixed for a run, so
-the stepper also keeps the search directions found so far (``UzawaSpace``):
-a solve first removes the part of its residual that lies in their span and
-sweeps only on the rest.  Over a darcy-limit run the counts then fall to
-11, 7, 7, 4, 2, 1, 1, 1 at 32x32 and 17, 13, 12, 7, 4, 2, 2, 1 at 64x64,
-then stay at 1-2; at 128x128 they fall to 2-4 by the eighth step and
-return to about 20 for a few steps whenever the 80 kept directions fill and
+updates the pressure with residual-minimizing (GCR) steps preconditioned in
+the sine basis.  Away from the walls the preconditioner divides by the
+symbol of the collocated Schur operator, the stabilization included; in the
+four cell layers next to each wall, where the first-order traction-free
+rows break that symbol, it uses the compact Cahouet-Chabard model
+``lc / (nu + eta_hat lc)`` (``_schur_model``).  The count still grows with
+the grid at finite viscosity: on a darcy-limit state at tolerance 1e-9 a
+cold start (zero pressure) takes 9, 12 and 18 sweeps at 32x32, 64x64 and
+128x128 for ``eta = lambda = 1e-2``, and 3-4 at ``1e-4``.  The time stepper
+starts each solve from the previous step's pressure, which cuts the count
+to 6, 6-7 and 7-8 on the steps after the first.  The Schur operator is
+fixed for a run, so the stepper also keeps the search directions found so
+far (``UzawaSpace``): a solve first removes the part of its residual that
+lies in their span and sweeps only on the rest.  Over a darcy-limit run the
+counts then fall to 9, 6, 6, 3, 1, 1, 1, 1 at 32x32 and 12, 9, 8, 3, 2, 2,
+2, 2 at 64x64, then stay at 1-2; at 128x128 they fall to 18, 10, 9, 4 and
+then 2-5, and rise to 6-7 for two steps when the 80 kept directions fill and
 restart.  The inner velocity subproblems
 reuse one sparse factorization of the fixed SPD momentum operator, a
 symmetric-mode LU (minimum-degree ordering of the symmetric pattern,
@@ -192,17 +195,79 @@ def _velocity_operator(grid: Grid, eta: np.ndarray, lam: np.ndarray,
     return (k + nu * sp.identity(2 * grid.ncells, format="csr")).tocsr()
 
 
-def _schur_model_eigenvalues(grid: Grid, eta_hat: float, nu: float) -> np.ndarray:
-    """Interior-symbol eigenvalues of the pressure Schur operator.
+def _face_weight(c, nu: float):
+    """Rhie-Chow face weight ``nu + c^2 / (nu + c)`` of a viscous diagonal ``c``.
 
-    With the momentum-diagonal Rhie-Chow weights both the true Schur part and
-    the stabilization behave like ``lc / (nu + eta_hat lc)`` in the sine
-    basis, ``lc`` being the compact Dirichlet-Laplacian eigenvalues.
-    Boundary rows deviate from the symbol; the outer minimization absorbs
-    that.
+    It deviates from the Darcy weight ``nu`` only quadratically in ``c``, so
+    the vanishing-viscosity fixed point stays the Darcy solve.
     """
-    lc = laplacian_symbol(grid, DIRICHLET)
-    return lc / (nu + eta_hat * lc)
+    return nu + c**2 / (nu + c)
+
+
+def _rhie_chow(grid: Grid, kdiag: np.ndarray, nu: float) -> sp.csr_matrix:
+    """The stabilization with the face weights of the momentum diagonal."""
+    ops = _flow_operators(grid)
+    n = grid.ncells
+    cx = np.maximum((ops.avg_xf @ kdiag[:n]) - nu, 0.0)
+    cy = np.maximum((ops.avg_yf @ kdiag[n:]) - nu, 0.0)
+    return ops.rhie_chow_correction(_face_weight(cx, nu), _face_weight(cy, nu))
+
+
+def _wall_band(grid: Grid, correction: sp.csr_matrix) -> np.ndarray:
+    """Cells whose row of ``correction`` differs from the central cell's row.
+
+    Rows are compared as stencils, entry by entry at each offset, so the
+    result is the set of cells the wall closures reach.
+    """
+    c = correction.tocoo()
+    dj = c.col // grid.nx - c.row // grid.nx
+    di = c.col % grid.nx - c.row % grid.nx
+    r = int(max(np.abs(dj).max(), np.abs(di).max()))
+    stencil = np.zeros((grid.ncells, 2 * r + 1, 2 * r + 1))
+    stencil[c.row, dj + r, di + r] = c.data
+    centre = stencil[(grid.ny // 2) * grid.nx + grid.nx // 2]
+    return (stencil != centre).any(axis=(1, 2)).reshape(grid.shape)
+
+
+@lru_cache(maxsize=8)
+def _schur_model(grid: Grid, eta: float, lam: float,
+                 nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sine-basis Schur preconditioner of uniform viscosities ``eta``, ``lam``.
+
+    Returns ``(interior, wall, band)``.  ``interior`` is the symbol of the
+    collocated operator away from the walls: per axis the Dirichlet modes
+    ``theta = pi m / n``, ``m = 1..n``, have the compact eigenvalue
+    ``lc = (2 sin(theta/2) / h)^2`` and the wide one ``lw = (sin theta / h)^2``
+    of the centred cell gradients.  The velocity part of ``S`` acts like
+    ``lw / (nu + (2 eta + lam) lw)`` and the Rhie-Chow stabilization like
+    ``(lc_x - lw_x) / d_x + (lc_y - lw_y) / d_y``, with the interior face
+    weights ``d`` of K's interior viscous diagonals.  Next to the walls the
+    first-order traction-free rows break that symbol, and modes localized
+    there would get eigenvalues near ``-0.1 +- 0.8i``; ``band`` marks those
+    cells (the rows of the uniform-viscosity stabilization that differ from
+    the interior row, 4 layers per wall), where the preconditioner uses the
+    compact model ``wall = lc / (nu + (2 eta + lam) lc)`` instead.
+    """
+    eta_hat = 2.0 * eta + lam
+
+    def axis(n: int, h: float):
+        theta = np.pi * np.arange(1, n + 1) / n
+        return (2.0 * np.sin(theta / 2) / h)**2, (np.sin(theta) / h)**2
+
+    (lc_y, lw_y), (lc_x, lw_x) = axis(grid.ny, grid.hy), axis(grid.nx, grid.hx)
+    lc = lc_y[:, None] + lc_x[None, :]
+    lw = lw_y[:, None] + lw_x[None, :]
+    d_x = _face_weight(eta_hat / (2 * grid.hx**2) + eta / (2 * grid.hy**2), nu)
+    d_y = _face_weight(eta_hat / (2 * grid.hy**2) + eta / (2 * grid.hx**2), nu)
+    interior = lw / (nu + eta_hat * lw) + (lc_x - lw_x)[None, :] / d_x \
+        + (lc_y - lw_y)[:, None] / d_y
+    wall = lc / (nu + eta_hat * lc)
+    kdiag = _velocity_operator(grid, np.full(grid.shape, eta),
+                               np.full(grid.shape, lam), nu).diagonal()
+    band = _wall_band(grid, _rhie_chow(grid, kdiag, nu))
+    for a in (interior, wall, band):
+        a.flags.writeable = False
+    return interior, wall, band
 
 
 class _BrinkmanSystem(NamedTuple):
@@ -211,31 +276,31 @@ class _BrinkmanSystem(NamedTuple):
     K: sp.csr_matrix                 # momentum operator nu I + V(eta, lam)
     k_lu: spla.SuperLU               # its sparse LU
     correction: sp.csr_matrix        # Rhie-Chow stabilization of the constraint
-    model: np.ndarray                # Schur preconditioner eigenvalues
+    interior: np.ndarray             # Schur model symbol off the wall band
+    wall: np.ndarray                 # Schur model symbol on the wall band
+    band: np.ndarray                 # cells next to the walls, (ny, nx) bool
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The model inverse: ``interior`` off the band, ``wall`` on it."""
+        coef = dstn(r.reshape(self.band.shape), type=2, norm="ortho")
+        z = np.where(self.band, idstn(coef / self.wall, type=2, norm="ortho"),
+                     idstn(coef / self.interior, type=2, norm="ortho"))
+        return z.ravel()
 
 
 def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
                      nu: float) -> _BrinkmanSystem:
     """Build everything a Brinkman solve needs apart from its right-hand side."""
-    ops = _flow_operators(grid)
-    n = grid.ncells
     K = _velocity_operator(grid, eta, lam, nu)
     # K = nu I + V with V symmetric PSD and nu > 0 is SPD: diagonal pivots
     # are stable, so a symmetric ordering of K + K^T with no row pivoting
     # keeps the fill of a Cholesky-like factorization
     k_lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    kdiag = K.diagonal()
-    # deviates from the Darcy weight nu only quadratically in the viscous
-    # diagonal, so the vanishing-viscosity fixed point stays the Darcy solve
-    cx = np.maximum((ops.avg_xf @ kdiag[:n]) - nu, 0.0)
-    cy = np.maximum((ops.avg_yf @ kdiag[n:]) - nu, 0.0)
-    dx_face = nu + cx**2 / (nu + cx)
-    dy_face = nu + cy**2 / (nu + cy)
-    correction = ops.rhie_chow_correction(dx_face, dy_face)
-    eta_hat = float(2.0 * eta.mean() + lam.mean())
-    model = _schur_model_eigenvalues(grid, eta_hat, nu)
-    return _BrinkmanSystem(K, k_lu, correction, model)
+    correction = _rhie_chow(grid, K.diagonal(), nu)
+    # viscosity fields enter the model through their means
+    model = _schur_model(grid, float(eta.mean()), float(lam.mean()), nu)
+    return _BrinkmanSystem(K, k_lu, correction, *model)
 
 
 class UzawaSpace:
@@ -327,12 +392,9 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     ops = _flow_operators(grid)
     n = grid.ncells
     space = space if space is not None else UzawaSpace()
-    K, k_lu, correction, model = space.system_for(grid, eta, lam, nu)
+    system = space.system_for(grid, eta, lam, nu)
+    K, k_lu, correction = system.K, system.k_lu, system.correction
     f_flat = force.reshape(-1)
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        coef = dstn(r.reshape(grid.shape), type=2, norm="ortho")
-        return idstn(coef / model, type=2, norm="ortho").ravel()
 
     def velocity_of(p: np.ndarray) -> np.ndarray:
         return k_lu.solve(f_flat - np.concatenate([ops.gx_d @ p, ops.gy_d @ p]))
@@ -365,7 +427,7 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
             if len(history) > 50 and history[-1] > 0.999**50 * history[-51]:
                 raise FlowSolverError(
                     f"Uzawa stagnation: residual {rnorm:.3e} after {sweeps} sweeps")
-            z = precondition(r)
+            z = system.precondition(r)
             w = schur_apply(z)
             if space.k == MAX_DIRECTIONS:
                 space.k = 0  # periodic restart; sliding truncation can cycle

@@ -133,9 +133,11 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
     p, s, mu = state.phi, state.sigma, state.mu
     _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
     if sources_enabled:
-        sources = (cst.source_phase(p, s, mu, bundle.sources),
-                   cst.source_nutrient(p, s, mu, bundle.sources),
-                   cst.source_velocity(p, s, bundle.sources))
+        # s_v = 1 . Lambda_phi + S_healthy (``cst.source_velocity``), from the
+        # phase source already evaluated
+        s_phi = cst.source_phase(p, s, mu, bundle.sources)
+        sources = (s_phi, cst.source_nutrient(p, s, mu, bundle.sources),
+                   s_phi.sum(axis=0) + cst.source_healthy(p, s, bundle.sources))
     else:
         sources = (np.zeros_like(p), np.zeros_like(s),
                    np.zeros(state.grid.shape))

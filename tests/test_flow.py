@@ -257,6 +257,92 @@ class TestBrinkman:
         assert factorizations == [] and space.system is None
 
 
+ETA_LADDER = (1e-4, 1e-2, 5e-2, 0.5)
+
+
+def wall_symbol_everywhere(system):
+    """The system with the compact wall model on every cell."""
+    return system._replace(band=np.ones_like(system.band))
+
+
+def schur_matrix(system, grid):
+    """Dense Schur operator ``-div K^-1 G + C``, one apply per column."""
+    ops = mchb.flow._flow_operators(grid)
+    cols = []
+    for z in np.eye(grid.ncells):
+        dv = system.k_lu.solve(-np.concatenate([ops.gx_d @ z, ops.gy_d @ z]))
+        cols.append(ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel()
+                    + system.correction @ z)
+    return np.array(cols).T
+
+
+def preconditioned_eigenvalues(system, S):
+    pre = np.array([system.precondition(z) for z in np.eye(len(S))]).T
+    return np.linalg.eigvals(pre @ S)
+
+
+class TestSchurPreconditioner:
+    @pytest.mark.parametrize("eta", ETA_LADDER)
+    def test_spectrum_in_the_right_half_plane(self, eta):
+        grid = Grid(16, 16, 1.0, 1.0)
+        visc = np.full(grid.shape, eta)
+        system = mchb.flow._brinkman_system(grid, visc, visc, 1.0)
+        S = schur_matrix(system, grid)
+        got = preconditioned_eigenvalues(system, S)
+        ref = preconditioned_eigenvalues(wall_symbol_everywhere(system), S)
+        # the interior symbol alone put the wall modes near -0.1 +- 0.8i
+        assert got.real.min() >= 0.5
+
+        def outside(ev):
+            return int(((ev.real < 0.5) | (ev.real > 2.0)).sum())
+
+        # 136 against 187 at eta = 1e-2; none at 1e-4
+        assert outside(got) < outside(ref) or outside(ref) == 0
+
+    @pytest.mark.parametrize("grid", [Grid(16, 16, 1.0, 1.0),
+                                      Grid(24, 16, 1.0, 1.7)])
+    def test_band_is_where_the_stabilization_leaves_its_interior_row(self,
+                                                                     grid):
+        eta, lam = np.full(grid.shape, 0.05), np.full(grid.shape, 0.02)
+        system = mchb.flow._brinkman_system(grid, eta, lam, 1.0)
+        C = system.correction.tocsr()
+
+        def row(j, i):
+            r = C.getrow(j * grid.nx + i)
+            return {(c // grid.nx - j, c % grid.nx - i): v
+                    for c, v in zip(r.indices, r.data) if v != 0.0}
+
+        centre = row(grid.ny // 2, grid.nx // 2)
+        differs = np.array([[row(j, i) != centre for i in range(grid.nx)]
+                            for j in range(grid.ny)])
+        assert_array_equal(system.band, differs)
+        frame = np.ones(grid.shape, dtype=bool)
+        frame[4:-4, 4:-4] = False
+        assert_array_equal(system.band, frame)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_cold_solves_take_no_more_sweeps(self, monkeypatch, n):
+        grid = Grid(n, n, 1.0, 1.0)
+        _, _, s_v, force = manufactured(grid)
+        x, y = grid.cell_centers()
+        variable = 0.05 * (1.0 + 0.5 * np.cos(np.pi * x) * np.cos(np.pi * y))
+        cases = [(variable, 0.5 * variable)] + [
+            (np.full(grid.shape, eta),) * 2 for eta in ETA_LADDER]
+        opts = BrinkmanOptions(tol=1e-10)
+
+        def sweeps():
+            return [solve_brinkman(force, s_v, eta, lam, 1.0, grid,
+                                   opts).iterations for eta, lam in cases]
+
+        got = sweeps()
+        build = mchb.flow._brinkman_system
+        monkeypatch.setattr(mchb.flow, "_brinkman_system",
+                            lambda *a: wall_symbol_everywhere(build(*a)))
+        ref = sweeps()
+        assert all(a <= b for a, b in zip(got, ref)), (got, ref)
+        assert sum(got) < sum(ref)
+
+
 def count_factorizations(monkeypatch):
     calls = []
     orig = spla.splu
@@ -402,6 +488,8 @@ class TestBrinkmanSystemReuse:
         assert not serial.partial and not threaded.partial
         assert_array_equal(threaded.velocity_gaps, serial.velocity_gaps)
         assert_array_equal(threaded.darcy_residuals, serial.darcy_residuals)
+        assert threaded.sweeps == serial.sweeps
+        assert all(k >= 1 for k in serial.sweeps)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_keeps_the_levels_before_a_failure(self, monkeypatch, jobs):
@@ -421,6 +509,7 @@ class TestBrinkmanSystemReuse:
         assert got.partial and not full.partial
         assert got.eta_levels == [1e-1, 1e-2]
         assert got.velocity_gaps == full.velocity_gaps
+        assert got.sweeps == full.sweeps
 
 
 def darcy_limit_stepper(n=32):

@@ -6,7 +6,7 @@ import json
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,10 @@ from mchb.io_formats import (MAGIC, read_csv_report, read_field_dump,
 from mchb.parameters import (ConfigError, ModelParameters, ScenarioConfig,
                              build_default_scenario, load_config,
                              serialize_config)
+import mchb.cli
 from mchb.cli import main
+from mchb.flow import FlowSolverError
+from mchb.stepping import TimeStepper
 
 
 def run_cli(args, env=None):
@@ -233,6 +236,43 @@ class TestSweepCli:
         assert len(lines) == 3
         gaps = [float(line.split(",")[1]) for line in lines[1:]]
         assert gaps[0] > gaps[1]
+        printed = res.stdout.strip().splitlines()
+        assert len(printed) == 2
+        for line in printed:
+            key, _, count = line.split()[-1].partition("=")
+            assert key == "sweeps" and int(count) >= 1, line
+
+    def test_failed_snapshot_step_aborts_in_one_line(self, tmp_path, capsys):
+        # one phase update does not reach tol_ch on the 16x16 preset
+        cfg = replace(build_default_scenario("darcy-limit"), grid_nx=16,
+                      grid_ny=16, max_nonlinear_iter=1)
+        path = tmp_path / "c.json"
+        path.write_text(serialize_config(cfg))
+        out = tmp_path / "out"
+        assert main(["sweep-darcy", "--config", str(path),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep aborted: phase solve stalled")
+        assert err.count("\n") == 1
+        assert not (out / "sweep_darcy.csv").exists()
+
+    @pytest.mark.parametrize("error", [FlowSolverError, FloatingPointError])
+    def test_snapshot_solver_errors_abort(self, tmp_path, capsys, monkeypatch,
+                                          error):
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(TimeStepper, "step", failing)
+        assert main(["sweep-darcy", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "sweep aborted: injected\n"
+
+    def test_negative_snapshot_steps_rejected(self, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr(mchb.cli, "frozen_snapshot", None)
+        assert main(["sweep-darcy", "--snapshot-steps", "-1",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: snapshot steps must be nonnegative")
 
 
 class TestExitCodes:

@@ -642,15 +642,17 @@ class TestStepWork:
                    for name in ("korteweg_force", "advective_divergence")]
         targets += [(cst, name) for name in ("chemical_energy", "mobility",
                                              "source_phase", "source_nutrient",
+                                             "source_healthy",
                                              "source_velocity")]
         calls = [counting(monkeypatch, owner, name) for owner, name in targets]
         st.step(s1, cfg.dt)
         counts = Counter(name for c in calls for name in c)
         assert counts.pop("chemical_energy") == 2
+        # the volume source is summed from the phase source, not re-evaluated
         src = int(cfg.sources_enabled)
         assert counts == Counter(korteweg_force=1, advective_divergence=4,
-                                 source_phase=src,
-                                 source_nutrient=src, source_velocity=src)
+                                 source_phase=src, source_nutrient=src,
+                                 source_healthy=src)
 
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
