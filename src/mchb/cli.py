@@ -19,8 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import verification
 from .flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
                    solve_brinkman, solve_darcy)
@@ -126,8 +124,7 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
     opts = BrinkmanOptions(tol=tol)
 
     def level(eta):
-        eta_f = np.full(grid.shape, eta)
-        res = solve_brinkman(force, s_v, eta_f, eta_f, nu, grid, opts)
+        res = solve_brinkman(force, s_v, eta, eta, nu, grid, opts)
         gap = l2_norm(res.v - reference.v, grid)
         dres = darcy_residual(res.v, res.p, force, nu, grid)
         return gap, dres, res.iterations

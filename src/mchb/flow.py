@@ -36,12 +36,13 @@ restart.  The inner velocity subproblems
 reuse one sparse factorization of the fixed SPD momentum operator, a
 symmetric-mode LU (minimum-degree ordering of the symmetric pattern,
 diagonal pivots) with about two thirds of the fill of a general
-column-ordered LU.  That operator depends only on the viscosity fields, so
-the caller's ``UzawaSpace`` keeps its factorization next to the directions
-and rebuilds both only when the fields, the grid or ``nu`` change: one LU
-per live stepper, and steppers with different viscosities never evict each
-other.  A call without a space builds its own system, so it is cold and
-shares nothing with concurrent calls.
+column-ordered LU.  The viscosities are the numbers ``eta`` and ``lambda``
+(assumption A3 asks only for their bounds), so that operator depends only on
+them, the grid and ``nu``.  The caller's ``UzawaSpace`` keeps its
+factorization next to the directions and rebuilds both only when one of
+these changes: one LU per live stepper, and steppers with different
+viscosities never evict each other.  A call without a space builds its own
+system, so it is cold and shares nothing with concurrent calls.
 """
 
 from __future__ import annotations
@@ -180,17 +181,16 @@ def darcy_residual(v: np.ndarray, p: np.ndarray, force: np.ndarray,
     return l2_norm(ops.grad_pressure(p) + nu * v - force, grid)
 
 
-def _velocity_operator(grid: Grid, eta: np.ndarray, lam: np.ndarray,
+def _velocity_operator(grid: Grid, eta: float, lam: float,
                        nu: float) -> sp.csr_matrix:
     """Symmetric PSD viscous form plus nu I on the stacked (u, v) vector."""
     ops = _flow_operators(grid)
-    de = sp.diags(eta.ravel())
-    dl = sp.diags(lam.ravel())
     dx, dy = ops.dx_e, ops.dy_e
-    k_uu = 2.0 * dx.T @ de @ dx + dy.T @ de @ dy + dx.T @ dl @ dx
-    k_vv = 2.0 * dy.T @ de @ dy + dx.T @ de @ dx + dy.T @ dl @ dy
-    k_uv = dy.T @ de @ dx + dx.T @ dl @ dy
-    k_vu = dx.T @ de @ dy + dy.T @ dl @ dx
+    xx, yy, xy = dx.T @ dx, dy.T @ dy, dx.T @ dy
+    k_uu = 2.0 * eta * xx + eta * yy + lam * xx
+    k_vv = 2.0 * eta * yy + eta * xx + lam * yy
+    k_uv = eta * xy.T + lam * xy
+    k_vu = eta * xy + lam * xy.T
     k = sp.bmat([[k_uu, k_uv], [k_vu, k_vv]], format="csr")
     return (k + nu * sp.identity(2 * grid.ncells, format="csr")).tocsr()
 
@@ -229,10 +229,10 @@ def _wall_band(grid: Grid, correction: sp.csr_matrix) -> np.ndarray:
     return (stencil != centre).any(axis=(1, 2)).reshape(grid.shape)
 
 
-@lru_cache(maxsize=8)
-def _schur_model(grid: Grid, eta: float, lam: float,
-                 nu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sine-basis Schur preconditioner of uniform viscosities ``eta``, ``lam``.
+def _schur_model(grid: Grid, eta: float, lam: float, nu: float,
+                 correction: sp.csr_matrix
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sine-basis Schur preconditioner of the viscosities ``eta``, ``lam``.
 
     Returns ``(interior, wall, band)``.  ``interior`` is the symbol of the
     collocated operator away from the walls: per axis the Dirichlet modes
@@ -244,9 +244,9 @@ def _schur_model(grid: Grid, eta: float, lam: float,
     weights ``d`` of K's interior viscous diagonals.  Next to the walls the
     first-order traction-free rows break that symbol, and modes localized
     there would get eigenvalues near ``-0.1 +- 0.8i``; ``band`` marks those
-    cells (the rows of the uniform-viscosity stabilization that differ from
-    the interior row, 4 layers per wall), where the preconditioner uses the
-    compact model ``wall = lc / (nu + (2 eta + lam) lc)`` instead.
+    cells (the rows of the system's stabilization ``correction`` that differ
+    from the interior row, 4 layers per wall), where the preconditioner uses
+    the compact model ``wall = lc / (nu + (2 eta + lam) lc)`` instead.
     """
     eta_hat = 2.0 * eta + lam
 
@@ -262,12 +262,7 @@ def _schur_model(grid: Grid, eta: float, lam: float,
     interior = lw / (nu + eta_hat * lw) + (lc_x - lw_x)[None, :] / d_x \
         + (lc_y - lw_y)[:, None] / d_y
     wall = lc / (nu + eta_hat * lc)
-    kdiag = _velocity_operator(grid, np.full(grid.shape, eta),
-                               np.full(grid.shape, lam), nu).diagonal()
-    band = _wall_band(grid, _rhie_chow(grid, kdiag, nu))
-    for a in (interior, wall, band):
-        a.flags.writeable = False
-    return interior, wall, band
+    return interior, wall, _wall_band(grid, correction)
 
 
 class _BrinkmanSystem(NamedTuple):
@@ -288,7 +283,7 @@ class _BrinkmanSystem(NamedTuple):
         return z.ravel()
 
 
-def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
+def _brinkman_system(grid: Grid, eta: float, lam: float,
                      nu: float) -> _BrinkmanSystem:
     """Build everything a Brinkman solve needs apart from its right-hand side."""
     K = _velocity_operator(grid, eta, lam, nu)
@@ -298,17 +293,23 @@ def _brinkman_system(grid: Grid, eta: np.ndarray, lam: np.ndarray,
     k_lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     correction = _rhie_chow(grid, K.diagonal(), nu)
-    # viscosity fields enter the model through their means
-    model = _schur_model(grid, float(eta.mean()), float(lam.mean()), nu)
-    return _BrinkmanSystem(K, k_lu, correction, *model)
+    return _BrinkmanSystem(K, k_lu, correction,
+                           *_schur_model(grid, eta, lam, nu, correction))
+
+
+def _viscosity_number(a: np.ndarray, grid: Grid) -> float:
+    """A viscosity given as a number or as a uniform field over ``grid``."""
+    if a.ndim and (a.shape != grid.shape or a.min() != a.max()):
+        raise ValueError(f"a viscosity field must be uniform over the "
+                         f"{grid.ny}x{grid.nx} grid")
+    return float(a.flat[0])
 
 
 class UzawaSpace:
     """What a Brinkman solve reuses across solves: its system and directions.
 
-    The factorized system is kept for the key ``(grid, eta, lam, nu)``, with
-    copies of ``eta`` and ``lam`` compared exactly, so a run's constant
-    viscosity is factorized once and an in-place change rebuilds.  Rows
+    The factorized system is kept for the key ``(grid, eta, lam, nu)`` of
+    numbers, so a run's viscosities are factorized once.  Rows
     ``Z[:k]`` are pressure directions and ``W[:k] = S Z[:k]`` their images
     under the Schur operator ``S`` of that system; ``W[:k]`` is orthonormal.
     ``S`` depends only on the key, so directions found for one right-hand
@@ -327,26 +328,24 @@ class UzawaSpace:
     def clear(self) -> None:
         self.k = 0
 
-    def system_for(self, grid: Grid, eta: np.ndarray, lam: np.ndarray,
+    def system_for(self, grid: Grid, eta: float, lam: float,
                    nu: float) -> _BrinkmanSystem:
         """The kept system if the key matches, else a new one on an empty space."""
-        if self.key is not None:
-            grid0, eta0, lam0, nu0 = self.key
-            if (grid0 == grid and nu0 == nu and np.array_equal(eta0, eta)
-                    and np.array_equal(lam0, lam)):
-                return self.system
+        key = (grid, eta, lam, nu)
+        if self.key == key:
+            return self.system
         # release the old LU before the new one exists
         self.key = self.system = None
         self.Z = np.empty((MAX_DIRECTIONS, grid.ncells))
         self.W = np.empty((MAX_DIRECTIONS, grid.ncells))
         self.k = 0
         self.system = _brinkman_system(grid, eta, lam, nu)
-        self.key = (grid, eta.copy(), lam.copy(), nu)
+        self.key = key
         return self.system
 
 
-def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
-                   lam: np.ndarray, nu: float, grid: Grid,
+def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
+                   lam: float, nu: float, grid: Grid,
                    opts: BrinkmanOptions | None = None,
                    p0: np.ndarray | None = None,
                    space: UzawaSpace | None = None) -> FlowResult:
@@ -358,10 +357,12 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
     the tolerance.  ``space`` keeps the factorized system and the search
     directions of earlier solves and receives this solve's; a solve that
     raises leaves its directions empty.  Without it the call builds and
-    factorizes its own system, so it is cold and shares nothing.  Viscosities
-    outside assumption A3 raise ``ValueError``, non-finite ``force`` or ``s_v``
-    raises ``FlowSolverError`` and zero data returns the exact ``v = 0``,
-    ``p = 0``; none of these builds anything.
+    factorizes its own system, so it is cold and shares nothing.  Each
+    viscosity is a number, or a uniform field over the grid that stands for
+    its value.  A non-uniform field or a viscosity outside assumption A3
+    raises ``ValueError``, non-finite ``force`` or ``s_v`` raises
+    ``FlowSolverError`` and zero data returns the exact ``v = 0``, ``p = 0``;
+    none of these builds anything.
     """
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
@@ -373,13 +374,13 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: np.ndarray,
                              f"fit the {grid.ny}x{grid.nx} grid")
         if not np.isfinite(p0).all():
             raise ValueError("initial pressure is not finite")
-    eta = np.broadcast_to(np.asarray(eta, dtype=float), grid.shape)
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), grid.shape)
+    eta, lam = np.asarray(eta, dtype=float), np.asarray(lam, dtype=float)
     # assumption A3: finite viscosities with eta > 0 and lam >= 0
     if not (np.isfinite(eta).all() and eta.min() > 0):
         raise ValueError("shear viscosity must be finite and positive")
     if not (np.isfinite(lam).all() and lam.min() >= 0):
         raise ValueError("bulk viscosity must be finite and nonnegative")
+    eta, lam = _viscosity_number(eta, grid), _viscosity_number(lam, grid)
     norms = (l2_norm(force, grid) / nu, l2_norm(s_v, grid))
     if not np.isfinite(norms).all():
         raise FlowSolverError("Brinkman force or volume source is not finite")

@@ -16,9 +16,9 @@ Boundary closures are ghost-cell based, all defined in ``_ghost``:
   boundary condition (velocities, assembled forces),
 * ``Robin``        flux closure ``c dfdn = k (target - f)`` at the face.
 
-The sparse stencils (``cell_gradient_matrix`` and the face matrices of the
-flow solves) are derived from the same ghost closures, so each closure has
-one definition.
+The sparse stencils (``cell_gradient_matrix``, the face matrices of the
+flow solves and the wall rows of ``fv_diffusion_matrix``) are derived from
+the same ghost closures, so each closure has one definition.
 """
 
 from __future__ import annotations
@@ -296,57 +296,42 @@ def cell_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
         @ _pad_1d(n, bc, h)) * (1.0 / h))
 
 
-def robin_face_coefficient(k: float, diffusivity, h: float):
-    """Effective Robin transfer coefficient once the ghost cell is eliminated."""
-    return k / (1.0 + k * h / (2.0 * diffusivity))
+def _wall_closure(bc: BC, h: float) -> tuple[float, float]:
+    """``(w, g0)`` of a two-point closure, ``ghost = w edge + g0``."""
+    g0 = float(_ghost(0.0, 0.0, 0.0, bc, h))
+    w = _ghost(*np.eye(3), bc, h) - g0
+    if w[1] != 0.0 or w[2] != 0.0:
+        raise TypeError(f"the closure {bc!r} reads past the edge layer")
+    return float(w[0]), g0
 
 
-def fv_diffusion_matrix(grid: Grid, bc: BC, coeff_x=None, coeff_y=None):
-    """Assemble ``u -> -div(c grad u)`` in flux form; returns (matrix, rhs).
+def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
+    """Assemble ``u -> -div(coeff grad u)`` in flux form; returns (matrix, rhs).
 
-    ``coeff_x``/``coeff_y`` are face coefficient arrays of shapes
-    ``(ny, nx+1)`` and ``(ny+1, nx)`` (default 1).  The rhs carries the
-    inhomogeneous Robin contribution; it is zero for the other closures.
+    A wall face closes through the ghost ``w edge + g0`` of ``bc``: it adds
+    ``coeff (1 - w) / h**2`` to the diagonal and ``coeff g0 / h**2`` to the
+    rhs, which is zero but for the Robin closure.
     """
     ny, nx = grid.ny, grid.nx
-    hx, hy = grid.hx, grid.hy
-    cx = np.ones((ny, nx + 1)) if coeff_x is None else np.asarray(coeff_x, dtype=float)
-    cy = np.ones((ny + 1, nx)) if coeff_y is None else np.asarray(coeff_y, dtype=float)
     n = grid.ncells
     idx = np.arange(n).reshape(ny, nx)
     diag = np.zeros((ny, nx))
-    rows, cols, vals = [], [], []
     rhs = np.zeros((ny, nx))
-
-    tx = cx[:, 1:-1] / hx**2
-    diag[:, :-1] += tx
-    diag[:, 1:] += tx
-    rows.append(idx[:, :-1].ravel()); cols.append(idx[:, 1:].ravel()); vals.append(-tx.ravel())
-    rows.append(idx[:, 1:].ravel()); cols.append(idx[:, :-1].ravel()); vals.append(-tx.ravel())
-
-    ty = cy[1:-1, :] / hy**2
-    diag[:-1, :] += ty
-    diag[1:, :] += ty
-    rows.append(idx[:-1, :].ravel()); cols.append(idx[1:, :].ravel()); vals.append(-ty.ravel())
-    rows.append(idx[1:, :].ravel()); cols.append(idx[:-1, :].ravel()); vals.append(-ty.ravel())
-
-    walls = [
-        (np.s_[:, 0], cx[:, 0], hx),
-        (np.s_[:, -1], cx[:, -1], hx),
-        (np.s_[0, :], cy[0, :], hy),
-        (np.s_[-1, :], cy[-1, :], hy),
-    ]
-    if isinstance(bc, Dirichlet):
-        for sl, cw, h in walls:
-            diag[sl] += 2.0 * cw / h**2
-    elif isinstance(bc, Robin):
-        for sl, cw, h in walls:
-            kt = robin_face_coefficient(bc.k, cw, h)
-            diag[sl] += kt / h
-            rhs[sl] += kt * bc.target / h
-    elif not isinstance(bc, Neumann):
-        raise TypeError(f"unsupported closure for diffusion assembly: {bc!r}")
-
+    rows, cols, vals = [], [], []
+    for lo, hi, h in ((np.s_[:, :-1], np.s_[:, 1:], grid.hx),
+                      (np.s_[:-1, :], np.s_[1:, :], grid.hy)):
+        t = coeff / h**2
+        diag[lo] += t
+        diag[hi] += t
+        a, b = idx[lo].ravel(), idx[hi].ravel()
+        rows += [a, b]
+        cols += [b, a]
+        vals += [np.full(a.size, -t)] * 2
+    for sl, h in ((np.s_[:, 0], grid.hx), (np.s_[:, -1], grid.hx),
+                  (np.s_[0, :], grid.hy), (np.s_[-1, :], grid.hy)):
+        w, g0 = _wall_closure(bc, h)
+        diag[sl] += coeff * (1.0 - w) / h**2
+        rhs[sl] += coeff * g0 / h**2
     rows.append(idx.ravel()); cols.append(idx.ravel()); vals.append(diag.ravel())
     mat = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

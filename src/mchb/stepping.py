@@ -190,8 +190,7 @@ class TimeStepper:
         # wall closure; the coupling part is the Neumann Laplacian
         chi = self.bundle.chem.chi_sigma
         self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
-            g, diag.nutrient_bc(self.bundle), np.full((g.ny, g.nx + 1), chi),
-            np.full((g.ny + 1, g.nx), chi))
+            g, diag.nutrient_bc(self.bundle), chi)
         # (dt, I/dt + nutrient matrix) of the last nutrient solve
         self._nutrient_system: tuple | None = None
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
@@ -199,18 +198,17 @@ class TimeStepper:
         # (history, sigma, free energy) of the state the last step returned;
         # history holds (t, phi) of it and of up to two states before it
         self._carry: tuple | None = None
-        # start of the phase solve in progress; None starts from phi^n
-        self._phase_start: np.ndarray | None = None
 
     # -- phase-field update -------------------------------------------------
 
     def _ch_solve(self, phi_n: np.ndarray, rhs0: np.ndarray,
-                  const_mu_part: np.ndarray, dt: float):
+                  const_mu_part: np.ndarray, dt: float,
+                  start: np.ndarray | None):
         """Per-component implicit solve for (phi, mu) at the new time level.
 
-        Each component starts from ``_phase_start`` (phi_n when it is None)
-        and takes up to ``max_nonlinear_iter`` updates; the residual is
-        checked after every one of them.
+        Each component starts from ``start`` (phi_n when it is None) and
+        takes up to ``max_nonlinear_iter`` updates; the residual is checked
+        after every one of them.
         """
         m = self.config.model
         pot = self.bundle.potential
@@ -226,7 +224,7 @@ class TimeStepper:
         lam = self._neu_symbol
         shape = self.grid.shape
         n = self.grid.ncells
-        start = phi_n if self._phase_start is None else self._phase_start
+        start = phi_n if start is None else start
         # R^ = lin x^ + dt gamma/eps lam DCT(psi'_dw(x)) + b^: the linear
         # part s0 x of the convex gradient sits in lin
         lin = 1.0 + dt * lam * (ge * lam + gi * pot.split_shift)
@@ -361,11 +359,11 @@ class TimeStepper:
                 if t_last == state.t:
                     history = kept
         history = history or ((state.t, state.phi.copy()),)
-        self._phase_start = extrapolate(history, state.t + dt)
         # overflow ends the step as a FloatingPointError the run loop retries
         with np.errstate(over="raise", invalid="raise"):
             phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
-                state.phi, rhs0, const_mu, dt)
+                state.phi, rhs0, const_mu, dt,
+                extrapolate(history, state.t + dt))
 
         sigma_new, nutrient_iters = self._nutrient_solve(
             state.sigma, phi_new, conv_sigma, terms.s_sigma, dt)

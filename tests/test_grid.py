@@ -79,13 +79,16 @@ class TestOperators:
     def test_robin_matrix_matches_face_operator(self, grid):
         bc = Robin(k=2.0, target=1.5, diffusivity=0.7)
         f = rand_field(grid, bc=bc, seed=4)
-        a_rob, rhs = fv_diffusion_matrix(grid, bc,
-                                         np.full((grid.ny, grid.nx + 1), 0.7),
-                                         np.full((grid.ny + 1, grid.nx), 0.7))
+        a_rob, rhs = fv_diffusion_matrix(grid, bc, 0.7)
         via_matrix = (a_rob @ f.data.ravel() - rhs).reshape(grid.shape)
         fv = face_gradient(f)
         via_faces = -face_divergence(FaceVector(0.7 * fv.gx, 0.7 * fv.gy, grid))
         assert np.allclose(via_matrix, via_faces, atol=1e-11)
+
+    def test_extrapolated_closure_has_no_diffusion_rows(self, grid):
+        # its ghost reads the second and third layers, not only the edge
+        with pytest.raises(TypeError):
+            fv_diffusion_matrix(grid, EXTRAPOLATE)
 
 
 class TestBoundaryClosures:

@@ -84,8 +84,7 @@ class ReferenceImplicit:
         k = bundle.sources.k_boundary
         bc = Robin(k=k, target=bundle.sources.sigma_gamma,
                    diffusivity=chi) if k > 0 else NEUMANN
-        self.a_rob, self.rhs_rob = fv_diffusion_matrix(
-            g, bc, np.full((g.ny, g.nx + 1), chi), np.full((g.ny + 1, g.nx), chi))
+        self.a_rob, self.rhs_rob = fv_diffusion_matrix(g, bc, chi)
 
     def step(self, state: StateFields, dt: float) -> StateFields:
         st, g = self.st, self.st.grid
@@ -137,10 +136,10 @@ class ChordReference(TimeStepper):
 
     Each component factorizes the Jacobian of its residual at the step's
     starting state once (sparse LU) and reuses it until the residual meets
-    the stepper's stopping test.
+    the stepper's stopping test.  It starts from phi^n and ignores ``start``.
     """
 
-    def _ch_solve(self, phi_n, rhs0, const_mu_part, dt):
+    def _ch_solve(self, phi_n, rhs0, const_mu_part, dt, start):
         m = self.config.model
         pot = self.bundle.potential
         ge, gi = m.gamma * m.epsilon, m.gamma / m.epsilon
@@ -468,9 +467,9 @@ class TestStartGuess:
         starts = []
         solve = TimeStepper._ch_solve
 
-        def recording(self, *args):
-            starts.append(self._phase_start)
-            return solve(self, *args)
+        def recording(self, phi_n, rhs0, const_mu, dt, start):
+            starts.append(start)
+            return solve(self, phi_n, rhs0, const_mu, dt, start)
 
         monkeypatch.setattr(TimeStepper, "_ch_solve", recording)
         return starts
