@@ -279,8 +279,14 @@ def velocity_source_bound(spec: SourceSpec) -> float:
 
 
 def _poly_sup(r: float) -> float:
-    grid = np.linspace(-r - 1.0, 2.0 + r, 2001)
-    return float(interface_polynomial(grid, r)[1].max()) + 1e-12
+    """``sup_s p(h_r(s)) = p(2 + r)``, approached as ``s -> +infinity``.
+
+    ``h_r`` maps the line onto ``(-1 - r, 2 + r)``.  ``p`` is even, at most
+    4/27 on [-1, 1] and increasing in ``|x|`` beyond, so its supremum on
+    that interval is its value at the farther end, ``2 + r``.
+    """
+    q = 2.0 + r
+    return q**2 * (1.0 - q**2) ** 2
 
 
 # ---------------------------------------------------------------------------

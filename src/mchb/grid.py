@@ -310,33 +310,39 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
 
     A wall face closes through the ghost ``w edge + g0`` of ``bc``: it adds
     ``coeff (1 - w) / h**2`` to the diagonal and ``coeff g0 / h**2`` to the
-    rhs, which is zero but for the Robin closure.
+    rhs, which is zero but for the Robin closure.  The CSR arrays are built
+    directly, each row in column order south, west, centre, east, north.
     """
     ny, nx = grid.ny, grid.nx
     n = grid.ncells
-    idx = np.arange(n).reshape(ny, nx)
+    tx, ty = coeff / grid.hx**2, coeff / grid.hy**2
     diag = np.zeros((ny, nx))
     rhs = np.zeros((ny, nx))
-    rows, cols, vals = [], [], []
-    for lo, hi, h in ((np.s_[:, :-1], np.s_[:, 1:], grid.hx),
-                      (np.s_[:-1, :], np.s_[1:, :], grid.hy)):
-        t = coeff / h**2
+    for lo, hi, t in ((np.s_[:, :-1], np.s_[:, 1:], tx),
+                      (np.s_[:-1, :], np.s_[1:, :], ty)):
         diag[lo] += t
         diag[hi] += t
-        a, b = idx[lo].ravel(), idx[hi].ravel()
-        rows += [a, b]
-        cols += [b, a]
-        vals += [np.full(a.size, -t)] * 2
     for sl, h in ((np.s_[:, 0], grid.hx), (np.s_[:, -1], grid.hx),
                   (np.s_[0, :], grid.hy), (np.s_[-1, :], grid.hy)):
         w, g0 = _wall_closure(bc, h)
         diag[sl] += coeff * (1.0 - w) / h**2
         rhs[sl] += coeff * g0 / h**2
-    rows.append(idx.ravel()); cols.append(idx.ravel()); vals.append(diag.ravel())
-    mat = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    vals = np.empty((ny, nx, 5))
+    cols = np.empty((ny, nx, 5), dtype=np.int32)
+    keep = np.ones((ny, nx, 5), dtype=bool)
+    idx = np.arange(n, dtype=np.int32).reshape(ny, nx)
+    for k, (val, step, wall) in enumerate(((-ty, -nx, np.s_[0, :]),
+                                           (-tx, -1, np.s_[:, 0]),
+                                           (diag, 0, None),
+                                           (-tx, 1, np.s_[:, -1]),
+                                           (-ty, nx, np.s_[-1, :]))):
+        vals[..., k] = val
+        np.add(idx, step, out=cols[..., k])
+        if wall is not None:
+            keep[wall + (k,)] = False
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+    mat = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
     return mat, rhs.ravel()
 
 

@@ -19,7 +19,6 @@ import math
 import numbers
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,24 +170,22 @@ def build_specs(model: ModelParameters, *, source_variant: str = "linear",
 B_PSI = 1.0  # shift in the coercivity bound psi(p) >= A_psi |p|^2 - B_psi
 
 
-@lru_cache(maxsize=1)
 def potential_coercivity_constant() -> float:
     """Largest A with ``psi(p) + B_PSI >= A |p|^2`` for the double well.
 
-    Sampled minimum of ``(psi + B_PSI)/|p|^2`` over the lattice [-3, 4]^3
-    with step 0.05, combined with the analytic tail bound: outside the box
-    some coordinate has |x| >= 3, where ``x^2 (1-x)^2 >= 4 x^2``, hence the
-    ratio is at least ``(4*9 + B_PSI) / (9 + 27)`` there.
+    The bound is separable: ``psi + B_PSI - A |p|^2 = sum_i g(x_i) + B_PSI``
+    with ``g(x) = x^2 ((1-x)^2 - A)``, and the sum's minimum is three times
+    that of ``g``.  So the bound holds for every ``p`` exactly when
+    ``3 min_x g(x) >= -B_PSI``, that is, when
+    ``A <= f(x) = (1-x)^2 + B_PSI / (3 x^2)`` for every ``x != 0``.  The
+    largest such A is the minimum of ``f``.  As ``f`` tends to infinity at
+    0 and at +-infinity, the minimum sits where ``f'(x) = 0``, at a real
+    root of ``x^4 - x^3 - B_PSI/3`` (x = 1.19522... for B_PSI = 1).  ``f``
+    at the real parts of the other roots is no smaller, so the minimum over
+    all four is A_psi (0.27144754... for B_PSI = 1).
     """
-    axis = np.arange(-3.0, 4.0 + 1e-12, 0.05)
-    f = axis**2 * (1.0 - axis) ** 2
-    q = axis**2
-    psi = f[:, None, None] + f[None, :, None] + f[None, None, :]
-    r2 = q[:, None, None] + q[None, :, None] + q[None, None, :]
-    ratio = np.where(r2 > 0, (psi + B_PSI) / np.where(r2 > 0, r2, 1.0), np.inf)
-    lattice_min = float(ratio.min())
-    tail = (4.0 * 9.0 + B_PSI) / (9.0 + 27.0)
-    return min(lattice_min, tail)
+    roots = np.roots([1.0, -1.0, 0.0, 0.0, -B_PSI / 3.0])
+    return float(min((1.0 - x) ** 2 + B_PSI / (3.0 * x * x) for x in roots.real))
 
 
 def chemical_growth_constant(chem: cst.ChemicalEnergySpec) -> float:
@@ -345,8 +342,9 @@ def validate_assumptions(model: ModelParameters, *,
     else:
         msgs.append(f"A8: epsilon = {model.epsilon:g} < eps_bound = {eps_b:.6g}")
 
-    msgs.append("constants A_psi, C_G, B_S, A_S are conservative sampled/analytic "
-                "stand-ins; the analysis only requires their existence")
+    msgs.append("A_psi and the supremum of p(h_r) in B_S, A_S are exact; C_G, "
+                "B_S, A_S are analytic bounds; the analysis only requires "
+                "their existence")
     return AssumptionReport(passed, a_psi, c_g, eps_b, msgs, [])
 
 

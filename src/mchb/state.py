@@ -66,7 +66,7 @@ def consistent_mu(phi: np.ndarray, sigma: np.ndarray, bundle: SpecBundle,
                   grid: Grid) -> np.ndarray:
     """Chemical potential matching the variational definition at this state."""
     m = bundle.params
-    _, grad, _ = cst.potential_eval(phi)
+    grad = cst.double_well_gradient(phi)
     _, n_phi, _, _ = cst.chemical_energy(phi, sigma, bundle.chem)
     mu = np.empty_like(phi)
     for i in range(phi.shape[0]):

@@ -37,19 +37,35 @@ def _fit_slope(ns, errors) -> float:
     return float(np.polyfit(h, e, 1)[0])
 
 
+def _axes(grid: Grid):
+    """Cell-centre coordinates: a row ``x[None, :]``, a column ``y[:, None]``.
+
+    The manufactured fields are products of one-axis factors, so each factor
+    is evaluated on its axis and the products broadcast to the grid.
+    """
+    x = (np.arange(grid.nx) + 0.5) * grid.hx
+    y = (np.arange(grid.ny) + 0.5) * grid.hy
+    return x[None, :], y[:, None]
+
+
+def _on_grid(*fields) -> np.ndarray:
+    """Stack one-axis or full fields into one ``(k, ny, nx)`` array."""
+    return np.stack(np.broadcast_arrays(*fields))
+
+
 def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
     """Pressure-Poisson/Darcy solve against sin-sin pressure, smooth velocity."""
     p_errs, v_errs = [], []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = grid.cell_centers()
-        p_star = np.sin(np.pi * x) * np.sin(np.pi * y)
-        vx = np.sin(np.pi * x) * np.cos(np.pi * y)
-        vy = np.cos(np.pi * x) * np.sin(np.pi * y)
-        s_v = 2.0 * np.pi * np.cos(np.pi * x) * np.cos(np.pi * y)
-        gpx = np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-        gpy = np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
-        force = np.stack([gpx + nu * vx, gpy + nu * vy])
+        x, y = _axes(grid)
+        sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+        cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
+        p_star = sx * sy
+        vx = sx * cy
+        vy = cx * sy
+        s_v = 2.0 * np.pi * cx * cy
+        force = np.stack([np.pi * cx * sy + nu * vx, np.pi * sx * cy + nu * vy])
         res = solve_darcy(force, s_v, nu, grid, tol=1e-12)
         p_errs.append(l2_norm(res.p - p_star, grid))
         v_errs.append(l2_norm(np.stack([res.v[0] - vx, res.v[1] - vy]), grid))
@@ -60,16 +76,14 @@ def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
 
 
 def _manufactured_phase(grid: Grid):
-    x, y = grid.cell_centers()
+    x, y = _axes(grid)
     c1 = np.cos(np.pi * x) * np.cos(np.pi * y)
     c2 = np.cos(2.0 * np.pi * x)
     c3 = np.cos(np.pi * y)
-    phi = np.stack([0.4 + 0.2 * c1, 0.3 + 0.15 * c2, 0.2 + 0.1 * c3])
-    lap = np.stack([
-        -0.2 * 2.0 * np.pi**2 * c1,
-        -0.15 * 4.0 * np.pi**2 * c2,
-        -0.1 * np.pi**2 * c3,
-    ])
+    phi = _on_grid(0.4 + 0.2 * c1, 0.3 + 0.15 * c2, 0.2 + 0.1 * c3)
+    lap = _on_grid(-0.2 * 2.0 * np.pi**2 * c1,
+                   -0.15 * 4.0 * np.pi**2 * c2,
+                   -0.1 * np.pi**2 * c3)
     return phi, lap
 
 
@@ -80,7 +94,7 @@ def mms_ch_operator(ns=(32, 64, 128, 256)):
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
         phi, lap = _manufactured_phase(grid)
-        _, grad, _ = cst.potential_eval(phi)
+        grad = cst.double_well_gradient(phi)
         mu_star = -m.gamma * m.epsilon * lap + m.gamma / m.epsilon * grad
         a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
         mu_h = np.stack([
@@ -98,10 +112,11 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256)):
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = grid.cell_centers()
+        x, y = _axes(grid)
         phi, lap_phi = _manufactured_phase(grid)
-        sigma = 1.0 + 0.3 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
-        lap_sigma = -0.3 * 5.0 * np.pi**2 * np.cos(np.pi * x) * np.cos(2.0 * np.pi * y)
+        cx, c2y = np.cos(np.pi * x), np.cos(2.0 * np.pi * y)
+        sigma = 1.0 + 0.3 * cx * c2y
+        lap_sigma = -0.3 * 5.0 * np.pi**2 * cx * c2y
         target = chem.chi_sigma * lap_sigma \
             - sum(chem.coupling[0, l] * lap_phi[l] for l in range(3))
         a_d, _ = fv_diffusion_matrix(grid, NEUMANN)
@@ -118,13 +133,15 @@ def mms_advection(ns=(32, 64, 128, 256)):
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = grid.cell_centers()
-        q = 0.5 + 0.25 * np.cos(np.pi * x) * np.cos(np.pi * y)
-        qx = -0.25 * np.pi * np.sin(np.pi * x) * np.cos(np.pi * y)
-        qy = -0.25 * np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)
-        vx = np.sin(np.pi * x) * np.cos(np.pi * y)
-        vy = -0.5 * np.cos(np.pi * x) * np.sin(np.pi * y)
-        div_v = 0.5 * np.pi * np.cos(np.pi * x) * np.cos(np.pi * y)
+        x, y = _axes(grid)
+        sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+        cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
+        q = 0.5 + 0.25 * cx * cy
+        qx = -0.25 * np.pi * sx * cy
+        qy = -0.25 * np.pi * cx * sy
+        vx = sx * cy
+        vy = -0.5 * cx * sy
+        div_v = 0.5 * np.pi * cx * cy
         target = qx * vx + qy * vy + q * div_v
         got = advective_divergence(Field(q, NEUMANN, grid), vx, vy, div_v)
         errs.append(l2_norm(got - target, grid))

@@ -186,6 +186,18 @@ class TestScalarLaws:
         hr = cst.truncation(s, 1.0)
         assert np.allclose(pr, hr**2 * (1 - hr**2)**2)
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_interface_polynomial_supremum(self, r):
+        # h_r maps onto (-1-r, 2+r); p is even and increasing past |x| = 1
+        q = 2.0 + r
+        sup = q**2 * (1.0 - q**2) ** 2
+        assert cst._poly_sup(r) == sup
+        vals = [cst.interface_polynomial(s, r)[1] for s in (5.0, 10.0, 20.0)]
+        assert all(v <= sup for v in vals)
+        assert vals[-1] == pytest.approx(sup, rel=1e-6)
+        if r == 1.0:
+            assert vals == pytest.approx([569.86, 575.9997, 576.0], abs=5e-3)
+
 
 class TestSources:
     def test_phase_source_vanishes_at_zero(self):

@@ -1,7 +1,10 @@
 """Grid operators: exactness, adjointness, closures, symbols, convection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.fft import dctn, dstn, idctn, idstn
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
@@ -89,6 +92,67 @@ class TestOperators:
         # its ghost reads the second and third layers, not only the edge
         with pytest.raises(TypeError):
             fv_diffusion_matrix(grid, EXTRAPOLATE)
+
+
+def coo_diffusion_matrix(grid, bc, coeff):
+    """Reference flux-form assembly from (row, column, value) triplets."""
+    ny, nx = grid.ny, grid.nx
+    idx = np.arange(grid.ncells).reshape(ny, nx)
+    diag = np.zeros((ny, nx))
+    rhs = np.zeros((ny, nx))
+    rows, cols, vals = [], [], []
+    for lo, hi, h in ((np.s_[:, :-1], np.s_[:, 1:], grid.hx),
+                      (np.s_[:-1, :], np.s_[1:, :], grid.hy)):
+        t = coeff / h**2
+        diag[lo] += t
+        diag[hi] += t
+        a, b = idx[lo].ravel(), idx[hi].ravel()
+        rows += [a, b]
+        cols += [b, a]
+        vals += [np.full(a.size, -t)] * 2
+    for sl, h in ((np.s_[:, 0], grid.hx), (np.s_[:, -1], grid.hx),
+                  (np.s_[0, :], grid.hy), (np.s_[-1, :], grid.hy)):
+        g0 = float(_ghost(0.0, 0.0, 0.0, bc, h))
+        w = float(_ghost(1.0, 0.0, 0.0, bc, h)) - g0
+        diag[sl] += coeff * (1.0 - w) / h**2
+        rhs[sl] += coeff * g0 / h**2
+    rows.append(idx.ravel()); cols.append(idx.ravel()); vals.append(diag.ravel())
+    mat = sp.coo_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(grid.ncells, grid.ncells)).tocsr()
+    return mat, rhs.ravel()
+
+
+class TestDiffusionAssembly:
+    @pytest.mark.parametrize("dims", [(8, 8, 1.0, 1.0), (16, 37, 2.3, 0.7),
+                                      (64, 64, 20.0, 20.0), (256, 8, 1.0, 1.0),
+                                      (256, 256, 1.0, 1.0)])
+    def test_csr_arrays_equal_the_triplet_assembly(self, dims):
+        grid = Grid(*dims)
+        for coeff in (1.0, 0.7, 1e-3):
+            for bc in (NEUMANN, DIRICHLET, Robin(k=0.3, target=1.7,
+                                                  diffusivity=coeff)):
+                mat, rhs = fv_diffusion_matrix(grid, bc, coeff)
+                ref, ref_rhs = coo_diffusion_matrix(grid, bc, coeff)
+                assert mat.has_sorted_indices
+                for got, want in ((mat.data, ref.data),
+                                  (mat.indices, ref.indices),
+                                  (mat.indptr, ref.indptr), (rhs, ref_rhs)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (dims, coeff, bc)
+
+    def test_peak_memory_is_a_small_multiple_of_the_result(self):
+        grid = Grid(256, 256)
+        fv_diffusion_matrix(grid, NEUMANN)
+        tracemalloc.start()
+        try:
+            mat, rhs = fv_diffusion_matrix(grid, NEUMANN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+                    + rhs.nbytes)
+        assert peak <= 2.5 * returned
 
 
 class TestBoundaryClosures:

@@ -177,7 +177,7 @@ class TestCli:
         cfg.write_text(json.dumps({"source_variant": "interfacial"}))
         assert main(["validate", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert "B_S = 6.661e+05" in out and "A_S = 4.441e+05" in out
+        assert "B_S = 1.146e+06" in out and "A_S = 7.639e+05" in out
 
 
 JSON_VALUES = st.recursive(

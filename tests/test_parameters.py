@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import mchb.constitutive as cst
+import mchb.parameters
 from mchb.parameters import (ConfigError, StrictAssumptionError,
                              build_default_scenario, config_from_dict,
                              default_parameters, epsilon_bound, load_config,
@@ -71,6 +75,25 @@ class TestValidator:
         val, _, _ = cst.potential_eval(p)
         assert np.all(val >= a_psi * (p**2).sum(axis=0) - 1.0 - 1e-9)
 
+    def test_coercivity_constant_is_the_infimum(self):
+        # stationary point of (1-x)^2 + 1/(3x^2): the root of x^4 - x^3 - 1/3
+        x = 1.2
+        for _ in range(50):
+            x -= (x**4 - x**3 - 1.0 / 3.0) / (4.0 * x**3 - 3.0 * x**2)
+        assert x == pytest.approx(1.19522, abs=1e-5)
+        a_psi = potential_coercivity_constant()
+        star = np.full((3, 1), x)
+        val = cst.potential_value(star)
+        r2 = (star**2).sum(axis=0)
+        assert (val + 1.0) / r2 == pytest.approx(a_psi, rel=0.0, abs=1e-12)
+        rng = np.random.default_rng(8)
+        near = star + rng.uniform(-1e-3, 1e-3, size=(3, 4000))
+        lin = np.linspace(-1e-3, 1e-3, 21)
+        cube = star + np.stack([g.ravel() for g in np.meshgrid(lin, lin, lin)])
+        for p in (star, near, cube):
+            margin = cst.potential_value(p) + 1.0 - a_psi * (p**2).sum(axis=0)
+            assert margin.min() >= -1e-12
+
     def test_validation_idempotent(self):
         m = default_parameters()
         r1 = validate_assumptions(m)
@@ -80,6 +103,19 @@ class TestValidator:
 
 
 class TestPresets:
+    def test_building_a_preset_allocates_little(self):
+        # no cached state may carry an earlier call's allocations
+        for obj in vars(mchb.parameters).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+        tracemalloc.start()
+        try:
+            build_default_scenario("zero-source")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_zero_source_preset(self):
         cfg = build_default_scenario("zero-source")
         assert cfg.sources_enabled is False

@@ -1,4 +1,4 @@
-"""The benchmark's final check of darcy-limit-64 passes on the current API."""
+"""The benchmark's checks of darcy-limit-64 and mms-ladder pass on the current API."""
 
 import sys
 from dataclasses import replace
@@ -23,3 +23,12 @@ def test_darcy_limit_check_passes_after_a_run():
     summary = stepper.run(state=build_initial_state(cfg, stepper.bundle))
     assert not summary.aborted
     assert workloads.darcy_limit_check(summary.state, stepper.bundle) == []
+
+
+def test_mms_ladder_round_passes_its_check(tmp_path):
+    ladder = workloads.make("mms-ladder", 0, tmp_path)
+    ladder.run_round()
+    assert [s.name for s in ladder.studies] == [
+        "darcy-pressure", "darcy-velocity", "ch-operator",
+        "nutrient-operator", "advective-divergence"]
+    assert ladder.check_round() == []
