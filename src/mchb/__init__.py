@@ -3,7 +3,7 @@
 from .grid import (Grid, Field, FaceVector, Neumann, Dirichlet, Extrapolate,
                    Robin, inner_product, advective_divergence)
 from .constitutive import (PotentialSpec, ChemicalEnergySpec, SourceSpec,
-                           ViscositySpec, potential_eval,
+                           potential_eval,
                            potential_split, chemical_energy,
                            saturating_proliferation, truncation,
                            interface_polynomial, source_phase, source_nutrient,

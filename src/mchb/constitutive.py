@@ -3,7 +3,7 @@
 Everything in this module is closed-form algebra: the componentwise
 double-well potential and its convex split, the quadratic-minus-affine
 chemical free energy, the saturating proliferation law, truncations, the
-phase/nutrient/velocity source terms, mobilities and viscosities.  Functions
+phase/nutrient/velocity source terms and the mobilities.  Functions
 broadcast over trailing axes, so they evaluate equally on single points
 (shape ``(L,)``) and on field stacks (shape ``(L, ny, nx)``).
 
@@ -72,14 +72,6 @@ class SourceSpec:
     def __post_init__(self):
         if self.variant not in ("linear", "interfacial"):
             raise ValueError(f"unknown source variant {self.variant!r}")
-
-
-@dataclass(frozen=True)
-class ViscositySpec:
-    """Constant shear/bulk viscosity levels."""
-
-    eta0: float
-    lambda0: float
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +188,18 @@ def interface_polynomial(s, r: float):
 # ---------------------------------------------------------------------------
 # source terms
 
-def _lambda_phase(p: np.ndarray, s: np.ndarray, spec: SourceSpec) -> np.ndarray:
-    s0 = s[0]
+def _proliferation(s: np.ndarray, spec: SourceSpec):
+    return saturating_proliferation(s[0], spec.rate_p, spec.c_p)
+
+
+def _lambda_phase(p: np.ndarray, pr, spec: SourceSpec) -> np.ndarray:
+    """``Lambda_phi`` given the proliferation response ``pr``."""
     if spec.variant == "linear":
-        pr = saturating_proliferation(s0, spec.rate_p, spec.c_p)
         return np.stack([
             truncation(p[0], spec.r) * pr - spec.rate_q * p[0],
             spec.rate_q * p[0] - spec.rate_a * p[1],
             spec.rate_a * p[1] - spec.rate_d * truncation(p[2], spec.r),
         ])
-    pr = saturating_proliferation(s0, spec.rate_p, spec.c_p)
     inv_eps = 1.0 / spec.epsilon
     return np.stack([
         inv_eps * interface_polynomial(p[0], spec.r)[1] * (pr - spec.rate_q),
@@ -214,10 +208,24 @@ def _lambda_phase(p: np.ndarray, s: np.ndarray, spec: SourceSpec) -> np.ndarray:
     ])
 
 
-def source_phase(p, s, m, spec: SourceSpec) -> np.ndarray:
-    """Phase source ``Lambda_phi(p, s)``; ``m`` is unused since theta = 0."""
-    return _lambda_phase(np.asarray(p, dtype=float), np.asarray(s, dtype=float),
-                         spec)
+def _healthy(p: np.ndarray, pr, spec: SourceSpec):
+    """``S_healthy`` given the proliferation response ``pr``."""
+    if spec.variant == "linear":
+        return -spec.kappa * pr * truncation(p[0], spec.r)
+    return np.zeros(np.broadcast(p[0], pr).shape)
+
+
+def source_phase(p, s, m, spec: SourceSpec, *, with_velocity: bool = False):
+    """Phase source ``Lambda_phi(p, s)``; ``m`` is unused since theta = 0.
+
+    With ``with_velocity`` the volume source of ``source_velocity`` follows
+    as a second item, from the same evaluation of the proliferation law.
+    """
+    p = np.asarray(p, dtype=float)
+    pr = _proliferation(np.asarray(s, dtype=float), spec)
+    lam = _lambda_phase(p, pr, spec)
+    return (lam, lam.sum(axis=0) + _healthy(p, pr, spec)) if with_velocity \
+        else lam
 
 
 def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
@@ -235,19 +243,13 @@ def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
 
 def source_healthy(p, s, spec: SourceSpec):
     """Source of the derived healthy fraction closing the volume balance."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if spec.variant == "linear":
-        pr = saturating_proliferation(s[0], spec.rate_p, spec.c_p)
-        return -spec.kappa * pr * truncation(p[0], spec.r)
-    return np.zeros(np.broadcast(p[0], s[0]).shape)
+    return _healthy(np.asarray(p, dtype=float),
+                    _proliferation(np.asarray(s, dtype=float), spec), spec)
 
 
 def source_velocity(p, s, spec: SourceSpec) -> np.ndarray:
     """Volume source ``1 . Lambda_phi + S_healthy``; bounded for both variants."""
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return _lambda_phase(p, s, spec).sum(axis=0) + source_healthy(p, s, spec)
+    return source_phase(p, s, None, spec, with_velocity=True)[1]
 
 
 def source_growth_constant(spec: SourceSpec) -> float:

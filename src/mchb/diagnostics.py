@@ -7,13 +7,15 @@ convex-split update.
 
 The energy-identity residual balances one step: change of energy per unit
 time, plus dissipation and the boundary absorption term, minus the work done
-by the sources, by transport, and by the flow force.  The identity consumes
-the step's own explicit terms, built once by ``stepping.explicit_terms`` and
-``stepping.transport_terms``: the sources and Korteweg force of the earlier
-state and the transport in the new velocity.  Dissipation integrands use the
-updated fields with the model's unit mobilities, and the boundary terms use
-the Robin closure the nutrient solve used.  A positive signed residual means
-spurious energy production.
+by the sources, by the Robin wall, by transport, and by the flow force.  The
+identity consumes the step's own explicit terms, built once by
+``stepping.explicit_terms`` and ``stepping.transport_terms``: the sources
+(zeros when switched off) and Korteweg force of the earlier state and the
+transport in the new velocity.  The flow's dissipation is the one its solve
+reported (``FlowResult.dissipation``); the phase and nutrient dissipation
+integrands use the updated fields with the model's unit mobilities, and the
+boundary terms use the Robin closure the nutrient solve used.  A positive
+signed residual means spurious energy production.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import constitutive as cst
-from .grid import (EXTRAPOLATE, NEUMANN, Field, FaceVector, Robin,
-                   cell_gradient, face_gradient, inner_product, wall_traces)
+from .grid import (NEUMANN, Field, FaceVector, Robin, face_gradient,
+                   inner_product, wall_traces)
 from .parameters import SpecBundle
 from .state import StateFields
 
@@ -84,12 +86,13 @@ def free_energy(state: StateFields, bundle: SpecBundle, *,
         else (gl + chem, gl, chem)
 
 
-def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
-                           sigma_bc) -> FaceVector:
-    """Face gradient of N_sigma by the chain rule, chi grad(sigma) - B grad(phi)."""
+def nutrient_flux_gradient(state: StateFields,
+                           bundle: SpecBundle) -> FaceVector:
+    """Face gradient of N_sigma by the chain rule, chi grad(sigma) -
+    B grad(phi), with sigma under the nutrient wall closure."""
     g = state.grid
     chem = bundle.chem
-    gs = face_gradient(Field(state.sigma[0], sigma_bc, g))
+    gs = face_gradient(Field(state.sigma[0], nutrient_bc(bundle), g))
     gx = chem.chi_sigma * gs.gx
     gy = chem.chi_sigma * gs.gy
     for l in range(state.phi.shape[0]):
@@ -99,30 +102,15 @@ def nutrient_flux_gradient(state: StateFields, bundle: SpecBundle,
     return FaceVector(gx, gy, g)
 
 
-def dissipation_rate(state: StateFields, bundle: SpecBundle, *,
-                     include_flow: bool = True,
-                     flow_backend: str = "darcy") -> float:
-    """Nonnegative dissipation functional of ``state`` (unit mobilities)."""
-    g = state.grid
-    m = bundle.params
+def dissipation_rate(state: StateFields, bundle: SpecBundle) -> float:
+    """Nonnegative phase and nutrient dissipation of ``state`` (unit
+    mobilities); the flow's part comes with the flow solve."""
     total = 0.0
     for i in range(state.mu.shape[0]):
-        fv = face_gradient(Field(state.mu[i], NEUMANN, g))
+        fv = face_gradient(Field(state.mu[i], NEUMANN, state.grid))
         total += inner_product(fv, fv)
-    gn = nutrient_flux_gradient(state, bundle, nutrient_bc(bundle))
-    total += inner_product(gn, gn)
-    if include_flow:
-        total += m.nu * float((state.v**2).sum()) * g.cell_area
-        if flow_backend == "brinkman":
-            visc = bundle.viscosity
-            uxx, uxy = cell_gradient(Field(state.v[0], EXTRAPOLATE, g))
-            vyx, vyy = cell_gradient(Field(state.v[1], EXTRAPOLATE, g))
-            d12 = 0.5 * (uxy + vyx)
-            dv2 = uxx**2 + vyy**2 + 2.0 * d12**2
-            divv = uxx + vyy
-            total += float((2.0 * visc.eta0 * dv2 + visc.lambda0 * divv**2)
-                           .sum()) * g.cell_area
-    return total
+    gn = nutrient_flux_gradient(state, bundle)
+    return total + inner_product(gn, gn)
 
 
 def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
@@ -148,16 +136,17 @@ def component_masses(state: StateFields):
 def energy_law_residual(before: StateFields, after: StateFields, dt: float,
                         bundle: SpecBundle, terms: StepTerms,
                         transport: tuple | None, *,
-                        flow_backend: str = "darcy",
-                        sources_enabled: bool = True,
+                        flow_dissipation: float = 0.0,
                         e_before: float | None = None) -> EnergyReport:
     """Assemble the one-step energy identity and return its residual.
 
     ``terms`` are the step's explicit terms at ``before`` (``explicit_terms``
     in ``stepping``) and ``transport`` its ``(conv_phi, conv_sigma)`` in the
-    new velocity, None when the flow is off.  ``e_before`` is the free energy
-    of ``before`` when the caller already has it, as a stepper does from its
-    previous step; otherwise it is computed here.
+    new velocity, None when the flow is off.  ``flow_dissipation`` is the
+    dissipation the step's flow solve reported, 0 with the flow off.
+    ``e_before`` is the free energy of ``before`` when the caller already
+    has it, as a stepper does from its previous step; otherwise it is
+    computed here.
     """
     g = before.grid
     if e_before is None:
@@ -165,27 +154,25 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
     e_after, gl_after, chem_after, n_sigma_a = free_energy(
         after, bundle, with_n_sigma=True)
 
-    dissipation = dissipation_rate(after, bundle,
-                                   include_flow=transport is not None,
-                                   flow_backend=flow_backend)
+    dissipation = dissipation_rate(after, bundle) + flow_dissipation
     boundary = boundary_absorption(after, bundle)
 
-    work = 0.0
-    if sources_enabled:
-        work += float((terms.s_phi * after.mu).sum()) * g.cell_area
-        work -= float((terms.s_sigma * n_sigma_a).sum()) * g.cell_area
-        k = bundle.sources.k_boundary
-        if k > 0.0:
-            chem = bundle.chem
-            bc = nutrient_bc(bundle)
-            phi_tr = [wall_traces(Field(c, NEUMANN, g)) for c in after.phi]
-            sigma_tr = wall_traces(Field(after.sigma[0], bc, g))
-            for wall, (s_tr, h) in enumerate(sigma_tr):
-                gsig_tr = sum(chem.coupling[0, l] * tr[wall][0]
-                              for l, tr in enumerate(phi_tr)) + chem.b_vec[0]
-                n_tr = chem.chi_sigma * s_tr - gsig_tr
-                work += k * float((bundle.sources.sigma_gamma * n_tr
-                                   + s_tr * gsig_tr).sum()) * h
+    work = 0.0  # so zero sources with negative potentials add to +0.0
+    work += float((terms.s_phi * after.mu).sum()) * g.cell_area
+    work -= float((terms.s_sigma * n_sigma_a).sum()) * g.cell_area
+    k = bundle.sources.k_boundary
+    if k > 0.0:
+        # the Robin wall's work, K (sigma_Gamma N_sigma + sigma B phi) on the
+        # traces, counted with the absorption it comes with
+        chem = bundle.chem
+        phi_tr = [wall_traces(Field(c, NEUMANN, g)) for c in after.phi]
+        sigma_tr = wall_traces(Field(after.sigma[0], nutrient_bc(bundle), g))
+        for wall, (s_tr, h) in enumerate(sigma_tr):
+            gsig_tr = sum(chem.coupling[0, l] * tr[wall][0]
+                          for l, tr in enumerate(phi_tr)) + chem.b_vec[0]
+            n_tr = chem.chi_sigma * s_tr - gsig_tr
+            work += k * float((bundle.sources.sigma_gamma * n_tr
+                               + s_tr * gsig_tr).sum()) * h
 
     if transport is not None:
         conv_phi, conv_sigma = transport

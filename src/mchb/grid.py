@@ -68,10 +68,19 @@ class Grid:
     def ncells(self) -> int:
         return self.nx * self.ny
 
-    def cell_centers(self):
+    def cell_axes(self):
+        """Cell-centre coordinates: a row ``x[None, :]``, a column ``y[:, None]``.
+
+        A product of one-axis factors evaluated on them broadcasts to the
+        grid at the cost of its two axes.
+        """
         x = (np.arange(self.nx) + 0.5) * self.hx
         y = (np.arange(self.ny) + 0.5) * self.hy
-        return np.meshgrid(x, y)
+        return x[None, :], y[:, None]
+
+    def cell_centers(self):
+        x, y = self.cell_axes()
+        return np.meshgrid(x[0], y[:, 0])
 
 
 # ---------------------------------------------------------------------------

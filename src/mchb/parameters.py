@@ -132,7 +132,6 @@ class SpecBundle:
     potential: cst.PotentialSpec
     chem: cst.ChemicalEnergySpec
     sources: cst.SourceSpec
-    viscosity: cst.ViscositySpec
 
 
 def _chemical_spec(model: ModelParameters) -> cst.ChemicalEnergySpec:
@@ -144,8 +143,8 @@ def _chemical_spec(model: ModelParameters) -> cst.ChemicalEnergySpec:
         b_vec=np.zeros(1))
 
 
-def build_specs(model: ModelParameters, *, source_variant: str = "linear",
-                eta0: float = 1e-2, lambda0: float = 1e-2) -> SpecBundle:
+def build_specs(model: ModelParameters, *,
+                source_variant: str = "linear") -> SpecBundle:
     """Assemble the concrete-model spec objects from the scalar constants."""
     sources = cst.SourceSpec(
         variant=source_variant,
@@ -160,7 +159,6 @@ def build_specs(model: ModelParameters, *, source_variant: str = "linear",
         potential=cst.PotentialSpec(),
         chem=_chemical_spec(model),
         sources=sources,
-        viscosity=cst.ViscositySpec(eta0=eta0, lambda0=lambda0),
     )
 
 
@@ -237,11 +235,12 @@ class AssumptionReport:
 def validate_assumptions(model: ModelParameters, *,
                          source_variant: str = "linear",
                          eta0: float | None = None,
-                         lambda0: float | None = None,
-                         flow_backend: str | None = None) -> AssumptionReport:
+                         lambda0: float | None = None) -> AssumptionReport:
     """Check the eight structural assumptions; violations are reported.
 
-    Invalid parameters fail all eight, with ``c_g`` and ``eps_bound`` NaN.
+    A3 checks the viscosity levels ``eta0`` and ``lambda0`` that are given
+    and passes, saying so, when neither is.  Invalid parameters fail all
+    eight, with ``c_g`` and ``eps_bound`` NaN.
     """
     passed: dict[str, bool] = {}
     msgs: list[str] = []
@@ -257,9 +256,7 @@ def validate_assumptions(model: ModelParameters, *,
     chem = _chemical_spec(model)
     c_g = chemical_growth_constant(chem)
     eps_b = epsilon_bound(model, chem) if c_g > 0 else math.inf
-    bundle = build_specs(model, source_variant=source_variant,
-                         eta0=eta0 if eta0 is not None else 1e-2,
-                         lambda0=lambda0 if lambda0 is not None else 1e-2)
+    bundle = build_specs(model, source_variant=source_variant)
     # a fixed seed, so the sampled checks give the same verdict every call
     rng = np.random.default_rng(7041)
 
@@ -275,16 +272,17 @@ def validate_assumptions(model: ModelParameters, *,
     passed["A2"] = bool(phase_m.min() > 0.0 and nut_m.min() > 0.0)
     msgs.append("A2: unit diagonal phase mobilities and unit nutrient mobility")
 
-    # A3: viscosity bounds (only binding for the Brinkman backend).
-    if flow_backend == "brinkman" or eta0 is not None:
-        e0 = bundle.viscosity.eta0
-        l0 = bundle.viscosity.lambda0
-        passed["A3"] = e0 > 0 and l0 >= 0
-        msgs.append(f"A3: 0 < eta0={e0:g} and 0 <= lambda0={l0:g} checked")
-    else:
-        passed["A3"] = True
-        msgs.append("A3: no Brinkman viscosity levels supplied; "
-                    "bounds enforced at scenario level")
+    # A3: the bounds of the viscosity levels given (a Brinkman scenario's
+    # eta0 and lambda0)
+    a3 = []
+    if eta0 is not None:
+        a3.append((f"0 < eta0={eta0:g}", eta0 > 0))
+    if lambda0 is not None:
+        a3.append((f"0 <= lambda0={lambda0:g}", lambda0 >= 0))
+    passed["A3"] = all(ok for _, ok in a3)
+    msgs.append("A3: " + " and ".join(text for text, _ in a3) + " checked"
+                if a3 else "A3: no Brinkman viscosity levels supplied; "
+                "bounds enforced at scenario level")
 
     # A4: chemical energy in quadratic-minus-affine form with chi_sigma > 0.
     passed["A4"] = model.chi_sigma > 0 and np.all(np.isfinite(chem.coupling)) \
@@ -349,11 +347,15 @@ def validate_assumptions(model: ModelParameters, *,
 
 
 def assumption_report(config: ScenarioConfig) -> AssumptionReport:
-    """The assumption report of a scenario: its model, source variant and flow."""
+    """The assumption report of a scenario: its model, source variant and flow.
+
+    The viscosity levels go to A3 only for the Brinkman backend, the one
+    that reads them.
+    """
+    levels = {"eta0": config.eta0, "lambda0": config.lambda0} \
+        if config.flow_backend == "brinkman" else {}
     return validate_assumptions(
-        config.model, source_variant=config.source_variant,
-        eta0=config.eta0, lambda0=config.lambda0,
-        flow_backend=config.flow_backend)
+        config.model, source_variant=config.source_variant, **levels)
 
 
 def require_assumptions(config: ScenarioConfig) -> None:
@@ -476,7 +478,6 @@ def build_default_scenario(name: str) -> ScenarioConfig:
     elif name == "darcy-limit":
         cfg = ScenarioConfig(model=model, domain_lx=20.0, domain_ly=20.0,
                              dt=dt, t_end=5 * dt, flow_backend="brinkman",
-                             eta0=1e-2, lambda0=1e-2,
                              initial_condition="stratified")
     else:  # mms
         cfg = ScenarioConfig(model=model, domain_lx=1.0, domain_ly=1.0,

@@ -40,16 +40,16 @@ class StateFields:
 def smooth_random_field(rng: np.random.Generator, grid: Grid,
                         modes: int, amplitude: float) -> np.ndarray:
     """Seeded low-mode cosine synthesis; compatible with zero-flux walls."""
-    x, y = grid.cell_centers()
+    x, y = grid.cell_axes()
     coeff = rng.standard_normal((modes, modes))
     out = np.zeros(grid.shape)
     for i in range(modes):
+        cx = np.cos(i * np.pi * x / grid.lx)
         for j in range(modes):
             if i == 0 and j == 0:
                 continue
             decay = np.exp(-0.35 * (i * i + j * j))
-            out += coeff[i, j] * decay * np.cos(i * np.pi * x / grid.lx) \
-                * np.cos(j * np.pi * y / grid.ly)
+            out += coeff[i, j] * decay * cx * np.cos(j * np.pi * y / grid.ly)
     peak = np.abs(out).max()
     if peak > 0:
         out *= amplitude / peak
@@ -80,9 +80,8 @@ def build_initial_state(config: ScenarioConfig,
                         bundle: SpecBundle | None = None) -> StateFields:
     """Initial fields for the configured scenario (seeded and deterministic)."""
     grid = Grid(config.grid_nx, config.grid_ny, config.domain_lx, config.domain_ly)
-    bundle = bundle or build_specs(
-        config.model, source_variant=config.source_variant,
-        eta0=config.eta0, lambda0=config.lambda0)
+    bundle = bundle or build_specs(config.model,
+                                   source_variant=config.source_variant)
     m = config.model
     phi = np.zeros((m.L, grid.ny, grid.nx))
     sigma = np.full((m.M, grid.ny, grid.nx), m.sigma_Omega)

@@ -133,11 +133,9 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
     p, s, mu = state.phi, state.sigma, state.mu
     _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
     if sources_enabled:
-        # s_v = 1 . Lambda_phi + S_healthy (``cst.source_velocity``), from the
-        # phase source already evaluated
-        s_phi = cst.source_phase(p, s, mu, bundle.sources)
-        sources = (s_phi, cst.source_nutrient(p, s, mu, bundle.sources),
-                   s_phi.sum(axis=0) + cst.source_healthy(p, s, bundle.sources))
+        s_phi, s_v = cst.source_phase(p, s, mu, bundle.sources,
+                                      with_velocity=True)
+        sources = (s_phi, cst.source_nutrient(p, s, mu, bundle.sources), s_v)
     else:
         sources = (np.zeros_like(p), np.zeros_like(s),
                    np.zeros(state.grid.shape))
@@ -180,9 +178,8 @@ class TimeStepper:
         self.config = config
         g = self.grid = Grid(config.grid_nx, config.grid_ny,
                              config.domain_lx, config.domain_ly)
-        self.bundle = build_specs(
-            config.model, source_variant=config.source_variant,
-            eta0=config.eta0, lambda0=config.lambda0)
+        self.bundle = build_specs(config.model,
+                                  source_variant=config.source_variant)
         self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
         self._neu_symbol = laplacian_symbol(g, NEUMANN)
         self._identity = sp.identity(g.ncells, format="csr")
@@ -323,19 +320,19 @@ class TimeStepper:
         terms = explicit_terms(state, bundle, cfg.sources_enabled,
                                cfg.flow_enabled)
 
-        flow_iters, div_residual, transport = 0, 0.0, None
+        flow_iters, div_residual, flow_dissipation, transport = 0, 0.0, 0.0, None
         if cfg.flow_enabled:
             if cfg.flow_backend == "darcy":
                 flow = solve_darcy(terms.force, terms.s_v, m.nu, g,
                                    tol=cfg.tol_flow)
             else:
-                visc = bundle.viscosity
-                flow = solve_brinkman(terms.force, terms.s_v, visc.eta0,
-                                      visc.lambda0, m.nu, g,
+                flow = solve_brinkman(terms.force, terms.s_v, cfg.eta0,
+                                      cfg.lambda0, m.nu, g,
                                       self._brinkman_opts, p0=state.p,
                                       space=self._uzawa_space)
             v, p = flow.v, flow.p
             flow_iters, div_residual = flow.iterations, flow.div_residual
+            flow_dissipation = flow.dissipation
             transport = transport_terms(state, v, terms.s_v)
         else:
             v = np.zeros((2, g.ny, g.nx))
@@ -374,8 +371,7 @@ class TimeStepper:
 
         energy = diag.energy_law_residual(
             state, new_state, dt, bundle, terms, transport,
-            flow_backend=cfg.flow_backend, sources_enabled=cfg.sources_enabled,
-            e_before=e_before)
+            flow_dissipation=flow_dissipation, e_before=e_before)
         # a step too short to advance t in floating point restarts the history
         kept = history[-2:] if new_state.t > state.t else ()
         history = (*kept, (new_state.t, phi_new.copy()))

@@ -37,17 +37,6 @@ def _fit_slope(ns, errors) -> float:
     return float(np.polyfit(h, e, 1)[0])
 
 
-def _axes(grid: Grid):
-    """Cell-centre coordinates: a row ``x[None, :]``, a column ``y[:, None]``.
-
-    The manufactured fields are products of one-axis factors, so each factor
-    is evaluated on its axis and the products broadcast to the grid.
-    """
-    x = (np.arange(grid.nx) + 0.5) * grid.hx
-    y = (np.arange(grid.ny) + 0.5) * grid.hy
-    return x[None, :], y[:, None]
-
-
 def _on_grid(*fields) -> np.ndarray:
     """Stack one-axis or full fields into one ``(k, ny, nx)`` array."""
     return np.stack(np.broadcast_arrays(*fields))
@@ -58,7 +47,7 @@ def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
     p_errs, v_errs = [], []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = _axes(grid)
+        x, y = grid.cell_axes()
         sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
         cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
         p_star = sx * sy
@@ -76,7 +65,7 @@ def mms_darcy(ns=(32, 64, 128, 256), nu: float = 1.0):
 
 
 def _manufactured_phase(grid: Grid):
-    x, y = _axes(grid)
+    x, y = grid.cell_axes()
     c1 = np.cos(np.pi * x) * np.cos(np.pi * y)
     c2 = np.cos(2.0 * np.pi * x)
     c3 = np.cos(np.pi * y)
@@ -112,7 +101,7 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256)):
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = _axes(grid)
+        x, y = grid.cell_axes()
         phi, lap_phi = _manufactured_phase(grid)
         cx, c2y = np.cos(np.pi * x), np.cos(2.0 * np.pi * y)
         sigma = 1.0 + 0.3 * cx * c2y
@@ -133,7 +122,7 @@ def mms_advection(ns=(32, 64, 128, 256)):
     errs = []
     for n in ns:
         grid = Grid(n, n, 1.0, 1.0)
-        x, y = _axes(grid)
+        x, y = grid.cell_axes()
         sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
         cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
         q = 0.5 + 0.25 * cx * cy

@@ -15,7 +15,7 @@ import mchb.flow
 from mchb.cli import run_darcy_sweep
 from mchb.parameters import build_default_scenario
 from mchb.state import build_initial_state
-from mchb.stepping import TimeStepper
+from mchb.stepping import TimeStepper, explicit_terms
 
 from mchb.grid import DIRICHLET, EXTRAPOLATE, Field, Grid, cell_gradient, \
     cell_gradient_matrix, fv_diffusion_matrix
@@ -491,12 +491,11 @@ class TestBrinkmanWarmStart:
     def problem(self):
         cfg, st = darcy_limit_stepper()
         g = st.grid
-        visc = st.bundle.viscosity
         x, y = g.cell_centers()
         force = np.stack([np.sin(np.pi * x) * np.cos(np.pi * y),
                           -np.cos(2 * np.pi * x) * np.sin(np.pi * y)])
         s_v = 0.1 * np.cos(np.pi * x) * np.cos(np.pi * y)
-        return force, s_v, visc.eta0, visc.lambda0, cfg.model.nu, g
+        return force, s_v, cfg.eta0, cfg.lambda0, cfg.model.nu, g
 
     def test_symmetric_mode_lu_matches_direct_solve(self, problem):
         _, _, eta, lam, nu, g = problem
@@ -563,6 +562,41 @@ def darcy_limit_run(steps, n=32):
 
 def assert_close(a, b, rel):
     assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+def reference_dissipation(v, eta, lam, nu, grid):
+    """``nu |v|^2 + 2 eta |Dv|^2 + lam (div v)^2`` from the cell gradients."""
+    uxx, uxy = cell_gradient(Field(v[0], EXTRAPOLATE, grid))
+    vyx, vyy = cell_gradient(Field(v[1], EXTRAPOLATE, grid))
+    d12 = 0.5 * (uxy + vyx)
+    dv2 = uxx**2 + vyy**2 + 2.0 * d12**2
+    divv = uxx + vyy
+    return (nu * float((v**2).sum())
+            + float((2.0 * eta * dv2 + lam * divv**2).sum())) * grid.cell_area
+
+
+class TestFlowDissipation:
+    def test_brinkman_is_the_viscous_form(self):
+        cfg, st = darcy_limit_stepper()
+        s, _ = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        terms = explicit_terms(s, st.bundle, True, True)
+        res = solve_brinkman(terms.force, terms.s_v, cfg.eta0, cfg.lambda0,
+                             cfg.model.nu, st.grid)
+        ref = reference_dissipation(res.v, cfg.eta0, cfg.lambda0,
+                                    cfg.model.nu, st.grid)
+        assert ref > 0.0
+        assert abs(res.dissipation - ref) <= 1e-12 * ref
+
+    def test_darcy_is_nu_v_squared(self, grid):
+        _, _, s_v, force = manufactured(grid, nu=2.0)
+        res = solve_darcy(force, s_v, 2.0, grid)
+        assert res.dissipation > 0.0
+        assert res.dissipation == 2.0 * float((res.v**2).sum()) * grid.cell_area
+
+    def test_zero_data_dissipates_nothing(self, grid):
+        zeros = np.zeros((2,) + grid.shape), np.zeros(grid.shape)
+        assert solve_darcy(*zeros, 1.0, grid).dissipation == 0.0
+        assert solve_brinkman(*zeros, 1e-2, 1e-2, 1.0, grid).dissipation == 0.0
 
 
 class TestUzawaSpace:

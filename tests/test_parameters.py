@@ -11,7 +11,7 @@ import pytest
 import mchb.constitutive as cst
 import mchb.parameters
 from mchb.parameters import (ConfigError, StrictAssumptionError,
-                             build_default_scenario, config_from_dict,
+                             assumption_report, build_default_scenario, config_from_dict,
                              default_parameters, epsilon_bound, load_config,
                              potential_coercivity_constant, serialize_config,
                              validate_assumptions, build_specs)
@@ -47,6 +47,27 @@ class TestValidator:
         assert any(field in err for err in report.parameter_errors)
         assert report.failing() == [f"A{i}" for i in range(1, 9)]
         assert any("parameter error" in line for line in report.lines())
+
+    @pytest.mark.parametrize("levels, verdict", [
+        ({}, True), ({"eta0": 1e-2, "lambda0": 0.0}, True),
+        ({"eta0": 0.0}, False), ({"lambda0": -1.0}, False),
+        ({"eta0": 1e-2, "lambda0": math.nan}, False)])
+    def test_a3_checks_the_levels_given(self, levels, verdict):
+        report = validate_assumptions(default_parameters(), **levels)
+        assert report.passed["A3"] is verdict
+        a3 = next(m for m in report.messages if m.startswith("A3"))
+        assert ("no Brinkman viscosity levels supplied" in a3) == (not levels)
+        assert all(f"{name}=" in a3 for name in levels)
+
+    def test_a3_reads_the_viscosities_of_brinkman_scenarios_only(self):
+        # a Darcy run never reads eta0, so eta0 = 0 is a valid Darcy config
+        darcy = config_from_dict({"flow_backend": "darcy", "eta0": 0.0})
+        assert assumption_report(darcy).passed["A3"]
+        brinkman = build_default_scenario("darcy-limit")
+        a3 = [m for m in assumption_report(brinkman).messages
+              if m.startswith("A3")]
+        assert a3 == [f"A3: 0 < eta0={brinkman.eta0:g} and "
+                      f"0 <= lambda0={brinkman.lambda0:g} checked"]
 
     def test_coupling_past_float_range_fails_a8(self):
         bad = dataclasses.replace(default_parameters(), chi_phi=1e200)

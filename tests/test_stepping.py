@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.testing import assert_array_equal
 from scipy.optimize import newton_krylov
 
 import mchb.constitutive as cst
 import mchb.diagnostics
 import mchb.stepping
-from mchb.grid import NEUMANN, Robin, fv_diffusion_matrix, laplacian_symbol
+from mchb.grid import (NEUMANN, Grid, Robin, fv_diffusion_matrix,
+                       laplacian_symbol)
 from mchb.diagnostics import component_masses, free_energy
 from mchb.parameters import ConfigError, build_default_scenario
-from mchb.state import StateFields, build_initial_state
+from mchb.state import StateFields, build_initial_state, smooth_random_field
 from mchb.stepping import (StepFailure, TimeStepper, explicit_terms,
                            extrapolate, transport_terms)
 
@@ -642,16 +644,18 @@ class TestStepWork:
         targets += [(cst, name) for name in ("chemical_energy", "mobility",
                                              "source_phase", "source_nutrient",
                                              "source_healthy",
-                                             "source_velocity")]
+                                             "source_velocity",
+                                             "saturating_proliferation")]
         calls = [counting(monkeypatch, owner, name) for owner, name in targets]
         st.step(s1, cfg.dt)
         counts = Counter(name for c in calls for name in c)
         assert counts.pop("chemical_energy") == 2
-        # the volume source is summed from the phase source, not re-evaluated
+        # the volume source comes with the phase source, from the same
+        # evaluation of the proliferation law
         src = int(cfg.sources_enabled)
         assert counts == Counter(korteweg_force=1, advective_divergence=4,
                                  source_phase=src, source_nutrient=src,
-                                 source_healthy=src)
+                                 saturating_proliferation=src)
 
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
@@ -674,6 +678,36 @@ class TestStepWork:
         assert assemblies == []
         ids = [id(mat) for mat in systems]
         assert [ids.index(key) for key in ids] == [0, 0, 0, 3, 3]
+
+
+def full_grid_random_field(rng, grid, modes, amplitude):
+    """``smooth_random_field`` with every mode evaluated on the full grid."""
+    x, y = grid.cell_centers()
+    coeff = rng.standard_normal((modes, modes))
+    out = np.zeros(grid.shape)
+    for i in range(modes):
+        for j in range(modes):
+            if i == 0 and j == 0:
+                continue
+            decay = np.exp(-0.35 * (i * i + j * j))
+            out += coeff[i, j] * decay * np.cos(i * np.pi * x / grid.lx) \
+                * np.cos(j * np.pi * y / grid.ly)
+    out *= amplitude / np.abs(out).max()
+    return out
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(64, 64, 1.0, 1.0),
+                                            (128, 128, 1.0, 1.0),
+                                            (37, 16, 2.3, 0.7),
+                                            (8, 200, 20.0, 20.0)])
+def test_smooth_random_field_is_the_full_grid_synthesis(nx, ny, lx, ly):
+    grid = Grid(nx, ny, lx, ly)
+    for modes in (2, 5):
+        got = smooth_random_field(np.random.default_rng(modes), grid, modes,
+                                  0.02)
+        ref = full_grid_random_field(np.random.default_rng(modes), grid,
+                                     modes, 0.02)
+        assert_array_equal(got, ref)
 
 
 class TestScenarioBehaviors:
