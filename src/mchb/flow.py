@@ -47,6 +47,15 @@ system, so it is cold and shares nothing with concurrent calls.
 Each solve reports ``dissipation``, the flow's term of the energy law:
 ``v^T K v hx hy`` for the momentum operator ``K`` it solved, that is
 ``nu |v|^2 + 2 eta |Dv|^2 + lambda (div v)^2`` (``K = nu I`` for Darcy).
+
+What is kept: per grid, a small cache holds only the operators every solve
+reads (``_FlowOperators``): the cell divergence and pressure-gradient
+matrices and the Dirichlet pressure Laplacian with its sine symbol.  A
+Brinkman build (``_brinkman_system``) makes ``K``, its LU, the Rhie-Chow
+correction and the Schur model; the ``UzawaSpace`` keeps these.  The face
+average, face divergence and face gradient matrices that the correction is
+assembled from are made by that build and dropped when it returns, so a
+Darcy solve never builds them.
 """
 
 from __future__ import annotations
@@ -89,7 +98,14 @@ MAX_DIRECTIONS = 80  # Uzawa search directions kept before a restart
 
 
 class _FlowOperators:
-    """Grid-bound sparse operators shared by both backends."""
+    """Grid-bound sparse operators shared by both backends, cached per grid.
+
+    Only what every solve reads is kept: the extrapolated cell divergence
+    (``dx_e``, ``dy_e``), the Dirichlet pressure gradient (``gx_d``,
+    ``gy_d``) and the Dirichlet pressure Laplacian with its sine symbol.
+    The face matrices of the Rhie-Chow stabilization are built by
+    ``_rhie_chow`` for each Brinkman system and dropped once it is built.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -99,12 +115,6 @@ class _FlowOperators:
         self.gy_d = cell_gradient_matrix(grid, 1, DIRICHLET)
         self.poisson_dir, _ = fv_diffusion_matrix(grid, DIRICHLET)
         self.poisson_dir_symbol = laplacian_symbol(grid, DIRICHLET)
-        self.avg_xf = face_average_matrix(grid, 0, EXTRAPOLATE)
-        self.avg_yf = face_average_matrix(grid, 1, EXTRAPOLATE)
-        self.div_xf = face_divergence_matrix(grid, 0)
-        self.div_yf = face_divergence_matrix(grid, 1)
-        self.gradd_xf = face_gradient_matrix(grid, 0, DIRICHLET)
-        self.gradd_yf = face_gradient_matrix(grid, 1, DIRICHLET)
 
     def div_cells(self, v: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -114,20 +124,6 @@ class _FlowOperators:
         g = self.grid
         return np.stack([(self.gx_d @ p.ravel()).reshape(g.shape),
                          (self.gy_d @ p.ravel()).reshape(g.shape)])
-
-    def rhie_chow_correction(self, dx_face: np.ndarray,
-                             dy_face: np.ndarray) -> sp.csr_matrix:
-        """Momentum-interpolated pressure stabilization of the constraint.
-
-        Face fluxes ``(1/d_face) [avg(grad_c p).n - (dp/h)_face]`` with the
-        momentum-diagonal weights; at vanishing viscosity (d -> nu) the
-        stabilized constraint reduces exactly to the Darcy pressure system.
-        """
-        wx = sp.diags(1.0 / dx_face.ravel())
-        wy = sp.diags(1.0 / dy_face.ravel())
-        cx = self.div_xf @ wx @ (self.avg_xf @ self.gx_d - self.gradd_xf)
-        cy = self.div_yf @ wy @ (self.avg_yf @ self.gy_d - self.gradd_yf)
-        return (cx + cy).tocsr()
 
 
 @lru_cache(maxsize=8)
@@ -209,28 +205,49 @@ def _face_weight(c, nu: float):
 
 
 def _rhie_chow(grid: Grid, kdiag: np.ndarray, nu: float) -> sp.csr_matrix:
-    """The stabilization with the face weights of the momentum diagonal."""
+    """Momentum-interpolated pressure stabilization of the constraint.
+
+    Face fluxes ``(1/d_face) [avg(grad_c p).n - (dp/h)_face]``, with the
+    weights ``d_face`` of the momentum diagonal ``kdiag`` averaged onto the
+    faces; at vanishing viscosity (d -> nu) the stabilized constraint
+    reduces exactly to the Darcy pressure system.  The face matrices are
+    built here and not kept.
+    """
     ops = _flow_operators(grid)
     n = grid.ncells
-    cx = np.maximum((ops.avg_xf @ kdiag[:n]) - nu, 0.0)
-    cy = np.maximum((ops.avg_yf @ kdiag[n:]) - nu, 0.0)
-    return ops.rhie_chow_correction(_face_weight(cx, nu), _face_weight(cy, nu))
+    terms = []
+    for axis, grad, diag in ((0, ops.gx_d, kdiag[:n]), (1, ops.gy_d, kdiag[n:])):
+        avg = face_average_matrix(grid, axis, EXTRAPOLATE)
+        c = np.maximum((avg @ diag) - nu, 0.0)
+        weight = sp.diags(1.0 / _face_weight(c, nu))
+        terms.append(face_divergence_matrix(grid, axis) @ weight
+                     @ (avg @ grad - face_gradient_matrix(grid, axis, DIRICHLET)))
+    return (terms[0] + terms[1]).tocsr()
 
 
 def _wall_band(grid: Grid, correction: sp.csr_matrix) -> np.ndarray:
     """Cells whose row of ``correction`` differs from the central cell's row.
 
-    Rows are compared as stencils, entry by entry at each offset, so the
-    result is the set of cells the wall closures reach.
+    Rows are compared as stencils: a row matches when it holds as many
+    entries as the central row and, at each column offset of the central
+    row, the same value (read from the sparse diagonal at that offset).
+    The result is the set of cells the wall closures reach.
+    ``correction`` holds no duplicate entries and no stored zeros, as
+    sparse products and sums leave it.  The stencil reaches 3 cells each
+    way and a grid row has at least 8 cells, so a flat offset ``col - row``
+    names one grid offset.
     """
-    c = correction.tocoo()
-    dj = c.col // grid.nx - c.row // grid.nx
-    di = c.col % grid.nx - c.row % grid.nx
-    r = int(max(np.abs(dj).max(), np.abs(di).max()))
-    stencil = np.zeros((grid.ncells, 2 * r + 1, 2 * r + 1))
-    stencil[c.row, dj + r, di + r] = c.data
-    centre = stencil[(grid.ny // 2) * grid.nx + grid.nx // 2]
-    return (stencil != centre).any(axis=(1, 2)).reshape(grid.shape)
+    n = grid.ncells
+    centre = (grid.ny // 2) * grid.nx + grid.nx // 2
+    lo, hi = correction.indptr[centre], correction.indptr[centre + 1]
+    same = np.diff(correction.indptr) == hi - lo
+    entry = np.empty(n)
+    for col, value in zip(correction.indices[lo:hi], correction.data[lo:hi]):
+        d = int(col) - centre
+        entry[:] = 0.0
+        entry[max(-d, 0):n - max(d, 0)] = correction.diagonal(d)
+        same &= entry == value
+    return ~same.reshape(grid.shape)
 
 
 def _schur_model(grid: Grid, eta: float, lam: float, nu: float,

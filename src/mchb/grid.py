@@ -321,6 +321,9 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
     ``coeff (1 - w) / h**2`` to the diagonal and ``coeff g0 / h**2`` to the
     rhs, which is zero but for the Robin closure.  The CSR arrays are built
     directly, each row in column order south, west, centre, east, north.
+    The five values of a row are one broadcast over the interleaved CSR
+    data, with a zero for every wall neighbour; the zeros are dropped at the
+    end, so no entry equal to zero is stored.
     """
     ny, nx = grid.ny, grid.nx
     n = grid.ncells
@@ -337,21 +340,18 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
         diag[sl] += coeff * (1.0 - w) / h**2
         rhs[sl] += coeff * g0 / h**2
     vals = np.empty((ny, nx, 5))
-    cols = np.empty((ny, nx, 5), dtype=np.int32)
-    keep = np.ones((ny, nx, 5), dtype=bool)
-    idx = np.arange(n, dtype=np.int32).reshape(ny, nx)
-    for k, (val, step, wall) in enumerate(((-ty, -nx, np.s_[0, :]),
-                                           (-tx, -1, np.s_[:, 0]),
-                                           (diag, 0, None),
-                                           (-tx, 1, np.s_[:, -1]),
-                                           (-ty, nx, np.s_[-1, :]))):
-        vals[..., k] = val
-        np.add(idx, step, out=cols[..., k])
-        if wall is not None:
-            keep[wall + (k,)] = False
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
-    mat = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    vals[...] = (-ty, -tx, 0.0, -tx, -ty)
+    vals[..., 2] = diag
+    vals[0, :, 0] = vals[:, 0, 1] = vals[:, -1, 3] = vals[-1, :, 4] = 0.0
+    # a wall neighbour's column is clipped into range, so every row stays in
+    # non-decreasing column order until its zero is dropped
+    cols = np.empty((n, 5), dtype=np.int32)
+    np.add(np.arange(n, dtype=np.int32)[:, None],
+           np.array((-nx, -1, 0, 1, nx), dtype=np.int32), out=cols)
+    np.clip(cols, 0, n - 1, out=cols)
+    indptr = np.arange(0, 5 * n + 1, 5, dtype=np.int32)
+    mat = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
+    mat.eliminate_zeros()
     return mat, rhs.ravel()
 
 

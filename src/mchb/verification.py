@@ -76,16 +76,25 @@ def _manufactured_phase(grid: Grid):
     return phi, lap
 
 
-def mms_ch_operator(ns=(32, 64, 128, 256)):
-    """Apply the chemical-potential operator to a manufactured phase field."""
+def _laplacians(ns):
+    """The Neumann ``fv_diffusion_matrix`` of each grid of ``ns``, in turn."""
+    for n in ns:
+        yield fv_diffusion_matrix(Grid(n, n, 1.0, 1.0), NEUMANN)[0]
+
+
+def mms_ch_operator(ns=(32, 64, 128, 256), laplacians=None):
+    """Apply the chemical-potential operator to a manufactured phase field.
+
+    ``laplacians`` holds the Neumann Laplacian of each grid of ``ns``, as
+    ``run_all`` shares them; without it the study assembles its own.
+    """
     m = default_parameters()
     errs = []
-    for n in ns:
+    for n, a_neu in zip(ns, laplacians or _laplacians(ns), strict=True):
         grid = Grid(n, n, 1.0, 1.0)
         phi, lap = _manufactured_phase(grid)
         grad = cst.double_well_gradient(phi)
         mu_star = -m.gamma * m.epsilon * lap + m.gamma / m.epsilon * grad
-        a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
         mu_h = np.stack([
             (m.gamma * m.epsilon * (a_neu @ phi[i].ravel())).reshape(grid.shape)
             + m.gamma / m.epsilon * grad[i]
@@ -95,11 +104,14 @@ def mms_ch_operator(ns=(32, 64, 128, 256)):
     return ConvergenceStudy("ch-operator", list(ns), errs, _fit_slope(ns, errs))
 
 
-def mms_nutrient_operator(ns=(32, 64, 128, 256)):
-    """Apply the nutrient flux operator div(D grad N_sigma) with no-flux walls."""
+def mms_nutrient_operator(ns=(32, 64, 128, 256), laplacians=None):
+    """Apply the nutrient flux operator div(D grad N_sigma) with no-flux walls.
+
+    ``laplacians`` is as for ``mms_ch_operator``.
+    """
     chem = build_specs(default_parameters()).chem
     errs = []
-    for n in ns:
+    for n, a_d in zip(ns, laplacians or _laplacians(ns), strict=True):
         grid = Grid(n, n, 1.0, 1.0)
         x, y = grid.cell_axes()
         phi, lap_phi = _manufactured_phase(grid)
@@ -108,7 +120,6 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256)):
         lap_sigma = -0.3 * 5.0 * np.pi**2 * cx * c2y
         target = chem.chi_sigma * lap_sigma \
             - sum(chem.coupling[0, l] * lap_phi[l] for l in range(3))
-        a_d, _ = fv_diffusion_matrix(grid, NEUMANN)
         n_sigma = chem.chi_sigma * sigma \
             - sum(chem.coupling[0, l] * phi[l] for l in range(3))
         applied = -(a_d @ n_sigma.ravel()).reshape(grid.shape)
@@ -139,9 +150,11 @@ def mms_advection(ns=(32, 64, 128, 256)):
 
 
 def run_all(ns=(32, 64, 128, 256)) -> list[ConvergenceStudy]:
+    """Every study on the ladder ``ns``, one Laplacian assembly per grid."""
     dp, dv = mms_darcy(ns)
-    return [dp, dv, mms_ch_operator(ns), mms_nutrient_operator(ns),
-            mms_advection(ns)]
+    laplacians = list(_laplacians(ns))
+    return [dp, dv, mms_ch_operator(ns, laplacians),
+            mms_nutrient_operator(ns, laplacians), mms_advection(ns)]
 
 
 def check_slopes(studies: list[ConvergenceStudy]) -> list[str]:

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_array_equal
 from scipy.sparse.linalg import spsolve
@@ -18,7 +19,8 @@ from mchb.state import build_initial_state
 from mchb.stepping import TimeStepper, explicit_terms
 
 from mchb.grid import DIRICHLET, EXTRAPOLATE, Field, Grid, cell_gradient, \
-    cell_gradient_matrix, fv_diffusion_matrix
+    cell_gradient_matrix, face_average_matrix, face_divergence_matrix, \
+    face_gradient_matrix, fv_diffusion_matrix
 from mchb.flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
                        korteweg_force, solve_brinkman, solve_darcy)
 
@@ -283,6 +285,26 @@ def schur_matrix(system, grid):
     return np.array(cols).T
 
 
+def darcy_limit_correction(grid):
+    """The Rhie-Chow correction of a darcy-limit Brinkman system, no LU."""
+    cfg = build_default_scenario("darcy-limit")
+    nu = cfg.model.nu
+    K = mchb.flow._velocity_operator(grid, cfg.eta0, cfg.lambda0, nu)
+    return mchb.flow._rhie_chow(grid, K.diagonal(), nu)
+
+
+def dense_stencil_band(grid, correction):
+    """Reference wall band: every row as a dense stencil of all its offsets."""
+    c = correction.tocoo()
+    dj = c.col // grid.nx - c.row // grid.nx
+    di = c.col % grid.nx - c.row % grid.nx
+    r = int(max(np.abs(dj).max(), np.abs(di).max()))
+    stencil = np.zeros((grid.ncells, 2 * r + 1, 2 * r + 1))
+    stencil[c.row, dj + r, di + r] = c.data
+    centre = stencil[(grid.ny // 2) * grid.nx + grid.nx // 2]
+    return (stencil != centre).any(axis=(1, 2)).reshape(grid.shape)
+
+
 def preconditioned_eigenvalues(system, S):
     pre = np.array([system.precondition(z) for z in np.eye(len(S))]).T
     return np.linalg.eigvals(pre @ S)
@@ -325,6 +347,18 @@ class TestSchurPreconditioner:
         frame[4:-4, 4:-4] = False
         assert_array_equal(system.band, frame)
 
+    @pytest.mark.parametrize("grid", [Grid(16, 24), Grid(64, 64),
+                                      Grid(128, 128)])
+    def test_band_equals_the_dense_stencil_comparison(self, grid):
+        C = darcy_limit_correction(grid)
+        band = mchb.flow._wall_band(grid, C)
+        assert_array_equal(band, dense_stencil_band(grid, C))
+        frame = np.ones(grid.shape, dtype=bool)
+        frame[4:-4, 4:-4] = False
+        assert_array_equal(band, frame)
+        if grid.nx == grid.ny == 64:
+            assert band.sum() == 960
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_cold_solves_take_no_more_sweeps(self, monkeypatch, n):
         grid = Grid(n, n, 1.0, 1.0)
@@ -354,6 +388,58 @@ def count_factorizations(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", wrapper)
     return calls
+
+
+FACE_MATRICES = ("face_average_matrix", "face_divergence_matrix",
+                 "face_gradient_matrix")
+
+
+class TestFlowOperatorCache:
+    def test_darcy_builds_no_face_matrix(self, monkeypatch):
+        calls = []
+
+        def counted(name, orig):
+            def wrapper(*args):
+                calls.append(name)
+                return orig(*args)
+            return wrapper
+
+        for name in FACE_MATRICES:
+            monkeypatch.setattr(mchb.flow, name,
+                                counted(name, getattr(mchb.flow, name)))
+        mchb.flow._flow_operators.cache_clear()
+        grid = Grid(40, 24, 1.3, 0.9)
+        _, _, s_v, force = manufactured(grid)
+        solve_darcy(force, s_v, 1.0, grid)
+        assert calls == []
+        assert set(vars(mchb.flow._flow_operators(grid))) == {
+            "grid", "dx_e", "dy_e", "gx_d", "gy_d", "poisson_dir",
+            "poisson_dir_symbol"}
+        mchb.flow._brinkman_system(grid, 0.05, 0.02, 1.0)
+        assert sorted(calls) == sorted(2 * FACE_MATRICES)
+
+    @pytest.mark.parametrize("grid", [Grid(16, 24), Grid(64, 64)])
+    def test_correction_equals_the_face_matrix_assembly(self, grid):
+        cfg = build_default_scenario("darcy-limit")
+        nu = cfg.model.nu
+        system = mchb.flow._brinkman_system(grid, cfg.eta0, cfg.lambda0, nu)
+        ops = mchb.flow._flow_operators(grid)
+        kdiag = system.K.diagonal()
+        terms = []
+        for axis, grad, diag in ((0, ops.gx_d, kdiag[:grid.ncells]),
+                                 (1, ops.gy_d, kdiag[grid.ncells:])):
+            avg = face_average_matrix(grid, axis, EXTRAPOLATE)
+            c = np.maximum((avg @ diag) - nu, 0.0)
+            weight = sp.diags(1.0 / (nu + c**2 / (nu + c)))
+            terms.append(face_divergence_matrix(grid, axis) @ weight
+                         @ (avg @ grad
+                            - face_gradient_matrix(grid, axis, DIRICHLET)))
+        ref = (terms[0] + terms[1]).tocsr()
+        got = system.correction
+        for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                     (got.data, ref.data)):
+            assert a.dtype == b.dtype
+            assert_array_equal(a, b)
 
 
 class TestBrinkmanSystemReuse:

@@ -62,3 +62,30 @@ def test_one_ulp_shows_where_it_moved():
                                         ([1.0], [1.0, 1.0], np.inf)])
 def test_difference_of_zeros_and_shapes(a, b, want):
     assert agree.difference(a, b) == want
+
+
+MMS_STUDIES = ("darcy-pressure", "darcy-velocity", "ch-operator",
+               "nutrient-operator", "advective-divergence")
+
+
+def mms_set(seed=0):
+    """Random study errors shaped like the ``mms|`` entries of a result set."""
+    rng = np.random.default_rng(seed)
+    return {f"mms|{name}": rng.random(len(agree.MMS_LADDER))
+            for name in MMS_STUDIES}
+
+
+def test_mms_errors_compare_per_study():
+    a = {**result_set(), **mms_set()}
+    b = copy_of(a)
+    assert agree.compare_mms(a, b) == dict.fromkeys(MMS_STUDIES)
+    assert agree.format_mms(agree.compare_mms(a, b)) == [
+        "mms ladder 32/64/128/256",
+        "  errors: " + ", ".join(f"{s} ==" for s in MMS_STUDIES)]
+    b["mms|ch-operator"][2] = np.nextafter(a["mms|ch-operator"][2], 1.0)
+    del b["mms|advective-divergence"]
+    moved = {k: d for k, d in agree.compare_mms(a, b).items()
+             if d is not None}
+    assert set(moved) == {"ch-operator", "advective-divergence"}
+    assert 0.0 < moved["ch-operator"] <= np.finfo(float).eps
+    assert moved["advective-divergence"] == np.inf

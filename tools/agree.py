@@ -13,6 +13,9 @@ relative difference ``max |a - b| / max(|a|, |b|)``:
 - of the solver counts of every step: flow iterations (Uzawa sweeps),
   phase-solve updates and nutrient CG iterations.
 
+It also compares the errors of every ``verification.run_all`` study on the
+grid ladder ``MMS_LADDER``, one value per study.
+
 The case set is fixed, so every comparison runs the same cases.
 """
 
@@ -41,6 +44,7 @@ CASES = (
     ("darcy-limit", 128, 6, {}),
     ("zero-source", 128, 4, {"flow_enabled": False}),
 )
+MMS_LADDER = (32, 64, 128, 256)
 FIELDS = ("phi", "mu", "sigma", "v", "p")
 COUNTS = ("flow_iterations", "picard_iters", "nutrient_iters")
 
@@ -69,6 +73,7 @@ def run_cases(out_path: str) -> None:
     from mchb.diagnostics import CSV_HEADER
     from mchb.parameters import build_default_scenario
     from mchb.stepping import TimeStepper
+    from mchb.verification import run_all
 
     out = {"mchb_file": np.array(mchb.__file__),
            "header": np.array(CSV_HEADER)}
@@ -86,6 +91,8 @@ def run_cases(out_path: str) -> None:
             [[getattr(r, c) for c in COUNTS] for r in summary.reports],
             (-1, len(COUNTS)))
         out[f"{name}|message"] = np.array(summary.message)
+    for study in run_all(MMS_LADDER):
+        out[f"mms|{study.name}"] = np.array(study.errors)
     np.savez(out_path, **out)
 
 
@@ -122,6 +129,16 @@ def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
     return out
 
 
+def compare_mms(ref: dict, new: dict) -> dict[str, float | None]:
+    """Per MMS study, the ``difference`` of its errors on ``MMS_LADDER``.
+
+    A study that only one tree ran differs by inf.
+    """
+    keys = dict.fromkeys(k for k in (*ref, *new) if k.startswith("mms|"))
+    return {k.removeprefix("mms|"): difference(ref[k], new[k])
+            if k in ref and k in new else math.inf for k in keys}
+
+
 def _shown(d: float | None) -> str:
     return "==" if d is None else f"{d:.2e}"
 
@@ -138,6 +155,13 @@ def format_report(result: dict) -> list[str]:
                   f"  report: {'all == except ' + moved if moved else '=='}",
                   f"  counts: {_shown(items['counts'])}"]
     return lines
+
+
+def format_mms(result: dict) -> list[str]:
+    """A title line, then the errors of each MMS study on the ladder."""
+    studies = ", ".join(f"{k} {_shown(d)}" for k, d in result.items())
+    return [f"mms ladder {'/'.join(map(str, MMS_LADDER))}",
+            f"  errors: {studies}"]
 
 
 def _results_of(src: Path, tmp: Path, tag: str) -> dict:
@@ -174,7 +198,8 @@ def main(argv: list[str]) -> int:
         new = _results_of(root / "src", tmp, "checkout")
     print(f"agreement of {commit} (a) with the checkout (b): "
           "== or max |a - b| / max(|a|, |b|)")
-    print("\n".join(format_report(compare(ref, new))))
+    print("\n".join(format_report(compare(ref, new))
+                    + format_mms(compare_mms(ref, new))))
     for case in CASES:
         name = case_name(*case)
         for tag, res in (("commit", ref), ("checkout", new)):
