@@ -67,6 +67,8 @@ def _resolve_config(args) -> ScenarioConfig:
     if getattr(args, "t_end", None) is not None:
         overrides["t_end"] = args.t_end
     if getattr(args, "steps", None) is not None:
+        if args.steps < 0:
+            raise ConfigError(f"--steps must be nonnegative, got {args.steps}")
         overrides["t_end"] = args.steps * cfg.dt
     if overrides:
         cfg = replace(cfg, **overrides).validate()

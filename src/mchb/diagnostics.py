@@ -1,9 +1,15 @@
 """Free energy, dissipation, masses, and the discrete energy-identity residual.
 
-The free-energy gradient term is evaluated with the same face differences the
+Every ``int |grad a|^2`` sums the squares of the same face differences the
 evolution operators are assembled from, so with zero sources and the flow
 switched off the reported energy is the exact Lyapunov functional of the
-convex-split update.
+convex-split update.  The mirror (no-flux) closure makes every wall face
+difference zero, so each sum runs over the interior differences of the cell
+field alone (``np.diff`` along each axis), weighted by ``cell_area / h**2``.
+The nutrient flux of the dissipation has the interior differences of
+``chi_sigma sigma - B phi``; under the Robin closure its wall faces add
+``cell_area sum (k (sigma_Gamma - t))**2`` over the nutrient traces ``t``,
+since the closure sets ``chi_sigma (ghost - edge) / h = k (sigma_Gamma - t)``.
 
 The energy-identity residual balances one step: change of energy per unit
 time, plus dissipation and the boundary absorption term, minus the work done
@@ -23,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from . import constitutive as cst
-from .grid import (NEUMANN, Field, FaceVector, Robin, face_gradient,
-                   inner_product, wall_traces)
+from .grid import NEUMANN, Field, Grid, Robin, wall_traces
 from .parameters import SpecBundle
 from .state import StateFields
 
@@ -76,9 +83,8 @@ def free_energy(state: StateFields, bundle: SpecBundle, *,
     m = bundle.params
     psi = cst.potential_value(state.phi)
     gl = m.gamma / m.epsilon * float(psi.sum()) * g.cell_area
-    for i in range(state.phi.shape[0]):
-        fv = face_gradient(Field(state.phi[i], NEUMANN, g))
-        gl += 0.5 * m.gamma * m.epsilon * inner_product(fv, fv)
+    for c in state.phi:
+        gl += 0.5 * m.gamma * m.epsilon * _gradient_square_sum(c, g)
     n_val, _, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma,
                                                bundle.chem)
     chem = float(n_val.sum()) * g.cell_area
@@ -86,31 +92,36 @@ def free_energy(state: StateFields, bundle: SpecBundle, *,
         else (gl + chem, gl, chem)
 
 
-def nutrient_flux_gradient(state: StateFields,
-                           bundle: SpecBundle) -> FaceVector:
-    """Face gradient of N_sigma by the chain rule, chi grad(sigma) -
-    B grad(phi), with sigma under the nutrient wall closure."""
-    g = state.grid
-    chem = bundle.chem
-    gs = face_gradient(Field(state.sigma[0], nutrient_bc(bundle), g))
-    gx = chem.chi_sigma * gs.gx
-    gy = chem.chi_sigma * gs.gy
-    for l in range(state.phi.shape[0]):
-        gp = face_gradient(Field(state.phi[l], NEUMANN, g))
-        gx -= chem.coupling[0, l] * gp.gx
-        gy -= chem.coupling[0, l] * gp.gy
-    return FaceVector(gx, gy, g)
+def _gradient_square_sum(a: np.ndarray, grid: Grid) -> float:
+    """``int |grad a|^2`` of a cell field under the mirror closure: the sum
+    over its interior differences, every wall face difference being zero."""
+    dx = np.diff(a, axis=1)
+    dy = np.diff(a, axis=0)
+    w = grid.cell_area
+    return float(np.vdot(dx, dx)) * (w / grid.hx**2) \
+        + float(np.vdot(dy, dy)) * (w / grid.hy**2)
 
 
 def dissipation_rate(state: StateFields, bundle: SpecBundle) -> float:
     """Nonnegative phase and nutrient dissipation of ``state`` (unit
-    mobilities); the flow's part comes with the flow solve."""
-    total = 0.0
-    for i in range(state.mu.shape[0]):
-        fv = face_gradient(Field(state.mu[i], NEUMANN, state.grid))
-        total += inner_product(fv, fv)
-    gn = nutrient_flux_gradient(state, bundle)
-    return total + inner_product(gn, gn)
+    mobilities); the flow's part comes with the flow solve.
+
+    The nutrient flux is the face gradient of ``N_sigma`` by the chain rule,
+    that of ``chi_sigma sigma - B phi``, with sigma under the nutrient wall
+    closure.
+    """
+    g = state.grid
+    chem = bundle.chem
+    total = sum(_gradient_square_sum(c, g) for c in state.mu)
+    q = chem.chi_sigma * state.sigma[0] \
+        - np.einsum("l,lxy->xy", chem.coupling[0], state.phi)
+    total += _gradient_square_sum(q, g)
+    bc = nutrient_bc(bundle)
+    if isinstance(bc, Robin):
+        for tr, _ in wall_traces(Field(state.sigma[0], bc, g)):
+            flux = bc.k * (bc.target - tr)
+            total += g.cell_area * float(np.vdot(flux, flux))
+    return total
 
 
 def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:

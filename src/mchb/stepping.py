@@ -4,8 +4,13 @@ One step advances, in order: (i) constitutive evaluation at the current
 state, (ii) the flow solve (Darcy or Brinkman) driven by the capillary and
 chemical force with the volume source, (iii) the phase-field update with the
 convex part of the potential implicit and the concave part, chemical
-coupling, sources and transport explicit, and (iv) one SPD nutrient solve
-with the updated phase field inside the flux and the Robin wall closure.
+coupling, sources and transport explicit, and (iv) one implicit nutrient
+solve of ``(I/dt + N) sigma = rhs`` with the updated phase field inside the
+flux.  On a no-flux nutrient wall (``K = 0``) ``N`` is ``chi_sigma A`` with
+``A`` the Neumann Laplacian, which the cosine transform diagonalizes: the
+solve is one forward transform, a division by ``1/dt + chi_sigma lambda``
+and one inverse transform.  No fast transform diagonalizes the Robin
+closure, so under it the solve is CG on the assembled SPD system.
 
 The phase and nutrient mobilities are the unit ones
 (``constitutive.mobility``), so every diffusion operator is the plain
@@ -73,7 +78,7 @@ from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
     korteweg_force, solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Field, Grid, advective_divergence,
+from .grid import (NEUMANN, Field, Grid, Robin, advective_divergence,
                    fv_diffusion_matrix, laplacian_symbol)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
@@ -182,14 +187,17 @@ class TimeStepper:
                                   source_variant=config.source_variant)
         self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
         self._neu_symbol = laplacian_symbol(g, NEUMANN)
-        self._identity = sp.identity(g.ncells, format="csr")
-        # nutrient flux chi_sigma grad(sigma) - B grad(phi) under the Robin
-        # wall closure; the coupling part is the Neumann Laplacian
-        chi = self.bundle.chem.chi_sigma
-        self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
-            g, diag.nutrient_bc(self.bundle), chi)
-        # (dt, I/dt + nutrient matrix) of the last nutrient solve
-        self._nutrient_system: tuple | None = None
+        # nutrient flux chi_sigma grad(sigma) - B grad(phi); the coupling part
+        # is the Neumann Laplacian.  Only the Robin wall needs the assembled
+        # system: a no-flux wall is solved in the cosine basis
+        nutrient_bc = diag.nutrient_bc(self.bundle)
+        self._nutrient_matrix = None
+        if isinstance(nutrient_bc, Robin):
+            self._identity = sp.identity(g.ncells, format="csr")
+            self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
+                g, nutrient_bc, self.bundle.chem.chi_sigma)
+            # (dt, I/dt + nutrient matrix) of the last nutrient solve
+            self._nutrient_system: tuple | None = None
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (history, sigma, free energy) of the state the last step returned;
@@ -288,10 +296,17 @@ class TimeStepper:
     # -- nutrient update ----------------------------------------------------
 
     def _nutrient_solve(self, sigma_n, phi_new, conv_sigma, s_sigma, dt):
+        """The new nutrient and the solve count: 1 for the transform solve
+        of a no-flux wall, the CG iterations under the Robin closure."""
         g = self.grid
         bphi = np.einsum("ml,lxy->mxy", self.bundle.chem.coupling, phi_new)[0]
-        rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel() \
-            + self._nutrient_rhs + self._neu_laplacian @ bphi.ravel()
+        rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel()
+        if self._nutrient_matrix is None:
+            rhs = rhs + self._neu_laplacian @ bphi.ravel()
+            coef = dctn(rhs.reshape(g.shape), type=2, norm="ortho")
+            coef /= 1.0 / dt + self.bundle.chem.chi_sigma * self._neu_symbol
+            return idctn(coef, type=2, norm="ortho")[None], 1
+        rhs = rhs + self._nutrient_rhs + self._neu_laplacian @ bphi.ravel()
         if self._nutrient_system is None or self._nutrient_system[0] != dt:
             self._nutrient_system = (
                 dt, (self._identity / dt + self._nutrient_matrix).tocsr())

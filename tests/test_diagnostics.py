@@ -7,9 +7,10 @@ import pytest
 
 from mchb.diagnostics import (boundary_absorption, component_masses,
                               dissipation_rate, energy_law_residual,
-                              free_energy)
+                              free_energy, nutrient_bc)
+import mchb.constitutive as cst
 from mchb.flow import solve_darcy
-from mchb.grid import Grid
+from mchb.grid import NEUMANN, Field, Grid, face_gradient, inner_product
 from mchb.parameters import build_default_scenario, build_specs, \
     default_parameters
 from mchb.state import StateFields, build_initial_state
@@ -112,6 +113,57 @@ class TestDissipation:
         state = uniform_state(grid, sigma_val=0.8)
         got = boundary_absorption(state, b)
         assert got == pytest.approx(2.0 * 1.0 * 0.8**2 * 4.0, rel=1e-12)
+
+
+def face_free_energy(state, bundle):
+    """``free_energy`` summed over the ghost-closed face gradients."""
+    g, m = state.grid, bundle.params
+    e = m.gamma / m.epsilon * float(cst.potential_value(state.phi).sum()) \
+        * g.cell_area
+    for c in state.phi:
+        fv = face_gradient(Field(c, NEUMANN, g))
+        e += 0.5 * m.gamma * m.epsilon * inner_product(fv, fv)
+    n_val, _, _, _ = cst.chemical_energy(state.phi, state.sigma, bundle.chem)
+    return e + float(n_val.sum()) * g.cell_area
+
+
+def face_dissipation(state, bundle):
+    """``dissipation_rate`` summed over the ghost-closed face gradients: the
+    nutrient flux chi grad(sigma) - B grad(phi) with sigma under the
+    nutrient wall closure."""
+    g, chem = state.grid, bundle.chem
+    total = 0.0
+    for c in state.mu:
+        fv = face_gradient(Field(c, NEUMANN, g))
+        total += inner_product(fv, fv)
+    fs = face_gradient(Field(state.sigma[0], nutrient_bc(bundle), g))
+    gx, gy = chem.chi_sigma * fs.gx, chem.chi_sigma * fs.gy
+    for l, c in enumerate(state.phi):
+        fp = face_gradient(Field(c, NEUMANN, g))
+        gx -= chem.coupling[0, l] * fp.gx
+        gy -= chem.coupling[0, l] * fp.gy
+    fv.gx, fv.gy = gx, gy
+    return total + inner_product(fv, fv)
+
+
+class TestInteriorDifferenceSums:
+    """The interior-difference sums against the face-gradient formulas."""
+
+    @pytest.mark.parametrize("nx, ny, lx", [(16, 24, 1.7), (64, 64, 1.0)])
+    @pytest.mark.parametrize("k", [0.0, 1.5])
+    def test_match_face_gradient_sums(self, nx, ny, lx, k):
+        bundle = build_specs(default_parameters(K=k, sigma_Gamma=0.6))
+        grid = Grid(nx, ny, lx, 1.0)
+        rng = np.random.default_rng(nx + int(10 * k))
+        for _ in range(3):
+            state = uniform_state(grid)
+            state.phi = rng.uniform(0.0, 0.3, state.phi.shape)
+            state.mu = rng.standard_normal(state.mu.shape)
+            state.sigma = rng.uniform(0.0, 1.0, state.sigma.shape)
+            assert free_energy(state, bundle)[0] == pytest.approx(
+                face_free_energy(state, bundle), rel=1e-13, abs=0.0)
+            assert dissipation_rate(state, bundle) == pytest.approx(
+                face_dissipation(state, bundle), rel=1e-13, abs=0.0)
 
 
 class TestMasses:

@@ -274,6 +274,13 @@ class TestSweepCli:
         assert capsys.readouterr().err.startswith(
             "error: snapshot steps must be nonnegative")
 
+    def test_negative_steps_rejected(self, tmp_path, capsys):
+        assert main(["run", "--preset", "zero-source", "--steps", "-3",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "error: --steps must be nonnegative, got -3\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestExitCodes:
     def test_aborted_run_exit_code(self, tmp_path):

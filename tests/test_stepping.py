@@ -1,8 +1,10 @@
 """Time stepper: fixed points, splitting order, conservation, run control."""
 
 import dataclasses
+import importlib.util
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,12 @@ from mchb.parameters import ConfigError, build_default_scenario
 from mchb.state import StateFields, build_initial_state, smooth_random_field
 from mchb.stepping import (StepFailure, TimeStepper, explicit_terms,
                            extrapolate, transport_terms)
+
+# the random large-step set is defined once, in the agreement script
+_AGREE = Path(__file__).resolve().parents[1] / "tools" / "agree.py"
+_SPEC = importlib.util.spec_from_file_location("agree", _AGREE)
+agree = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(agree)
 
 
 def counting(monkeypatch, owner, name):
@@ -558,31 +566,8 @@ class TestStartGuess:
         assert extrapolate(history[2:], t) is None
 
 
-def large_step_configs(seed=1301, count=24):
-    """Seeded random small configurations at 1 to 1000 times the default dt.
-
-    Preset, grid (8 to 16 cells a side), dt (log-uniform), flow backend,
-    flow and sources on or off, initial condition and its seed are drawn;
-    each run takes 3 steps.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        cfg = build_default_scenario(str(rng.choice(
-            ["stratified-tumor", "zero-source", "darcy-limit"])))
-        n = int(rng.integers(8, 17))
-        dt = cfg.dt * 10.0 ** rng.uniform(0.0, 3.0)
-        yield dataclasses.replace(
-            cfg, grid_nx=n, grid_ny=n, dt=dt, t_end=3 * dt,
-            flow_backend=str(rng.choice(["darcy", "brinkman"])),
-            flow_enabled=bool(rng.integers(2)),
-            sources_enabled=bool(rng.integers(2)),
-            initial_condition=str(rng.choice(
-                ["stratified", "random-smooth", "uniform"])),
-            seed=int(rng.integers(1000)))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("cfg", list(large_step_configs()),
+@pytest.mark.parametrize("cfg", list(agree.large_step_configs()),
                          ids=lambda cfg: f"{cfg.grid_nx}-{cfg.dt:.3g}")
 def test_large_random_steps_finish_at_full_size(cfg):
     summary = TimeStepper(cfg).run()
@@ -678,6 +663,48 @@ class TestStepWork:
         assert assemblies == []
         ids = [id(mat) for mat in systems]
         assert [ids.index(key) for key in ids] == [0, 0, 0, 3, 3]
+
+
+class TestNutrientSolve:
+    @pytest.mark.parametrize("nx, ny, lx", [(16, 24, 1.7), (64, 64, 1.0)])
+    def test_no_flux_transform_solve_matches_cg(self, nx, ny, lx):
+        cfg = small_config(grid_nx=nx, grid_ny=ny, domain_lx=lx)
+        st = TimeStepper(cfg)
+        assert cfg.model.K == 0.0
+        g, chem = st.grid, st.bundle.chem
+        rng = np.random.default_rng(nx)
+        sigma_n = rng.uniform(0.0, 1.0, (1, *g.shape))
+        phi_new = rng.uniform(0.0, 0.3, (3, *g.shape))
+        conv_sigma = rng.standard_normal(g.shape)
+        s_sigma = rng.standard_normal((1, *g.shape))
+        dt = 10.0 * cfg.dt
+        got, count = st._nutrient_solve(sigma_n, phi_new, conv_sigma, s_sigma,
+                                        dt)
+        # the system the CG solved: I/dt + chi A, with the coupling part of
+        # the flux on the right side
+        lap, _ = fv_diffusion_matrix(g, NEUMANN)
+        system = sp.identity(g.ncells, format="csr") / dt + chem.chi_sigma * lap
+        bphi = np.einsum("l,lxy->xy", chem.coupling[0], phi_new)
+        rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel() \
+            + lap @ bphi.ravel()
+        ref, info = spla.cg(system, rhs, rtol=1e-14, atol=0.0,
+                            maxiter=10 * g.ncells)
+        assert info == 0 and count == 1
+        assert got.shape == (1, ny, nx)
+        assert np.abs(got.ravel() - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("preset, cg_calls", [("zero-source", 0),
+                                                  ("stratified-tumor", 1)])
+    def test_cg_runs_only_under_the_robin_closure(self, monkeypatch, preset,
+                                                  cg_calls):
+        cfg = dataclasses.replace(build_default_scenario(preset),
+                                  grid_nx=16, grid_ny=16)
+        st = TimeStepper(cfg)
+        calls = counting(monkeypatch, spla, "cg")
+        _, rep = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        assert len(calls) == cg_calls
+        if cg_calls == 0:
+            assert rep.nutrient_iters == 1
 
 
 def full_grid_random_field(rng, grid, modes, amplitude):

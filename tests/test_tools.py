@@ -89,3 +89,47 @@ def test_mms_errors_compare_per_study():
     assert set(moved) == {"ch-operator", "advective-divergence"}
     assert 0.0 < moved["ch-operator"] <= np.finfo(float).eps
     assert moved["advective-divergence"] == np.inf
+
+
+def large_set(seed=0, count=3):
+    """Random results shaped like the ``large|`` entries of a result set."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for k in range(count):
+        out[f"large|{k}|name"] = np.array(f"large-dt {k}: 8x8")
+        out[f"large|{k}|outcome"] = np.array([False, 0])
+        for f in agree.FIELDS:
+            out[f"large|{k}|{f}"] = rng.standard_normal((2, 4, 4))
+    return out
+
+
+def test_large_step_runs_compare_outcome_and_fields():
+    a = large_set()
+    b = copy_of(a)
+    assert agree.format_large(agree.compare_large(a, b)) == [
+        line for k in range(3) for line in (
+            f"large-dt {k}: 8x8",
+            "  aborted False/False, halvings 0/0; fields: "
+            + ", ".join(f"{f} ==" for f in agree.FIELDS))]
+    b["large|1|outcome"] = np.array([True, 5])
+    b["large|2|sigma"].flat[3] = np.nextafter(a["large|2|sigma"].flat[3], 9.0)
+    result = agree.compare_large(a, b)
+    assert result["large-dt 1: 8x8"]["outcome"] == ((False, 0), (True, 5))
+    assert 0.0 < result["large-dt 2: 8x8"]["sigma"] <= np.finfo(float).eps
+    lines = agree.format_large(result)
+    assert lines[3].startswith("  aborted False/True, halvings 0/5; fields: ")
+    assert lines[5].endswith(f"sigma {result['large-dt 2: 8x8']['sigma']:.2e}"
+                             ", v ==, p ==")
+
+
+def test_large_step_set_draws_both_wall_closures_at_large_steps():
+    from mchb.parameters import default_dt
+
+    configs = list(agree.large_step_configs())
+    assert len(configs) == 24
+    assert {cfg.model.K == 0.0 for cfg in configs} == {True, False}
+    assert all(1.0 <= cfg.dt / default_dt(cfg.model) <= 1000.0
+               and cfg.t_end == 3 * cfg.dt for cfg in configs)
+    assert [agree.large_step_name(k, cfg) for k, cfg in enumerate(configs)] \
+        == [agree.large_step_name(k, cfg) for k, cfg in
+            enumerate(agree.large_step_configs())]

@@ -11,12 +11,16 @@ relative difference ``max |a - b| / max(|a|, |b|)``:
 - of the final phi, mu, sigma, v and p;
 - of each report column (the run's CSV rows) over the steps;
 - of the solver counts of every step: flow iterations (Uzawa sweeps),
-  phase-solve updates and nutrient CG iterations.
+  phase-solve updates and the nutrient solve count.
 
 It also compares the errors of every ``verification.run_all`` study on the
-grid ladder ``MMS_LADDER``, one value per study.
+grid ladder ``MMS_LADDER``, one value per study, and runs the random
+large-step set ``large_step_configs()``: for each configuration it prints
+whether the run aborted and how often it halved dt on either tree, and the
+agreement of the final fields.
 
-The case set is fixed, so every comparison runs the same cases.
+The case and configuration sets are fixed, so every comparison runs the
+same runs.
 """
 
 from __future__ import annotations
@@ -47,6 +51,42 @@ CASES = (
 MMS_LADDER = (32, 64, 128, 256)
 FIELDS = ("phi", "mu", "sigma", "v", "p")
 COUNTS = ("flow_iterations", "picard_iters", "nutrient_iters")
+
+
+def large_step_configs(seed=1301, count=24):
+    """Seeded random small configurations at 1 to 1000 times the default dt.
+
+    Preset, grid (8 to 16 cells a side), dt (log-uniform), flow backend,
+    flow and sources on or off, initial condition and its seed are drawn;
+    each run takes 3 steps.
+    """
+    from mchb.parameters import build_default_scenario
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        cfg = build_default_scenario(str(rng.choice(
+            ["stratified-tumor", "zero-source", "darcy-limit"])))
+        n = int(rng.integers(8, 17))
+        dt = cfg.dt * 10.0 ** rng.uniform(0.0, 3.0)
+        yield dataclasses.replace(
+            cfg, grid_nx=n, grid_ny=n, dt=dt, t_end=3 * dt,
+            flow_backend=str(rng.choice(["darcy", "brinkman"])),
+            flow_enabled=bool(rng.integers(2)),
+            sources_enabled=bool(rng.integers(2)),
+            initial_condition=str(rng.choice(
+                ["stratified", "random-smooth", "uniform"])),
+            seed=int(rng.integers(1000)))
+
+
+def large_step_name(k: int, cfg) -> str:
+    """One line naming the ``k``-th large-step configuration."""
+    from mchb.parameters import default_dt
+
+    flow = cfg.flow_backend if cfg.flow_enabled else "flow off"
+    sources = "sources on" if cfg.sources_enabled else "sources off"
+    return (f"large-dt {k}: {cfg.grid_nx}x{cfg.grid_ny}, "
+            f"dt {cfg.dt / default_dt(cfg.model):.3g} dt0, K={cfg.model.K:g}, "
+            f"{flow}, {sources}, {cfg.initial_condition}")
 
 
 def case_name(preset: str, n: int, steps: int, overrides: dict) -> str:
@@ -93,6 +133,14 @@ def run_cases(out_path: str) -> None:
         out[f"{name}|message"] = np.array(summary.message)
     for study in run_all(MMS_LADDER):
         out[f"mms|{study.name}"] = np.array(study.errors)
+    for k, cfg in enumerate(large_step_configs()):
+        summary = TimeStepper(cfg).run()
+        out[f"large|{k}|name"] = np.array(large_step_name(k, cfg))
+        # the run loop only halves dt, so dt_final is dt over a power of two
+        out[f"large|{k}|outcome"] = np.array(
+            [summary.aborted, round(math.log2(cfg.dt / summary.dt_final))])
+        for field in FIELDS:
+            out[f"large|{k}|{field}"] = getattr(summary.state, field)
     np.savez(out_path, **out)
 
 
@@ -139,6 +187,25 @@ def compare_mms(ref: dict, new: dict) -> dict[str, float | None]:
             if k in ref and k in new else math.inf for k in keys}
 
 
+def compare_large(ref: dict, new: dict) -> dict[str, dict]:
+    """Per large-step configuration, the outcome ``(aborted, halvings)`` on
+    each tree and the ``difference`` of each final field.
+
+    The configurations are named as the second tree names them.
+    """
+    out = {}
+    for key in new:
+        if key.startswith("large|") and key.endswith("|name"):
+            at = key.removesuffix("name")
+            out[str(new[key])] = {
+                "outcome": tuple((bool(res[f"{at}outcome"][0]),
+                                  int(res[f"{at}outcome"][1]))
+                                 for res in (ref, new)),
+                **{f: difference(ref[f"{at}{f}"], new[f"{at}{f}"])
+                   for f in FIELDS}}
+    return out
+
+
 def _shown(d: float | None) -> str:
     return "==" if d is None else f"{d:.2e}"
 
@@ -162,6 +229,19 @@ def format_mms(result: dict) -> list[str]:
     studies = ", ".join(f"{k} {_shown(d)}" for k, d in result.items())
     return [f"mms ladder {'/'.join(map(str, MMS_LADDER))}",
             f"  errors: {studies}"]
+
+
+def format_large(result: dict) -> list[str]:
+    """Two lines per large-step configuration: the outcome on each tree, then
+    the fields."""
+    lines = []
+    for name, items in result.items():
+        (abort_a, halve_a), (abort_b, halve_b) = items["outcome"]
+        fields = ", ".join(f"{f} {_shown(items[f])}" for f in FIELDS)
+        lines += [name,
+                  f"  aborted {abort_a}/{abort_b}, halvings {halve_a}/{halve_b}"
+                  f"; fields: {fields}"]
+    return lines
 
 
 def _results_of(src: Path, tmp: Path, tag: str) -> dict:
@@ -199,7 +279,8 @@ def main(argv: list[str]) -> int:
     print(f"agreement of {commit} (a) with the checkout (b): "
           "== or max |a - b| / max(|a|, |b|)")
     print("\n".join(format_report(compare(ref, new))
-                    + format_mms(compare_mms(ref, new))))
+                    + format_mms(compare_mms(ref, new))
+                    + format_large(compare_large(ref, new))))
     for case in CASES:
         name = case_name(*case)
         for tag, res in (("commit", ref), ("checkout", new)):
