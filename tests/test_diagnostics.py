@@ -10,7 +10,8 @@ from mchb.diagnostics import (boundary_absorption, component_masses,
                               free_energy, nutrient_bc)
 import mchb.constitutive as cst
 from mchb.flow import solve_darcy
-from mchb.grid import NEUMANN, Field, Grid, face_gradient, inner_product
+from mchb.grid import (NEUMANN, FaceVector, Field, Grid, face_gradient,
+                       inner_product)
 from mchb.parameters import build_default_scenario, build_specs, \
     default_parameters
 from mchb.state import StateFields, build_initial_state
@@ -142,8 +143,8 @@ def face_dissipation(state, bundle):
         fp = face_gradient(Field(c, NEUMANN, g))
         gx -= chem.coupling[0, l] * fp.gx
         gy -= chem.coupling[0, l] * fp.gy
-    fv.gx, fv.gy = gx, gy
-    return total + inner_product(fv, fv)
+    flux = FaceVector(gx, gy, g)
+    return total + inner_product(flux, flux)
 
 
 class TestInteriorDifferenceSums:

@@ -19,7 +19,8 @@ import mchb.stepping
 from mchb.grid import (NEUMANN, Grid, Robin, fv_diffusion_matrix,
                        laplacian_symbol)
 from mchb.diagnostics import component_masses, free_energy
-from mchb.parameters import ConfigError, build_default_scenario
+from mchb.parameters import (ConfigError, build_default_scenario,
+                             default_parameters)
 from mchb.state import StateFields, build_initial_state, smooth_random_field
 from mchb.stepping import (StepFailure, TimeStepper, explicit_terms,
                            extrapolate, transport_terms)
@@ -668,9 +669,10 @@ class TestStepWork:
 class TestNutrientSolve:
     @pytest.mark.parametrize("nx, ny, lx", [(16, 24, 1.7), (64, 64, 1.0)])
     def test_no_flux_transform_solve_matches_cg(self, nx, ny, lx):
-        cfg = small_config(grid_nx=nx, grid_ny=ny, domain_lx=lx)
+        # a non-unit chi_sigma, so the symbol's weight shows
+        cfg = small_config(grid_nx=nx, grid_ny=ny, domain_lx=lx,
+                           model=default_parameters(K=0.0, chi_sigma=2.5))
         st = TimeStepper(cfg)
-        assert cfg.model.K == 0.0
         g, chem = st.grid, st.bundle.chem
         rng = np.random.default_rng(nx)
         sigma_n = rng.uniform(0.0, 1.0, (1, *g.shape))
