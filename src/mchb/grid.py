@@ -16,9 +16,9 @@ Boundary closures are ghost-cell based, all defined in ``_ghost``:
   boundary condition (velocities, assembled forces),
 * ``Robin``        flux closure ``c dfdn = k (target - f)`` at the face.
 
-The sparse stencils (``cell_gradient_matrix``, the face matrices of the
-flow solves and the wall rows of ``fv_diffusion_matrix``) are derived from
-the same ghost closures, so each closure has one definition.
+The stencils (``cell_gradient_matrix``, the face matrices of the flow
+solves and the wall rows of ``fv_diffusion_matrix`` and its axes) are
+derived from the same ghost closures, so each closure has one definition.
 """
 
 from __future__ import annotations
@@ -353,6 +353,18 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
     mat = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n, n))
     mat.eliminate_zeros()
     return mat, rhs.ravel()
+
+
+def fv_diffusion_axis(n: int, h: float, bc: BC, coeff: float = 1.0):
+    """Dense ``(n, n)`` matrix and ``(n,)`` rhs of one axis of
+    ``fv_diffusion_matrix``, which is the Kronecker sum of its y and x axes."""
+    t = coeff / h**2
+    w, g0 = _wall_closure(bc, h)
+    mat = t * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+    mat[0, 0] = mat[-1, -1] = t + coeff * (1.0 - w) / h**2
+    rhs = np.zeros(n)
+    rhs[[0, -1]] = coeff * g0 / h**2
+    return mat, rhs
 
 
 def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,

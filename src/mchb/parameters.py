@@ -405,7 +405,6 @@ class ScenarioConfig:
     snapshot_every: int = 0
     tol_flow: float = 1e-9
     tol_ch: float = 1e-12
-    tol_nutrient: float = 1e-12
     max_nonlinear_iter: int = 50
 
     def violations(self) -> list[str]:
@@ -421,6 +420,15 @@ class ScenarioConfig:
             v.append(f"cell counts must be >= 8, got {self.grid_nx}x{self.grid_ny}")
         if self.domain_lx <= 0 or self.domain_ly <= 0:
             v.append("domain extents must be positive")
+        elif min(self.grid_nx, self.grid_ny) > 0:
+            for name, cells in (("domain_lx", self.grid_nx), ("domain_ly", self.grid_ny)):
+                try:  # the operators divide by h**2, which must be finite
+                    ok = 0.0 < 1.0 / (getattr(self, name) / cells)**2 < math.inf
+                except (OverflowError, ZeroDivisionError):
+                    ok = False
+                if not ok:
+                    v.append(f"{name} over {cells} cells gives a cell width "
+                             "whose square or its inverse is not finite")
         if self.flow_backend not in ("darcy", "brinkman"):
             v.append(f"flow_backend must be darcy or brinkman, got {self.flow_backend!r}")
         if self.flow_backend == "brinkman" and not self.eta0 > 0:
@@ -435,7 +443,7 @@ class ScenarioConfig:
         if self.max_nonlinear_iter < 1:
             v.append(f"max_nonlinear_iter must be at least 1, "
                      f"got {self.max_nonlinear_iter}")
-        for name in ("tol_flow", "tol_ch", "tol_nutrient"):
+        for name in ("tol_flow", "tol_ch"):
             if not getattr(self, name) > 0:
                 v.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.init_modes < 1:

@@ -6,15 +6,15 @@ chemical force with the volume source, (iii) the phase-field update with the
 convex part of the potential implicit and the concave part, chemical
 coupling, sources and transport explicit, and (iv) one implicit nutrient
 solve of ``(I/dt + N) sigma = rhs`` with the updated phase field inside the
-flux.  On a no-flux nutrient wall (``K = 0``) ``N`` is ``chi_sigma A`` with
-``A`` the Neumann Laplacian, which the cosine transform diagonalizes: the
-solve is one forward transform, a division by ``1/dt + chi_sigma lambda``
-and one inverse transform.  No fast transform diagonalizes the Robin
-closure, so under it the solve is CG on the assembled SPD system.
+flux.  Under either wall closure, no-flux (``K = 0``) or Robin, ``N`` is the
+Kronecker sum of two tridiagonal axis operators, so their eigenbases
+diagonalize it (fast diagonalization; Lynch, Rice and Thomas, Numer. Math.
+6, 1964): the solve, for the increment ``sigma - sigma^n``, is a change of
+basis per axis and a division by ``1/dt + lambda_y + lambda_x``.
 
 The phase and nutrient mobilities are the unit ones
 (``constitutive.mobility``), so every diffusion operator is the plain
-finite-volume Laplacian and is assembled once per stepper.
+finite-volume Laplacian, built (or decomposed) once per stepper.
 
 The phase update is solved per component on the implicit residual
 ``R(x) = x + dt A mu(x) - rhs``, ``mu(x) = gamma eps A x + gamma/eps
@@ -70,7 +70,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dctn, idctn
 
@@ -78,7 +77,8 @@ from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
     korteweg_force, solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Field, Grid, Robin, advective_divergence,
+from .grid import (NEUMANN, Field, Grid, advective_divergence,
+                   face_divergence, face_gradient, fv_diffusion_axis,
                    fv_diffusion_matrix, laplacian_symbol)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
@@ -94,7 +94,6 @@ class StepReport:
     flow_iterations: int
     picard_iters: int
     picard_residual: float
-    nutrient_iters: int
     energy_before: float
     energy_after: float
     div_residual: float
@@ -188,16 +187,11 @@ class TimeStepper:
         self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
         self._neu_symbol = laplacian_symbol(g, NEUMANN)
         # nutrient flux chi_sigma grad(sigma) - B grad(phi); the coupling part
-        # is the Neumann Laplacian.  Only the Robin wall needs the assembled
-        # system: a no-flux wall is solved in the cosine basis
-        nutrient_bc = diag.nutrient_bc(self.bundle)
-        self._nutrient_matrix = None
-        if isinstance(nutrient_bc, Robin):
-            self._identity = sp.identity(g.ncells, format="csr")
-            self._nutrient_matrix, self._nutrient_rhs = fv_diffusion_matrix(
-                g, nutrient_bc, self.bundle.chem.chi_sigma)
-            # (dt, I/dt + nutrient matrix) of the last nutrient solve
-            self._nutrient_system: tuple | None = None
+        # is the Neumann Laplacian.  The eigenpairs of N's y and x axes
+        self._nutrient_bc = diag.nutrient_bc(self.bundle)
+        self._nutrient_axes = [np.linalg.eigh(fv_diffusion_axis(
+            n, h, self._nutrient_bc, self.bundle.chem.chi_sigma)[0])
+            for n, h in ((g.ny, g.hy), (g.nx, g.hx))]
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (history, sigma, free energy) of the state the last step returned;
@@ -296,32 +290,20 @@ class TimeStepper:
     # -- nutrient update ----------------------------------------------------
 
     def _nutrient_solve(self, sigma_n, phi_new, conv_sigma, s_sigma, dt):
-        """The new nutrient and the solve count: 1 for the transform solve
-        of a no-flux wall, the CG iterations under the Robin closure."""
-        g = self.grid
-        bphi = np.einsum("ml,lxy->mxy", self.bundle.chem.coupling, phi_new)[0]
-        rhs = (sigma_n[0] / dt - conv_sigma - s_sigma[0]).ravel()
-        if self._nutrient_matrix is None:
-            rhs = rhs + self._neu_laplacian @ bphi.ravel()
-            coef = dctn(rhs.reshape(g.shape), type=2, norm="ortho")
-            coef /= 1.0 / dt + self.bundle.chem.chi_sigma * self._neu_symbol
-            return idctn(coef, type=2, norm="ortho")[None], 1
-        rhs = rhs + self._nutrient_rhs + self._neu_laplacian @ bphi.ravel()
-        if self._nutrient_system is None or self._nutrient_system[0] != dt:
-            self._nutrient_system = (
-                dt, (self._identity / dt + self._nutrient_matrix).tocsr())
-        iters = 0
+        """The new nutrient and the solve count, always 1.
 
-        def cb(_):
-            nonlocal iters
-            iters += 1
-
-        x, info = spla.cg(self._nutrient_system[1], rhs, x0=sigma_n[0].ravel(),
-                          rtol=self.config.tol_nutrient, atol=0.0,
-                          maxiter=10 * g.ncells, callback=cb)
-        if info != 0:
-            raise StepFailure(f"nutrient CG failed to converge (info={info})")
-        return x.reshape(1, g.ny, g.nx), iters
+        ``d = sigma - sigma^n`` solves ``(I/dt + N) d = rhs - (I/dt + N)
+        sigma^n``, where ``N sigma^n`` with its wall source is the flux
+        balance of ``sigma^n``: a state at rest gives ``d = 0`` exactly.
+        """
+        g, chem = self.grid, self.bundle.chem
+        bphi = np.einsum("ml,lxy->mxy", chem.coupling, phi_new)[0]
+        flux = face_gradient(Field(sigma_n[0], self._nutrient_bc, g))
+        r = ((self._neu_laplacian @ bphi.ravel()).reshape(g.shape)
+             + chem.chi_sigma * face_divergence(flux) - conv_sigma - s_sigma[0])
+        (lam_y, q_y), (lam_x, q_x) = self._nutrient_axes
+        coef = q_y.T @ r @ q_x / (1.0 / dt + lam_y[:, None] + lam_x[None, :])
+        return (sigma_n[0] + q_y @ coef @ q_x.T)[None], 1
 
     # -- one step -----------------------------------------------------------
 
@@ -377,7 +359,7 @@ class TimeStepper:
                 state.phi, rhs0, const_mu, dt,
                 extrapolate(history, state.t + dt))
 
-        sigma_new, nutrient_iters = self._nutrient_solve(
+        sigma_new, _ = self._nutrient_solve(
             state.sigma, phi_new, conv_sigma, terms.s_sigma, dt)
 
         new_state = StateFields(phi=phi_new, mu=mu_new, sigma=sigma_new,
@@ -392,13 +374,10 @@ class TimeStepper:
         history = (*kept, (new_state.t, phi_new.copy()))
         self._carry = (history, sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,
-                            picard_iters=picard_iters,
-                            picard_residual=picard_res,
-                            nutrient_iters=nutrient_iters,
+                            picard_iters=picard_iters, picard_residual=picard_res,
                             energy_before=energy.e_before,
                             energy_after=energy.e_total,
-                            div_residual=div_residual,
-                            energy=energy)
+                            div_residual=div_residual, energy=energy)
         return new_state, report
 
     # -- run loop -----------------------------------------------------------

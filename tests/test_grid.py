@@ -11,8 +11,9 @@ from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
                        Grid, Robin, advective_divergence, cell_gradient,
                        cell_gradient_matrix, face_average_matrix,
                        face_divergence, face_divergence_matrix, face_gradient,
-                       face_gradient_matrix, fv_diffusion_matrix,
-                       inner_product, laplacian_symbol, _ghost)
+                       face_gradient_matrix, fv_diffusion_axis,
+                       fv_diffusion_matrix, inner_product, laplacian_symbol,
+                       _ghost)
 
 
 @pytest.fixture
@@ -92,6 +93,8 @@ class TestOperators:
         # its ghost reads the second and third layers, not only the edge
         with pytest.raises(TypeError):
             fv_diffusion_matrix(grid, EXTRAPOLATE)
+        with pytest.raises(TypeError):
+            fv_diffusion_axis(grid.nx, grid.hx, EXTRAPOLATE)
 
 
 def coo_diffusion_matrix(grid, bc, coeff):
@@ -140,6 +143,26 @@ class TestDiffusionAssembly:
                                   (mat.indptr, ref.indptr), (rhs, ref_rhs)):
                     assert got.dtype == want.dtype
                     assert np.array_equal(got, want), (dims, coeff, bc)
+
+    @pytest.mark.parametrize("dims", [(8, 8, 1.0, 1.0), (16, 37, 2.3, 0.7),
+                                      (64, 48, 20.0, 20.0)],
+                             ids=["8x8", "16x37", "64x48"])
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET,
+                                    Robin(k=0.3, target=1.7, diffusivity=0.7)],
+                             ids=["neumann", "dirichlet", "robin"])
+    def test_axes_sum_to_the_assembled_matrix(self, dims, bc):
+        # N = A_y (x) I_x + I_y (x) A_x in the row-major cell order
+        grid = Grid(*dims)
+        mat, rhs = fv_diffusion_matrix(grid, bc, 0.7)
+        a_y, r_y = fv_diffusion_axis(grid.ny, grid.hy, bc, 0.7)
+        a_x, r_x = fv_diffusion_axis(grid.nx, grid.hx, bc, 0.7)
+        assert a_y.shape == (grid.ny, grid.ny) and r_x.shape == (grid.nx,)
+        kron = np.kron(a_y, np.eye(grid.nx)) + np.kron(np.eye(grid.ny), a_x)
+        kron_rhs = (r_y[:, None] + r_x[None, :]).ravel()
+        assert np.abs(kron - mat.toarray()).max() <= 1e-14 * abs(mat).max()
+        assert np.abs(kron_rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
+        if isinstance(bc, Robin):
+            assert np.abs(rhs).max() > 0.0
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         grid = Grid(256, 256)

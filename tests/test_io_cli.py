@@ -149,7 +149,8 @@ class TestCli:
         for doc in ({"max_nonlinear_iter": 0}, {"grid_nx": "64"},
                     {"grid_nx": 64.5}, {"flow_enabled": "no"},
                     {"t_end": float("nan")},
-                    {"flow_backend": "brinkman", "lambda0": float("nan")}):
+                    {"flow_backend": "brinkman", "lambda0": float("nan")},
+                    {"tol_nutrient": 1e-12}):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(doc))
             assert main(["run", "--config", str(bad),
@@ -161,6 +162,22 @@ class TestCli:
                          "--out-dir", str(tmp_path / "out")]) == 1, sweep
         for grids in ("32,abc", "4,8", "32,32", "64,-128"):
             assert main(["mms", "--grids", grids]) == 1, grids
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"domain_lx": 1e-200, "grid_nx": 8, "grid_ny": 8}, "domain_lx"),
+        ({"domain_lx": 1e300, "domain_ly": 1e300}, "domain_ly")])
+    def test_extreme_cell_width_is_config_error(self, tmp_path, capsys, doc,
+                                                field):
+        # h**2 underflows to zero or overflows: the operators cannot be built
+        with pytest.raises(ConfigError, match=field):
+            load_config(json.dumps(doc))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
 
     def test_usage_errors_are_config_errors(self, capsys):
         for argv in ([], ["run", "--steps", "abc"], ["run", "--bogus"],

@@ -181,6 +181,10 @@ class TestConfigDocuments:
             load_config('{"model": {"gammo": 1.0}}')
         with pytest.raises(ConfigError, match="out_dir"):
             load_config('{"out_dir": "runs"}')
+        # the nutrient step is a direct solve: its CG tolerance is gone
+        with pytest.raises(ConfigError,
+                           match="^unknown configuration keys: tol_nutrient$"):
+            load_config('{"tol_nutrient": 1e-12}')
 
     def test_parse_error_cites_location(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -21,7 +21,7 @@ def result_set(seed=0):
         for f in agree.FIELDS:
             out[f"{name}|{f}"] = rng.standard_normal((2, 4, 4))
         out[f"{name}|report"] = rng.standard_normal((3, 2))
-        out[f"{name}|counts"] = rng.integers(1, 9, (3, 3))
+        out[f"{name}|counts"] = rng.integers(1, 9, (3, len(agree.COUNTS)))
     return out
 
 
@@ -44,17 +44,22 @@ def test_one_ulp_shows_where_it_moved():
     name = agree.case_name(*agree.CASES[2])
     b[f"{name}|p"].flat[5] = np.nextafter(a[f"{name}|p"].flat[5], np.inf)
     b[f"{name}|report"][1, 1] = np.nextafter(a[f"{name}|report"][1, 1], 0.0)
+    # one more phase-solve update in one step: only that count moves
+    b[f"{name}|counts"][2, agree.COUNTS.index("picard_iters")] += 1
     result = agree.compare(a, b)
     moved = {(case, k): d for case, items in result.items()
              for k, d in items.items() if d is not None}
-    assert set(moved) == {(name, "p"), (name, "E")}
-    assert all(0.0 < d <= np.finfo(float).eps for d in moved.values())
+    assert set(moved) == {(name, "p"), (name, "E"),
+                          (name, "counts|picard_iters")}
+    assert 0.0 < moved[name, "p"] <= np.finfo(float).eps
+    assert 0.0 < moved[name, "E"] <= np.finfo(float).eps
     lines = agree.format_report(result)
     at = lines.index(name)
     assert lines[at + 1] == (f"  fields: phi ==, mu ==, sigma ==, v ==, "
                              f"p {result[name]['p']:.2e}")
     assert lines[at + 2].startswith("  report: all == except E ")
-    assert lines[at + 3] == "  counts: =="
+    assert lines[at + 3] == ("  counts: flow_iterations ==, picard_iters "
+                             f"{result[name]['counts|picard_iters']:.2e}")
 
 
 @pytest.mark.parametrize("a, b, want", [([0.0], [-0.0], 0.0),

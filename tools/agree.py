@@ -10,8 +10,8 @@ relative difference ``max |a - b| / max(|a|, |b|)``:
 
 - of the final phi, mu, sigma, v and p;
 - of each report column (the run's CSV rows) over the steps;
-- of the solver counts of every step: flow iterations (Uzawa sweeps),
-  phase-solve updates and the nutrient solve count.
+- of each solver count over the steps: flow iterations (Uzawa sweeps)
+  and phase-solve updates, one difference per count.
 
 It also compares the errors of every ``verification.run_all`` study on the
 grid ladder ``MMS_LADDER``, one value per study, and runs the random
@@ -50,7 +50,7 @@ CASES = (
 )
 MMS_LADDER = (32, 64, 128, 256)
 FIELDS = ("phi", "mu", "sigma", "v", "p")
-COUNTS = ("flow_iterations", "picard_iters", "nutrient_iters")
+COUNTS = ("flow_iterations", "picard_iters")
 
 
 def large_step_configs(seed=1301, count=24):
@@ -160,19 +160,23 @@ def difference(a, b) -> float | None:
 
 
 def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
-    """Per case, the ``difference`` of each field, report column and count."""
+    """Per case, the ``difference`` of each field, report column and count.
+
+    A count is keyed ``counts|<name>``, apart from the report column of the
+    same name.
+    """
     header = [str(h) for h in ref["header"]]
     out = {}
     for case in CASES:
         name = case_name(*case)
         items = {f: difference(ref[f"{name}|{f}"], new[f"{name}|{f}"])
                  for f in FIELDS}
-        r_ref, r_new = ref[f"{name}|report"], new[f"{name}|report"]
-        for j, col in enumerate(header):
-            items[col] = difference(r_ref[:, j], r_new[:, j]) \
-                if r_ref.shape == r_new.shape else math.inf
-        items["counts"] = difference(ref[f"{name}|counts"],
-                                     new[f"{name}|counts"])
+        for table, cols in (("report", header),
+                            ("counts", [f"counts|{c}" for c in COUNTS])):
+            a, b = ref[f"{name}|{table}"], new[f"{name}|{table}"]
+            for j, col in enumerate(cols):
+                items[col] = difference(a[:, j], b[:, j]) \
+                    if a.shape == b.shape else math.inf
         out[name] = items
     return out
 
@@ -215,12 +219,14 @@ def format_report(result: dict) -> list[str]:
     lines = []
     for name, items in result.items():
         fields = ", ".join(f"{f} {_shown(items[f])}" for f in FIELDS)
+        counts = ", ".join(f"{c} {_shown(items[f'counts|{c}'])}"
+                           for c in COUNTS)
         moved = ", ".join(f"{k} {_shown(d)}" for k, d in items.items()
-                          if k not in FIELDS and k != "counts"
+                          if k not in FIELDS and not k.startswith("counts|")
                           and d is not None)
         lines += [name, f"  fields: {fields}",
                   f"  report: {'all == except ' + moved if moved else '=='}",
-                  f"  counts: {_shown(items['counts'])}"]
+                  f"  counts: {counts}"]
     return lines
 
 
