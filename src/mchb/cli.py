@@ -188,9 +188,10 @@ def cmd_mms(args) -> int:
         ns = [int(tok) for tok in args.grids.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad grid ladder: {exc}") from None
-    if len(ns) < 2 or len(set(ns)) < len(ns) or min(ns) < 8:
-        raise ConfigError(f"convergence study needs at least two distinct "
-                          f"cell counts, each at least 8, got {ns}")
+    try:
+        verification.check_ladder(ns)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     studies = verification.run_all(tuple(ns))
     for s in studies:
         print(s.line())

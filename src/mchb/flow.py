@@ -158,17 +158,23 @@ def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
     ops = _flow_operators(grid)
-    rhs = nu * s_v - ops.div_cells(force)
+    rhs = ops.div_cells(force)
+    np.subtract(nu * s_v, rhs, out=rhs)
     symbol = ops.poisson_dir_symbol
-    p = idstn(dstn(rhs, type=2, norm="ortho") / symbol, type=2, norm="ortho")
-    defect = float(np.linalg.norm(ops.poisson_dir @ p.ravel() - rhs.ravel()))
+    coef = dstn(rhs, type=2, norm="ortho")
+    p = idstn(np.divide(coef, symbol, out=coef), type=2, norm="ortho",
+              overwrite_x=True)
+    defect = ops.poisson_dir @ p.ravel()
+    defect = float(np.linalg.norm(np.subtract(defect, rhs.ravel(), out=defect)))
     bound = tol * (float(symbol.max()) * float(np.linalg.norm(p))
                    + float(np.linalg.norm(rhs)))
     if not defect <= bound:
         raise FlowSolverError(
             f"pressure solve residual {defect:.3e} exceeds {bound:.3e}")
-    v = (force - ops.grad_pressure(p)) / nu
-    div_res = l2_norm(ops.div_cells(v) - s_v, grid)
+    v = ops.grad_pressure(p)
+    np.divide(np.subtract(force, v, out=v), nu, out=v)
+    div = ops.div_cells(v)
+    div_res = l2_norm(np.subtract(div, s_v, out=div), grid)
     return FlowResult(v=v, p=p, div_residual=div_res,
                       dissipation=nu * float((v**2).sum()) * grid.cell_area,
                       iterations=1)
