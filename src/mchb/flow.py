@@ -20,26 +20,32 @@ the sine basis.  Away from the walls the preconditioner divides by the
 symbol of the collocated Schur operator, the stabilization included; in the
 four cell layers next to each wall, where the first-order traction-free
 rows break that symbol, it uses the compact Cahouet-Chabard model
-``lc / (nu + eta_hat lc)`` (``_schur_model``).  The count still grows with
-the grid at finite viscosity: on a darcy-limit state at tolerance 1e-9 a
-cold start (zero pressure) takes 9, 12 and 18 sweeps at 32x32, 64x64 and
-128x128 for ``eta = lambda = 1e-2``, and 3-4 at ``1e-4``.  The time stepper
-starts each solve from the previous step's pressure, which cuts the count
-to 6, 6-7 and 7-8 on the steps after the first.  The Schur operator is
-fixed for a run, so the stepper also keeps the search directions found so
-far (``UzawaSpace``): a solve first removes the part of its residual that
-lies in their span and sweeps only on the rest.  Over a darcy-limit run the
-counts then fall to 9, 6, 6, 3, 1, 1, 1, 1 at 32x32 and 12, 9, 8, 3, 2, 2,
-2, 2 at 64x64, then stay at 1-2; at 128x128 they fall to 18, 10, 9, 4 and
-then 2-5, and rise to 6-7 for two steps when the 80 kept directions fill and
-restart.  The inner velocity subproblems
-reuse one sparse factorization of the fixed SPD momentum operator, a
-symmetric-mode LU (minimum-degree ordering of the symmetric pattern,
-diagonal pivots) with about two thirds of the fill of a general
-column-ordered LU.  The viscosities are the numbers ``eta`` and ``lambda``
-(assumption A3 asks only for their bounds), so that operator depends only on
-them, the grid and ``nu``.  The caller's ``UzawaSpace`` keeps its
-factorization next to the directions and rebuilds both only when one of
+``lc / (nu + eta_hat lc)`` (``_schur_model``).  Since the vanishing-viscosity
+fixed point is the Darcy discretization, the Darcy pressure ``p_D`` of the
+solve's own data (one sine-transform solve) is the leading term of its
+pressure, and each solve starts from ``p_D`` plus the offset ``p - p_D``
+that the last converged solve on its ``UzawaSpace`` ended with (zero when
+there is none).  That start is the previous pressure plus the increment the
+Darcy solve predicts; only the slowly varying viscous correction is carried
+over.  The count still grows with the grid at finite viscosity: on the
+darcy-limit initial state at tolerance 1e-9 a cold start (the Darcy
+pressure) takes 8, 11 and 17 sweeps at 32x32, 64x64 and 128x128 for
+``eta = lambda = 1e-2``, and 2-3 at ``1e-4``.  On a darcy-limit run the
+start alone cuts the count to 5, 5-6 and 6-7 on the steps after the first.
+The Schur operator is fixed for a run, so the stepper also keeps the search
+directions found so far (``UzawaSpace``): a solve first removes the part of
+its residual that lies in their span and sweeps only on the rest.  Over a
+darcy-limit run the counts then fall to 8, 5, 4, 2, 1, 1, 1, 1 at 32x32
+and 11, 6, 5, 2, 2, 2, 1, 2 at 64x64, then stay at 1-2; at 128x128 they
+fall to 17, 9, 7, 4 and then 2-3.  When the 80 kept directions fill and
+restart (after step 20 there) the offset is kept, so the count stays at
+1-2.  The inner velocity subproblems reuse one sparse factorization of the
+fixed SPD momentum operator, a symmetric-mode LU (minimum-degree ordering of
+the symmetric pattern, diagonal pivots) with about two thirds of the fill of
+a general column-ordered LU.  The viscosities are the numbers ``eta`` and
+``lambda`` (assumption A3 asks only for their bounds), so that operator
+depends only on them, the grid and ``nu``.  The caller's ``UzawaSpace`` keeps
+its factorization next to the directions and rebuilds both only when one of
 these changes: one LU per live stepper, and steppers with different
 viscosities never evict each other.  A call without a space builds its own
 system, so it is cold and shares nothing with concurrent calls.
@@ -49,13 +55,13 @@ Each solve reports ``dissipation``, the flow's term of the energy law:
 ``nu |v|^2 + 2 eta |Dv|^2 + lambda (div v)^2`` (``K = nu I`` for Darcy).
 
 What is kept: per grid, a small cache holds only the operators every solve
-reads (``_FlowOperators``): the cell divergence and pressure-gradient
-matrices and the Dirichlet pressure Laplacian with its sine symbol.  A
-Brinkman build (``_brinkman_system``) makes ``K``, its LU, the Rhie-Chow
-correction and the Schur model; the ``UzawaSpace`` keeps these.  The face
-average, face divergence and face gradient matrices that the correction is
-assembled from are made by that build and dropped when it returns, so a
-Darcy solve never builds them.
+reads (``_FlowOperators``): the cell divergence matrices, one stacked
+pressure-gradient matrix and the Dirichlet pressure Laplacian with its sine
+symbol.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
+Rhie-Chow correction and the Schur model; the ``UzawaSpace`` keeps these.
+The face average, face divergence and face gradient matrices that the
+correction is assembled from are made by that build and dropped when it
+returns, so a Darcy solve never builds them.
 """
 
 from __future__ import annotations
@@ -101,18 +107,21 @@ class _FlowOperators:
     """Grid-bound sparse operators shared by both backends, cached per grid.
 
     Only what every solve reads is kept: the extrapolated cell divergence
-    (``dx_e``, ``dy_e``), the Dirichlet pressure gradient (``gx_d``,
-    ``gy_d``) and the Dirichlet pressure Laplacian with its sine symbol.
-    The face matrices of the Rhie-Chow stabilization are built by
-    ``_rhie_chow`` for each Brinkman system and dropped once it is built.
+    (``dx_e``, ``dy_e``), the Dirichlet pressure gradient ``grad`` (the x
+    rows stacked over the y rows, ``(2 ncells, ncells)``, so one product
+    gives the stacked ``(u, v)`` vector) and the Dirichlet pressure
+    Laplacian with its sine symbol.  The face matrices of the Rhie-Chow
+    stabilization are built by ``_rhie_chow`` for each Brinkman system and
+    dropped once it is built.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.dx_e = cell_gradient_matrix(grid, 0, EXTRAPOLATE)
         self.dy_e = cell_gradient_matrix(grid, 1, EXTRAPOLATE)
-        self.gx_d = cell_gradient_matrix(grid, 0, DIRICHLET)
-        self.gy_d = cell_gradient_matrix(grid, 1, DIRICHLET)
+        self.grad = sp.vstack([cell_gradient_matrix(grid, 0, DIRICHLET),
+                               cell_gradient_matrix(grid, 1, DIRICHLET)],
+                              format="csr")
         self.poisson_dir, _ = fv_diffusion_matrix(grid, DIRICHLET)
         self.poisson_dir_symbol = laplacian_symbol(grid, DIRICHLET)
 
@@ -121,9 +130,7 @@ class _FlowOperators:
         return (self.dx_e @ v[0].ravel() + self.dy_e @ v[1].ravel()).reshape(g.shape)
 
     def grad_pressure(self, p: np.ndarray) -> np.ndarray:
-        g = self.grid
-        return np.stack([(self.gx_d @ p.ravel()).reshape(g.shape),
-                         (self.gy_d @ p.ravel()).reshape(g.shape)])
+        return (self.grad @ p.ravel()).reshape((2,) + self.grid.shape)
 
 
 @lru_cache(maxsize=8)
@@ -145,6 +152,22 @@ def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     return np.stack([fx, fy])
 
 
+def _darcy_pressure(force: np.ndarray, s_v: np.ndarray, nu: float,
+                    grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The Darcy pressure of ``(force, s_v)`` and its Poisson right-hand side.
+
+    One sine-transform solve of ``A p = nu s_v - div force`` on the
+    Dirichlet pressure Laplacian ``A``; both are ``(ny, nx)`` arrays.
+    """
+    ops = _flow_operators(grid)
+    rhs = ops.div_cells(force)
+    np.subtract(nu * s_v, rhs, out=rhs)
+    coef = dstn(rhs, type=2, norm="ortho")
+    p = idstn(np.divide(coef, ops.poisson_dir_symbol, out=coef), type=2,
+              norm="ortho", overwrite_x=True)
+    return p, rhs
+
+
 def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
                 tol: float = 1e-9) -> FlowResult:
     """Pressure-Poisson Darcy solve; see the module docstring.
@@ -158,12 +181,8 @@ def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
     ops = _flow_operators(grid)
-    rhs = ops.div_cells(force)
-    np.subtract(nu * s_v, rhs, out=rhs)
+    p, rhs = _darcy_pressure(force, s_v, nu, grid)
     symbol = ops.poisson_dir_symbol
-    coef = dstn(rhs, type=2, norm="ortho")
-    p = idstn(np.divide(coef, symbol, out=coef), type=2, norm="ortho",
-              overwrite_x=True)
     defect = ops.poisson_dir @ p.ravel()
     defect = float(np.linalg.norm(np.subtract(defect, rhs.ravel(), out=defect)))
     bound = tol * (float(symbol.max()) * float(np.linalg.norm(p))
@@ -219,15 +238,16 @@ def _rhie_chow(grid: Grid, kdiag: np.ndarray, nu: float) -> sp.csr_matrix:
     reduces exactly to the Darcy pressure system.  The face matrices are
     built here and not kept.
     """
-    ops = _flow_operators(grid)
+    grad = _flow_operators(grid).grad
     n = grid.ncells
     terms = []
-    for axis, grad, diag in ((0, ops.gx_d, kdiag[:n]), (1, ops.gy_d, kdiag[n:])):
+    for axis, rows in enumerate((slice(0, n), slice(n, 2 * n))):
         avg = face_average_matrix(grid, axis, EXTRAPOLATE)
-        c = np.maximum((avg @ diag) - nu, 0.0)
+        c = np.maximum((avg @ kdiag[rows]) - nu, 0.0)
         weight = sp.diags(1.0 / _face_weight(c, nu))
         terms.append(face_divergence_matrix(grid, axis) @ weight
-                     @ (avg @ grad - face_gradient_matrix(grid, axis, DIRICHLET)))
+                     @ (avg @ grad[rows]
+                        - face_gradient_matrix(grid, axis, DIRICHLET)))
     return (terms[0] + terms[1]).tocsr()
 
 
@@ -333,7 +353,7 @@ def _viscosity_number(a: np.ndarray, grid: Grid) -> float:
 
 
 class UzawaSpace:
-    """What a Brinkman solve reuses across solves: its system and directions.
+    """What a Brinkman solve reuses across solves: system, directions, offset.
 
     The factorized system is kept for the key ``(grid, eta, lam, nu)`` of
     numbers, so a run's viscosities are factorized once.  Rows
@@ -342,8 +362,13 @@ class UzawaSpace:
     ``S`` depends only on the key, so directions found for one right-hand
     side stay exact for every later one: a solve first removes the part of
     its initial residual that lies in ``span W`` (no velocity solves) and
-    sweeps only on the rest, adding each new direction to the space.  Owned
-    by one caller at a time.
+    sweeps only on the rest, adding each new direction to the space.
+    ``offset`` is ``p - p_D`` of the last converged solve, its pressure less
+    the Darcy pressure of its own data, or ``None`` when there is none; a
+    solve starts from the Darcy pressure of its data plus this viscous
+    offset.  ``clear``, a key change and a solve that raises drop the
+    directions and the offset; the restart of a full space drops only the
+    directions.  Owned by one caller at a time.
     """
 
     def __init__(self) -> None:
@@ -351,9 +376,11 @@ class UzawaSpace:
         self.system: _BrinkmanSystem | None = None
         self.Z = self.W = np.empty((0, 0))
         self.k = 0
+        self.offset: np.ndarray | None = None
 
     def clear(self) -> None:
         self.k = 0
+        self.offset = None
 
     def system_for(self, grid: Grid, eta: float, lam: float,
                    nu: float) -> _BrinkmanSystem:
@@ -365,7 +392,7 @@ class UzawaSpace:
         self.key = self.system = None
         self.Z = np.empty((MAX_DIRECTIONS, grid.ncells))
         self.W = np.empty((MAX_DIRECTIONS, grid.ncells))
-        self.k = 0
+        self.clear()
         self.system = _brinkman_system(grid, eta, lam, nu)
         self.key = key
         return self.system
@@ -374,33 +401,26 @@ class UzawaSpace:
 def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
                    lam: float, nu: float, grid: Grid,
                    opts: BrinkmanOptions | None = None,
-                   p0: np.ndarray | None = None,
                    space: UzawaSpace | None = None) -> FlowResult:
     """Uzawa-preconditioned Brinkman solve; see the module docstring.
 
-    ``p0`` is an initial pressure, shaped like the grid or flat; without it
-    the iteration starts from zero.  A close guess, such as the previous
-    step's pressure, saves sweeps; the result agrees with the cold solve to
-    the tolerance.  ``space`` keeps the factorized system and the search
-    directions of earlier solves and receives this solve's; a solve that
-    raises leaves its directions empty.  Without it the call builds and
-    factorizes its own system, so it is cold and shares nothing.  Each
-    viscosity is a number, or a uniform field over the grid that stands for
-    its value.  A non-uniform field or a viscosity outside assumption A3
-    raises ``ValueError``, non-finite ``force`` or ``s_v`` raises
+    The iteration starts from the Darcy pressure of ``(force, s_v)`` plus
+    the viscous offset ``space.offset`` that the last converged solve on
+    ``space`` left, and from the Darcy pressure alone when there is none.
+    ``space`` keeps the factorized system, the search directions and the
+    offset of earlier solves and receives this solve's; a solve that raises
+    leaves its directions and offset empty.  Without it the call builds and
+    factorizes its own system, so it is cold and shares nothing; any start
+    gives the same solution to the tolerance.  Each viscosity is a number,
+    or a uniform field over the grid that stands for its value.  A
+    non-uniform field or a viscosity outside assumption A3 raises
+    ``ValueError``, non-finite ``force`` or ``s_v`` raises
     ``FlowSolverError`` and zero data returns the exact ``v = 0``, ``p = 0``;
     none of these builds anything.
     """
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
     opts = opts or BrinkmanOptions()
-    if p0 is not None:
-        p0 = np.asarray(p0, dtype=float)
-        if p0.shape not in (grid.shape, (grid.ncells,)):
-            raise ValueError(f"initial pressure of shape {p0.shape} does not "
-                             f"fit the {grid.ny}x{grid.nx} grid")
-        if not np.isfinite(p0).all():
-            raise ValueError("initial pressure is not finite")
     eta, lam = np.asarray(eta, dtype=float), np.asarray(lam, dtype=float)
     # assumption A3: finite viscosities with eta > 0 and lam >= 0
     if not (np.isfinite(eta).all() and eta.min() > 0):
@@ -418,22 +438,24 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
         return FlowResult(v=np.zeros((2,) + grid.shape), p=np.zeros(grid.shape),
                           div_residual=0.0, dissipation=0.0, iterations=1)
     ops = _flow_operators(grid)
-    n = grid.ncells
     space = space if space is not None else UzawaSpace()
     system = space.system_for(grid, eta, lam, nu)
     k_lu, correction = system.k_lu, system.correction
     f_flat = force.reshape(-1)
 
     def velocity_of(p: np.ndarray) -> np.ndarray:
-        return k_lu.solve(f_flat - np.concatenate([ops.gx_d @ p, ops.gy_d @ p]))
+        return k_lu.solve(f_flat - ops.grad @ p)
 
     def schur_apply(z: np.ndarray) -> np.ndarray:
         """S z for S p := -div_F K^-1 G p + C p."""
-        dv = k_lu.solve(-np.concatenate([ops.gx_d @ z, ops.gy_d @ z]))
+        dv = k_lu.solve(-(ops.grad @ z))
         return ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel() \
             + correction @ z
 
-    p = np.zeros(n) if p0 is None else p0.ravel().copy()
+    # the Darcy pressure of this data predicts the change since the last
+    # solve; the slowly varying viscous offset is carried over
+    p_darcy = _darcy_pressure(force, s_v, nu, grid)[0].ravel()
+    p = p_darcy + (0.0 if space.offset is None else space.offset)
     v = velocity_of(p).reshape(2, grid.ny, grid.nx)
     r = s_v.ravel() - ops.div_cells(v).ravel() - correction @ p
     if space.k:
@@ -479,6 +501,7 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
         # a retry after a failure starts from nothing the failed solve left
         space.clear()
         raise
+    space.offset = p - p_darcy
     v_flat = velocity_of(p)
     v = v_flat.reshape(2, grid.ny, grid.nx)
     div_res = l2_norm(ops.div_cells(v) - s_v, grid)

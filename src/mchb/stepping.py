@@ -325,7 +325,7 @@ class TimeStepper:
             else:
                 flow = solve_brinkman(terms.force, terms.s_v, cfg.eta0,
                                       cfg.lambda0, m.nu, g,
-                                      self._brinkman_opts, p0=state.p,
+                                      self._brinkman_opts,
                                       space=self._uzawa_space)
             v, p = flow.v, flow.p
             flow_iters, div_residual = flow.iterations, flow.div_residual
