@@ -2,9 +2,9 @@
 
 Darcy: eliminate the velocity to get a pressure Poisson problem with a
 homogeneous Dirichlet condition (the degenerate limit of the traction-free
-closure) on the compact five-point system, and reconstruct
-``v = (force - grad p) / nu``.  The type-II sine transform diagonalizes that
-system exactly, so the pressure is one forward transform, a division by the
+closure) on the compact five-point system, and reconstruct ``v = (force - grad
+p) / nu``.  The Dirichlet ``grid.eigenbasis``, the sine transform, diagonalizes
+that system exactly: the pressure is one forward transform, a division by the
 eigenvalues and one inverse transform; a residual check guards the result.
 
 Brinkman: a preconditioned Uzawa iteration on the saddle problem.  The
@@ -16,7 +16,7 @@ pressure (Rhie-Chow style): it suppresses collocated checkerboarding and
 makes the vanishing-viscosity fixed point coincide with the Darcy
 discretization exactly, up to solver tolerances.  The outer Uzawa iteration
 updates the pressure with residual-minimizing (GCR) steps preconditioned in
-the sine basis.  Away from the walls the preconditioner divides by the
+that basis.  Away from the walls the preconditioner divides by the
 symbol of the collocated Schur operator, the stabilization included; in the
 four cell layers next to each wall, where the first-order traction-free
 rows break that symbol, it uses the compact Cahouet-Chabard model
@@ -56,8 +56,8 @@ Each solve reports ``dissipation``, the flow's term of the energy law:
 
 What is kept: per grid, a small cache holds only the operators every solve
 reads (``_FlowOperators``): the cell divergence matrices, one stacked
-pressure-gradient matrix and the Dirichlet pressure Laplacian with its sine
-symbol.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
+pressure-gradient matrix and the Dirichlet pressure Laplacian with its
+eigenbasis.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
 Rhie-Chow correction and the Schur model; the ``UzawaSpace`` keeps these.
 The face average, face divergence and face gradient matrices that the
 correction is assembled from are made by that build and dropped when it
@@ -73,12 +73,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn
 
-from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, Grid,
-                   cell_gradient, cell_gradient_matrix, face_average_matrix,
-                   face_divergence_matrix, face_gradient_matrix,
-                   fv_diffusion_matrix, l2_norm, laplacian_symbol)
+from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Eigenbasis, Field, Grid,
+                   cell_gradient, cell_gradient_matrix, eigenbasis,
+                   face_average_matrix, face_divergence_matrix,
+                   face_gradient_matrix, fv_diffusion_matrix, l2_norm)
 
 
 class FlowSolverError(RuntimeError):
@@ -110,7 +109,7 @@ class _FlowOperators:
     (``dx_e``, ``dy_e``), the Dirichlet pressure gradient ``grad`` (the x
     rows stacked over the y rows, ``(2 ncells, ncells)``, so one product
     gives the stacked ``(u, v)`` vector) and the Dirichlet pressure
-    Laplacian with its sine symbol.  The face matrices of the Rhie-Chow
+    Laplacian with its eigenbasis.  The face matrices of the Rhie-Chow
     stabilization are built by ``_rhie_chow`` for each Brinkman system and
     dropped once it is built.
     """
@@ -123,7 +122,8 @@ class _FlowOperators:
                                cell_gradient_matrix(grid, 1, DIRICHLET)],
                               format="csr")
         self.poisson_dir, _ = fv_diffusion_matrix(grid, DIRICHLET)
-        self.poisson_dir_symbol = laplacian_symbol(grid, DIRICHLET)
+        b = self.pressure_basis = eigenbasis(grid, DIRICHLET)
+        self.poisson_dir_symbol = b.lam_y[:, None] + b.lam_x[None, :]
 
     def div_cells(self, v: np.ndarray) -> np.ndarray:
         g = self.grid
@@ -156,15 +156,15 @@ def _darcy_pressure(force: np.ndarray, s_v: np.ndarray, nu: float,
                     grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The Darcy pressure of ``(force, s_v)`` and its Poisson right-hand side.
 
-    One sine-transform solve of ``A p = nu s_v - div force`` on the
+    One solve of ``A p = nu s_v - div force`` in the eigenbasis of the
     Dirichlet pressure Laplacian ``A``; both are ``(ny, nx)`` arrays.
     """
     ops = _flow_operators(grid)
     rhs = ops.div_cells(force)
     np.subtract(nu * s_v, rhs, out=rhs)
-    coef = dstn(rhs, type=2, norm="ortho")
-    p = idstn(np.divide(coef, ops.poisson_dir_symbol, out=coef), type=2,
-              norm="ortho", overwrite_x=True)
+    coef = ops.pressure_basis.forward(rhs)
+    p = ops.pressure_basis.inverse(
+        np.divide(coef, ops.poisson_dir_symbol, out=coef), overwrite_x=True)
     return p, rhs
 
 
@@ -182,11 +182,10 @@ def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
         raise ValueError("permeability coefficient nu must be positive")
     ops = _flow_operators(grid)
     p, rhs = _darcy_pressure(force, s_v, nu, grid)
-    symbol = ops.poisson_dir_symbol
     defect = ops.poisson_dir @ p.ravel()
     defect = float(np.linalg.norm(np.subtract(defect, rhs.ravel(), out=defect)))
-    bound = tol * (float(symbol.max()) * float(np.linalg.norm(p))
-                   + float(np.linalg.norm(rhs)))
+    bound = tol * (float(ops.poisson_dir_symbol.max())
+                   * float(np.linalg.norm(p)) + float(np.linalg.norm(rhs)))
     if not defect <= bound:
         raise FlowSolverError(
             f"pressure solve residual {defect:.3e} exceeds {bound:.3e}")
@@ -279,29 +278,28 @@ def _wall_band(grid: Grid, correction: sp.csr_matrix) -> np.ndarray:
 def _schur_model(grid: Grid, eta: float, lam: float, nu: float,
                  correction: sp.csr_matrix
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sine-basis Schur preconditioner of the viscosities ``eta``, ``lam``.
+    """Schur preconditioner symbols of the viscosities ``eta``, ``lam``.
 
     Returns ``(interior, wall, band)``.  ``interior`` is the symbol of the
     collocated operator away from the walls: per axis the Dirichlet modes
     ``theta = pi m / n``, ``m = 1..n``, have the compact eigenvalue
-    ``lc = (2 sin(theta/2) / h)^2`` and the wide one ``lw = (sin theta / h)^2``
-    of the centred cell gradients.  The velocity part of ``S`` acts like
-    ``lw / (nu + (2 eta + lam) lw)`` and the Rhie-Chow stabilization like
+    ``lc = (2 - 2 cos theta) / h^2`` of ``grid.eigenbasis`` and the wide one
+    ``lw = (sin theta / h)^2 = lc (1 - h^2 lc / 4)`` of the centred cell
+    gradients.  The velocity part of ``S`` acts like ``lw / (nu + eta_hat
+    lw)``, ``eta_hat = 2 eta + lam``, and the Rhie-Chow stabilization like
     ``(lc_x - lw_x) / d_x + (lc_y - lw_y) / d_y``, with the interior face
     weights ``d`` of K's interior viscous diagonals.  Next to the walls the
     first-order traction-free rows break that symbol, and modes localized
     there would get eigenvalues near ``-0.1 +- 0.8i``; ``band`` marks those
     cells (the rows of the system's stabilization ``correction`` that differ
     from the interior row, 4 layers per wall), where the preconditioner uses
-    the compact model ``wall = lc / (nu + (2 eta + lam) lc)`` instead.
+    the compact model ``wall = lc / (nu + eta_hat lc)`` instead.
     """
     eta_hat = 2.0 * eta + lam
-
-    def axis(n: int, h: float):
-        theta = np.pi * np.arange(1, n + 1) / n
-        return (2.0 * np.sin(theta / 2) / h)**2, (np.sin(theta) / h)**2
-
-    (lc_y, lw_y), (lc_x, lw_x) = axis(grid.ny, grid.hy), axis(grid.nx, grid.hx)
+    _, _, lc_y, lc_x = _flow_operators(grid).pressure_basis
+    # sin^2 theta = (2 - 2 cos theta) (1 - (2 - 2 cos theta) / 4)
+    lw_y = lc_y * (1.0 - grid.hy**2 * lc_y / 4.0)
+    lw_x = lc_x * (1.0 - grid.hx**2 * lc_x / 4.0)
     lc = lc_y[:, None] + lc_x[None, :]
     lw = lw_y[:, None] + lw_x[None, :]
     d_x = _face_weight(eta_hat / (2 * grid.hx**2) + eta / (2 * grid.hy**2), nu)
@@ -321,12 +319,13 @@ class _BrinkmanSystem(NamedTuple):
     interior: np.ndarray             # Schur model symbol off the wall band
     wall: np.ndarray                 # Schur model symbol on the wall band
     band: np.ndarray                 # cells next to the walls, (ny, nx) bool
+    basis: Eigenbasis                # the Dirichlet pressure eigenbasis
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """The model inverse: ``interior`` off the band, ``wall`` on it."""
-        coef = dstn(r.reshape(self.band.shape), type=2, norm="ortho")
-        z = np.where(self.band, idstn(coef / self.wall, type=2, norm="ortho"),
-                     idstn(coef / self.interior, type=2, norm="ortho"))
+        coef = self.basis.forward(r.reshape(self.band.shape))
+        z = np.where(self.band, self.basis.inverse(coef / self.wall),
+                     self.basis.inverse(coef / self.interior))
         return z.ravel()
 
 
@@ -341,7 +340,8 @@ def _brinkman_system(grid: Grid, eta: float, lam: float,
                      diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     correction = _rhie_chow(grid, K.diagonal(), nu)
     return _BrinkmanSystem(K, k_lu, correction,
-                           *_schur_model(grid, eta, lam, nu, correction))
+                           *_schur_model(grid, eta, lam, nu, correction),
+                           _flow_operators(grid).pressure_basis)
 
 
 def _viscosity_number(a: np.ndarray, grid: Grid) -> float:

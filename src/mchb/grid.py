@@ -16,17 +16,20 @@ Boundary closures are ghost-cell based, all defined in ``_ghost``:
   boundary condition (velocities, assembled forces),
 * ``Robin``        flux closure ``c dfdn = k (target - f)`` at the face.
 
-The stencils (``cell_gradient_matrix``, the face matrices of the flow
-solves and the wall rows of ``fv_diffusion_matrix`` and its axes) are
-derived from the same ghost closures, so each closure has one definition.
+The stencils (``cell_gradient_matrix``, the face matrices of the flow solves,
+the wall rows of ``fv_diffusion_matrix`` and its ``eigenbasis``) are derived
+from the same ghost closures, so each closure has one definition.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dctn, dstn, idctn, idstn
 
 
 @dataclass(frozen=True)
@@ -219,30 +222,6 @@ def wall_traces(f: Field) -> list[tuple[np.ndarray, float]]:
             (0.5 * (a[0, :] + gb), g.hx), (0.5 * (a[-1, :] + gt), g.hx)]
 
 
-def laplacian_symbol(grid: Grid, bc: BC) -> np.ndarray:
-    """Eigenvalues, shape ``(ny, nx)``, of the five-point ``-laplacian``.
-
-    The cell-centered type-II DCT diagonalizes the mirror-ghost (Neumann)
-    operator with modes ``m = 0..n-1``; the type-II DST diagonalizes the
-    sign-flipped-ghost (Dirichlet) operator with modes ``m = 1..n``.  Per
-    axis the eigenvalue is ``(2 - 2 cos(pi m / n)) / h**2``.  Entry
-    ``[my, mx]`` belongs to the coefficient at the same index of
-    ``dctn``/``dstn`` (``type=2``) of a field.
-    """
-    if isinstance(bc, Neumann):
-        first = 0
-    elif isinstance(bc, Dirichlet):
-        first = 1
-    else:
-        raise TypeError(f"no transform diagonalizes the closure {bc!r}")
-
-    def axis(n: int, h: float) -> np.ndarray:
-        m = np.arange(first, n + first)
-        return (2.0 - 2.0 * np.cos(m * np.pi / n)) / h**2
-
-    return axis(grid.ny, grid.hy)[:, None] + axis(grid.nx, grid.hx)[None, :]
-
-
 # ---------------------------------------------------------------------------
 # sparse operators (row-major flattening, index j*nx + i)
 #
@@ -355,16 +334,39 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
     return mat, rhs.ravel()
 
 
-def fv_diffusion_axis(n: int, h: float, bc: BC, coeff: float = 1.0):
-    """Dense ``(n, n)`` matrix and ``(n,)`` rhs of one axis of
-    ``fv_diffusion_matrix``, which is the Kronecker sum of its y and x axes."""
-    t = coeff / h**2
-    w, g0 = _wall_closure(bc, h)
-    mat = t * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
-    mat[0, 0] = mat[-1, -1] = t + coeff * (1.0 - w) / h**2
-    rhs = np.zeros(n)
-    rhs[[0, -1]] = coeff * g0 / h**2
-    return mat, rhs
+Eigenbasis = namedtuple("Eigenbasis", "forward inverse lam_y lam_x")
+
+
+def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
+    """Orthonormal eigenbasis ``(forward, inverse, lam_y, lam_x)`` of
+    ``fv_diffusion_matrix(grid, bc, coeff)``, the Kronecker sum of its axes.
+
+    ``inverse((lam_y[:, None] + lam_x[None, :]) * forward(f))`` applies it
+    to an ``(ny, nx)`` field (fast diagonalization; Lynch, Rice and Thomas,
+    Numer. Math. 6, 1964).  Neumann axes take the type-II DCT and Dirichlet
+    axes the DST (modes ``m`` from 0 and from 1), with the keywords of
+    ``dctn`` and the eigenvalue ``coeff (2 - 2 cos(pi m / n)) / h**2``;
+    Robin axes take ``eigh`` of their dense operators.  Extrapolate, whose
+    ghost reads past the edge layer, raises ``TypeError``.
+    """
+    axes = ((grid.ny, grid.hy), (grid.nx, grid.hx))
+    if isinstance(bc, (Neumann, Dirichlet)):
+        m0 = int(isinstance(bc, Dirichlet))
+        fwd, inv = (dstn, idstn) if m0 else (dctn, idctn)
+        return Eigenbasis(
+            partial(fwd, type=2, norm="ortho"), partial(inv, type=2, norm="ortho"),
+            *(coeff * (2.0 - 2.0 * np.cos(np.arange(m0, n + m0) * np.pi / n))
+              / h**2 for n, h in axes))
+    pairs = []
+    for n, h in axes:
+        t = coeff / h**2
+        mat = t * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        w, _ = _wall_closure(bc, h)
+        mat[0, 0] = mat[-1, -1] = t + coeff * (1.0 - w) / h**2
+        pairs.append(np.linalg.eigh(mat))
+    (lam_y, q_y), (lam_x, q_x) = pairs
+    return Eigenbasis(lambda f: q_y.T @ f @ q_x, lambda c: q_y @ c @ q_x.T,
+                      lam_y, lam_x)
 
 
 def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,

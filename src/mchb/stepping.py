@@ -6,15 +6,15 @@ chemical force with the volume source, (iii) the phase-field update with the
 convex part of the potential implicit and the concave part, chemical
 coupling, sources and transport explicit, and (iv) one implicit nutrient
 solve of ``(I/dt + N) sigma = rhs`` with the updated phase field inside the
-flux.  Under either wall closure, no-flux (``K = 0``) or Robin, ``N`` is the
-Kronecker sum of two tridiagonal axis operators, so their eigenbases
-diagonalize it (fast diagonalization; Lynch, Rice and Thomas, Numer. Math.
-6, 1964): the solve, for the increment ``sigma - sigma^n``, is a change of
-basis per axis and a division by ``1/dt + lambda_y + lambda_x``.
+flux.  Under either wall closure, no-flux (``K = 0``) or Robin, ``N`` is
+the Kronecker sum of two axis operators, and ``grid.eigenbasis``
+diagonalizes it (by cosine transform on the no-flux wall): the solve, for
+the increment ``sigma - sigma^n``, is a change of basis per axis and a
+division by ``1/dt + lambda_y + lambda_x``.
 
 The phase and nutrient mobilities are the unit ones
 (``constitutive.mobility``), so every diffusion operator is the plain
-finite-volume Laplacian, built (or decomposed) once per stepper.
+finite-volume Laplacian, built once per stepper with its eigenbasis.
 
 The phase update is solved per component on the implicit residual
 ``R(x) = x + dt A mu(x) - rhs``, ``mu(x) = gamma eps A x + gamma/eps
@@ -22,7 +22,7 @@ psi1'(x) + (explicit part)``, with the constant-coefficient stabilized
 operator ``P = I + dt A (gamma eps A + gamma/eps c)`` of Eyre's convex split
 with the Shen-Yang stabilization: ``A`` is the Neumann Laplacian and ``c``
 the mid-range of the convex-part Hessian ``h`` at the step's starting
-state.  The cosine transform diagonalizes ``A`` exactly, so the sweep
+state.  Its ``eigenbasis``, the DCT, diagonalizes ``A`` exactly, so the sweep
 ``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``: with the
 linear part ``s0 x`` of ``psi1'`` in the symbol ``lin = 1 + dt lambda
 (gamma eps lambda + gamma/eps s0)``, ``R^ = lin x^ + dt gamma/eps lambda
@@ -71,15 +71,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.fft import dctn, idctn
 
 from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
     korteweg_force, solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Field, Grid, advective_divergence,
-                   face_divergence, face_gradient, fv_diffusion_axis,
-                   fv_diffusion_matrix, laplacian_symbol)
+from .grid import (NEUMANN, Field, Grid, advective_divergence, eigenbasis,
+                   face_divergence, face_gradient, fv_diffusion_matrix)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
 
@@ -185,13 +183,12 @@ class TimeStepper:
         self.bundle = build_specs(config.model,
                                   source_variant=config.source_variant)
         self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
-        self._neu_symbol = laplacian_symbol(g, NEUMANN)
+        self._neu_basis = eigenbasis(g, NEUMANN)
         # nutrient flux chi_sigma grad(sigma) - B grad(phi); the coupling part
-        # is the Neumann Laplacian.  The eigenpairs of N's y and x axes
+        # is the Neumann Laplacian
         self._nutrient_bc = diag.nutrient_bc(self.bundle)
-        self._nutrient_axes = [np.linalg.eigh(fv_diffusion_axis(
-            n, h, self._nutrient_bc, self.bundle.chem.chi_sigma)[0])
-            for n, h in ((g.ny, g.hy), (g.nx, g.hx))]
+        self._nutrient_basis = eigenbasis(g, self._nutrient_bc,
+                                          self.bundle.chem.chi_sigma)
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (history, sigma, free energy) of the state the last step returned;
@@ -220,7 +217,8 @@ class TimeStepper:
         iters_used = 0
         res_max = 0.0
         A = self._neu_laplacian
-        lam = self._neu_symbol
+        dct, idct, lam_y, lam_x = self._neu_basis
+        lam = lam_y[:, None] + lam_x[None, :]
         shape = self.grid.shape
         n = self.grid.ncells
         start = phi_n if start is None else start
@@ -235,17 +233,16 @@ class TimeStepper:
                 ge * lam + gi * 0.5 * (float(hess.max()) + float(hess.min())))
 
             def solve(r: np.ndarray) -> np.ndarray:  # r -> P^-1 r
-                coef = dctn(r.reshape(shape), type=2, norm="ortho")
-                return idctn(coef / symbol, type=2, norm="ortho").ravel()
+                coef = dct(r.reshape(shape))
+                return idct(coef / symbol).ravel()
             x = start[i]
-            x_hat = dctn(x, type=2, norm="ortho")
+            x_hat = dct(x)
             cmu = const_mu_part[i].ravel()
-            b_hat = dctn((dt * (A @ cmu)).reshape(shape) - rhs0[i],
-                         type=2, norm="ortho")
+            b_hat = dct((dt * (A @ cmu)).reshape(shape) - rhs0[i])
             inv_symbol = 1.0 / symbol
             newton, rms_prev = False, np.inf
             for it in range(max_iter + 1):
-                r_hat = dctn(cst.double_well_gradient(x), type=2, norm="ortho")
+                r_hat = dct(cst.double_well_gradient(x))
                 r_hat *= nonlin
                 r_hat += b_hat
                 r_hat += lin * x_hat
@@ -259,7 +256,7 @@ class TimeStepper:
                 # to physical space for the max test only once its RMS meets
                 # the bound, or for a Newton step or the failure report
                 if rms <= bound or newton or it == max_iter:
-                    res = idctn(r_hat, type=2, norm="ortho")
+                    res = idct(r_hat)
                     res_norm = float(np.abs(res).max())
                     if res_norm <= bound:
                         break
@@ -275,10 +272,10 @@ class TimeStepper:
                     P = spla.LinearOperator((n, n), solve, dtype=float)
                     x = x - spla.gmres(J, res.ravel(), M=P, rtol=1e-3,
                                        atol=0.0, maxiter=5)[0].reshape(shape)
-                    x_hat = dctn(x, type=2, norm="ortho")
+                    x_hat = dct(x)
                 else:
                     x_hat -= r_hat * inv_symbol
-                    x = idctn(x_hat, type=2, norm="ortho")
+                    x = idct(x_hat)
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
             phi_new[i] = x
@@ -301,9 +298,9 @@ class TimeStepper:
         flux = face_gradient(Field(sigma_n[0], self._nutrient_bc, g))
         r = ((self._neu_laplacian @ bphi.ravel()).reshape(g.shape)
              + chem.chi_sigma * face_divergence(flux) - conv_sigma - s_sigma[0])
-        (lam_y, q_y), (lam_x, q_x) = self._nutrient_axes
-        coef = q_y.T @ r @ q_x / (1.0 / dt + lam_y[:, None] + lam_x[None, :])
-        return (sigma_n[0] + q_y @ coef @ q_x.T)[None], 1
+        forward, inverse, lam_y, lam_x = self._nutrient_basis
+        coef = forward(r) / (1.0 / dt + lam_y[:, None] + lam_x[None, :])
+        return (sigma_n[0] + inverse(coef))[None], 1
 
     # -- one step -----------------------------------------------------------
 

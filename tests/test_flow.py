@@ -387,6 +387,34 @@ class TestSchurPreconditioner:
         if grid.nx == grid.ny == 64:
             assert band.sum() == 960
 
+    @pytest.mark.parametrize("grid", [Grid(8, 8), Grid(24, 16, 1.0, 1.7),
+                                      Grid(128, 96, 2.0, 1.0)])
+    def test_symbols_equal_the_sine_forms(self, grid):
+        # the compact and wide eigenvalues of the Dirichlet modes
+        # theta = pi m / n, m = 1..n, written with sines; the band is not
+        # compared, so any correction will do
+        eta, lam, nu = 0.05, 0.02, 1.0
+        interior, wall, _ = mchb.flow._schur_model(
+            grid, eta, lam, nu, darcy_limit_correction(grid))
+
+        def axis(n, h):
+            theta = np.pi * np.arange(1, n + 1) / n
+            return (2.0 * np.sin(theta / 2) / h)**2, (np.sin(theta) / h)**2
+
+        (lc_y, lw_y), (lc_x, lw_x) = axis(grid.ny, grid.hy), axis(grid.nx,
+                                                                  grid.hx)
+        eta_hat = 2.0 * eta + lam
+        face = mchb.flow._face_weight
+        d_x = face(eta_hat / (2 * grid.hx**2) + eta / (2 * grid.hy**2), nu)
+        d_y = face(eta_hat / (2 * grid.hy**2) + eta / (2 * grid.hx**2), nu)
+        lc = lc_y[:, None] + lc_x[None, :]
+        lw = lw_y[:, None] + lw_x[None, :]
+        ref_interior = lw / (nu + eta_hat * lw) \
+            + (lc_x - lw_x)[None, :] / d_x + (lc_y - lw_y)[:, None] / d_y
+        for got, ref in ((interior, ref_interior),
+                         (wall, lc / (nu + eta_hat * lc))):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("n", [16, 32])
     def test_cold_solves_take_no_more_sweeps(self, monkeypatch, n):
         grid = Grid(n, n, 1.0, 1.0)
@@ -441,7 +469,7 @@ class TestFlowOperatorCache:
         solve_darcy(force, s_v, 1.0, grid)
         assert calls == []
         assert set(vars(mchb.flow._flow_operators(grid))) == {
-            "grid", "dx_e", "dy_e", "grad", "poisson_dir",
+            "grid", "dx_e", "dy_e", "grad", "poisson_dir", "pressure_basis",
             "poisson_dir_symbol"}
         mchb.flow._brinkman_system(grid, 0.05, 0.02, 1.0)
         assert sorted(calls) == sorted(2 * FACE_MATRICES)
@@ -777,15 +805,12 @@ class TestUzawaSpace:
 
     def test_breakdown_leaves_space_empty(self, problem, monkeypatch):
         space = self.filled(problem)
-        calls = []
-        idstn = mchb.flow.idstn
+        precondition = mchb.flow._BrinkmanSystem.precondition
 
-        def failing(*args, **kwargs):
-            calls.append(1)
-            out = idstn(*args, **kwargs)
-            return out if len(calls) < 3 else np.full_like(out, np.nan)
+        def failing(system, r):
+            return np.full_like(precondition(system, r), np.nan)
 
-        monkeypatch.setattr(mchb.flow, "idstn", failing)
+        monkeypatch.setattr(mchb.flow._BrinkmanSystem, "precondition", failing)
         with pytest.raises(FlowSolverError, match="breakdown"):
             solve_brinkman(problem[0][::-1].copy(), *problem[1:], space=space)
         assert space.k == 0 and space.offset is None

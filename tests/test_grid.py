@@ -1,19 +1,17 @@
-"""Grid operators: exactness, adjointness, closures, symbols, convection."""
+"""Grid operators: exactness, adjointness, closures, eigenbases, convection."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.fft import dctn, dstn, idctn, idstn
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
                        Grid, Robin, advective_divergence, cell_gradient,
-                       cell_gradient_matrix, face_average_matrix,
+                       cell_gradient_matrix, eigenbasis, face_average_matrix,
                        face_divergence, face_divergence_matrix, face_gradient,
-                       face_gradient_matrix, fv_diffusion_axis,
-                       fv_diffusion_matrix, inner_product, laplacian_symbol,
-                       _ghost)
+                       face_gradient_matrix, fv_diffusion_matrix,
+                       inner_product, _ghost)
 
 
 @pytest.fixture
@@ -94,7 +92,7 @@ class TestOperators:
         with pytest.raises(TypeError):
             fv_diffusion_matrix(grid, EXTRAPOLATE)
         with pytest.raises(TypeError):
-            fv_diffusion_axis(grid.nx, grid.hx, EXTRAPOLATE)
+            eigenbasis(grid, EXTRAPOLATE)
 
 
 def coo_diffusion_matrix(grid, bc, coeff):
@@ -145,24 +143,40 @@ class TestDiffusionAssembly:
                     assert np.array_equal(got, want), (dims, coeff, bc)
 
     @pytest.mark.parametrize("dims", [(8, 8, 1.0, 1.0), (16, 37, 2.3, 0.7),
-                                      (64, 48, 20.0, 20.0)],
-                             ids=["8x8", "16x37", "64x48"])
+                                      (64, 48, 20.0, 20.0),
+                                      (24, 40, 1.3, 0.7)],
+                             ids=["8x8", "16x37", "64x48", "24x40"])
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET,
                                     Robin(k=0.3, target=1.7, diffusivity=0.7)],
                              ids=["neumann", "dirichlet", "robin"])
     def test_axes_sum_to_the_assembled_matrix(self, dims, bc):
-        # N = A_y (x) I_x + I_y (x) A_x in the row-major cell order
+        # the matrix is the Kronecker sum of its axes, so their eigenvalues
+        # sum to its symbol in their orthonormal eigenbasis
         grid = Grid(*dims)
-        mat, rhs = fv_diffusion_matrix(grid, bc, 0.7)
-        a_y, r_y = fv_diffusion_axis(grid.ny, grid.hy, bc, 0.7)
-        a_x, r_x = fv_diffusion_axis(grid.nx, grid.hx, bc, 0.7)
-        assert a_y.shape == (grid.ny, grid.ny) and r_x.shape == (grid.nx,)
-        kron = np.kron(a_y, np.eye(grid.nx)) + np.kron(np.eye(grid.ny), a_x)
-        kron_rhs = (r_y[:, None] + r_x[None, :]).ravel()
-        assert np.abs(kron - mat.toarray()).max() <= 1e-14 * abs(mat).max()
-        assert np.abs(kron_rhs - rhs).max() <= 1e-14 * np.abs(rhs).max()
-        if isinstance(bc, Robin):
-            assert np.abs(rhs).max() > 0.0
+        mat, _ = fv_diffusion_matrix(grid, bc, 0.7)
+        basis = eigenbasis(grid, bc, 0.7)
+        assert basis.lam_y.shape == (grid.ny,)
+        assert basis.lam_x.shape == (grid.nx,)
+        f = rand_field(grid, seed=5).data
+        via_matrix = (mat @ f.ravel()).reshape(grid.shape)
+        symbol = basis.lam_y[:, None] + basis.lam_x[None, :]
+        via_basis = basis.inverse(symbol * basis.forward(f))
+        assert np.abs(via_basis - via_matrix).max() \
+            <= 1e-12 * np.abs(via_matrix).max()
+        assert np.abs(basis.inverse(basis.forward(f)) - f).max() \
+            <= 1e-14 * np.abs(f).max()
+
+    def test_wide_eigenvalue_from_the_compact_one(self):
+        # sin^2 theta = (2 - 2 cos theta) (1 - (2 - 2 cos theta) / 4): the
+        # Brinkman preconditioner derives the eigenvalue (sin theta / h)^2 of
+        # the centred cell gradients from the Dirichlet eigenvalues
+        for n in range(8, 257):
+            grid = Grid(n, 8, 0.7, 1.0)
+            lc = eigenbasis(grid, DIRICHLET).lam_x
+            lw = lc * (1.0 - grid.hx**2 * lc / 4.0)
+            theta = np.pi * np.arange(1, n + 1) / n
+            ref = (np.sin(theta) / grid.hx)**2
+            assert np.abs(lw - ref).max() <= 1e-12 * ref.max(), n
 
     def test_peak_memory_is_a_small_multiple_of_the_result(self):
         grid = Grid(256, 256)
@@ -213,24 +227,6 @@ class TestBoundaryClosures:
         h = Field(np.ones((24, 24)), NEUMANN, Grid(24, 24, 1.0, 1.0))
         with pytest.raises(ValueError):
             inner_product(f, h)
-
-
-class TestLaplacianSymbol:
-    @pytest.mark.parametrize("bc, fwd, inv", [(NEUMANN, dctn, idctn),
-                                              (DIRICHLET, dstn, idstn)])
-    def test_transform_applies_assembled_matrix(self, bc, fwd, inv):
-        grid = Grid(24, 40, 1.3, 0.7)
-        f = rand_field(grid, seed=5).data
-        mat, _ = fv_diffusion_matrix(grid, bc)
-        via_matrix = (mat @ f.ravel()).reshape(grid.shape)
-        via_symbol = inv(laplacian_symbol(grid, bc) * fwd(f, type=2, norm="ortho"),
-                         type=2, norm="ortho")
-        scale = np.abs(via_matrix).max()
-        assert np.abs(via_symbol - via_matrix).max() <= 1e-12 * scale
-
-    def test_robin_has_no_symbol(self, grid):
-        with pytest.raises(TypeError):
-            laplacian_symbol(grid, Robin(k=1.0, target=0.0, diffusivity=1.0))
 
 
 class TestSparseStencils:

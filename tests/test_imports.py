@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Imports of the package: every imported name is used, and only `grid`
+imports the transforms."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,20 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether ``source`` imports ``module`` or a name from it."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            return True
+        if isinstance(node, ast.Import) and any(
+                alias.name == module for alias in node.names):
+            return True
+    return False
+
+
+def test_only_grid_imports_the_transforms():
+    # every exact solve changes basis through grid.eigenbasis
+    assert [p.name for p in MODULES
+            if imports_module(p.read_text(), "scipy.fft")] == ["grid.py"]

@@ -16,8 +16,7 @@ from scipy.optimize import newton_krylov
 import mchb.constitutive as cst
 import mchb.diagnostics
 import mchb.stepping
-from mchb.grid import (NEUMANN, Grid, Robin, fv_diffusion_matrix,
-                       laplacian_symbol)
+from mchb.grid import NEUMANN, Grid, Robin, eigenbasis, fv_diffusion_matrix
 from mchb.diagnostics import component_masses, free_energy
 from mchb.parameters import (ConfigError, build_default_scenario,
                              default_parameters)
@@ -453,7 +452,8 @@ class TestTransformPhaseSolve:
         cfg = build_default_scenario("stratified-tumor")
         m = cfg.model
         st = TimeStepper(cfg)
-        lam = laplacian_symbol(st.grid, NEUMANN)
+        basis = eigenbasis(st.grid, NEUMANN)
+        lam = basis.lam_y[:, None] + basis.lam_x[None, :]
         fields = [build_initial_state(cfg, st.bundle).phi,
                   build_initial_state(dataclasses.replace(
                       cfg, initial_condition="random-smooth"), st.bundle).phi,
@@ -646,13 +646,18 @@ class TestStepWork:
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
                                   grid_nx=16, grid_ny=16)
-        # the operators and the nutrient eigenbases are built with the
-        # stepper, none in a step, also after a change of dt
-        st = TimeStepper(cfg)
-        s = build_initial_state(cfg, st.bundle)
+        # the operators and the eigenbases are built with the stepper, none
+        # in a step, also after a change of dt
         calls = [counting(monkeypatch, mchb.stepping, name)
-                 for name in ("fv_diffusion_matrix", "fv_diffusion_axis")]
+                 for name in ("fv_diffusion_matrix", "eigenbasis")]
         calls.append(counting(monkeypatch, np.linalg, "eigh"))
+        st = TimeStepper(cfg)
+        # the Neumann Laplacian, the phase and nutrient bases, the Robin
+        # nutrient axes
+        assert [len(c) for c in calls] == [1, 2, 2]
+        for c in calls:
+            c.clear()
+        s = build_initial_state(cfg, st.bundle)
         for dt in (cfg.dt, cfg.dt, 0.5 * cfg.dt, 0.5 * cfg.dt):
             s, _ = st.step(s, dt)
         assert calls == [[], [], []]
