@@ -1,7 +1,7 @@
 """Multiphase Cahn-Hilliard-Brinkman/Darcy tumor-growth simulator."""
 
-from .grid import (Grid, Field, FaceVector, Neumann, Dirichlet, Extrapolate,
-                   Robin, inner_product, advective_divergence)
+from .grid import (Grid, Neumann, Dirichlet, Extrapolate, Robin,
+                   advective_divergence)
 from .constitutive import (PotentialSpec, ChemicalEnergySpec, SourceSpec,
                            potential_eval,
                            potential_split, chemical_energy,

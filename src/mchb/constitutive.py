@@ -241,12 +241,6 @@ def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
             - spec.rate_b * (spec.sigma_omega - s[0]))[None]
 
 
-def source_healthy(p, s, spec: SourceSpec):
-    """Source of the derived healthy fraction closing the volume balance."""
-    return _healthy(np.asarray(p, dtype=float),
-                    _proliferation(np.asarray(s, dtype=float), spec), spec)
-
-
 def source_velocity(p, s, spec: SourceSpec) -> np.ndarray:
     """Volume source ``1 . Lambda_phi + S_healthy``; bounded for both variants."""
     return source_phase(p, s, None, spec, with_velocity=True)[1]

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import constitutive as cst
-from .grid import NEUMANN, Field, Grid, Robin, wall_traces
+from .grid import NEUMANN, Grid, Robin, wall_traces
 from .parameters import SpecBundle
 from .state import StateFields
 
@@ -118,7 +118,7 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle) -> float:
     total += _gradient_square_sum(q, g)
     bc = nutrient_bc(bundle)
     if isinstance(bc, Robin):
-        for tr, _ in wall_traces(Field(state.sigma[0], bc, g)):
+        for tr, _ in wall_traces(state.sigma[0], bc, g):
             flux = bc.k * (bc.target - tr)
             total += g.cell_area * float(np.vdot(flux, flux))
     return total
@@ -130,9 +130,9 @@ def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
     k = bundle.sources.k_boundary
     if k == 0.0:
         return 0.0
-    f = Field(state.sigma[0], nutrient_bc(bundle), state.grid)
+    traces = wall_traces(state.sigma[0], nutrient_bc(bundle), state.grid)
     return k * bundle.chem.chi_sigma * sum(
-        float((tr**2).sum()) * h for tr, h in wall_traces(f))
+        float((tr**2).sum()) * h for tr, h in traces)
 
 
 def component_masses(state: StateFields):
@@ -176,8 +176,8 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
         # the Robin wall's work, K (sigma_Gamma N_sigma + sigma B phi) on the
         # traces, counted with the absorption it comes with
         chem = bundle.chem
-        phi_tr = [wall_traces(Field(c, NEUMANN, g)) for c in after.phi]
-        sigma_tr = wall_traces(Field(after.sigma[0], nutrient_bc(bundle), g))
+        phi_tr = [wall_traces(c, NEUMANN, g) for c in after.phi]
+        sigma_tr = wall_traces(after.sigma[0], nutrient_bc(bundle), g)
         for wall, (s_tr, h) in enumerate(sigma_tr):
             gsig_tr = sum(chem.coupling[0, l] * tr[wall][0]
                           for l, tr in enumerate(phi_tr)) + chem.b_vec[0]

@@ -61,7 +61,8 @@ eigenbasis.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
 Rhie-Chow correction and the Schur model; the ``UzawaSpace`` keeps these.
 The face average, face divergence and face gradient matrices that the
 correction is assembled from are made by that build and dropped when it
-returns, so a Darcy solve never builds them.
+returns, so a Darcy solve never builds them.  The Korteweg force keeps the
+stacked Neumann cell gradient in a per-grid cache of its own.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Eigenbasis, Field, Grid,
-                   cell_gradient, cell_gradient_matrix, eigenbasis,
+from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Eigenbasis, Grid,
+                   cell_gradient_matrix, eigenbasis,
                    face_average_matrix, face_divergence_matrix,
                    face_gradient_matrix, fv_diffusion_matrix, l2_norm)
 
@@ -138,18 +139,27 @@ def _flow_operators(grid: Grid) -> _FlowOperators:
     return _FlowOperators(grid)
 
 
+@lru_cache(maxsize=8)
+def _neumann_gradient(grid: Grid) -> sp.csr_matrix:
+    # the x rows over the y rows; kept apart from _FlowOperators, so a solve
+    # given its force (the Darcy convergence study) never builds it
+    return sp.vstack([cell_gradient_matrix(grid, axis, NEUMANN)
+                      for axis in (0, 1)], format="csr")
+
+
 def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
                    n_sigma: np.ndarray, grid: Grid) -> np.ndarray:
-    """Capillary/chemical force ``(grad phi)^T mu + (grad sigma)^T N_sigma``."""
+    """Capillary/chemical force ``(grad phi)^T mu + (grad sigma)^T N_sigma``
+    with the centred Neumann cell gradient."""
     if phi.shape[1:] != grid.shape or sigma.shape[1:] != grid.shape:
         raise ValueError("fields do not share the flow grid")
-    fx = np.zeros(grid.shape)
-    fy = np.zeros(grid.shape)
+    grad = _neumann_gradient(grid)
+    force = np.zeros((2,) + grid.shape)
     for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):
-        gx, gy = cell_gradient(Field(q, NEUMANN, grid))
-        fx += gx * w
-        fy += gy * w
-    return np.stack([fx, fy])
+        term = (grad @ q.ravel()).reshape(force.shape)
+        term *= w
+        force += term
+    return force
 
 
 def _darcy_pressure(force: np.ndarray, s_v: np.ndarray, nu: float,
@@ -223,9 +233,10 @@ def _face_weight(c, nu: float):
     """Rhie-Chow face weight ``nu + c^2 / (nu + c)`` of a viscous diagonal ``c``.
 
     It deviates from the Darcy weight ``nu`` only quadratically in ``c``, so
-    the vanishing-viscosity fixed point stays the Darcy solve.
+    the vanishing-viscosity fixed point stays the Darcy solve.  It is formed
+    as ``c (c / (nu + c))``, which stays finite for every finite ``c``.
     """
-    return nu + c**2 / (nu + c)
+    return nu + c * (c / (nu + c))
 
 
 def _rhie_chow(grid: Grid, kdiag: np.ndarray, nu: float) -> sp.csr_matrix:
@@ -332,12 +343,16 @@ class _BrinkmanSystem(NamedTuple):
 def _brinkman_system(grid: Grid, eta: float, lam: float,
                      nu: float) -> _BrinkmanSystem:
     """Build everything a Brinkman solve needs apart from its right-hand side."""
-    K = _velocity_operator(grid, eta, lam, nu)
+    with np.errstate(over="ignore"):  # an overflowing K fails to factorize
+        K = _velocity_operator(grid, eta, lam, nu)
     # K = nu I + V with V symmetric PSD and nu > 0 is SPD: diagonal pivots
     # are stable, so a symmetric ordering of K + K^T with no row pivoting
     # keeps the fill of a Cholesky-like factorization
-    k_lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    try:
+        k_lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:  # a singular K, as a huge viscosity gives
+        raise FlowSolverError(f"momentum operator: {exc}") from None
     correction = _rhie_chow(grid, K.diagonal(), nu)
     return _BrinkmanSystem(K, k_lu, correction,
                            *_schur_model(grid, eta, lam, nu, correction),
@@ -486,7 +501,8 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
                 c = space.W[:k] @ w
                 w -= c @ space.W[:k]
                 z -= c @ space.Z[:k]
-            norm = float(np.linalg.norm(w))
+            with np.errstate(over="ignore"):  # an overflow is a breakdown too
+                norm = float(np.linalg.norm(w))
             if not 0.0 < norm < np.inf:
                 raise FlowSolverError("Uzawa breakdown: degenerate search direction")
             space.Z[k] = z / norm

@@ -1,12 +1,15 @@
-"""Cell-centered rectangular grid and second-order difference operators.
+"""Cell-centered rectangular grid and its second-order difference stencils.
 
-All fields live at cell centers of a uniform rectangular mesh.  Gradients are
-evaluated at cell faces (x-faces have shape ``(ny, nx+1)``, y-faces
-``(ny+1, nx)``); the divergence of a face vector is the compact flux balance,
-so ``face_divergence(face_gradient(f))`` is the five-point Laplacian to
-machine precision and summation by parts is exact for zero-flux closures.
-Cell-centered gradients are obtained by averaging the two adjacent faces,
-which reproduces the usual centered stencil in the interior.
+All fields live at cell centers of a uniform rectangular mesh, flattened row
+by row (index ``j*nx + i``).  Every stencil is a sparse matrix: the face
+gradient (x-faces ``(ny, nx+1)``, y-faces ``(ny+1, nx)``), the face
+average, the compact face divergence, the centred cell gradient (the
+average of the two adjacent face differences) and the flux-form diffusion
+matrix ``fv_diffusion_matrix``, whose Neumann instance is minus the
+five-point Laplacian; summation by parts is exact for zero-flux closures.
+``eigenbasis`` diagonalizes the diffusion matrix, and ``wall_traces`` gives
+the boundary-face values of a field.  The upwind convective term
+``advective_divergence`` works on arrays with a mirror closure of its own.
 
 Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
@@ -16,9 +19,8 @@ Boundary closures are ghost-cell based, all defined in ``_ghost``:
   boundary condition (velocities, assembled forces),
 * ``Robin``        flux closure ``c dfdn = k (target - f)`` at the face.
 
-The stencils (``cell_gradient_matrix``, the face matrices of the flow solves,
-the wall rows of ``fv_diffusion_matrix`` and its ``eigenbasis``) are derived
-from the same ghost closures, so each closure has one definition.
+The wall rows of every matrix, the eigenbasis and the traces are derived
+from those closures, so each closure has one definition.
 """
 
 from __future__ import annotations
@@ -120,30 +122,6 @@ DIRICHLET = Dirichlet()
 EXTRAPOLATE = Extrapolate()
 
 
-@dataclass
-class Field:
-    """Scalar lattice with a boundary closure, the unit the operators act on."""
-
-    data: np.ndarray
-    bc: BC
-    grid: Grid
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != self.grid.shape:
-            raise ValueError(
-                f"field shape {self.data.shape} does not match grid {self.grid.shape}")
-
-
-@dataclass
-class FaceVector:
-    """Vector quantity stored on cell faces (gx on x-faces, gy on y-faces)."""
-
-    gx: np.ndarray
-    gy: np.ndarray
-    grid: Grid
-
-
 def _ghost(edge: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray, bc: BC,
            h: float) -> np.ndarray:
     """Ghost layer just outside the wall given the three interior layers."""
@@ -161,51 +139,13 @@ def _ghost(edge: np.ndarray, nxt: np.ndarray, nxt2: np.ndarray, bc: BC,
     raise TypeError(f"unknown boundary condition {bc!r}")
 
 
-def _ghost_layers(f: Field):
-    """Left, right, bottom and top ghost layers of a field, one ``_ghost`` each."""
-    g = f.grid
-    a = f.data
-    return (_ghost(a[:, 0], a[:, 1], a[:, 2], f.bc, g.hx),
-            _ghost(a[:, -1], a[:, -2], a[:, -3], f.bc, g.hx),
-            _ghost(a[0, :], a[1, :], a[2, :], f.bc, g.hy),
-            _ghost(a[-1, :], a[-2, :], a[-3, :], f.bc, g.hy))
-
-
-def face_gradient(f: Field) -> FaceVector:
-    """Differences at the faces, boundary faces closed through ghost cells."""
-    g = f.grid
-    gl, gr, gb, gt = _ghost_layers(f)
-    gx = np.diff(np.column_stack([gl, f.data, gr]), axis=1) / g.hx
-    gy = np.diff(np.vstack([gb, f.data, gt]), axis=0) / g.hy
-    return FaceVector(gx, gy, g)
-
-
-def face_divergence(v: FaceVector) -> np.ndarray:
-    """Compact flux balance of a face vector, one value per cell."""
-    g = v.grid
-    return (v.gx[:, 1:] - v.gx[:, :-1]) / g.hx + (v.gy[1:, :] - v.gy[:-1, :]) / g.hy
-
-
-def cell_gradient(f: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Centered gradient at cell centers (face average of ``face_gradient``)."""
-    fv = face_gradient(f)
-    gx = 0.5 * (fv.gx[:, 1:] + fv.gx[:, :-1])
-    gy = 0.5 * (fv.gy[1:, :] + fv.gy[:-1, :])
-    return gx, gy
-
-
-def inner_product(f, g) -> float:
-    """Midpoint-quadrature inner product; accepts Field or FaceVector pairs."""
-    if isinstance(f, FaceVector) and isinstance(g, FaceVector):
-        gr = f.grid
-        w = gr.cell_area
-        return float((f.gx * g.gx).sum() * w + (f.gy * g.gy).sum() * w)
-    fa = f.data if isinstance(f, Field) else np.asarray(f)
-    ga = g.data if isinstance(g, Field) else np.asarray(g)
-    if fa.shape != ga.shape:
-        raise ValueError(f"shape mismatch {fa.shape} vs {ga.shape}")
-    grid = f.grid if isinstance(f, Field) else g.grid
-    return float((fa * ga).sum() * grid.cell_area)
+def _wall_closure(bc: BC, h: float) -> tuple[float, float]:
+    """``(w, g0)`` of a two-point closure, ``ghost = w edge + g0``."""
+    g0 = float(_ghost(0.0, 0.0, 0.0, bc, h))
+    w = _ghost(*np.eye(3), bc, h) - g0
+    if w[1] != 0.0 or w[2] != 0.0:
+        raise TypeError(f"the closure {bc!r} reads past the edge layer")
+    return float(w[0]), g0
 
 
 def l2_norm(a: np.ndarray, grid: Grid) -> float:
@@ -213,13 +153,14 @@ def l2_norm(a: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt((a**2).sum() * grid.cell_area))
 
 
-def wall_traces(f: Field) -> list[tuple[np.ndarray, float]]:
-    """Boundary-face traces (ghost-interior midpoints) with edge lengths."""
-    g = f.grid
-    a = f.data
-    gl, gr, gb, gt = _ghost_layers(f)
-    return [(0.5 * (a[:, 0] + gl), g.hy), (0.5 * (a[:, -1] + gr), g.hy),
-            (0.5 * (a[0, :] + gb), g.hx), (0.5 * (a[-1, :] + gt), g.hx)]
+def wall_traces(a: np.ndarray, bc: BC,
+                grid: Grid) -> list[tuple[np.ndarray, float]]:
+    """Left, right, bottom and top boundary-face traces of the cell field
+    ``a`` under ``bc``, each with the length of its faces: the midpoint of
+    the edge and its ghost ``w edge + g0``, ``((1 + w) edge + g0) / 2``."""
+    (wx, gx), (wy, gy) = _wall_closure(bc, grid.hx), _wall_closure(bc, grid.hy)
+    return [(((1.0 + wx) * a[:, j] + gx) / 2.0, grid.hy) for j in (0, -1)] \
+        + [(((1.0 + wy) * a[j, :] + gy) / 2.0, grid.hx) for j in (0, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +168,9 @@ def wall_traces(f: Field) -> list[tuple[np.ndarray, float]]:
 #
 # Every 1-D stencil is a product of the padding map cells -> [ghost, cells,
 # ghost], whose wall rows are ``_ghost`` applied to unit vectors, and
-# two-point differences or averages.  ``1/h`` scales the product last, so
-# the entries are those of the array operators to the last bit.  The 2-D
-# matrix is the Kronecker product with the identity along the other axis.
+# two-point differences or averages.  ``1/h`` scales the product last.  The
+# 2-D matrix is the Kronecker product with the identity along the other
+# axis.
 
 def _pad_1d(n: int, bc: BC, h: float) -> sp.csr_matrix:
     """Cells to ``[ghost, cells, ghost]``, shape ``(n+2, n)``."""
@@ -261,7 +202,7 @@ def _along(grid: Grid, axis: int, stencil) -> sp.csr_matrix:
 
 
 def face_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
-    """Sparse ``face_gradient`` component on the faces normal to ``axis``."""
+    """Differences of the cells across the faces normal to ``axis``."""
     return _along(grid, axis, lambda n, h: (
         _pair_1d(n + 1, -1.0, 1.0) @ _pad_1d(n, bc, h)) * (1.0 / h))
 
@@ -273,24 +214,16 @@ def face_average_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
 
 
 def face_divergence_matrix(grid: Grid, axis: int) -> sp.csr_matrix:
-    """The ``face_divergence`` term of the faces normal to ``axis``."""
+    """Flux balance of the faces normal to ``axis``, one value per cell."""
     return _along(grid, axis, lambda n, h: _pair_1d(n, -1.0, 1.0) * (1.0 / h))
 
 
 def cell_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
-    """Sparse ``cell_gradient`` component, d/dx (axis=0) or d/dy (axis=1)."""
+    """Centred cell gradient, d/dx (axis=0) or d/dy (axis=1): the average
+    of the two adjacent face differences."""
     return _along(grid, axis, lambda n, h: (
         _pair_1d(n, 0.5, 0.5) @ _pair_1d(n + 1, -1.0, 1.0)
         @ _pad_1d(n, bc, h)) * (1.0 / h))
-
-
-def _wall_closure(bc: BC, h: float) -> tuple[float, float]:
-    """``(w, g0)`` of a two-point closure, ``ghost = w edge + g0``."""
-    g0 = float(_ghost(0.0, 0.0, 0.0, bc, h))
-    w = _ghost(*np.eye(3), bc, h) - g0
-    if w[1] != 0.0 or w[2] != 0.0:
-        raise TypeError(f"the closure {bc!r} reads past the edge layer")
-    return float(w[0]), g0
 
 
 def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
@@ -369,8 +302,8 @@ def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
                       lam_y, lam_x)
 
 
-def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,
-                         s_v: np.ndarray) -> np.ndarray:
+def advective_divergence(q: np.ndarray, vx: np.ndarray, vy: np.ndarray,
+                         s_v: np.ndarray, grid: Grid) -> np.ndarray:
     """Convective term ``(grad q) . v + q s_v`` with upwind-biased gradients.
 
     Second-order upwind in the interior; the two ghost layers come from the
@@ -380,10 +313,10 @@ def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,
     each operation of ``(3 c - 4 a[-1] + a[-2]) / 2h``, in the formula's
     order, is one contiguous pass.
     """
-    g, d = q.grid, q.data
+    g = grid
     a = np.empty((g.ny + 4, g.nx + 4))
-    a[2:-2, 2:-2] = d
-    a[2:-2, 1::-1], a[2:-2, :-3:-1] = d[:, :2], d[:, -2:]
+    a[2:-2, 2:-2] = q
+    a[2:-2, 1::-1], a[2:-2, :-3:-1] = q[:, :2], q[:, -2:]
     a[1::-1], a[:-3:-1] = a[2:4], a[-4:-2]
     f, c3 = a.ravel(), 3.0 * a.ravel()
     up, down = np.empty((2, f.size))
@@ -403,5 +336,5 @@ def advective_divergence(q: Field, vx: np.ndarray, vy: np.ndarray,
         terms.append(grad)
     qx, qy = terms
     qx += qy
-    qx += np.multiply(d, s_v, out=qy)
+    qx += np.multiply(q, s_v, out=qy)
     return qx

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constitutive as cst
-from .grid import NEUMANN, Field, Grid, face_divergence, face_gradient
+from .grid import NEUMANN, Grid, fv_diffusion_matrix
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 
 
@@ -68,10 +68,12 @@ def consistent_mu(phi: np.ndarray, sigma: np.ndarray, bundle: SpecBundle,
     m = bundle.params
     grad = cst.double_well_gradient(phi)
     _, n_phi, _, _ = cst.chemical_energy(phi, sigma, bundle.chem)
+    # the Neumann matrix is minus the five-point Laplacian
+    a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
     mu = np.empty_like(phi)
     for i in range(phi.shape[0]):
-        lap = face_divergence(face_gradient(Field(phi[i], NEUMANN, grid)))
-        mu[i] = -m.gamma * m.epsilon * lap \
+        a_phi = (a_neu @ phi[i].ravel()).reshape(grid.shape)
+        mu[i] = m.gamma * m.epsilon * a_phi \
             + m.gamma / m.epsilon * grad[i] + n_phi[i]
     return mu
 

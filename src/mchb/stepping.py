@@ -76,8 +76,8 @@ from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import BrinkmanOptions, FlowSolverError, UzawaSpace, \
     korteweg_force, solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Field, Grid, advective_divergence, eigenbasis,
-                   face_divergence, face_gradient, fv_diffusion_matrix)
+from .grid import (NEUMANN, Grid, advective_divergence, eigenbasis,
+                   fv_diffusion_matrix)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
 
@@ -92,10 +92,16 @@ class StepReport:
     flow_iterations: int
     picard_iters: int
     picard_residual: float
-    energy_before: float
-    energy_after: float
     div_residual: float
-    energy: diag.EnergyReport | None = None
+    energy: diag.EnergyReport
+
+    @property
+    def energy_before(self) -> float:
+        return self.energy.e_before
+
+    @property
+    def energy_after(self) -> float:
+        return self.energy.e_total
 
 
 @dataclass
@@ -149,7 +155,7 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
 def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
     """Advective divergences ``(conv_phi, conv_sigma)`` of ``state`` in ``v``."""
     g = state.grid
-    conv = [advective_divergence(Field(q, NEUMANN, g), v[0], v[1], s_v)
+    conv = [advective_divergence(q, v[0], v[1], s_v, g)
             for q in [*state.phi, state.sigma[0]]]
     return np.stack(conv[:-1]), conv[-1]
 
@@ -184,11 +190,11 @@ class TimeStepper:
                                   source_variant=config.source_variant)
         self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
         self._neu_basis = eigenbasis(g, NEUMANN)
-        # nutrient flux chi_sigma grad(sigma) - B grad(phi); the coupling part
-        # is the Neumann Laplacian
-        self._nutrient_bc = diag.nutrient_bc(self.bundle)
-        self._nutrient_basis = eigenbasis(g, self._nutrient_bc,
-                                          self.bundle.chem.chi_sigma)
+        # nutrient flux chi_sigma grad(sigma) - B grad(phi): the sigma part
+        # is N with its wall source, the coupling part the Neumann Laplacian
+        nutrient_bc, chi = diag.nutrient_bc(self.bundle), self.bundle.chem.chi_sigma
+        self._nutrient_matrix = fv_diffusion_matrix(g, nutrient_bc, chi)
+        self._nutrient_basis = eigenbasis(g, nutrient_bc, chi)
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (history, sigma, free energy) of the state the last step returned;
@@ -295,9 +301,9 @@ class TimeStepper:
         """
         g, chem = self.grid, self.bundle.chem
         bphi = np.einsum("ml,lxy->mxy", chem.coupling, phi_new)[0]
-        flux = face_gradient(Field(sigma_n[0], self._nutrient_bc, g))
-        r = ((self._neu_laplacian @ bphi.ravel()).reshape(g.shape)
-             + chem.chi_sigma * face_divergence(flux) - conv_sigma - s_sigma[0])
+        mat, wall = self._nutrient_matrix
+        r = self._neu_laplacian @ bphi.ravel() - (mat @ sigma_n[0].ravel() - wall)
+        r = r.reshape(g.shape) - conv_sigma - s_sigma[0]
         forward, inverse, lam_y, lam_x = self._nutrient_basis
         coef = forward(r) / (1.0 / dt + lam_y[:, None] + lam_x[None, :])
         return (sigma_n[0] + inverse(coef))[None], 1
@@ -372,8 +378,6 @@ class TimeStepper:
         self._carry = (history, sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,
                             picard_iters=picard_iters, picard_residual=picard_res,
-                            energy_before=energy.e_before,
-                            energy_after=energy.e_total,
                             div_residual=div_residual, energy=energy)
         return new_state, report
 

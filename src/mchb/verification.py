@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constitutive as cst
-from .grid import (NEUMANN, Field, Grid, advective_divergence,
-                   fv_diffusion_matrix)
+from .grid import NEUMANN, Grid, advective_divergence, fv_diffusion_matrix
 from .flow import solve_darcy
 from .parameters import build_specs, default_parameters
 
@@ -166,7 +165,7 @@ def mms_advection(ns=(32, 64, 128, 256)):
         target = -0.25 * np.pi * sx * cy * vx
         target += -0.25 * np.pi * cx * sy * vy
         target += q * div_v
-        err = advective_divergence(Field(q, NEUMANN, grid), vx, vy, div_v)
+        err = advective_divergence(q, vx, vy, div_v, grid)
         err -= target
         errs.append(_error_norm(err, grid))
     return ConvergenceStudy("advective-divergence", list(ns), errs,

@@ -230,16 +230,21 @@ class TestSources:
                                    np.zeros(3), b.sources)[0] == pytest.approx(0.0)
 
     def test_velocity_source_expansion(self):
-        # symbolic expansion oracle: S_v = sum(S_phi) + S_healthy
+        # symbolic expansion oracle: S_v - sum(S_phi) is the healthy source
+        # -kappa P(sigma) h_r(phi_1) of the linear variant
         b = bundle(kappa=1.0)
+        sp = b.sources
+        assert sp.variant == "linear"
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = rng.uniform(-1.5, 2.5, 3)
             s = rng.uniform(-1, 3, 1)
-            sv = cst.source_velocity(p, s, b.sources)
-            expect = cst.source_phase(p, s, np.zeros(3), b.sources).sum() \
-                + cst.source_healthy(p, s, b.sources)
-            assert sv == pytest.approx(expect, rel=1e-13, abs=1e-13)
+            healthy = cst.source_velocity(p, s, sp) \
+                - cst.source_phase(p, s, np.zeros(3), sp).sum()
+            expect = -sp.kappa \
+                * cst.saturating_proliferation(s[0], sp.rate_p, sp.c_p) \
+                * cst.truncation(p[0], sp.r)
+            assert healthy == pytest.approx(expect, rel=1e-13, abs=1e-13)
         assert cst.source_velocity(np.array([1.0, 0, 0]), np.array([0.5]),
                                    b.sources) == pytest.approx(0.0, abs=1e-14)
 

@@ -10,8 +10,7 @@ from mchb.diagnostics import (boundary_absorption, component_masses,
                               free_energy, nutrient_bc)
 import mchb.constitutive as cst
 from mchb.flow import solve_darcy
-from mchb.grid import (NEUMANN, FaceVector, Field, Grid, face_gradient,
-                       inner_product)
+from mchb.grid import NEUMANN, Grid, _ghost
 from mchb.parameters import build_default_scenario, build_specs, \
     default_parameters
 from mchb.state import StateFields, build_initial_state
@@ -116,14 +115,29 @@ class TestDissipation:
         assert got == pytest.approx(2.0 * 1.0 * 0.8**2 * 4.0, rel=1e-12)
 
 
+def face_gradient(a, bc, g):
+    """x- and y-face differences of ``a``, the wall faces closed by the
+    ghost layers ``_ghost`` gives under ``bc``."""
+    left = _ghost(a[:, 0], a[:, 1], a[:, 2], bc, g.hx)
+    right = _ghost(a[:, -1], a[:, -2], a[:, -3], bc, g.hx)
+    bottom = _ghost(a[0], a[1], a[2], bc, g.hy)
+    top = _ghost(a[-1], a[-2], a[-3], bc, g.hy)
+    return (np.diff(np.column_stack([left, a, right]), axis=1) / g.hx,
+            np.diff(np.vstack([bottom, a, top]), axis=0) / g.hy)
+
+
+def face_square_sum(gx, gy, g):
+    return float((gx**2).sum() + (gy**2).sum()) * g.cell_area
+
+
 def face_free_energy(state, bundle):
     """``free_energy`` summed over the ghost-closed face gradients."""
     g, m = state.grid, bundle.params
     e = m.gamma / m.epsilon * float(cst.potential_value(state.phi).sum()) \
         * g.cell_area
     for c in state.phi:
-        fv = face_gradient(Field(c, NEUMANN, g))
-        e += 0.5 * m.gamma * m.epsilon * inner_product(fv, fv)
+        e += 0.5 * m.gamma * m.epsilon * face_square_sum(
+            *face_gradient(c, NEUMANN, g), g)
     n_val, _, _, _ = cst.chemical_energy(state.phi, state.sigma, bundle.chem)
     return e + float(n_val.sum()) * g.cell_area
 
@@ -135,16 +149,14 @@ def face_dissipation(state, bundle):
     g, chem = state.grid, bundle.chem
     total = 0.0
     for c in state.mu:
-        fv = face_gradient(Field(c, NEUMANN, g))
-        total += inner_product(fv, fv)
-    fs = face_gradient(Field(state.sigma[0], nutrient_bc(bundle), g))
-    gx, gy = chem.chi_sigma * fs.gx, chem.chi_sigma * fs.gy
+        total += face_square_sum(*face_gradient(c, NEUMANN, g), g)
+    fx, fy = face_gradient(state.sigma[0], nutrient_bc(bundle), g)
+    gx, gy = chem.chi_sigma * fx, chem.chi_sigma * fy
     for l, c in enumerate(state.phi):
-        fp = face_gradient(Field(c, NEUMANN, g))
-        gx -= chem.coupling[0, l] * fp.gx
-        gy -= chem.coupling[0, l] * fp.gy
-    flux = FaceVector(gx, gy, g)
-    return total + inner_product(flux, flux)
+        px, py = face_gradient(c, NEUMANN, g)
+        gx -= chem.coupling[0, l] * px
+        gy -= chem.coupling[0, l] * py
+    return total + face_square_sum(gx, gy, g)
 
 
 class TestInteriorDifferenceSums:

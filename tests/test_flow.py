@@ -19,15 +19,21 @@ from mchb.parameters import build_default_scenario
 from mchb.state import build_initial_state
 from mchb.stepping import TimeStepper, explicit_terms
 
-from mchb.grid import DIRICHLET, EXTRAPOLATE, Field, Grid, cell_gradient, \
-    cell_gradient_matrix, face_average_matrix, face_divergence_matrix, \
-    face_gradient_matrix, fv_diffusion_matrix
+from mchb.grid import DIRICHLET, EXTRAPOLATE, Grid, cell_gradient_matrix, \
+    face_average_matrix, face_divergence_matrix, face_gradient_matrix, \
+    fv_diffusion_matrix
 from mchb.flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
                        korteweg_force, solve_brinkman, solve_darcy)
 
 
 def l2(a, grid):
     return float(np.sqrt((np.asarray(a)**2).sum() * grid.cell_area))
+
+
+def extrapolated_gradient(a, grid):
+    """``(d/dx, d/dy)`` of a velocity component, one-sided at the walls."""
+    return [(cell_gradient_matrix(grid, axis, EXTRAPOLATE) @ a.ravel())
+            .reshape(grid.shape) for axis in (0, 1)]
 
 
 @pytest.fixture
@@ -227,10 +233,8 @@ class TestBrinkman:
             eta = np.full(grid.shape, eta0)
             res = solve_brinkman(force, s_v, eta, eta, 1.0, grid,
                                  BrinkmanOptions(tol=1e-12))
-            vx = Field(res.v[0], EXTRAPOLATE, grid)
-            vy = Field(res.v[1], EXTRAPOLATE, grid)
-            uxx, uxy = cell_gradient(vx)
-            vyx, vyy = cell_gradient(vy)
+            uxx, uxy = extrapolated_gradient(res.v[0], grid)
+            vyx, vyy = extrapolated_gradient(res.v[1], grid)
             d12 = 0.5 * (uxy + vyx)
             dv2 = uxx**2 + vyy**2 + 2 * d12**2
             divv = uxx + vyy
@@ -240,6 +244,15 @@ class TestBrinkman:
             mism.append(abs(lhs - rhs) / abs(rhs))
         assert mism[0] < 0.05
         assert mism[1] < mism[0]
+
+    @pytest.mark.parametrize("eta", [1e300, 1.7e308])
+    def test_overflowing_viscosity_is_a_solver_error(self, eta):
+        # 1e300 once overflowed the face weight and 1.7e308 overflows K,
+        # whose factorization then fails; both are solver failures
+        grid = Grid(8, 8)
+        _, _, s_v, force = manufactured(grid)
+        with pytest.raises(FlowSolverError):
+            solve_brinkman(force, s_v, eta, eta, 1.0, grid)
 
     def test_eta_must_be_positive(self, grid):
         with pytest.raises(ValueError):
@@ -485,7 +498,7 @@ class TestFlowOperatorCache:
             grad = cell_gradient_matrix(grid, axis, DIRICHLET)
             avg = face_average_matrix(grid, axis, EXTRAPOLATE)
             c = np.maximum((avg @ diag) - nu, 0.0)
-            weight = sp.diags(1.0 / (nu + c**2 / (nu + c)))
+            weight = sp.diags(1.0 / (nu + c * (c / (nu + c))))
             terms.append(face_divergence_matrix(grid, axis) @ weight
                          @ (avg @ grad
                             - face_gradient_matrix(grid, axis, DIRICHLET)))
@@ -753,8 +766,8 @@ def assert_close(a, b, rel):
 
 def reference_dissipation(v, eta, lam, nu, grid):
     """``nu |v|^2 + 2 eta |Dv|^2 + lam (div v)^2`` from the cell gradients."""
-    uxx, uxy = cell_gradient(Field(v[0], EXTRAPOLATE, grid))
-    vyx, vyy = cell_gradient(Field(v[1], EXTRAPOLATE, grid))
+    uxx, uxy = extrapolated_gradient(v[0], grid)
+    vyx, vyy = extrapolated_gradient(v[1], grid)
     d12 = 0.5 * (uxy + vyx)
     dv2 = uxx**2 + vyy**2 + 2.0 * d12**2
     divv = uxx + vyy
@@ -917,6 +930,21 @@ class TestKortewegForce:
             errs.append(l2(got - np.stack([fx, fy]), grid))
         slope = np.polyfit(np.log([1 / 32, 1 / 64, 1 / 128]), np.log(errs), 1)[0]
         assert slope >= 1.8
+
+    def test_centred_differences_with_mirror_walls(self):
+        # the force written out: centred differences of a mirror-padded field
+        grid = Grid(24, 16, 1.3, 0.7)
+        rng = np.random.default_rng(12)
+        phi, mu = rng.standard_normal((2, 3) + grid.shape)
+        sig, nsig = rng.standard_normal((2, 1) + grid.shape)
+        want = np.zeros((2,) + grid.shape)
+        for q, w in zip([*phi, *sig], [*mu, *nsig]):
+            a = np.pad(q, 1, mode="edge")
+            want[0] += (a[1:-1, 2:] - a[1:-1, :-2]) / (2.0 * grid.hx) * w
+            want[1] += (a[2:, 1:-1] - a[:-2, 1:-1]) / (2.0 * grid.hy) * w
+        got = korteweg_force(phi, mu, sig, nsig, grid)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_grid_mismatch(self, grid):
         other = Grid(16, 16, 1.0, 1.0)

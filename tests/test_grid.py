@@ -1,4 +1,4 @@
-"""Grid operators: exactness, adjointness, closures, eigenbases, convection."""
+"""Grid stencils: exactness, adjointness, closures, eigenbases, convection."""
 
 import tracemalloc
 
@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Field, FaceVector,
-                       Grid, Robin, advective_divergence, cell_gradient,
-                       cell_gradient_matrix, eigenbasis, face_average_matrix,
-                       face_divergence, face_divergence_matrix, face_gradient,
-                       face_gradient_matrix, fv_diffusion_matrix,
-                       inner_product, _ghost)
+from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Grid, Robin,
+                       advective_divergence, cell_gradient_matrix, eigenbasis,
+                       face_average_matrix, face_divergence_matrix,
+                       face_gradient_matrix, fv_diffusion_matrix, wall_traces,
+                       _ghost)
 
 
 @pytest.fixture
@@ -19,16 +18,55 @@ def grid():
     return Grid(32, 24, 1.3, 0.9)
 
 
-def rand_field(grid, bc=NEUMANN, seed=0):
-    rng = np.random.default_rng(seed)
-    return Field(rng.standard_normal(grid.shape), bc, grid)
+def rand_field(grid, seed=0):
+    return np.random.default_rng(seed).standard_normal(grid.shape)
+
+
+def apply(mat, a, shape):
+    return (mat @ a.ravel()).reshape(shape)
+
+
+def ghost_padded(a, bc, grid):
+    """``a`` with one ghost layer per wall, each ``_ghost`` of ``bc``; the
+    corners are never read."""
+    out = np.zeros((grid.ny + 2, grid.nx + 2))
+    out[1:-1, 1:-1] = a
+    out[1:-1, 0] = _ghost(a[:, 0], a[:, 1], a[:, 2], bc, grid.hx)
+    out[1:-1, -1] = _ghost(a[:, -1], a[:, -2], a[:, -3], bc, grid.hx)
+    out[0, 1:-1] = _ghost(a[0], a[1], a[2], bc, grid.hy)
+    out[-1, 1:-1] = _ghost(a[-1], a[-2], a[-3], bc, grid.hy)
+    return out
+
+
+def written_face_gradient(a, bc, grid):
+    """The face differences, x-faces ``(ny, nx+1)`` and y-faces
+    ``(ny+1, nx)``, written out on the ghost-padded field."""
+    p = ghost_padded(a, bc, grid)
+    return (np.diff(p[1:-1], axis=1) / grid.hx,
+            np.diff(p[:, 1:-1], axis=0) / grid.hy)
+
+
+def written_flux_balance(gx, gy, grid):
+    return (gx[:, 1:] - gx[:, :-1]) / grid.hx + (gy[1:] - gy[:-1]) / grid.hy
+
+
+def face_laplacian(a, bc, grid):
+    """The flux balance of the face gradient, from the sparse face stencils."""
+    return sum(apply(face_divergence_matrix(grid, axis)
+                     @ face_gradient_matrix(grid, axis, bc), a, grid.shape)
+               for axis in (0, 1))
+
 
 class TestOperators:
     def test_constant_field(self, grid):
-        f = Field(np.full(grid.shape, 2.5), NEUMANN, grid)
-        fv = face_gradient(f)
-        assert np.abs(fv.gx).max() == 0.0 and np.abs(fv.gy).max() == 0.0
-        assert np.abs(face_divergence(face_gradient(f))).max() == 0.0
+        f = np.full(grid.shape, 2.5)
+        for axis in (0, 1):
+            for build in (face_gradient_matrix, cell_gradient_matrix):
+                assert not (build(grid, axis, NEUMANN) @ f.ravel()).any()
+        assert not face_laplacian(f, NEUMANN, grid).any()
+        a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
+        assert np.abs(a_neu @ f.ravel()).max() \
+            <= 1e-15 * 2.5 * np.abs(a_neu.data).max()
 
     def test_laplacian_cosine_convergence(self):
         errs = []
@@ -36,55 +74,68 @@ class TestOperators:
         for n in ns:
             g = Grid(n, n, 1.3, 0.9)
             x, _ = g.cell_centers()
-            f = Field(np.cos(np.pi * x / g.lx), NEUMANN, g)
-            exact = -(np.pi / g.lx) ** 2 * f.data
-            err = face_divergence(face_gradient(f)) - exact
+            f = np.cos(np.pi * x / g.lx)
+            exact = -(np.pi / g.lx) ** 2 * f
+            err = -apply(fv_diffusion_matrix(g, NEUMANN)[0], f, g.shape) - exact
             errs.append(np.sqrt((err**2).sum() * g.cell_area))
         slope = np.polyfit(np.log([1.0 / n for n in ns]), np.log(errs), 1)[0]
         assert abs(slope - 2.0) < 0.1
 
     def test_composition_identity(self, grid):
-        # div(grad f) is the mirror-ghost five-point stencil, written out here
+        # div(grad f) of the face stencils and the assembled Neumann matrix
+        # are the mirror-ghost five-point stencil, written out here
         f = rand_field(grid)
-        a = np.pad(f.data, 1, mode="edge")
-        five_point = ((a[1:-1, 2:] - 2.0 * f.data + a[1:-1, :-2]) / grid.hx**2
-                      + (a[2:, 1:-1] - 2.0 * f.data + a[:-2, 1:-1]) / grid.hy**2)
-        assert np.allclose(face_divergence(face_gradient(f)), five_point,
-                           rtol=0.0, atol=1e-10 * np.abs(five_point).max())
+        a = np.pad(f, 1, mode="edge")
+        five_point = ((a[1:-1, 2:] - 2.0 * f + a[1:-1, :-2]) / grid.hx**2
+                      + (a[2:, 1:-1] - 2.0 * f + a[:-2, 1:-1]) / grid.hy**2)
+        tol = 1e-13 * np.abs(five_point).max()
+        assert np.abs(face_laplacian(f, NEUMANN, grid) - five_point).max() <= tol
+        a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
+        assert np.abs(apply(a_neu, f, grid.shape) + five_point).max() <= tol
 
     def test_adjointness_zero_flux(self, grid):
+        # summation by parts: (A w, f) = (grad w, grad f) over all faces, and
+        # the Neumann matrix is symmetric
         f = rand_field(grid, seed=1)
         w = rand_field(grid, seed=2)
-        lhs = inner_product(face_divergence(face_gradient(w)), f)
-        rhs = -inner_product(face_gradient(w), face_gradient(f))
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
-        assembled = -inner_product((a_neu @ w.data.ravel()).reshape(grid.shape), f)
-        assert abs(lhs - assembled) <= 1e-12 * max(1.0, abs(rhs))
+        assert abs(a_neu - a_neu.T).max() == 0.0
+        lhs = float((apply(a_neu, w, grid.shape) * f).sum())
+        rhs = sum(float((face_gradient_matrix(grid, axis, NEUMANN) @ w.ravel()
+                         @ (face_gradient_matrix(grid, axis, NEUMANN)
+                            @ f.ravel())))
+                  for axis in (0, 1))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
     def test_quadratic_exactness_interior(self, grid):
         x, y = grid.cell_centers()
-        q = Field(x**2 + 3 * x * y + 2 * y**2 + x - y + 1, EXTRAPOLATE, grid)
-        lap = face_divergence(face_gradient(q))
+        q = x**2 + 3 * x * y + 2 * y**2 + x - y + 1
+        lap = face_laplacian(q, EXTRAPOLATE, grid)
         assert np.abs(lap[1:-1, 1:-1] - 6.0).max() < 1e-10
-        gx, gy = cell_gradient(q)
+        # the extrapolated cell gradient is exact on quadratics, walls included
+        gx = apply(cell_gradient_matrix(grid, 0, EXTRAPOLATE), q, grid.shape)
+        gy = apply(cell_gradient_matrix(grid, 1, EXTRAPOLATE), q, grid.shape)
         assert np.abs(gx - (2 * x + 3 * y + 1)).max() < 1e-10
         assert np.abs(gy - (3 * x + 4 * y - 1)).max() < 1e-10
 
     def test_matrix_matches_operator(self, grid):
-        f = rand_field(grid, seed=3)
+        # the assembled Neumann matrix is minus the product of the face stencils
         a_neu, rhs = fv_diffusion_matrix(grid, NEUMANN)
         assert np.all(rhs == 0.0)
-        lhs = (a_neu @ f.data.ravel()).reshape(grid.shape)
-        assert np.allclose(lhs, -face_divergence(face_gradient(f)), atol=1e-12)
+        product = sum(face_divergence_matrix(grid, axis)
+                      @ face_gradient_matrix(grid, axis, NEUMANN)
+                      for axis in (0, 1))
+        assert abs(a_neu + product).max() <= 1e-13 * abs(a_neu).max()
 
     def test_robin_matrix_matches_face_operator(self, grid):
+        # the affine Robin matrix is the written flux balance of 0.7 grad f
+        # with the wall faces closed by the Robin ghost
         bc = Robin(k=2.0, target=1.5, diffusivity=0.7)
-        f = rand_field(grid, bc=bc, seed=4)
+        f = rand_field(grid, seed=4)
         a_rob, rhs = fv_diffusion_matrix(grid, bc, 0.7)
-        via_matrix = (a_rob @ f.data.ravel() - rhs).reshape(grid.shape)
-        fv = face_gradient(f)
-        via_faces = -face_divergence(FaceVector(0.7 * fv.gx, 0.7 * fv.gy, grid))
+        via_matrix = (a_rob @ f.ravel() - rhs).reshape(grid.shape)
+        gx, gy = written_face_gradient(f, bc, grid)
+        via_faces = -written_flux_balance(0.7 * gx, 0.7 * gy, grid)
         assert np.allclose(via_matrix, via_faces, atol=1e-11)
 
     def test_extrapolated_closure_has_no_diffusion_rows(self, grid):
@@ -157,7 +208,7 @@ class TestDiffusionAssembly:
         basis = eigenbasis(grid, bc, 0.7)
         assert basis.lam_y.shape == (grid.ny,)
         assert basis.lam_x.shape == (grid.nx,)
-        f = rand_field(grid, seed=5).data
+        f = rand_field(grid, seed=5)
         via_matrix = (mat @ f.ravel()).reshape(grid.shape)
         symbol = basis.lam_y[:, None] + basis.lam_x[None, :]
         via_basis = basis.inverse(symbol * basis.forward(f))
@@ -205,32 +256,31 @@ class TestBoundaryClosures:
     def test_dirichlet_ghost_odd(self):
         g = Grid(16, 16, 1.0, 1.0)
         x, _ = g.cell_centers()
-        f = Field(np.sin(np.pi * x), DIRICHLET, g)
-        fv = face_gradient(f)
+        gx = apply(face_gradient_matrix(g, 0, DIRICHLET), np.sin(np.pi * x),
+                   (g.ny, g.nx + 1))
         # wall-face derivative of sin(pi x) at x = 0 is pi, second order
-        assert fv.gx[:, 0] == pytest.approx(np.pi, rel=2e-2)
+        assert gx[:, 0] == pytest.approx(np.pi, rel=2e-2)
 
-    def test_inner_product_basics(self):
-        g = Grid(16, 16, 1.0, 1.0)
-        one = Field(np.ones(g.shape), NEUMANN, g)
-        x, _ = g.cell_centers()
-        fx = Field(x, NEUMANN, g)
-        assert inner_product(one, one) == pytest.approx(1.0)
-        assert inner_product(fx, one) == pytest.approx(0.5, abs=1e-12)
-        f = rand_field(g, seed=5)
-        w = rand_field(g, seed=6)
-        assert inner_product(f, w) == inner_product(w, f)
-
-    def test_inner_product_shape_mismatch(self):
-        g = Grid(16, 16, 1.0, 1.0)
-        f = Field(np.ones(g.shape), NEUMANN, g)
-        h = Field(np.ones((24, 24)), NEUMANN, Grid(24, 24, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            inner_product(f, h)
+    @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET,
+                                    Robin(k=2.0, target=1.5, diffusivity=0.7)],
+                             ids=["neumann", "dirichlet", "robin"])
+    def test_wall_traces_are_edge_ghost_midpoints(self, grid, bc):
+        a = 1.0 + rand_field(grid, seed=7)
+        p = ghost_padded(a, bc, grid)
+        want = [(0.5 * (a[:, 0] + p[1:-1, 0]), grid.hy),
+                (0.5 * (a[:, -1] + p[1:-1, -1]), grid.hy),
+                (0.5 * (a[0] + p[0, 1:-1]), grid.hx),
+                (0.5 * (a[-1] + p[-1, 1:-1]), grid.hx)]
+        got = wall_traces(a, bc, grid)
+        assert len(got) == 4
+        for (tr, length), (ref, ref_length) in zip(got, want):
+            assert length == ref_length and tr.shape == ref.shape
+            assert np.abs(tr - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestSparseStencils:
-    """The sparse stencils share the ghost closures of the array operators."""
+    """The sparse stencils against the array stencils written out on the
+    ghost-padded field."""
 
     @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, EXTRAPOLATE])
     def test_matrices_match_array_operators(self, grid, bc):
@@ -238,17 +288,18 @@ class TestSparseStencils:
         def close(got, want):
             assert np.abs(got - want.ravel()).max() <= 1e-13 * np.abs(want).max()
 
-        f = rand_field(grid, bc, seed=4)
-        flat = f.data.ravel()
-        gx, gy = cell_gradient(f)
-        close(cell_gradient_matrix(grid, 0, bc) @ flat, gx)
-        close(cell_gradient_matrix(grid, 1, bc) @ flat, gy)
-        fv = face_gradient(f)
-        close(face_gradient_matrix(grid, 0, bc) @ flat, fv.gx)
-        close(face_gradient_matrix(grid, 1, bc) @ flat, fv.gy)
-        close(face_divergence_matrix(grid, 0) @ fv.gx.ravel()
-              + face_divergence_matrix(grid, 1) @ fv.gy.ravel(),
-              face_divergence(fv))
+        f = rand_field(grid, seed=4)
+        flat = f.ravel()
+        gx, gy = written_face_gradient(f, bc, grid)
+        close(face_gradient_matrix(grid, 0, bc) @ flat, gx)
+        close(face_gradient_matrix(grid, 1, bc) @ flat, gy)
+        close(cell_gradient_matrix(grid, 0, bc) @ flat,
+              0.5 * (gx[:, 1:] + gx[:, :-1]))
+        close(cell_gradient_matrix(grid, 1, bc) @ flat,
+              0.5 * (gy[1:] + gy[:-1]))
+        close(face_divergence_matrix(grid, 0) @ gx.ravel()
+              + face_divergence_matrix(grid, 1) @ gy.ravel(),
+              written_flux_balance(gx, gy, grid))
 
     @pytest.mark.parametrize("build", [cell_gradient_matrix, face_gradient_matrix,
                                        face_average_matrix])
@@ -282,15 +333,15 @@ class TestAdvection:
     def test_zero_velocity(self, grid):
         q = rand_field(grid, seed=10)
         z = np.zeros(grid.shape)
-        assert np.abs(advective_divergence(q, z, z, z)).max() == 0.0
+        assert np.abs(advective_divergence(q, z, z, z, grid)).max() == 0.0
 
     def test_constant_transported_field(self, grid):
         rng = np.random.default_rng(11)
-        q = Field(np.full(grid.shape, 4.0), NEUMANN, grid)
+        q = np.full(grid.shape, 4.0)
         vx = rng.standard_normal(grid.shape)
         vy = rng.standard_normal(grid.shape)
         s_v = rng.standard_normal(grid.shape)
-        out = advective_divergence(q, vx, vy, s_v)
+        out = advective_divergence(q, vx, vy, s_v, grid)
         assert np.allclose(out, 4.0 * s_v, atol=1e-13)
 
     @pytest.mark.parametrize("dims", [(8, 8, 1.0, 1.0), (24, 16, 1.7, 0.9)])
@@ -312,7 +363,7 @@ class TestAdvection:
         qy_p = (-3.0 * c + 4.0 * a[3:-1, 2:-2] - a[4:, 2:-2]) * inv2hy
         ref = np.where(vx >= 0.0, qx_m, qx_p) * vx \
             + np.where(vy >= 0.0, qy_m, qy_p) * vy + q * s_v
-        out = advective_divergence(Field(q, NEUMANN, g), vx, vy, s_v)
+        out = advective_divergence(q, vx, vy, s_v, g)
         assert np.isnan(out).any() and not np.isnan(out).all()
         assert out.tobytes() == ref.tobytes()
 
@@ -327,15 +378,9 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             Grid(4, 16, 1.0, 1.0)
 
-    def test_field_shape_checked(self):
-        g = Grid(16, 16, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            Field(np.zeros((8, 8)), NEUMANN, g)
-
     def test_cell_divergence_of_linear_field(self):
         g = Grid(32, 32, 2.0, 2.0)
         x, y = g.cell_centers()
-        vx = Field(2.0 * x, EXTRAPOLATE, g)
-        vy = Field(-1.0 * y, EXTRAPOLATE, g)
-        div = cell_gradient(vx)[0] + cell_gradient(vy)[1]
+        div = apply(cell_gradient_matrix(g, 0, EXTRAPOLATE), 2.0 * x, g.shape) \
+            + apply(cell_gradient_matrix(g, 1, EXTRAPOLATE), -1.0 * y, g.shape)
         assert np.abs(div - 1.0).max() < 1e-11

@@ -60,3 +60,50 @@ def test_only_grid_imports_the_transforms():
     # every exact solve changes basis through grid.eigenbasis
     assert [p.name for p in MODULES
             if imports_module(p.read_text(), "scipy.fft")] == ["grid.py"]
+
+
+REPO = Path(__file__).resolve().parents[1]
+# the documented I/O round trip: each reads back what the package writes
+TEST_ONLY_ALLOWED = {"io_formats.read_csv_report", "parameters.serialize_config"}
+
+
+def referenced_names(sources) -> set[str]:
+    """Names loaded, attributes read and names imported in ``sources``."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_public_names(modules: dict[str, str], users) -> list[str]:
+    """Public top-level functions and classes of ``modules`` (name to source)
+    that no source in ``users`` references."""
+    used = referenced_names(users)
+    return [f"{name}.{node.name}" for name, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_the_guard_sees_a_test_only_name():
+    mod = "def used():\n    pass\n\ndef unused():\n    return used()\n"
+    assert unreferenced_public_names({"m": mod}, [mod]) == ["m.unused"]
+    assert unreferenced_public_names({"m": mod}, [mod, "m.unused()"]) == []
+
+
+def test_no_public_name_only_the_tests_use():
+    # the package itself, the tools and the benchmark harness count as
+    # users; the tests and the package's __init__ re-exports do not
+    users = [p.read_text() for p in MODULES]
+    users += [p.read_text() for folder in ("tools", "perfbench")
+              for p in sorted((REPO / folder).glob("*.py"))
+              if not p.name.startswith("test_")]
+    found = unreferenced_public_names(
+        {p.stem: p.read_text() for p in MODULES}, users)
+    assert [name for name in found if name not in TEST_ONLY_ALLOWED] == []

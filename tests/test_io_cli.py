@@ -259,6 +259,15 @@ class TestSweepCli:
             key, _, count = line.split()[-1].partition("=")
             assert key == "sweeps" and int(count) >= 1, line
 
+    def test_large_viscosity_level_aborts_with_a_message(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid_nx": 8, "grid_ny": 8}))
+        res = run_cli(["sweep-darcy", "--config", str(cfg), "--levels", "1e300",
+                       "--snapshot-steps", "1", "--out-dir", str(tmp_path)])
+        assert res.returncode == 2
+        assert "sweep aborted" in res.stderr
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
     def test_failed_snapshot_step_aborts_in_one_line(self, tmp_path, capsys):
         # one phase update does not reach tol_ch on the 16x16 preset
         cfg = replace(build_default_scenario("darcy-limit"), grid_nx=16,
@@ -310,6 +319,18 @@ class TestExitCodes:
                        "--out-dir", str(tmp_path / "out")])
         assert res.returncode == 2
         assert "aborted" in res.stderr
+
+    def test_large_viscosity_run_aborts_with_a_message(self, tmp_path):
+        # the Rhie-Chow face weight of eta0 = 1e300 once overflowed a float
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid_nx": 8, "grid_ny": 8,
+                                   "flow_backend": "brinkman", "eta0": 1e300,
+                                   "t_end": 3e-6}))
+        res = run_cli(["run", "--config", str(cfg),
+                       "--out-dir", str(tmp_path / "out")])
+        assert res.returncode == 2
+        assert "run aborted" in res.stderr
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
     def test_mms_failure_exit_code(self, monkeypatch):
         from mchb import cli, verification

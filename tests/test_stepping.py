@@ -629,7 +629,6 @@ class TestStepWork:
                    for name in ("korteweg_force", "advective_divergence")]
         targets += [(cst, name) for name in ("chemical_energy", "mobility",
                                              "source_phase", "source_nutrient",
-                                             "source_healthy",
                                              "source_velocity",
                                              "saturating_proliferation")]
         calls = [counting(monkeypatch, owner, name) for owner, name in targets]
@@ -652,9 +651,9 @@ class TestStepWork:
                  for name in ("fv_diffusion_matrix", "eigenbasis")]
         calls.append(counting(monkeypatch, np.linalg, "eigh"))
         st = TimeStepper(cfg)
-        # the Neumann Laplacian, the phase and nutrient bases, the Robin
-        # nutrient axes
-        assert [len(c) for c in calls] == [1, 2, 2]
+        # the Neumann Laplacian and the nutrient matrix, the phase and
+        # nutrient bases, the Robin nutrient axes
+        assert [len(c) for c in calls] == [2, 2, 2]
         for c in calls:
             c.clear()
         s = build_initial_state(cfg, st.bundle)

@@ -8,7 +8,7 @@ import pytest
 from mchb import constitutive as cst
 from mchb import verification
 from mchb.flow import solve_darcy
-from mchb.grid import (NEUMANN, Field, Grid, advective_divergence,
+from mchb.grid import (NEUMANN, Grid, advective_divergence,
                        fv_diffusion_matrix, l2_norm)
 from mchb.parameters import build_specs, default_parameters
 from mchb.verification import (check_slopes, mms_advection, mms_ch_operator,
@@ -148,7 +148,7 @@ def plain_advection(n):
     vx, vy = sx * cy, -0.5 * cx * sy
     div_v = 0.5 * np.pi * cx * cy
     target = qx * vx + qy * vy + q * div_v
-    got = advective_divergence(Field(q, NEUMANN, grid), vx, vy, div_v)
+    got = advective_divergence(q, vx, vy, div_v, grid)
     return l2_norm(got - target, grid)
 
 
