@@ -1,6 +1,6 @@
 """On-disk formats: binary field dumps, CSV reports, and run metadata.
 
-Field dumps are bit-exact: a 32-byte header (magic ``MCHB``, format version,
+The field dumps are bit-exact: a 32-byte header (magic ``MCHB``, format version,
 nx, ny, component count as little-endian uint32, 12 reserved zero bytes)
 followed by each component as row-major little-endian float64.
 
