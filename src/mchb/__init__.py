@@ -4,7 +4,7 @@ from .grid import (Grid, Neumann, Dirichlet, Extrapolate, Robin,
                    advective_divergence)
 from .constitutive import (PotentialSpec, ChemicalEnergySpec, SourceSpec,
                            potential_eval,
-                           potential_split, chemical_energy,
+                           convex_gradient, chemical_energy,
                            saturating_proliferation, truncation,
                            interface_polynomial, source_phase, source_nutrient,
                            source_velocity, mobility)

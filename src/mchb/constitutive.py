@@ -101,16 +101,18 @@ def potential_eval(p: np.ndarray):
     return value, grad, hess
 
 
+def convex_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
+    """Gradient ``psi' + split_shift p`` of the convex part of the split.
+
+    With ``concave_gradient`` it sums to the full gradient exactly.
+    """
+    p = np.asarray(p, dtype=float)
+    return double_well_gradient(p) + spec.split_shift * p
+
+
 def concave_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
     """Gradient of the concave part ``-split_shift |p|^2 / 2`` of the split."""
     return -spec.split_shift * np.asarray(p, dtype=float)
-
-
-def potential_split(p: np.ndarray, spec: PotentialSpec):
-    """Convex/concave gradient parts; they sum to the full gradient exactly."""
-    p = np.asarray(p, dtype=float)
-    return (double_well_gradient(p) + spec.split_shift * p,
-            concave_gradient(p, spec))
 
 
 def convex_part_diag_hessian(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:

@@ -60,7 +60,12 @@ def _type_violations(obj) -> list[str]:
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Every physical and model constant of the four-species system."""
+    """Every physical and model constant of the four-species system.
+
+    The counts are not constants: three tumor phases, one nutrient and two
+    dimensions are the model itself, fixed by the 1 x 3 coupling matrix of
+    ``_chemical_spec`` and by the grid.
+    """
 
     gamma: float = 1.0          # surface tension coefficient
     epsilon: float = 0.004      # interface thickness (default set by presets)
@@ -83,9 +88,6 @@ class ModelParameters:
     K: float = 1.0              # boundary permeability
     sigma_Gamma: float = 1.0    # boundary nutrient level
     sigma_Omega: float = 1.0    # vasculature nutrient level
-    L: int = 3                  # tumor phases (fixed)
-    M: int = 1                  # nutrient species (fixed)
-    d: int = 2                  # spatial dimension (fixed)
 
     def violations(self) -> list[str]:
         v = _type_violations(self)
@@ -112,9 +114,6 @@ class ModelParameters:
         if not 0.0 < self.c_n < self.c_q:
             v.append(f"critical concentrations must satisfy 0 < c_n < c_q, "
                      f"got c_n={self.c_n}, c_q={self.c_q}")
-        if (self.L, self.M, self.d) != (3, 1, 2):
-            v.append(f"(L, M, d) frozen at (3, 1, 2), got "
-                     f"({self.L}, {self.M}, {self.d})")
         return v
 
     def validate(self) -> "ModelParameters":
@@ -261,8 +260,7 @@ def validate_assumptions(model: ModelParameters, *,
     rng = np.random.default_rng(7041)
 
     # A1: domain and positive coefficients (rectangle stands in for smooth).
-    passed["A1"] = model.nu > 0 and model.epsilon > 0 and model.gamma > 0 \
-        and model.d == 2
+    passed["A1"] = model.nu > 0 and model.epsilon > 0 and model.gamma > 0
     msgs.append("A1: rectangular domain; corner regularity caveat accepted")
 
     # A2: mobility tensors uniformly positive definite.

@@ -85,8 +85,10 @@ def build_initial_state(config: ScenarioConfig,
     bundle = bundle or build_specs(config.model,
                                    source_variant=config.source_variant)
     m = config.model
-    phi = np.zeros((m.L, grid.ny, grid.nx))
-    sigma = np.full((m.M, grid.ny, grid.nx), m.sigma_Omega)
+    # B is M x L: the phase and nutrient counts are the model's
+    n_nutrient, n_phase = bundle.chem.coupling.shape
+    phi = np.zeros((n_phase, grid.ny, grid.nx))
+    sigma = np.full((n_nutrient, grid.ny, grid.nx), m.sigma_Omega)
 
     if config.initial_condition == "stratified":
         # nested annuli: proliferating rim, quiescent shell, necrotic core
@@ -101,13 +103,13 @@ def build_initial_state(config: ScenarioConfig,
     elif config.initial_condition == "random-smooth":
         # base fractions sit in the convex region of the double well so the
         # seeded perturbation relaxes smoothly instead of spinodally
-        seeds = np.random.SeedSequence(config.seed).spawn(m.L + m.M)
+        seeds = np.random.SeedSequence(config.seed).spawn(n_phase + n_nutrient)
         base = (0.08, 0.06, 0.05)
-        for i in range(m.L):
+        for i in range(n_phase):
             rng = np.random.default_rng(seeds[i])
             phi[i] = base[i] + smooth_random_field(
                 rng, grid, config.init_modes, config.init_amplitude)
-        rng = np.random.default_rng(seeds[m.L])
+        rng = np.random.default_rng(seeds[n_phase])
         sigma[0] += smooth_random_field(rng, grid, config.init_modes,
                                         config.init_amplitude)
     elif config.initial_condition == "uniform":

@@ -23,14 +23,15 @@ operator ``P = I + dt A (gamma eps A + gamma/eps c)`` of Eyre's convex split
 with the Shen-Yang stabilization: ``A`` is the Neumann Laplacian and ``c``
 the mid-range of the convex-part Hessian ``h`` at the step's starting
 state.  Its ``eigenbasis``, the DCT, diagonalizes ``A`` exactly, so the sweep
-``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``: with the
-linear part ``s0 x`` of ``psi1'`` in the symbol ``lin = 1 + dt lambda
-(gamma eps lambda + gamma/eps s0)``, ``R^ = lin x^ + dt gamma/eps lambda
-DCT(psi_dw'(x)) + b^``, ``b^`` being formed once per component.  A sweep
-is one forward transform of the double-well gradient, one inverse
-transform of ``x^`` and pointwise work; ``mu`` is formed once, at the
-converged ``x``.  The stopping test is ``max|R| <= tol_ch (1 + max|x|)`` in
-physical space.  The RMS of ``R^`` equals that of ``R`` and never exceeds
+``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``:
+``R^ = (1 + dt gamma eps lambda^2) x^ + dt gamma/eps lambda DCT(psi1'(x))
++ b^``, with ``psi1'`` from ``constitutive.convex_gradient`` and ``b^``
+formed once per component.  The symbol carries no constant of the
+potential: the whole convex gradient goes through the transform.  A sweep
+is one forward transform of ``psi1'``, one inverse transform of ``x^`` and
+pointwise work; ``mu`` is formed once, at the converged ``x``, from the
+last sweep's ``psi1'``.  The stopping test is ``max|R| <= tol_ch (1 +
+max|x|)`` in physical space.  The RMS of ``R^`` equals that of ``R`` and never exceeds
 ``max|R|``, so it gates the test: only a residual whose RMS meets the bound
 is transformed back for the exact max-norm check.  The sweep contracts the
 linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
@@ -110,7 +111,6 @@ class RunSummary:
     state: StateFields
     aborted: bool
     dt_final: float
-    seed: int
     e_initial: float
     message: str = ""
 
@@ -123,7 +123,6 @@ class RunSummary:
 class StepTerms:
     """A step's explicit terms at its starting state; see ``explicit_terms``."""
     n_phi: np.ndarray
-    n_sigma: np.ndarray
     s_phi: np.ndarray
     s_sigma: np.ndarray
     s_v: np.ndarray
@@ -149,7 +148,7 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
                    np.zeros(state.grid.shape))
     force = korteweg_force(p, mu, s, n_sigma, state.grid) if flow_enabled \
         else None
-    return StepTerms(n_phi, n_sigma, *sources, force)
+    return StepTerms(n_phi, *sources, force)
 
 
 def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
@@ -228,9 +227,8 @@ class TimeStepper:
         shape = self.grid.shape
         n = self.grid.ncells
         start = phi_n if start is None else start
-        # R^ = lin x^ + dt gamma/eps lam DCT(psi'_dw(x)) + b^: the linear
-        # part s0 x of the convex gradient sits in lin
-        lin = 1.0 + dt * lam * (ge * lam + gi * pot.split_shift)
+        # R^ = lin x^ + dt gamma/eps lam DCT(psi1'(x)) + b^
+        lin = 1.0 + dt * ge * lam**2
         nonlin = dt * gi * lam
         for i in range(phi_n.shape[0]):
             hess = cst.convex_part_diag_hessian(phi_n[i], pot)
@@ -248,7 +246,8 @@ class TimeStepper:
             inv_symbol = 1.0 / symbol
             newton, rms_prev = False, np.inf
             for it in range(max_iter + 1):
-                r_hat = dct(cst.double_well_gradient(x))
+                psi1 = cst.convex_gradient(x, pot)
+                r_hat = dct(psi1)
                 r_hat *= nonlin
                 r_hat += b_hat
                 r_hat += lin * x_hat
@@ -285,8 +284,8 @@ class TimeStepper:
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
             phi_new[i] = x
-            mu_new[i] = (ge * (A @ x.ravel())
-                         + gi * cst.potential_split(x.ravel(), pot)[0]
+            # psi1 is the last sweep's, at the converged x
+            mu_new[i] = (ge * (A @ x.ravel()) + gi * psi1.ravel()
                          + cmu).reshape(shape)
         return phi_new, mu_new, iters_used, res_max
 
@@ -404,7 +403,7 @@ class TimeStepper:
                 halvings += 1
                 if halvings > 5:
                     return RunSummary(reports, state, aborted=True,
-                                      dt_final=dt, seed=cfg.seed, e_initial=e0,
+                                      dt_final=dt, e_initial=e0,
                                       message=f"aborted after 5 dt halvings: {exc}")
                 dt *= 0.5
                 continue
@@ -421,4 +420,4 @@ class TimeStepper:
         if writer is not None and reports:
             writer.snapshot(state, step=len(reports))
         return RunSummary(reports, state, aborted=False, dt_final=dt,
-                          seed=cfg.seed, e_initial=e0)
+                          e_initial=e0)

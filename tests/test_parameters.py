@@ -185,6 +185,10 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError,
                            match="^unknown configuration keys: tol_nutrient$"):
             load_config('{"tol_nutrient": 1e-12}')
+        # three phases, one nutrient and two dimensions are the model, not
+        # configuration
+        with pytest.raises(ConfigError, match="^unknown model keys: L, M, d$"):
+            load_config('{"model": {"L": 3, "M": 1, "d": 2}}')
 
     def test_parse_error_cites_location(self):
         with pytest.raises(ConfigError, match="line 1"):

@@ -72,7 +72,7 @@ def phase_residual(stepper, x, rhs0, const_mu, dt):
     A = stepper._neu_laplacian
     x = x.ravel()
     mu = m.gamma * m.epsilon * (A @ x) + m.gamma / m.epsilon \
-        * cst.potential_split(x, stepper.bundle.potential)[0] + const_mu.ravel()
+        * cst.convex_gradient(x, stepper.bundle.potential) + const_mu.ravel()
     return x + dt * (A @ mu) - rhs0.ravel(), mu
 
 
@@ -163,7 +163,7 @@ class ChordReference(TimeStepper):
             solve = spla.splu(jac.tocsc()).solve
             x = phi_n[i].ravel().copy()
             for it in range(self.config.max_nonlinear_iter + 1):
-                mu = ge * (A @ x) + gi * cst.potential_split(x, pot)[0] \
+                mu = ge * (A @ x) + gi * cst.convex_gradient(x, pot) \
                     + const_mu_part[i].ravel()
                 res = x + dt * (A @ mu) - rhs0[i].ravel()
                 res_norm = float(np.abs(res).max())
@@ -397,10 +397,21 @@ class TestTransformPhaseSolve:
         # sparse Laplacian, every converged component meets the max-norm
         # test, mu is the chemical potential of the new phi, and the report
         # carries the max-norm residual
+        self.check_stopping_test(preset, cst.PotentialSpec())
+
+    @pytest.mark.parametrize("preset", ["zero-source", "stratified-tumor"])
+    def test_stopping_test_holds_under_a_wider_split(self, preset):
+        # the split's linear part s0 x goes through the transform with the
+        # rest of psi1'; of the symbols only P's mid-range c sees the shift
+        self.check_stopping_test(preset, cst.PotentialSpec(split_shift=2.5))
+
+    @staticmethod
+    def check_stopping_test(preset, potential):
         rounding = 1e-14
         cfg = dataclasses.replace(build_default_scenario(preset),
                                   grid_nx=32, grid_ny=32)
         st = TimeStepper(cfg)
+        st.bundle = dataclasses.replace(st.bundle, potential=potential)
         s = build_initial_state(cfg, st.bundle)
         for _ in range(10):
             new, rep = st.step(s, cfg.dt)
