@@ -36,6 +36,8 @@ EXIT_ABORTED = 2
 EXIT_VERIFICATION = 3
 EXIT_STRICT = 4
 
+SWEEP_TOL = 1e-10  # flow tolerance of every sweep-darcy solve
+
 
 @dataclass
 class SweepResult:
@@ -46,7 +48,6 @@ class SweepResult:
     velocity_gaps_rel: list[float]
     darcy_residuals: list[float]
     sweeps: list[int]            # Uzawa sweeps of each level's solve
-    reference: object
     partial: bool = False
 
 
@@ -54,9 +55,13 @@ def _resolve_config(args) -> ScenarioConfig:
     strict = getattr(args, "strict", False)
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"configuration file not found: {path}")
-        cfg = load_config(path.read_text(), strict=strict)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"configuration file not found: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"configuration file {path}: {exc}") from None
+        cfg = load_config(text, strict=strict)
     else:
         cfg = build_default_scenario(args.preset)
         if strict:
@@ -76,14 +81,18 @@ def _resolve_config(args) -> ScenarioConfig:
 
 
 def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get("MCHB_OUT_DIR") or "mchb-out"
-    return Path(base)
+    """The output directory, created before any step or solve."""
+    out = Path(args.out_dir or os.environ.get("MCHB_OUT_DIR") or "mchb-out")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc}") from None
+    return out
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    report = assumption_report(cfg)
-    for name in report.failing():
+    for name in assumption_report(cfg).failing():
         print(f"warning: assumption {name} violated", file=sys.stderr)
     out = _out_dir(args)
     with RunWriter(out, cfg, tag=args.tag) as writer:
@@ -107,7 +116,12 @@ def frozen_snapshot(cfg: ScenarioConfig, steps: int = 5):
 
 
 def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
-                    snapshot_steps: int = 5, tol: float = 1e-10) -> SweepResult:
+                    snapshot_steps: int = 5) -> SweepResult:
+    """Brinkman solves at each level of ``eta_levels`` (lambda = eta) against
+    the Darcy solve, on the state after ``snapshot_steps`` steps.
+
+    Every solve runs at the fixed tolerance 1e-10, ``SWEEP_TOL``.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     if snapshot_steps < 0:
@@ -121,9 +135,9 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
     state, force, s_v = frozen_snapshot(cfg, steps=snapshot_steps)
     grid = state.grid
     nu = cfg.model.nu
-    reference = solve_darcy(force, s_v, nu, grid, tol=tol)
+    reference = solve_darcy(force, s_v, nu, grid, tol=SWEEP_TOL)
     ref_norm = l2_norm(reference.v, grid)
-    opts = BrinkmanOptions(tol=tol)
+    opts = BrinkmanOptions(tol=SWEEP_TOL)
 
     def level(eta):
         res = solve_brinkman(force, s_v, eta, eta, nu, grid, opts)
@@ -145,20 +159,18 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
     return SweepResult(eta_levels[:len(rows)], gaps,
                        [gap / max(ref_norm, 1e-300) for gap in gaps],
                        [res for _, res, _ in rows],
-                       [sweeps for _, _, sweeps in rows], reference,
-                       partial=partial)
+                       [sweeps for _, _, sweeps in rows], partial=partial)
 
 
 def cmd_sweep_darcy(args) -> int:
-    cfg = _resolve_config(args)
-    if cfg.flow_backend != "brinkman":
-        cfg = replace(cfg, flow_backend="brinkman").validate()
+    cfg = replace(_resolve_config(args), flow_backend="brinkman").validate()
     try:
         levels = [float(tok) for tok in args.levels.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad eta ladder: {exc}") from None
     if not levels:
         raise ConfigError("empty eta ladder")
+    out = _out_dir(args)
     try:
         result = run_darcy_sweep(cfg, levels, jobs=args.jobs,
                                  snapshot_steps=args.snapshot_steps)
@@ -166,8 +178,6 @@ def cmd_sweep_darcy(args) -> int:
         # a snapshot step or the Darcy reference failed: no level was solved
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    out = _out_dir(args)
-    out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out / "sweep_darcy.csv", result.eta_levels,
                     result.velocity_gaps, result.velocity_gaps_rel,
                     result.darcy_residuals, partial=result.partial)

@@ -97,11 +97,39 @@ class TestCli:
         assert np.all(np.diff(e_col) <= 0.0)
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["seed"] == build_default_scenario("zero-source").seed
+        assert not {"L", "M", "d"} & set(meta["config"]["model"])
         assert (tmp_path / "run_state_000000.bin").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         res = run_cli(["run", "--config", str(tmp_path / "missing.json")])
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8",
+                                      "run-out-dir-file",
+                                      "sweep-out-dir-file"])
+    def test_unusable_paths_are_config_errors(self, tmp_path, case):
+        # an unreadable config or an output directory that cannot be made
+        # ends in one error line, before any step or solve
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid_nx": 8, "grid_ny": 8}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if case == "config-directory":
+            argv = ["validate", "--config", str(tmp_path)]
+        elif case == "config-not-utf8":
+            cfg.write_bytes(b'{"grid_nx": 8, "grid_ny": 8}\xff\n')
+            argv = ["validate", "--config", str(cfg)]
+        elif case == "run-out-dir-file":
+            argv = ["run", "--config", str(cfg), "--steps", "1",
+                    "--out-dir", str(taken)]
+        else:
+            argv = ["sweep-darcy", "--config", str(cfg), "--snapshot-steps",
+                    "1", "--levels", "1e-2", "--out-dir", str(taken)]
+        res = run_cli(argv)
+        assert res.returncode == 1
+        assert res.stderr.count("error:") == 1
+        assert res.stderr.startswith("error: ")
+        assert "Traceback" not in res.stderr
 
     def test_zero_horizon_initial_snapshot_only(self, tmp_path):
         res = run_cli(["run", "--preset", "zero-source", "--t-end", "0",
