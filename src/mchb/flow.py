@@ -101,6 +101,7 @@ class BrinkmanOptions:
 
 MAX_SWEEPS = 600  # Uzawa sweeps of one Brinkman solve
 MAX_DIRECTIONS = 80  # Uzawa search directions kept before a restart
+MAX_CONDITION = 1e14  # largest condition bound of K that is solved
 
 
 class _FlowOperators:
@@ -343,15 +344,25 @@ class _BrinkmanSystem(NamedTuple):
 def _brinkman_system(grid: Grid, eta: float, lam: float,
                      nu: float) -> _BrinkmanSystem:
     """Build everything a Brinkman solve needs apart from its right-hand side."""
-    with np.errstate(over="ignore"):  # an overflowing K fails to factorize
+    with np.errstate(over="ignore"):  # an overflowing K is refused below
         K = _velocity_operator(grid, eta, lam, nu)
+    # V is PSD and zero on constant fields, so the smallest eigenvalue of K
+    # is nu and its largest absolute row sum over nu bounds its condition
+    # number.  Past that bound's limit the K solves lose the velocity while
+    # the Uzawa residual still converges: on 8x8 to 64x64 grids the velocity
+    # drifts by about 1e-4 of its size at 1e14, by 2e-3 to 2e-2 a decade
+    # above, and the solve stagnates from about 1e18.
+    cond = float(abs(K).sum(axis=1).max()) / nu
+    if not cond <= MAX_CONDITION:
+        raise FlowSolverError(f"momentum operator condition bound {cond:.3e} "
+                              f"exceeds {MAX_CONDITION:.0e}: eta/nu too large")
     # K = nu I + V with V symmetric PSD and nu > 0 is SPD: diagonal pivots
     # are stable, so a symmetric ordering of K + K^T with no row pivoting
     # keeps the fill of a Cholesky-like factorization
     try:
         k_lu = spla.splu(K.tocsc(), permc_spec="MMD_AT_PLUS_A",
                          diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # a singular K, as a huge viscosity gives
+    except RuntimeError as exc:  # a zero pivot: K singular in rounding
         raise FlowSolverError(f"momentum operator: {exc}") from None
     correction = _rhie_chow(grid, K.diagonal(), nu)
     return _BrinkmanSystem(K, k_lu, correction,
@@ -431,7 +442,9 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
     non-uniform field or a viscosity outside assumption A3 raises
     ``ValueError``, non-finite ``force`` or ``s_v`` raises
     ``FlowSolverError`` and zero data returns the exact ``v = 0``, ``p = 0``;
-    none of these builds anything.
+    none of these builds anything.  A momentum operator whose condition
+    bound exceeds ``MAX_CONDITION`` (a viscosity too large over ``nu`` for
+    the grid) raises ``FlowSolverError`` before it is factorized.
     """
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")

@@ -53,6 +53,15 @@ def manufactured(grid, nu=1.0):
     return p, np.stack([vx, vy]), s_v, force
 
 
+def viscous_problem(n):
+    """Unit-square grid, force ``(sin pi x cos pi y, y cos pi x)`` and
+    ``s_v = cos pi x cos pi y / 10``."""
+    grid = Grid(n, n, 1.0, 1.0)
+    x, y = grid.cell_centers()
+    cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
+    return grid, np.stack([np.sin(np.pi * x) * cy, y * cx]), 0.1 * cx * cy
+
+
 class TestDarcy:
     def test_zero_inputs(self, grid):
         res = solve_darcy(np.zeros((2,) + grid.shape), np.zeros(grid.shape),
@@ -252,6 +261,27 @@ class TestBrinkman:
         grid = Grid(8, 8)
         _, _, s_v, force = manufactured(grid)
         with pytest.raises(FlowSolverError):
+            solve_brinkman(force, s_v, eta, eta, 1.0, grid)
+
+    @pytest.mark.parametrize("n, eta", [(8, 1e10), (32, 1e9)])
+    def test_viscosity_below_the_condition_bound_solves(self, n, eta):
+        # K's condition bound is 2.6e3 eta at 8x8 and 4.1e4 eta at 32x32;
+        # a decade below the refused level the velocity still holds
+        grid, force, s_v = viscous_problem(n)
+        ref = solve_brinkman(force, s_v, 1e7, 1e7, 1.0, grid,
+                             BrinkmanOptions(tol=1e-11))
+        res = solve_brinkman(force, s_v, eta, eta, 1.0, grid)
+        assert np.abs(res.v - ref.v).max() <= 1e-3 * np.abs(ref.v).max()
+
+    @pytest.mark.parametrize("n, eta", [(8, 1e11), (32, 1e10)])
+    def test_viscosity_above_the_condition_bound_is_refused(self, n, eta,
+                                                            monkeypatch):
+        # past the bound the K solves lose the velocity (by 3e-3 and 1e-3 of
+        # its size here, and by percents a decade higher) while the Uzawa
+        # residual still converges; the system is refused before the LU
+        grid, force, s_v = viscous_problem(n)
+        monkeypatch.setattr(spla, "splu", None)
+        with pytest.raises(FlowSolverError, match="condition bound"):
             solve_brinkman(force, s_v, eta, eta, 1.0, grid)
 
     def test_eta_must_be_positive(self, grid):
