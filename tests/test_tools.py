@@ -10,6 +10,10 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "agree.py"
 _SPEC = importlib.util.spec_from_file_location("agree", _PATH)
 agree = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(agree)
+_LOC_SPEC = importlib.util.spec_from_file_location(
+    "loc", _PATH.with_name("loc.py"))
+loc = importlib.util.module_from_spec(_LOC_SPEC)
+_LOC_SPEC.loader.exec_module(loc)
 
 
 def result_set(seed=0):
@@ -138,3 +142,36 @@ def test_large_step_set_draws_both_wall_closures_at_large_steps():
     assert [agree.large_step_name(k, cfg) for k, cfg in enumerate(configs)] \
         == [agree.large_step_name(k, cfg) for k, cfg in
             enumerate(agree.large_step_configs())]
+
+
+LOC_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+# a comment line
+
+
+class C:
+    """Class docstring."""
+
+    def f(self, a,
+          b):
+        """Function docstring,
+        over two lines."""
+        text = """a string
+        over two lines"""
+        return (a +
+                b + len(text))
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    # import, class, the two def lines, the two string lines and the two
+    # lines of the continued return
+    assert loc.code_lines(LOC_SAMPLE) == 8
+    assert loc.code_lines("") == 0
+    assert loc.table({"a": {"m.py": 3, "n.py": 4}, "b": {"m.py": 2}}) == [
+        "module           a           b",
+        "m.py             3           2",
+        "n.py             4           -",
+        "total            7           2"]
