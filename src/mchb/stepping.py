@@ -31,9 +31,9 @@ potential: the whole convex gradient goes through the transform.  A sweep
 is one forward transform of ``psi1'``, one inverse transform of ``x^`` and
 pointwise work; ``mu`` is formed once, at the converged ``x``, from the
 last sweep's ``psi1'``.  The stopping test is ``max|R| <= tol_ch (1 +
-max|x|)`` in physical space.  The RMS of ``R^`` equals that of ``R`` and never exceeds
-``max|R|``, so it gates the test: only a residual whose RMS meets the bound
-is transformed back for the exact max-norm check.  The sweep contracts the
+max|x|)`` in physical space.  The RMS of ``R^`` equals that of ``R`` and
+never exceeds ``max|R|``, so it gates the test: only a residual whose RMS
+meets the bound is transformed back for the exact max-norm check.  The sweep contracts the
 linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
 P(lambda)`` over the eigenvalues ``lambda`` of ``A``, ``delta`` being the
 half-range of ``h``; ``h = 12 p^2 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives

@@ -1,4 +1,5 @@
-"""The comparison of ``tools/agree.py`` on result sets made in the test."""
+"""The comparison of ``tools/agree.py`` on result sets made in the test,
+and the line count of ``tools/loc.py``."""
 
 import importlib.util
 from pathlib import Path
