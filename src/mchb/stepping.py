@@ -26,25 +26,25 @@ state.  Its ``eigenbasis``, the DCT, diagonalizes ``A`` exactly, so the sweep
 ``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``:
 ``R^ = (1 + dt gamma eps lambda^2) x^ + dt gamma/eps lambda DCT(psi1'(x))
 + b^``, with ``psi1'`` from ``constitutive.convex_gradient`` and ``b^``
-formed once per component.  The symbol carries no constant of the
-potential: the whole convex gradient goes through the transform.  A sweep
-is one forward transform of ``psi1'``, one inverse transform of ``x^`` and
-pointwise work; ``mu`` is formed once, at the converged ``x``, from the
-last sweep's ``psi1'``.  The stopping test is ``max|R| <= tol_ch (1 +
-max|x|)`` in physical space.  The RMS of ``R^`` equals that of ``R`` and
-never exceeds ``max|R|``, so it gates the test: only a residual whose RMS
-meets the bound is transformed back for the exact max-norm check.  The sweep contracts the
-linearized error in L2 by at most ``rho = max dt gamma/eps delta lambda /
-P(lambda)`` over the eigenvalues ``lambda`` of ``A``, ``delta`` being the
-half-range of ``h``; ``h = 12 p^2 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives
-``c >= delta``, so ``rho < 1`` at every ``dt``.  Near ``rho = 1`` (a step
-well above the interface relaxation time), once a sweep shrinks the RMS of
-the residual by less than half against the sweep before, the update
-switches to Newton steps in physical space, solved by GMRES preconditioned
-with ``P``.  A component not converged after ``max_nonlinear_iter`` updates
-is a ``StepFailure`` that reports its max-norm residual, and overflow or an
-invalid value raises ``FloatingPointError``; the run loop retries either at
-half the step.
+formed once per component.  The residual's symbol carries no constant of
+the potential: the whole convex gradient goes through the transform.  A
+sweep is one forward transform of ``psi1'``, one inverse transform of
+``x^`` and pointwise work; ``mu`` is formed once, at the converged ``x``,
+from the last sweep's ``psi1'``.  The stopping test is ``max|R| <= tol_ch
+(1 + max|x|)`` in physical space.  The RMS of ``R^`` equals that of ``R``
+and never exceeds ``max|R|``, so it gates the test: only a residual whose
+RMS meets the bound is transformed back for the exact max-norm check.  The
+sweep contracts the linearized error in L2 by at most ``rho = max dt
+gamma/eps delta lambda / P(lambda)`` over the eigenvalues ``lambda`` of
+``A``, ``delta`` being the half-range of ``h``; ``h = 12 p^2 - 12 p + 2 +
+s0 >= s0 - 1 >= 0`` gives ``c >= delta``, so ``rho < 1`` at every ``dt``.
+Near ``rho = 1`` (a step well above the interface relaxation time), once
+a sweep shrinks the RMS of the residual by less than half against the
+sweep before, the update switches to Newton steps in physical space,
+solved by GMRES preconditioned with ``P``.  A component not converged
+after ``max_nonlinear_iter`` updates is a ``StepFailure`` that reports its
+max-norm residual, and overflow or an invalid value raises
+``FloatingPointError``; the run loop retries either at half the step.
 
 Each component starts from the Lagrange extrapolation to the new time of
 the last states the stepper returned, as ``(t, phi)``: none on a run's first
