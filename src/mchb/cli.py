@@ -4,9 +4,13 @@ Exit codes are a total function of the outcome class:
 
 * 0  success
 * 1  configuration error, including a malformed command line
-* 2  aborted run / aborted sweep
+* 2  aborted run / aborted sweep / failed MMS flow solve
 * 3  verification (convergence-slope) failure
 * 4  strict assumption failure
+
+Only ``parameters`` is imported here.  Each command imports the solver
+modules it runs, after its inputs are checked, so ``validate`` and a
+rejected configuration load no scipy module.
 """
 
 from __future__ import annotations
@@ -19,16 +23,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import verification
-from .flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
-                   solve_brinkman, solve_darcy)
-from .grid import l2_norm
-from .io_formats import RunWriter, write_sweep_csv
 from .parameters import (ConfigError, ScenarioConfig, StrictAssumptionError,
                          assumption_report, build_default_scenario,
                          load_config, require_assumptions)
-from .state import build_initial_state
-from .stepping import StepFailure, TimeStepper, explicit_terms
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,9 +89,15 @@ def _out_dir(args) -> Path:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
+    if not args.tag or os.path.basename(args.tag) != args.tag:
+        raise ConfigError(f"--tag must be a non-empty file-name stem with no "
+                          f"path separator, got {args.tag!r}")
     for name in assumption_report(cfg).failing():
         print(f"warning: assumption {name} violated", file=sys.stderr)
     out = _out_dir(args)
+    from .io_formats import RunWriter
+    from .stepping import TimeStepper
+
     with RunWriter(out, cfg, tag=args.tag) as writer:
         summary = TimeStepper(cfg).run(writer)
     print(f"run finished: {len(summary.reports)} steps, "
@@ -107,6 +110,9 @@ def cmd_run(args) -> int:
 
 def frozen_snapshot(cfg: ScenarioConfig, steps: int = 5):
     """Short run of the configured scenario, returning the frozen state inputs."""
+    from .state import build_initial_state
+    from .stepping import TimeStepper, explicit_terms
+
     stepper = TimeStepper(cfg)
     state = build_initial_state(cfg, stepper.bundle)
     for _ in range(steps):
@@ -132,6 +138,10 @@ def run_darcy_sweep(cfg: ScenarioConfig, eta_levels, jobs: int = 1,
             and len(set(eta_levels)) == len(eta_levels)):
         raise ConfigError(f"eta levels must be distinct, positive and finite, "
                           f"got {eta_levels}")
+    from .flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
+                       solve_brinkman, solve_darcy)
+    from .grid import l2_norm
+
     state, force, s_v = frozen_snapshot(cfg, steps=snapshot_steps)
     grid = state.grid
     nu = cfg.model.nu
@@ -171,6 +181,10 @@ def cmd_sweep_darcy(args) -> int:
     if not levels:
         raise ConfigError("empty eta ladder")
     out = _out_dir(args)
+    from .flow import FlowSolverError
+    from .io_formats import write_sweep_csv
+    from .stepping import StepFailure
+
     try:
         result = run_darcy_sweep(cfg, levels, jobs=args.jobs,
                                  snapshot_steps=args.snapshot_steps)
@@ -198,11 +212,18 @@ def cmd_mms(args) -> int:
         ns = [int(tok) for tok in args.grids.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad grid ladder: {exc}") from None
+    from . import verification
+    from .flow import FlowSolverError
+
     try:
         verification.check_ladder(ns)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    studies = verification.run_all(tuple(ns))
+    try:
+        studies = verification.run_all(tuple(ns))
+    except FlowSolverError as exc:  # the Darcy study's pressure solve
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
     for s in studies:
         print(s.line())
     bad = verification.check_slopes(studies)
@@ -251,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None,
                    help="override t_end as steps * dt")
     p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--tag", default="run")
+    p.add_argument("--tag", default="run",
+                   help="file-name stem of the run's outputs (default run)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep-darcy", help="vanishing-viscosity comparison")
@@ -277,11 +299,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, FlowSolverError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StrictAssumptionError):
             return EXIT_STRICT
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_ABORTED
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -262,33 +262,7 @@ def _rhie_chow(grid: Grid, kdiag: np.ndarray, nu: float) -> sp.csr_matrix:
     return (terms[0] + terms[1]).tocsr()
 
 
-def _wall_band(grid: Grid, correction: sp.csr_matrix) -> np.ndarray:
-    """Cells whose row of ``correction`` differs from the central cell's row.
-
-    Rows are compared as stencils: a row matches when it holds as many
-    entries as the central row and, at each column offset of the central
-    row, the same value (read from the sparse diagonal at that offset).
-    The result is the set of cells the wall closures reach.
-    ``correction`` holds no duplicate entries and no stored zeros, as
-    sparse products and sums leave it.  The stencil reaches 3 cells each
-    way and a grid row has at least 8 cells, so a flat offset ``col - row``
-    names one grid offset.
-    """
-    n = grid.ncells
-    centre = (grid.ny // 2) * grid.nx + grid.nx // 2
-    lo, hi = correction.indptr[centre], correction.indptr[centre + 1]
-    same = np.diff(correction.indptr) == hi - lo
-    entry = np.empty(n)
-    for col, value in zip(correction.indices[lo:hi], correction.data[lo:hi]):
-        d = int(col) - centre
-        entry[:] = 0.0
-        entry[max(-d, 0):n - max(d, 0)] = correction.diagonal(d)
-        same &= entry == value
-    return ~same.reshape(grid.shape)
-
-
-def _schur_model(grid: Grid, eta: float, lam: float, nu: float,
-                 correction: sp.csr_matrix
+def _schur_model(grid: Grid, eta: float, lam: float, nu: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schur preconditioner symbols of the viscosities ``eta``, ``lam``.
 
@@ -302,10 +276,12 @@ def _schur_model(grid: Grid, eta: float, lam: float, nu: float,
     ``(lc_x - lw_x) / d_x + (lc_y - lw_y) / d_y``, with the interior face
     weights ``d`` of K's interior viscous diagonals.  Next to the walls the
     first-order traction-free rows break that symbol, and modes localized
-    there would get eigenvalues near ``-0.1 +- 0.8i``; ``band`` marks those
-    cells (the rows of the system's stabilization ``correction`` that differ
-    from the interior row, 4 layers per wall), where the preconditioner uses
-    the compact model ``wall = lc / (nu + eta_hat lc)`` instead.
+    there would get eigenvalues near ``-0.1 +- 0.8i``.  ``band`` marks the
+    cells the wall closures reach, the 4 cell layers next to each wall:
+    there the rows of the Rhie-Chow stabilization differ from the interior
+    row, and the preconditioner uses the compact model ``wall = lc / (nu +
+    eta_hat lc)`` instead.  On an axis of 8 cells every cell lies in a
+    layer, and the band is the whole grid.
     """
     eta_hat = 2.0 * eta + lam
     _, _, lc_y, lc_x = _flow_operators(grid).pressure_basis
@@ -319,7 +295,9 @@ def _schur_model(grid: Grid, eta: float, lam: float, nu: float,
     interior = lw / (nu + eta_hat * lw) + (lc_x - lw_x)[None, :] / d_x \
         + (lc_y - lw_y)[:, None] / d_y
     wall = lc / (nu + eta_hat * lc)
-    return interior, wall, _wall_band(grid, correction)
+    band = np.ones(grid.shape, dtype=bool)
+    band[4:-4, 4:-4] = False
+    return interior, wall, band
 
 
 class _BrinkmanSystem(NamedTuple):
@@ -366,7 +344,7 @@ def _brinkman_system(grid: Grid, eta: float, lam: float,
         raise FlowSolverError(f"momentum operator: {exc}") from None
     correction = _rhie_chow(grid, K.diagonal(), nu)
     return _BrinkmanSystem(K, k_lu, correction,
-                           *_schur_model(grid, eta, lam, nu, correction),
+                           *_schur_model(grid, eta, lam, nu),
                            _flow_operators(grid).pressure_basis)
 
 

@@ -259,9 +259,11 @@ def validate_assumptions(model: ModelParameters, *,
     # a fixed seed, so the sampled checks give the same verdict every call
     rng = np.random.default_rng(7041)
 
-    # A1: domain and positive coefficients (rectangle stands in for smooth).
-    passed["A1"] = model.nu > 0 and model.epsilon > 0 and model.gamma > 0
-    msgs.append("A1: rectangular domain; corner regularity caveat accepted")
+    # A1: domain and positive coefficients (rectangle stands in for smooth);
+    # violations() has already rejected a nonpositive nu, epsilon or gamma
+    passed["A1"] = True
+    msgs.append("A1: nu, epsilon, gamma > 0 enforced by the parameter checks; "
+                "rectangular domain; corner regularity caveat accepted")
 
     # A2: mobility tensors uniformly positive definite.
     p_s = rng.uniform(-2.0, 3.0, size=(3, 256))

@@ -12,7 +12,6 @@ from numpy.testing import assert_array_equal
 from scipy.fft import dstn, idstn
 from scipy.sparse.linalg import spsolve
 
-import mchb.cli
 import mchb.flow
 from mchb.cli import run_darcy_sweep
 from mchb.parameters import build_default_scenario
@@ -421,8 +420,11 @@ class TestSchurPreconditioner:
     @pytest.mark.parametrize("grid", [Grid(16, 24), Grid(64, 64),
                                       Grid(128, 128)])
     def test_band_equals_the_dense_stencil_comparison(self, grid):
+        # the band a darcy-limit system keeps, without its LU
+        cfg = build_default_scenario("darcy-limit")
         C = darcy_limit_correction(grid)
-        band = mchb.flow._wall_band(grid, C)
+        _, _, band = mchb.flow._schur_model(grid, cfg.eta0, cfg.lambda0,
+                                            cfg.model.nu)
         assert_array_equal(band, dense_stencil_band(grid, C))
         frame = np.ones(grid.shape, dtype=bool)
         frame[4:-4, 4:-4] = False
@@ -430,15 +432,22 @@ class TestSchurPreconditioner:
         if grid.nx == grid.ny == 64:
             assert band.sum() == 960
 
+    @pytest.mark.parametrize("grid", [Grid(8, 8), Grid(8, 16)])
+    def test_band_covers_a_grid_with_an_8_cell_axis(self, grid):
+        # every cell of an 8-cell axis lies in one of the 4 layers next to
+        # a wall, the central cell included
+        cfg = build_default_scenario("darcy-limit")
+        system = mchb.flow._brinkman_system(grid, cfg.eta0, cfg.lambda0,
+                                            cfg.model.nu)
+        assert system.band.all()
+
     @pytest.mark.parametrize("grid", [Grid(8, 8), Grid(24, 16, 1.0, 1.7),
                                       Grid(128, 96, 2.0, 1.0)])
     def test_symbols_equal_the_sine_forms(self, grid):
         # the compact and wide eigenvalues of the Dirichlet modes
-        # theta = pi m / n, m = 1..n, written with sines; the band is not
-        # compared, so any correction will do
+        # theta = pi m / n, m = 1..n, written with sines
         eta, lam, nu = 0.05, 0.02, 1.0
-        interior, wall, _ = mchb.flow._schur_model(
-            grid, eta, lam, nu, darcy_limit_correction(grid))
+        interior, wall, _ = mchb.flow._schur_model(grid, eta, lam, nu)
 
         def axis(n, h):
             theta = np.pi * np.arange(1, n + 1) / n
@@ -660,14 +669,14 @@ class TestBrinkmanSystemReuse:
     def test_sweep_keeps_the_levels_before_a_failure(self, monkeypatch, jobs):
         cfg = dataclasses.replace(build_default_scenario("darcy-limit"),
                                   grid_nx=16, grid_ny=16)
-        solve = mchb.cli.solve_brinkman
+        solve = mchb.flow.solve_brinkman
 
         def fail_at_1e_3(force, s_v, eta, *args, **kwargs):
             if eta == 1e-3:
                 raise FlowSolverError("injected")
             return solve(force, s_v, eta, *args, **kwargs)
 
-        monkeypatch.setattr(mchb.cli, "solve_brinkman", fail_at_1e_3)
+        monkeypatch.setattr(mchb.flow, "solve_brinkman", fail_at_1e_3)
         full = run_darcy_sweep(cfg, (1e-1, 1e-2), jobs=jobs, snapshot_steps=1)
         got = run_darcy_sweep(cfg, (1e-4, 1e-1, 1e-3, 1e-2), jobs=jobs,
                               snapshot_steps=1)

@@ -224,6 +224,30 @@ class TestCli:
         out = capsys.readouterr().out
         assert "B_S = 1.146e+06" in out and "A_S = 7.639e+05" in out
 
+    @pytest.mark.parametrize("tag", ["a/b", ""], ids=["separator", "empty"])
+    def test_tag_that_is_not_a_file_name_stem_is_config_error(self, tmp_path,
+                                                              tag):
+        out = tmp_path / "out"
+        res = run_cli(["run", "--preset", "zero-source", "--t-end", "0",
+                       "--out-dir", str(out), "--tag", tag])
+        assert res.returncode == 1
+        assert res.stderr == f"error: --tag must be a non-empty file-name " \
+            f"stem with no path separator, got {tag!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"], 0), (["run", "--config", "missing.json"], 1)],
+        ids=["validate", "missing-config"])
+    def test_configuration_paths_load_no_scipy(self, tmp_path, argv, code):
+        # a fresh interpreter, so no earlier test has imported scipy
+        script = ("import sys\nfrom mchb.cli import main\n"
+                  f"code = main({argv!r})\n"
+                  "print(code, [m for m in sys.modules "
+                  "if m.split('.')[0] == 'scipy'])\n")
+        res = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                             capture_output=True, text=True)
+        assert res.stdout.splitlines()[-1] == f"{code} []", res.stderr
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -361,12 +385,23 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
     def test_mms_failure_exit_code(self, monkeypatch):
-        from mchb import cli, verification
+        from mchb import verification
 
         def fake_run_all(ns):
             study = verification.ConvergenceStudy("ch-operator", list(ns),
                                                   [1.0, 0.9], 0.15)
             return [study]
 
-        monkeypatch.setattr(cli.verification, "run_all", fake_run_all)
+        monkeypatch.setattr(verification, "run_all", fake_run_all)
         assert main(["mms", "--grids", "32,64"]) == 3
+
+    def test_mms_flow_solver_error_aborts_in_one_line(self, monkeypatch,
+                                                       capsys):
+        from mchb import verification
+
+        def failing(ns):
+            raise FlowSolverError("injected")
+
+        monkeypatch.setattr(verification, "run_all", failing)
+        assert main(["mms", "--grids", "32,64"]) == 2
+        assert capsys.readouterr().err == "error: injected\n"
