@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .parameters import (ConfigError, ScenarioConfig, StrictAssumptionError,
                          assumption_report, build_default_scenario,
-                         load_config, require_assumptions)
+                         check_ladder, load_config, require_assumptions)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -212,13 +212,13 @@ def cmd_mms(args) -> int:
         ns = [int(tok) for tok in args.grids.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"bad grid ladder: {exc}") from None
+    try:
+        check_ladder(ns)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     from . import verification
     from .flow import FlowSolverError
 
-    try:
-        verification.check_ladder(ns)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     try:
         studies = verification.run_all(tuple(ns))
     except FlowSolverError as exc:  # the Darcy study's pressure solve

@@ -36,11 +36,12 @@ The Schur operator is fixed for a run, so the stepper also keeps the search
 directions found so far (``UzawaSpace``): a solve first removes the part of
 its residual that lies in their span and sweeps only on the rest.  Over a
 darcy-limit run the counts then fall to 8, 5, 4, 2, 1, 1, 1, 1 at 32x32
-and 11, 6, 5, 2, 2, 2, 1, 2 at 64x64, then stay at 1-2; at 128x128 they
-fall to 17, 9, 7, 4 and then 2-3.  When the 80 kept directions fill and
-restart (after step 20 there) the offset is kept, so the count stays at
-1-2.  The inner velocity subproblems reuse one sparse factorization of the
-fixed SPD momentum operator, a symmetric-mode LU (minimum-degree ordering of
+and 11, 6, 5, 2, 2, 2, 1, 1 at 64x64, then stay at 1-2; at 128x128 they
+fall to 17, 9, 7, 4 and then 1-3.  When the 80 kept directions fill and
+restart (at step 24 there) the offset is kept: the step after the restart
+takes 6 sweeps, not the 17 of a cold start, and the next ones 2-4.  The inner
+velocity subproblems reuse one sparse factorization of the fixed SPD
+momentum operator, a symmetric-mode LU (minimum-degree ordering of
 the symmetric pattern, diagonal pivots) with about two thirds of the fill of
 a general column-ordered LU.  The viscosities are the numbers ``eta`` and
 ``lambda`` (assumption A3 asks only for their bounds), so that operator
@@ -61,8 +62,8 @@ eigenbasis.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
 Rhie-Chow correction and the Schur model; the ``UzawaSpace`` keeps these.
 The face average, face divergence and face gradient matrices that the
 correction is assembled from are made by that build and dropped when it
-returns, so a Darcy solve never builds them.  The Korteweg force keeps the
-stacked Neumann cell gradient in a per-grid cache of its own.
+returns, so a Darcy solve never builds them.  The Korteweg force applies
+``grid.cell_gradient`` by slices and keeps nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Eigenbasis, Grid,
+from .grid import (DIRICHLET, EXTRAPOLATE, Eigenbasis, Grid, cell_gradient,
                    cell_gradient_matrix, eigenbasis,
                    face_average_matrix, face_divergence_matrix,
                    face_gradient_matrix, fv_diffusion_matrix, l2_norm)
@@ -140,24 +141,15 @@ def _flow_operators(grid: Grid) -> _FlowOperators:
     return _FlowOperators(grid)
 
 
-@lru_cache(maxsize=8)
-def _neumann_gradient(grid: Grid) -> sp.csr_matrix:
-    # the x rows over the y rows; kept apart from _FlowOperators, so a solve
-    # given its force (the Darcy convergence study) never builds it
-    return sp.vstack([cell_gradient_matrix(grid, axis, NEUMANN)
-                      for axis in (0, 1)], format="csr")
-
-
 def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
                    n_sigma: np.ndarray, grid: Grid) -> np.ndarray:
     """Capillary/chemical force ``(grad phi)^T mu + (grad sigma)^T N_sigma``
-    with the centred Neumann cell gradient."""
+    with ``grid.cell_gradient``, the gradient the transport uses."""
     if phi.shape[1:] != grid.shape or sigma.shape[1:] != grid.shape:
         raise ValueError("fields do not share the flow grid")
-    grad = _neumann_gradient(grid)
     force = np.zeros((2,) + grid.shape)
     for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):
-        term = (grad @ q.ravel()).reshape(force.shape)
+        term = cell_gradient(q, grid)
         term *= w
         force += term
     return force

@@ -1,15 +1,16 @@
 """Cell-centered rectangular grid and its second-order difference stencils.
 
 All fields live at cell centers of a uniform rectangular mesh, flattened row
-by row (index ``j*nx + i``).  Every stencil is a sparse matrix: the face
+by row (index ``j*nx + i``).  The stencils are sparse matrices: the face
 gradient (x-faces ``(ny, nx+1)``, y-faces ``(ny+1, nx)``), the face
 average, the compact face divergence, the centred cell gradient (the
 average of the two adjacent face differences) and the flux-form diffusion
 matrix ``fv_diffusion_matrix``, whose Neumann instance is minus the
 five-point Laplacian; summation by parts is exact for zero-flux closures.
 ``eigenbasis`` diagonalizes the diffusion matrix, and ``wall_traces`` gives
-the boundary-face values of a field.  The upwind convective term
-``advective_divergence`` works on arrays with a mirror closure of its own.
+the boundary-face values of a field.  ``cell_gradient`` is the Neumann
+centred cell gradient applied by slices; the convective term
+``advective_divergence`` and the Korteweg force both take it.
 
 Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
@@ -302,39 +303,30 @@ def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
                       lam_y, lam_x)
 
 
+def cell_gradient(q: np.ndarray, grid: Grid) -> np.ndarray:
+    """Centred cell gradient ``(d/dx, d/dy)`` of ``q``, stacked ``(2, ny, nx)``.
+
+    ``cell_gradient_matrix(grid, axis, NEUMANN)`` applied without a matrix:
+    ``(q[i+1] - q[i-1]) / 2h`` inside, and at a wall the difference of the
+    edge cell and its neighbour, since the mirror ghost equals the edge.
+    """
+    out = np.empty((2,) + grid.shape)
+    # the x differences are the row differences of the transposes
+    for d, a, h in ((out[0].T, q.T, grid.hx), (out[1], q, grid.hy)):
+        np.subtract(a[2:], a[:-2], out=d[1:-1])
+        np.subtract(a[1], a[0], out=d[0])
+        np.subtract(a[-1], a[-2], out=d[-1])
+        d *= 0.5 / h
+    return out
+
+
 def advective_divergence(q: np.ndarray, vx: np.ndarray, vy: np.ndarray,
                          s_v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Convective term ``(grad q) . v + q s_v`` with upwind-biased gradients.
-
-    Second-order upwind in the interior; the two ghost layers come from the
-    symmetric (mirror) extension, matching the zero-flux closure of the
-    transported fields.  The extension is assigned by slices.  Flattened, it
-    holds each neighbour at a fixed offset (1 along x, a row along y), so
-    each operation of ``(3 c - 4 a[-1] + a[-2]) / 2h``, in the formula's
-    order, is one contiguous pass.
-    """
-    g = grid
-    a = np.empty((g.ny + 4, g.nx + 4))
-    a[2:-2, 2:-2] = q
-    a[2:-2, 1::-1], a[2:-2, :-3:-1] = q[:, :2], q[:, -2:]
-    a[1::-1], a[:-3:-1] = a[2:4], a[-4:-2]
-    f, c3 = a.ravel(), 3.0 * a.ravel()
-    up, down = np.empty((2, f.size))
-    cells = [b.reshape(a.shape)[2:-2, 2:-2] for b in (up, down)]
-    terms = []
-    for v, s, inv2h in ((vx, 1, 1.0 / (2.0 * g.hx)),
-                        (vy, g.nx + 4, 1.0 / (2.0 * g.hy))):
-        k = np.s_[2 * s:-2 * s]
-        u, w, c = up[k], down[k], c3[k]
-        np.subtract(c, np.multiply(f[s:-3 * s], 4.0, out=u), out=u)
-        u += f[:-4 * s]
-        np.subtract(np.multiply(f[3 * s:-s], 4.0, out=w), c, out=w)
-        w -= f[4 * s:]
-        grad = np.where(v >= 0.0, *cells)
-        grad *= inv2h
-        grad *= v
-        terms.append(grad)
-    qx, qy = terms
-    qx += qy
-    qx += np.multiply(q, s_v, out=qy)
-    return qx
+    """Convective term ``(grad q) . v + q s_v`` with ``cell_gradient``, the
+    gradient of the Korteweg force, so the transport's work against a
+    potential equals the force's work against ``v``."""
+    gx, gy = cell_gradient(q, grid)
+    gx *= vx
+    gx += np.multiply(gy, vy, out=gy)
+    gx += np.multiply(q, s_v, out=gy)
+    return gx

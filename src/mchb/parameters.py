@@ -8,8 +8,9 @@ source, potential coercivity/split, and the interface-thickness inequality
 ``epsilon < gamma chi_sigma A_psi / (8 C_G^2)``) and reports verdicts instead
 of raising.
 
-Scenario presets, the JSON configuration schema, and the config round-trip
-also live here.
+Scenario presets, the JSON configuration schema, the config round-trip and
+``check_ladder``, the grid-ladder check of the convergence studies, also
+live here.
 """
 
 from __future__ import annotations
@@ -553,3 +554,10 @@ def load_config(text: str, *, strict: bool = False) -> ScenarioConfig:
     except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
         raise ConfigError(f"configuration parse error: {exc}") from None
     return config_from_dict(doc, strict=strict)
+
+
+def check_ladder(ns) -> None:
+    """Raise ``ValueError`` unless ``ns`` is 2+ distinct counts, each >= 8."""
+    if len(ns) < 2 or len(set(ns)) < len(ns) or min(ns) < 8:
+        raise ValueError(f"convergence study needs at least two distinct "
+                         f"cell counts, each at least 8, got {list(ns)}")

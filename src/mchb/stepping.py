@@ -97,10 +97,6 @@ class StepReport:
     energy: diag.EnergyReport
 
     @property
-    def energy_before(self) -> float:
-        return self.energy.e_before
-
-    @property
     def energy_after(self) -> float:
         return self.energy.e_total
 
@@ -113,10 +109,6 @@ class RunSummary:
     dt_final: float
     e_initial: float
     message: str = ""
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([r.energy_after for r in self.reports])
 
 
 @dataclass

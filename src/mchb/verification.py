@@ -18,7 +18,7 @@ import numpy as np
 from . import constitutive as cst
 from .grid import NEUMANN, Grid, advective_divergence, fv_diffusion_matrix
 from .flow import solve_darcy
-from .parameters import build_specs, default_parameters
+from .parameters import build_specs, check_ladder, default_parameters
 
 
 @dataclass
@@ -31,13 +31,6 @@ class ConvergenceStudy:
     def line(self) -> str:
         errs = ", ".join(f"{e:.3e}" for e in self.errors)
         return f"{self.name}: slope {self.slope:.3f}  (errors {errs})"
-
-
-def check_ladder(ns) -> None:
-    """Raise ``ValueError`` unless ``ns`` is 2+ distinct counts, each >= 8."""
-    if len(ns) < 2 or len(set(ns)) < len(ns) or min(ns) < 8:
-        raise ValueError(f"convergence study needs at least two distinct "
-                         f"cell counts, each at least 8, got {list(ns)}")
 
 
 def _fit_slope(ns, errors) -> float:
@@ -154,7 +147,7 @@ def mms_nutrient_operator(ns=(32, 64, 128, 256), shared=None):
 
 
 def mms_advection(ns=(32, 64, 128, 256)):
-    """Upwind convective term against the analytic (grad q) . v + q div v."""
+    """Centred convective term against the analytic (grad q) . v + q div v."""
     check_ladder(ns)
     errs = []
     for n in ns:

@@ -18,9 +18,9 @@ from mchb.parameters import build_default_scenario
 from mchb.state import build_initial_state
 from mchb.stepping import TimeStepper, explicit_terms
 
-from mchb.grid import DIRICHLET, EXTRAPOLATE, Grid, cell_gradient_matrix, \
-    face_average_matrix, face_divergence_matrix, face_gradient_matrix, \
-    fv_diffusion_matrix
+from mchb.grid import DIRICHLET, EXTRAPOLATE, Grid, advective_divergence, \
+    cell_gradient_matrix, face_average_matrix, face_divergence_matrix, \
+    face_gradient_matrix, fv_diffusion_matrix
 from mchb.flow import (BrinkmanOptions, FlowSolverError, darcy_residual,
                        korteweg_force, solve_brinkman, solve_darcy)
 
@@ -984,6 +984,23 @@ class TestKortewegForce:
         got = korteweg_force(phi, mu, sig, nsig, grid)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dims", [(37, 16, 2.3, 0.7), (8, 8, 1.0, 1.0),
+                                      (64, 64, 1.0, 1.0)])
+    def test_work_equals_the_transport_work_against_the_potentials(self, dims):
+        # the pairing behind the energy law: with s_v = 0 the force's work
+        # against v is the transport's work against (mu, N_sigma)
+        grid = Grid(*dims)
+        rng = np.random.default_rng(27)
+        phi, mu = rng.standard_normal((2, 3) + grid.shape)
+        sig, nsig = rng.standard_normal((2, 1) + grid.shape)
+        v = rng.standard_normal((2,) + grid.shape)
+        zero = np.zeros(grid.shape)
+        w_force = float((korteweg_force(phi, mu, sig, nsig, grid) * v).sum())
+        terms = np.stack([w * advective_divergence(q, *v, zero, grid)
+                          for q, w in zip([*phi, *sig], [*mu, *nsig])])
+        gap = abs(w_force - float(terms.sum()))
+        assert gap <= 1e-13 * float(np.abs(terms).sum())
 
     def test_grid_mismatch(self, grid):
         other = Grid(16, 16, 1.0, 1.0)

@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Grid, Robin,
-                       advective_divergence, cell_gradient_matrix, eigenbasis,
+                       advective_divergence, cell_gradient,
+                       cell_gradient_matrix, eigenbasis,
                        face_average_matrix, face_divergence_matrix,
                        face_gradient_matrix, fv_diffusion_matrix, wall_traces,
                        _ghost)
@@ -329,6 +330,31 @@ class TestSparseStencils:
         assert m_grad.nnz == 8 * (2 * 7 + 2)
 
 
+EPS = np.finfo(float).eps
+GRADIENT_GRIDS = [(8, 8, 1.0, 1.0), (37, 16, 2.3, 0.7), (64, 64, 20.0, 20.0)]
+
+
+def neumann_gradient_products(q, grid):
+    """The stacked ``cell_gradient_matrix(grid, axis, NEUMANN) @ q`` and its
+    rounding scale ``|M| @ |q|``."""
+    mats = [cell_gradient_matrix(grid, axis, NEUMANN) for axis in (0, 1)]
+    return (np.stack([apply(m, q, grid.shape) for m in mats]),
+            np.stack([apply(abs(m), np.abs(q), grid.shape) for m in mats]))
+
+
+class TestCellGradient:
+    @pytest.mark.parametrize("dims", GRADIENT_GRIDS)
+    def test_is_the_neumann_matrix_product(self, dims):
+        # each entry differs from the product's by a few roundings of the
+        # two terms it sums, so the bound is relative to |M| |q|
+        g = Grid(*dims)
+        q = rand_field(g, seed=13)
+        ref, scale = neumann_gradient_products(q, g)
+        got = cell_gradient(q, g)
+        assert got.shape == (2,) + g.shape
+        assert np.all(np.abs(got - ref) <= 4 * EPS * scale)
+
+
 class TestAdvection:
     def test_zero_velocity(self, grid):
         q = rand_field(grid, seed=10)
@@ -344,28 +370,16 @@ class TestAdvection:
         out = advective_divergence(q, vx, vy, s_v, grid)
         assert np.allclose(out, 4.0 * s_v, atol=1e-13)
 
-    @pytest.mark.parametrize("dims", [(8, 8, 1.0, 1.0), (24, 16, 1.7, 0.9)])
-    def test_matches_the_padded_expression_bit_for_bit(self, dims):
-        # the stencil mirrors by slices and forms its differences in place;
-        # this is the symmetric pad and np.where selection it replaced
+    @pytest.mark.parametrize("dims", GRADIENT_GRIDS)
+    def test_is_the_gradient_product_dotted_with_v(self, dims):
         g = Grid(*dims)
         rng = np.random.default_rng(5)
-        q = rng.standard_normal(g.shape)
-        # signed zeros keep the branch taken at v = +-0 visible in the bits
-        vx, vy = rng.choice([0.0, -0.0, np.nan, -1.5, 2.0], (2,) + g.shape)
-        s_v = rng.choice([0.0, -0.0], g.shape)
-        a = np.pad(q, 2, mode="symmetric")
-        c = a[2:-2, 2:-2]
-        inv2hx, inv2hy = 1.0 / (2.0 * g.hx), 1.0 / (2.0 * g.hy)
-        qx_m = (3.0 * c - 4.0 * a[2:-2, 1:-3] + a[2:-2, :-4]) * inv2hx
-        qx_p = (-3.0 * c + 4.0 * a[2:-2, 3:-1] - a[2:-2, 4:]) * inv2hx
-        qy_m = (3.0 * c - 4.0 * a[1:-3, 2:-2] + a[:-4, 2:-2]) * inv2hy
-        qy_p = (-3.0 * c + 4.0 * a[3:-1, 2:-2] - a[4:, 2:-2]) * inv2hy
-        ref = np.where(vx >= 0.0, qx_m, qx_p) * vx \
-            + np.where(vy >= 0.0, qy_m, qy_p) * vy + q * s_v
+        q, vx, vy, s_v = rng.standard_normal((4,) + g.shape)
+        (gx, gy), (sx, sy) = neumann_gradient_products(q, g)
+        ref = gx * vx + gy * vy + q * s_v
+        scale = sx * np.abs(vx) + sy * np.abs(vy) + np.abs(q * s_v)
         out = advective_divergence(q, vx, vy, s_v, g)
-        assert np.isnan(out).any() and not np.isnan(out).all()
-        assert out.tobytes() == ref.tobytes()
+        assert np.all(np.abs(out - ref) <= 8 * EPS * scale)
 
     def test_manufactured_convergence(self):
         from mchb.verification import mms_advection

@@ -81,20 +81,34 @@ def referenced_names(sources) -> set[str]:
     return names
 
 
+def public_defs(body, prefix: str):
+    """``(qualified name, node)`` of the public functions and classes in
+    ``body`` and, inside each class, of its public methods and properties."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            yield f"{prefix}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from public_defs(node.body, f"{prefix}.{node.name}")
+
+
 def unreferenced_public_names(modules: dict[str, str], users) -> list[str]:
-    """Public top-level functions and classes of ``modules`` (name to source)
-    that no source in ``users`` references."""
+    """Public names of ``modules`` (name to source), as ``public_defs`` finds
+    them, that no source in ``users`` references."""
     used = referenced_names(users)
-    return [f"{name}.{node.name}" for name, source in modules.items()
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+    return [qualified for name, source in modules.items()
+            for qualified, node in public_defs(ast.parse(source).body, name)
+            if node.name not in used]
 
 
 def test_the_guard_sees_a_test_only_name():
     mod = "def used():\n    pass\n\ndef unused():\n    return used()\n"
     assert unreferenced_public_names({"m": mod}, [mod]) == ["m.unused"]
     assert unreferenced_public_names({"m": mod}, [mod, "m.unused()"]) == []
+    cls = ("class C:\n    @property\n    def p(self):\n        pass\n\n"
+           "    def _q(self):\n        pass\n\nC().x\n")
+    assert unreferenced_public_names({"m": cls}, [cls]) == ["m.C.p"]
+    assert unreferenced_public_names({"m": cls}, [cls, "c.p"]) == []
 
 
 def test_no_public_name_only_the_tests_use():

@@ -236,8 +236,9 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, code", [
-        (["validate"], 0), (["run", "--config", "missing.json"], 1)],
-        ids=["validate", "missing-config"])
+        (["validate"], 0), (["run", "--config", "missing.json"], 1),
+        (["mms", "--grids", "64"], 1)],
+        ids=["validate", "missing-config", "one-grid-ladder"])
     def test_configuration_paths_load_no_scipy(self, tmp_path, argv, code):
         # a fresh interpreter, so no earlier test has imported scipy
         script = ("import sys\nfrom mchb.cli import main\n"

@@ -307,7 +307,8 @@ class TestRunControl:
         summary = TimeStepper(cfg).run()
         assert not summary.aborted and summary.dt_final == 0.5 * cfg.dt
         assert summary.state.t == pytest.approx(cfg.t_end)
-        energies = np.concatenate([[summary.e_initial], summary.energies])
+        energies = [summary.e_initial] + [r.energy_after
+                                         for r in summary.reports]
         assert np.all(np.diff(energies) <= 0.0)
 
     @pytest.mark.parametrize("n, factor, sources", [(16, 89, True),
@@ -325,15 +326,17 @@ class TestRunControl:
         assert not summary.aborted and summary.dt_final == dt
         assert summary.state.t == pytest.approx(cfg.t_end)
         summary.state.check_finite()
-        energies = np.concatenate([[summary.e_initial], summary.energies])
+        energies = [summary.e_initial] + [r.energy_after
+                                         for r in summary.reports]
         assert sources or np.all(np.diff(energies) < 0.0)
 
     def test_run_summary_energies(self):
         cfg = small_config(t_end=3 * small_config().dt)
         summary = TimeStepper(cfg).run()
         assert len(summary.reports) == 3
-        assert np.all(np.isfinite(summary.energies))
-        assert summary.e_initial >= summary.energies[-1]
+        energies = [r.energy_after for r in summary.reports]
+        assert np.all(np.isfinite(energies))
+        assert summary.e_initial >= energies[-1]
 
     def test_step_rejects_bad_dt(self):
         cfg = small_config()
@@ -388,7 +391,8 @@ class TestTransformPhaseSolve:
         assert summary.state.t == pytest.approx(cfg.t_end)
         assert factorizations == []
         summary.state.check_finite()
-        energies = np.concatenate([[summary.e_initial], summary.energies])
+        energies = [summary.e_initial] + [r.energy_after
+                                         for r in summary.reports]
         assert np.all(np.diff(energies) < 0.0)
 
     @pytest.mark.parametrize("preset", ["zero-source", "stratified-tumor"])
@@ -603,7 +607,7 @@ class TestStepWork:
         calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
         _, rep = st.step(s0, cfg.dt)
         assert len(calls) == 2
-        assert rep.energy_before == e0
+        assert rep.energy.e_before == e0
 
     def test_energy_after_carried_to_next_step(self, monkeypatch):
         cfg = small_config()
@@ -612,7 +616,7 @@ class TestStepWork:
         calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
         _, rep2 = st.step(s1, cfg.dt)
         assert len(calls) == 1
-        assert rep2.energy_before == rep1.energy_after
+        assert rep2.energy.e_before == rep1.energy_after
 
     def test_state_mutated_in_place_recomputes_energy(self, monkeypatch):
         cfg = small_config()
@@ -623,7 +627,7 @@ class TestStepWork:
         calls = counting(monkeypatch, mchb.diagnostics, "free_energy")
         _, rep2 = st.step(s1, cfg.dt)
         assert len(calls) == 2
-        assert rep2.energy_before == e1
+        assert rep2.energy.e_before == e1
 
     @pytest.mark.parametrize("preset", ["stratified-tumor", "darcy-limit",
                                         "zero-source"])
