@@ -7,10 +7,11 @@ average, the compact face divergence, the centred cell gradient (the
 average of the two adjacent face differences) and the flux-form diffusion
 matrix ``fv_diffusion_matrix``, whose Neumann instance is minus the
 five-point Laplacian; summation by parts is exact for zero-flux closures.
-``eigenbasis`` diagonalizes the diffusion matrix, and ``wall_traces`` gives
-the boundary-face values of a field.  ``cell_gradient`` is the Neumann
-centred cell gradient applied by slices; the convective term
-``advective_divergence`` and the Korteweg force both take it.
+``wall_terms`` is its wall part, ``eigenbasis`` diagonalizes it, and
+``wall_traces`` gives the boundary-face values of a field.
+``cell_gradient`` is the Neumann centred cell gradient applied by slices;
+the convective term ``advective_divergence`` and the Korteweg force both
+take it.
 
 Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
@@ -227,31 +228,45 @@ def cell_gradient_matrix(grid: Grid, axis: int, bc: BC) -> sp.csr_matrix:
         @ _pad_1d(n, bc, h)) * (1.0 / h))
 
 
-def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
-    """Assemble ``u -> -div(coeff grad u)`` in flux form; returns (matrix, rhs).
+def wall_terms(grid: Grid, bc: BC, coeff: float = 1.0,
+               diag: np.ndarray | None = None):
+    """The wall part ``(diag, rhs)`` of ``fv_diffusion_matrix(grid, bc,
+    coeff)``, as ``(ny, nx)`` arrays; the diagonal part is added in place
+    to ``diag`` when one is given.
 
     A wall face closes through the ghost ``w edge + g0`` of ``bc``: it adds
     ``coeff (1 - w) / h**2`` to the diagonal and ``coeff g0 / h**2`` to the
-    rhs, which is zero but for the Robin closure.  The CSR arrays are built
-    directly, each row in column order south, west, centre, east, north.
-    The five values of a row are one broadcast over the interleaved CSR
-    data, with a zero for every wall neighbour; the zeros are dropped at the
-    end, so no entry equal to zero is stored.
+    rhs.  Both are zero but for the Robin closure, so the Robin matrix is
+    ``coeff`` times the Neumann one plus the wall part of its diagonal.
     """
-    ny, nx = grid.ny, grid.nx
-    n = grid.ncells
-    tx, ty = coeff / grid.hx**2, coeff / grid.hy**2
-    diag = np.zeros((ny, nx))
-    rhs = np.zeros((ny, nx))
-    for lo, hi, t in ((np.s_[:, :-1], np.s_[:, 1:], tx),
-                      (np.s_[:-1, :], np.s_[1:, :], ty)):
-        diag[lo] += t
-        diag[hi] += t
+    diag = np.zeros(grid.shape) if diag is None else diag
+    rhs = np.zeros(grid.shape)
     for sl, h in ((np.s_[:, 0], grid.hx), (np.s_[:, -1], grid.hx),
                   (np.s_[0, :], grid.hy), (np.s_[-1, :], grid.hy)):
         w, g0 = _wall_closure(bc, h)
         diag[sl] += coeff * (1.0 - w) / h**2
         rhs[sl] += coeff * g0 / h**2
+    return diag, rhs
+
+
+def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
+    """Assemble ``u -> -div(coeff grad u)`` in flux form; returns (matrix, rhs).
+
+    The wall faces add ``wall_terms`` to the diagonal and make the rhs.
+    The CSR arrays are built directly, each row in column order south,
+    west, centre, east, north.  The five values of a row are one broadcast
+    over the interleaved CSR data, with a zero for every wall neighbour;
+    the zeros are dropped at the end, so no entry equal to zero is stored.
+    """
+    ny, nx = grid.ny, grid.nx
+    n = grid.ncells
+    tx, ty = coeff / grid.hx**2, coeff / grid.hy**2
+    diag = np.zeros((ny, nx))
+    for lo, hi, t in ((np.s_[:, :-1], np.s_[:, 1:], tx),
+                      (np.s_[:-1, :], np.s_[1:, :], ty)):
+        diag[lo] += t
+        diag[hi] += t
+    diag, rhs = wall_terms(grid, bc, coeff, diag)
     vals = np.empty((ny, nx, 5))
     vals[...] = (-ty, -tx, 0.0, -tx, -ty)
     vals[..., 2] = diag

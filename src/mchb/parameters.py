@@ -405,7 +405,7 @@ class ScenarioConfig:
     seed: int = 20240
     snapshot_every: int = 0
     tol_flow: float = 1e-9
-    tol_ch: float = 1e-12
+    tol_ch: float = 1e-8
     max_nonlinear_iter: int = 50
 
     def violations(self) -> list[str]:

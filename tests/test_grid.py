@@ -10,8 +10,8 @@ from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Grid, Robin,
                        advective_divergence, cell_gradient,
                        cell_gradient_matrix, eigenbasis,
                        face_average_matrix, face_divergence_matrix,
-                       face_gradient_matrix, fv_diffusion_matrix, wall_traces,
-                       _ghost)
+                       face_gradient_matrix, fv_diffusion_matrix, wall_terms,
+                       wall_traces, _ghost)
 
 
 @pytest.fixture
@@ -138,6 +138,20 @@ class TestOperators:
         gx, gy = written_face_gradient(f, bc, grid)
         via_faces = -written_flux_balance(0.7 * gx, 0.7 * gy, grid)
         assert np.allclose(via_matrix, via_faces, atol=1e-11)
+
+    @pytest.mark.parametrize("bc", [NEUMANN, Robin(k=2.0, target=1.5,
+                                                    diffusivity=0.7)])
+    def test_closure_changes_only_the_wall_diagonal(self, bc):
+        # the matrix under a closure is coeff times the Neumann one plus the
+        # wall part of its diagonal, and the wall part makes the rhs
+        grid = Grid(37, 16, 2.3, 0.7)
+        mat, rhs = fv_diffusion_matrix(grid, bc, 0.7)
+        diag, wall = wall_terms(grid, bc, 0.7)
+        a_neu, _ = fv_diffusion_matrix(grid, NEUMANN)
+        rest = mat - 0.7 * a_neu - sp.diags(diag.ravel())
+        assert abs(rest).max() <= 1e-14 * abs(mat).max()
+        assert np.array_equal(wall.ravel(), rhs)
+        assert np.count_nonzero(diag) == (102 if isinstance(bc, Robin) else 0)
 
     def test_extrapolated_closure_has_no_diffusion_rows(self, grid):
         # its ghost reads the second and third layers, not only the edge

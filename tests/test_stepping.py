@@ -249,6 +249,81 @@ class TestConservation:
             e_prev = rep.energy_after
 
 
+class TestPhaseTolerance:
+    """What the default ``tol_ch`` leaves in each accepted component."""
+
+    @staticmethod
+    def per_component(monkeypatch, check):
+        """Solve each component on its own and pass it to ``check``, with
+        the stepper, its inputs, its result and its number of updates."""
+        solve = TimeStepper._ch_solve
+
+        def split(self, phi_n, rhs0, const_mu, dt, start):
+            parts = []
+            for i in range(phi_n.shape[0]):
+                c = np.s_[i:i + 1]
+                parts.append(solve(self, phi_n[c], rhs0[c], const_mu[c], dt,
+                                   None if start is None else start[c]))
+                check(self, rhs0[i], const_mu[i], dt, parts[-1][0][0],
+                      parts[-1][2])
+            return (np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]),
+                    max(p[2] for p in parts), max(p[3] for p in parts))
+
+        monkeypatch.setattr(TimeStepper, "_ch_solve", split)
+
+    def test_residual_work_is_small_against_the_dissipation(self, monkeypatch):
+        # with residual R the convex split's energy inequality gains
+        # <mu, R> against the dissipation dt <mu, A mu>
+        ratios = []
+
+        def margin(st, rhs0, const_mu, dt, phi, updates):
+            res, mu = phase_residual(st, phi, rhs0, const_mu, dt)
+            ratios.append(abs(mu @ res) / (dt * (mu @ (st._neu_laplacian @ mu))))
+
+        self.per_component(monkeypatch, margin)
+        base = build_default_scenario("zero-source")
+        runs = [(dataclasses.replace(base, flow_enabled=flow), 200)
+                for flow in (True, False)]
+        runs.append((build_default_scenario("stratified-tumor"), 100))
+        # criterion 7's (h, dt) ladder
+        ladder = dataclasses.replace(base, model=default_parameters(),
+                                     sources_enabled=True, flow_enabled=False,
+                                     init_modes=2)
+        runs += [(dataclasses.replace(ladder, grid_nx=n, grid_ny=n,
+                                      dt=base.dt / 2**k), 32 * 2**k)
+                 for k, n in enumerate((16, 32, 64))]
+        for cfg, steps in runs:
+            st = TimeStepper(cfg)
+            s = build_initial_state(cfg, st.bundle)
+            for _ in range(steps):
+                s, _ = st.step(s, cfg.dt)
+        assert len(ratios) == 3 * (400 + 100 + 224)
+        assert max(ratios) <= 1e-3
+
+    def test_each_step_keeps_the_mass_balance(self, monkeypatch):
+        # the mean mode is set exactly before the first sweep, so even a
+        # component accepted from its start with 0 updates has the mass of
+        # the step's right side
+        defects, zero_updates = [], []
+
+        def balance(st, rhs0, const_mu, dt, phi, updates):
+            defects.append(abs((phi - rhs0).sum()) * st.grid.cell_area
+                           / st.grid.area)
+            zero_updates.append(updates == 0)
+
+        self.per_component(monkeypatch, balance)
+        cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),
+                                  grid_nx=32, grid_ny=32)
+        assert cfg.sources_enabled and cfg.flow_enabled
+        st = TimeStepper(cfg)
+        s = build_initial_state(cfg, st.bundle)
+        for _ in range(60):
+            s, _ = st.step(s, cfg.dt)
+        assert len(defects) == 180 and any(zero_updates)
+        assert max(defects) <= 1e-14
+
+
 class TestRunControl:
     def test_zero_horizon_initial_snapshot_only(self):
         cfg = small_config(t_end=0.0)
@@ -349,8 +424,9 @@ class TestRunControl:
 class TestTransformPhaseSolve:
     @pytest.mark.parametrize("preset", ["zero-source", "stratified-tumor"])
     def test_matches_factorized_path(self, preset, monkeypatch):
+        # both paths solve to 1e-12, so they agree to 1e-10
         cfg = dataclasses.replace(build_default_scenario(preset),
-                                  grid_nx=32, grid_ny=32)
+                                  grid_nx=32, grid_ny=32, tol_ch=1e-12)
         fast, ref = TimeStepper(cfg), ChordReference(cfg)
         a = b = build_initial_state(cfg, fast.bundle)
         factorizations = counting(monkeypatch, spla, "splu")
@@ -368,7 +444,7 @@ class TestTransformPhaseSolve:
         # at 64 dt0 on 64^2 a sweep shrinks the residual by less than half,
         # so the solve switches to P-preconditioned GMRES Newton steps
         cfg = build_default_scenario("stratified-tumor")
-        cfg = dataclasses.replace(cfg, dt=64 * cfg.dt)
+        cfg = dataclasses.replace(cfg, dt=64 * cfg.dt, tol_ch=1e-12)
         st = TimeStepper(cfg)
         s0 = build_initial_state(cfg, st.bundle)
         newton_solves = counting(monkeypatch, spla, "gmres")
@@ -516,7 +592,8 @@ class TestStartGuess:
                                       getattr(runs[0].state, name))
 
     def test_history_moves_only_the_start(self, monkeypatch):
-        cfg = small_config()
+        # solved to 1e-12, the two starts end within 1e-10
+        cfg = small_config(tol_ch=1e-12)
         st = TimeStepper(cfg)
         s = build_initial_state(cfg, st.bundle)
         for _ in range(3):
@@ -663,18 +740,18 @@ class TestStepWork:
         # the operators and the eigenbases are built with the stepper, none
         # in a step, also after a change of dt
         calls = [counting(monkeypatch, mchb.stepping, name)
-                 for name in ("fv_diffusion_matrix", "eigenbasis")]
+                 for name in ("fv_diffusion_matrix", "wall_terms", "eigenbasis")]
         calls.append(counting(monkeypatch, np.linalg, "eigh"))
         st = TimeStepper(cfg)
-        # the Neumann Laplacian and the nutrient matrix, the phase and
-        # nutrient bases, the Robin nutrient axes
-        assert [len(c) for c in calls] == [2, 2, 2]
+        # the Neumann Laplacian and the wall part of the nutrient matrix, the
+        # phase and nutrient bases, the Robin nutrient axes
+        assert [len(c) for c in calls] == [1, 1, 2, 2]
         for c in calls:
             c.clear()
         s = build_initial_state(cfg, st.bundle)
         for dt in (cfg.dt, cfg.dt, 0.5 * cfg.dt, 0.5 * cfg.dt):
             s, _ = st.step(s, dt)
-        assert calls == [[], [], []]
+        assert calls == [[], [], [], []]
 
 
 class TestNutrientSolve:
