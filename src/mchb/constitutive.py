@@ -78,8 +78,16 @@ class SourceSpec:
 # potential
 
 def double_well_gradient(p: np.ndarray) -> np.ndarray:
-    """Gradient of ``psi(p) = sum_i p_i^2 (1 - p_i)^2`` alone."""
-    return 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
+    """Gradient ``2 p (1 - p) (1 - 2 p)`` of ``psi(p) = sum_i p_i^2 (1 -
+    p_i)^2`` alone, in the Horner form ``p (2 + p (4 p - 6))``: one new
+    array, every other pass in place."""
+    p = np.asarray(p, dtype=float)
+    out = 4.0 * p
+    out -= 6.0
+    out *= p
+    out += 2.0
+    out *= p
+    return out
 
 
 def potential_value(p: np.ndarray) -> np.ndarray:
@@ -107,7 +115,9 @@ def convex_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
     With ``concave_gradient`` it sums to the full gradient exactly.
     """
     p = np.asarray(p, dtype=float)
-    return double_well_gradient(p) + spec.split_shift * p
+    out = double_well_gradient(p)
+    out += spec.split_shift * p
+    return out
 
 
 def concave_gradient(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
@@ -119,6 +129,22 @@ def convex_part_diag_hessian(p: np.ndarray, spec: PotentialSpec) -> np.ndarray:
     """Diagonal of the convex-part Hessian (the split keeps it diagonal)."""
     p = np.asarray(p, dtype=float)
     return 12.0 * p**2 - 12.0 * p + 2.0 + spec.split_shift
+
+
+def convex_hessian_range(p: np.ndarray,
+                         spec: PotentialSpec) -> tuple[float, float]:
+    """Least and greatest ``convex_part_diag_hessian`` on ``[min p, max p]``.
+
+    The Hessian is a convex parabola with its vertex at 1/2, so its least
+    value on the range is at 1/2 clipped into it and its greatest at an end:
+    three evaluations in place of one per cell.  The pair equals the grid's
+    min and max when 1/2 lies outside the range and bounds them when it
+    lies inside.
+    """
+    lo, hi = float(np.min(p)), float(np.max(p))
+    h = convex_part_diag_hessian(np.array([lo, min(max(0.5, lo), hi), hi]),
+                                 spec)
+    return float(h.min()), float(h.max())
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,11 @@ def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
     if phi.shape[1:] != grid.shape or sigma.shape[1:] != grid.shape:
         raise ValueError("fields do not share the flow grid")
     force = np.zeros((2,) + grid.shape)
+    # one work array for every field's gradient: fresh ones cost more than
+    # the differences at 128^2
+    term = np.empty_like(force)
     for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):
-        term = cell_gradient(q, grid)
+        cell_gradient(q, grid, out=term)
         term *= w
         force += term
     return force

@@ -318,14 +318,17 @@ def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
                       lam_y, lam_x)
 
 
-def cell_gradient(q: np.ndarray, grid: Grid) -> np.ndarray:
-    """Centred cell gradient ``(d/dx, d/dy)`` of ``q``, stacked ``(2, ny, nx)``.
+def cell_gradient(q: np.ndarray, grid: Grid,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Centred cell gradient ``(d/dx, d/dy)`` of ``q``, stacked ``(2, ny, nx)``
+    into ``out`` if given.
 
     ``cell_gradient_matrix(grid, axis, NEUMANN)`` applied without a matrix:
     ``(q[i+1] - q[i-1]) / 2h`` inside, and at a wall the difference of the
     edge cell and its neighbour, since the mirror ghost equals the edge.
     """
-    out = np.empty((2,) + grid.shape)
+    if out is None:
+        out = np.empty((2,) + grid.shape)
     # the x differences are the row differences of the transposes
     for d, a, h in ((out[0].T, q.T, grid.hx), (out[1], q, grid.hy)):
         np.subtract(a[2:], a[:-2], out=d[1:-1])

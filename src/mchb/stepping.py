@@ -21,8 +21,11 @@ The phase update is solved per component on the implicit residual
 psi1'(x) + (explicit part)``, with the constant-coefficient stabilized
 operator ``P = I + dt A (gamma eps A + gamma/eps c)`` of Eyre's convex split
 with the Shen-Yang stabilization: ``A`` is the Neumann Laplacian and ``c``
-the mid-range of the convex-part Hessian ``h`` at the step's starting
-state.  Its ``eigenbasis``, the DCT, diagonalizes ``A`` exactly, so the sweep
+the mid-range of the convex-part Hessian ``h`` over the value range of the
+component at the step's starting state, ``[min phi^n, max phi^n]``
+(``constitutive.convex_hessian_range``: ``h`` is a parabola, so three
+values of it give the range).  Its ``eigenbasis``, the DCT, diagonalizes
+``A`` exactly, so the sweep
 ``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``:
 ``R^ = (1 + dt gamma eps lambda^2) x^ + dt gamma/eps lambda DCT(psi1'(x))
 + b^``, with ``psi1'`` from ``constitutive.convex_gradient`` and ``b^``
@@ -42,8 +45,8 @@ residual whose RMS meets the bound is transformed back for the exact
 max-norm check.  The sweep contracts the linearized error in L2 by at most
 ``rho = max dt gamma/eps delta lambda / P(lambda)`` over the eigenvalues
 ``lambda`` of ``A``, ``delta`` being the half-range of ``h``; ``h = 12 p^2
-- 12 p + 2 + s0 >= s0 - 1 >= 0`` gives ``c >= delta``, so ``rho < 1`` at
-every ``dt``.
+- 12 p + 2 + s0 >= s0 - 1 >= 0`` gives ``c - delta = min h >= 0``, so
+``rho < 1`` at every ``dt``.
 Near ``rho = 1`` (a step well above the interface relaxation time), once
 a sweep shrinks the RMS of the residual by less than half against the
 sweep before, the update switches to Newton steps in physical space,
@@ -66,16 +69,19 @@ bound of 1.
 
 Each component starts from the Lagrange extrapolation to the new time of
 the last states the stepper returned, as ``(t, phi)``: none on a run's first
-step, linear on its second, quadratic after.  Times, not step counts, set
-the weights, so a retry at half the step extrapolates to its own end.  A
-state the stepper did not return last (another ``phi`` or ``t``) starts
-from ``phi^n``, and ``run`` forgets the history, so equal runs are
-bit-equal.  The start moves only where the iteration begins.  Counting
-the largest component of each step of 16-step runs at 64^2 and the default
-``dt``, zero-source takes 37 sweeps (4, 3, 3, 3, then 2 a step) where a
-start from ``phi^n`` takes 57 (3-4 a step), and stratified-tumor 19 (3, 2,
-then 1 a step) against 48 (3 a step); a 200-step flow-off zero-source run
-takes 223 against 503.
+step, linear on its second, quadratic on its third and cubic after.  Times,
+not step counts, set the weights, so a retry at half the step extrapolates
+to its own end.  A state the stepper did not return last (another ``phi`` or
+``t``) starts from ``phi^n``, and ``run`` forgets the history, so equal runs
+are bit-equal.  The start moves only where the iteration begins.  Cubic is
+the measured best: the returned states carry the ``tol_ch`` error, and the
+weights of higher orders amplify it (at equal steps their absolute sum is
+7, 15, 31 and 63 for orders 2 to 5).  Counting the largest component of
+each step of 16-step runs at 64^2 and the default ``dt``, zero-source
+takes 30 updates (4, 3, 3, then 2 or fewer a step) against 37 from the
+quadratic start and 57 from ``phi^n``, and stratified-tumor 15 (3, 2, then
+about 1 a step) against 19 and 48; a 200-step flow-off zero-source run
+takes 214 against 225 and 503, and 299 from a quartic start.
 
 With sources off, the flow off, and zero boundary permeability the update
 dissipates the discrete free energy unconditionally: the convex split, the
@@ -172,18 +178,18 @@ def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
 def extrapolate(history, t: float) -> np.ndarray | None:
     """Lagrange extrapolation to ``t`` of the ``(t_k, phi_k)`` in ``history``.
 
-    None for a single state; two states extrapolate linearly and three
-    quadratically.
+    None for a single state; ``k`` states extrapolate with the polynomial
+    of degree ``k - 1``.
     """
     if len(history) < 2:
         return None
-    out = 0.0
+    out = np.zeros_like(history[0][1])
     for j, (tj, phi) in enumerate(history):
         w = 1.0
         for k, (tk, _) in enumerate(history):
             if k != j:
                 w *= (t - tk) / (tj - tk)
-        out = out + w * phi
+        out += w * phi
     return out
 
 
@@ -207,7 +213,7 @@ class TimeStepper:
         self._brinkman_opts = BrinkmanOptions(tol=config.tol_flow)
         self._uzawa_space = UzawaSpace()
         # (history, sigma, free energy) of the state the last step returned;
-        # history holds (t, phi) of it and of up to two states before it
+        # history holds (t, phi) of it and of up to three states before it
         self._carry: tuple | None = None
 
     # -- phase-field update -------------------------------------------------
@@ -241,10 +247,9 @@ class TimeStepper:
         lin = 1.0 + dt * ge * lam**2
         nonlin = dt * gi * lam
         for i in range(phi_n.shape[0]):
-            hess = cst.convex_part_diag_hessian(phi_n[i], pot)
             # the symbol of P, with c the mid-range of the Hessian
-            symbol = 1.0 + dt * lam * (
-                ge * lam + gi * 0.5 * (float(hess.max()) + float(hess.min())))
+            h_min, h_max = cst.convex_hessian_range(phi_n[i], pot)
+            symbol = 1.0 + dt * lam * (ge * lam + gi * 0.5 * (h_min + h_max))
 
             def solve(r: np.ndarray) -> np.ndarray:  # r -> P^-1 r
                 coef = dct(r.reshape(shape))
@@ -292,7 +297,8 @@ class TimeStepper:
                                        atol=0.0, maxiter=5)[0].reshape(shape)
                     x_hat = dct(x)
                 else:
-                    x_hat -= r_hat * inv_symbol
+                    r_hat *= inv_symbol
+                    x_hat -= r_hat
                     x = idct(x_hat)
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
@@ -386,7 +392,7 @@ class TimeStepper:
             state, new_state, dt, bundle, terms, transport,
             flow_dissipation=flow_dissipation, e_before=e_before)
         # a step too short to advance t in floating point restarts the history
-        kept = history[-2:] if new_state.t > state.t else ()
+        kept = history[-3:] if new_state.t > state.t else ()
         history = (*kept, (new_state.t, phi_new.copy()))
         self._carry = (history, sigma_new.copy(), energy.e_total)
         report = StepReport(dt=dt, flow_iterations=flow_iters,

@@ -87,6 +87,30 @@ class TestPotential:
         diag = cst.convex_part_diag_hessian(pts, POT)
         assert diag.min() >= -1e-12
 
+    def test_horner_gradient_matches_the_product_form(self):
+        p = np.random.default_rng(11).uniform(-0.5, 1.5, size=(3, 64, 64))
+        product = 2.0 * p * (1.0 - p) * (1.0 - 2.0 * p)
+        assert np.abs(cst.double_well_gradient(p) - product).max() \
+            <= 1e-15 * np.abs(product).max()
+
+    @pytest.mark.parametrize("lo, hi", [(-0.4, 0.3), (0.6, 1.4), (0.51, 0.9),
+                                        (-0.3, 1.2), (0.45, 0.55)])
+    @pytest.mark.parametrize("shift", [1.0, 2.5])
+    def test_hessian_range_of_the_value_range(self, lo, hi, shift):
+        # the least value of the parabola is at 1/2 when 1/2 is in range
+        pot = cst.PotentialSpec(split_shift=shift)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            p = rng.uniform(lo, hi, size=(32, 32))
+            h = cst.convex_part_diag_hessian(p, pot)
+            h_min, h_max = cst.convex_hessian_range(p, pot)
+            assert h_max == h.max()
+            if lo < 0.5 < hi:
+                assert h_min <= h.min()
+                assert h_min == shift - 1.0
+            else:
+                assert h_min == h.min()
+
 
 class TestChemicalEnergy:
     def test_origin_values(self):

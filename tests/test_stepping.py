@@ -539,7 +539,7 @@ class TestTransformPhaseSolve:
     def test_default_split_sweep_contracts_at_every_step_size(self):
         # rho = max dt gamma/eps delta lambda / P(lambda) < 1 because the
         # convex-part Hessian is >= split_shift - 1 >= 0, so its mid-range c
-        # is at least its half-range delta
+        # over the value range of phi^n is at least its half-range delta
         cfg = build_default_scenario("stratified-tumor")
         m = cfg.model
         st = TimeStepper(cfg)
@@ -551,9 +551,9 @@ class TestTransformPhaseSolve:
                   np.random.default_rng(5).uniform(-2.0, 3.0, (3, *st.grid.shape))]
         for phi in fields:
             for p in phi:
-                h = cst.convex_part_diag_hessian(p, st.bundle.potential)
-                c, delta = 0.5 * (h.max() + h.min()), 0.5 * (h.max() - h.min())
-                assert h.min() >= 0.0
+                h_min, h_max = cst.convex_hessian_range(p, st.bundle.potential)
+                c, delta = 0.5 * (h_max + h_min), 0.5 * (h_max - h_min)
+                assert h_min >= 0.0
                 for dt in cfg.dt * np.logspace(0.0, 4.0, 9):
                     symbol = 1.0 + dt * lam * (m.gamma * m.epsilon * lam
                                                + m.gamma / m.epsilon * c)
@@ -643,6 +643,28 @@ class TestStartGuess:
         assert np.array_equal(starts[0], extrapolate(history, t + 0.5 * dt))
         assert not np.allclose(starts[0], extrapolate(history, t + dt),
                                rtol=0.0, atol=1e-12)
+
+    def test_start_extrapolates_the_last_four_states(self, monkeypatch):
+        cfg = small_config()
+        st = TimeStepper(cfg)
+        states = [build_initial_state(cfg, st.bundle)]
+        for _ in range(4):
+            states.append(st.step(states[-1], cfg.dt)[0])
+        starts = self.recording_starts(monkeypatch)
+        st.step(states[-1], cfg.dt)
+        history = [(s.t, s.phi) for s in states[-4:]]
+        assert np.array_equal(starts[0],
+                              extrapolate(history, states[-1].t + cfg.dt))
+
+    def test_extrapolation_is_exact_on_cubics(self):
+        rng = np.random.default_rng(4)
+        a, b, c, d = rng.standard_normal((4, 4, 5))
+
+        def f(t):
+            return a + t * (b + t * (c + t * d))
+        history = [(t, f(t)) for t in (0.3, 0.5, 0.55, 0.6)]
+        assert np.allclose(extrapolate(history, 0.65), f(0.65),
+                           rtol=0.0, atol=1e-12)
 
     def test_extrapolation_is_exact_on_quadratics(self):
         rng = np.random.default_rng(3)

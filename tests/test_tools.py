@@ -74,6 +74,35 @@ def test_difference_of_zeros_and_shapes(a, b, want):
     assert agree.difference(a, b) == want
 
 
+def test_roundoff_report_column_reads_as_an_absolute_difference():
+    # a ratio of two round-off values reads about 1 whatever the trees do
+    a = result_set()
+    name = agree.case_name(*agree.CASES[3])
+    a[f"{name}|report"][:, 1] = [3e-17, -1e-17, 2e-17]
+    b = copy_of(a)
+    b[f"{name}|report"][:, 1] = [-4e-17, 1e-17, 0.0]
+    result = agree.compare(a, b)
+    d = result[name]["E"]
+    assert isinstance(d, agree.Absolute) and d == pytest.approx(7e-17)
+    lines = agree.format_report(result)
+    assert lines[lines.index(name) + 2] == \
+        f"  report: all == except E abs {d:.2e}"
+
+
+def test_real_change_of_a_roundoff_column_still_shows():
+    a = result_set()
+    name = agree.case_name(*agree.CASES[3])
+    a[f"{name}|report"][:, 1] = [3e-17, -1e-17, 2e-17]
+    b = copy_of(a)
+    b[f"{name}|report"][1, 1] = 0.5
+    result = agree.compare(a, b)
+    d = result[name]["E"]
+    assert not isinstance(d, agree.Absolute)
+    assert d == pytest.approx(1.0)
+    lines = agree.format_report(result)
+    assert lines[lines.index(name) + 2] == f"  report: all == except E {d:.2e}"
+
+
 MMS_STUDIES = ("darcy-pressure", "darcy-velocity", "ch-operator",
                "nutrient-operator", "advective-divergence")
 

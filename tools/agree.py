@@ -13,6 +13,11 @@ relative difference ``max |a - b| / max(|a|, |b|)``:
 - of each solver count over the steps: flow iterations (Uzawa sweeps)
   and phase-solve updates, one difference per count.
 
+A report column whose ``max(|a|, |b|)`` is below ``ROUNDOFF`` times the
+case's largest report value on either tree holds round-off on both, where
+the relative difference reads about 1 whatever the trees do; it shows the
+absolute ``max |a - b|`` instead, marked ``abs``.
+
 It also compares the errors of every ``verification.run_all`` study on the
 grid ladder ``MMS_LADDER``, one value per study, and runs the random
 large-step set ``large_step_configs()``: for each configuration it prints
@@ -51,6 +56,7 @@ CASES = (
 MMS_LADDER = (32, 64, 128, 256)
 FIELDS = ("phi", "mu", "sigma", "v", "p")
 COUNTS = ("flow_iterations", "picard_iters")
+ROUNDOFF = 1e-12
 
 
 def large_step_configs(seed=1301, count=24):
@@ -144,9 +150,14 @@ def run_cases(out_path: str) -> None:
     np.savez(out_path, **out)
 
 
-def difference(a, b) -> float | None:
+class Absolute(float):
+    """An absolute difference, of values at round-off on both trees."""
+
+
+def difference(a, b, noise: float = 0.0) -> float | None:
     """None when ``a`` and ``b`` are equal bit for bit, else
-    ``max |a - b| / max(|a|, |b|)`` (inf when the shapes differ).
+    ``max |a - b| / max(|a|, |b|)`` (inf when the shapes differ), or
+    ``Absolute(max |a - b|)`` when ``max(|a|, |b|)`` is below ``noise``.
 
     Zeros of opposite sign differ by 0.0, and NaN anywhere gives NaN.
     """
@@ -156,14 +167,18 @@ def difference(a, b) -> float | None:
     if a.tobytes() == b.tobytes():
         return None
     diff = float(np.abs(a - b).max())
-    return diff and diff / max(float(np.abs(a).max()), float(np.abs(b).max()))
+    scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
+    if scale < noise:
+        return Absolute(diff)
+    return diff and diff / scale
 
 
 def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
     """Per case, the ``difference`` of each field, report column and count.
 
     A count is keyed ``counts|<name>``, apart from the report column of the
-    same name.
+    same name.  A report column is ``Absolute`` below ``ROUNDOFF`` times the
+    case's largest report value.
     """
     header = [str(h) for h in ref["header"]]
     out = {}
@@ -174,9 +189,13 @@ def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
         for table, cols in (("report", header),
                             ("counts", [f"counts|{c}" for c in COUNTS])):
             a, b = ref[f"{name}|{table}"], new[f"{name}|{table}"]
+            if a.shape != b.shape:
+                items.update(dict.fromkeys(cols, math.inf))
+                continue
+            noise = ROUNDOFF * float(np.abs([a, b]).max()) \
+                if table == "report" and a.size else 0.0
             for j, col in enumerate(cols):
-                items[col] = difference(a[:, j], b[:, j]) \
-                    if a.shape == b.shape else math.inf
+                items[col] = difference(a[:, j], b[:, j], noise)
         out[name] = items
     return out
 
@@ -211,7 +230,9 @@ def compare_large(ref: dict, new: dict) -> dict[str, dict]:
 
 
 def _shown(d: float | None) -> str:
-    return "==" if d is None else f"{d:.2e}"
+    if d is None:
+        return "=="
+    return f"abs {d:.2e}" if isinstance(d, Absolute) else f"{d:.2e}"
 
 
 def format_report(result: dict) -> list[str]:
@@ -283,7 +304,8 @@ def main(argv: list[str]) -> int:
         ref = _results_of(tmp / "commit" / "src", tmp, "commit")
         new = _results_of(root / "src", tmp, "checkout")
     print(f"agreement of {commit} (a) with the checkout (b): "
-          "== or max |a - b| / max(|a|, |b|)")
+          "== or max |a - b| / max(|a|, |b|); abs: max |a - b| of a report "
+          f"column below {ROUNDOFF:g} of the case's largest report value")
     print("\n".join(format_report(compare(ref, new))
                     + format_mms(compare_mms(ref, new))
                     + format_large(compare_large(ref, new))))
