@@ -14,8 +14,12 @@ necrotic tumor fraction; ``s[0]`` the single nutrient density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .parameters import ModelParameters
 
 
 @dataclass(frozen=True)
@@ -36,38 +40,33 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChemicalEnergySpec:
-    """Coefficients of ``N(p, s) = chi_sigma/2 |s|^2 - (s.B p + a.p + b.s)``."""
+    """Coefficients of ``N(p, s) = chi_sigma/2 |s|^2 - (s.B p + a.p)``.
+
+    The paper's quadratic-minus-affine form also allows a term ``b.s``
+    affine in the nutrient; this model has ``b = 0``, so there is none.
+    """
 
     chi_sigma: float
     coupling: np.ndarray     # (M, L)
     a_vec: np.ndarray        # (L,)
-    b_vec: np.ndarray        # (M,)
 
 
 @dataclass(frozen=True, eq=False)
 class SourceSpec:
-    """Rates and shape choices for the phase/nutrient/velocity sources.
+    """A source variant and the model whose constants the sources read.
 
     ``variant`` selects the truncated linear exchange chain ("linear") or the
-    interfacial form scaled by 1/epsilon ("interfacial").  The paper's
-    general decomposition ``S = Lambda(p, s) - theta(p, s) m`` has
-    ``theta = 0`` in this model, so the sources are ``Lambda`` alone.
+    interfacial form scaled by 1/epsilon ("interfacial").  The rates,
+    ``kappa``, ``c_p``, ``r``, ``epsilon`` and ``sigma_Omega`` are read from
+    ``model`` under their own names; no source reads the wall constants
+    ``K`` and ``sigma_Gamma``, which only ``diagnostics.nutrient_bc`` turns
+    into the nutrient wall.  The paper's general decomposition
+    ``S = Lambda(p, s) - theta(p, s) m`` has ``theta = 0`` in this model, so
+    the sources are ``Lambda`` alone.
     """
 
     variant: str
-    rate_p: float
-    rate_q: float
-    rate_a: float
-    rate_d: float
-    rate_c: float
-    rate_b: float
-    kappa: float
-    c_p: float
-    r: float
-    epsilon: float
-    sigma_omega: float
-    k_boundary: float
-    sigma_gamma: float
+    model: ModelParameters
 
     def __post_init__(self):
         if self.variant not in ("linear", "interfacial"):
@@ -159,17 +158,12 @@ def chemical_energy(p: np.ndarray, s: np.ndarray, spec: ChemicalEnergySpec):
     bp = np.einsum("ml,l...->m...", B, p)
     n_val = (0.5 * spec.chi_sigma * (s**2).sum(axis=0)
              - (s * bp).sum(axis=0)
-             - np.einsum("l,l...->...", spec.a_vec, p)
-             - np.einsum("m,m...->...", spec.b_vec, s))
-    n_phi = -np.einsum("ml,m...->l...", B, s) - _column(spec.a_vec, p)
-    n_sigma = spec.chi_sigma * s - bp - _column(spec.b_vec, s)
+             - np.einsum("l,l...->...", spec.a_vec, p))
+    a_col = spec.a_vec.reshape(spec.a_vec.shape + (1,) * (p.ndim - 1))
+    n_phi = -np.einsum("ml,m...->l...", B, s) - a_col
+    n_sigma = spec.chi_sigma * s - bp
     n_ss = spec.chi_sigma * np.eye(M)
     return n_val, n_phi, n_sigma, n_ss
-
-
-def _column(vec: np.ndarray, like: np.ndarray) -> np.ndarray:
-    out = np.asarray(vec, dtype=float)
-    return out.reshape(out.shape + (1,) * (like.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +211,30 @@ def interface_polynomial(s, r: float):
 # source terms
 
 def _proliferation(s: np.ndarray, spec: SourceSpec):
-    return saturating_proliferation(s[0], spec.rate_p, spec.c_p)
+    return saturating_proliferation(s[0], spec.model.rate_p, spec.model.c_p)
 
 
 def _lambda_phase(p: np.ndarray, pr, spec: SourceSpec) -> np.ndarray:
     """``Lambda_phi`` given the proliferation response ``pr``."""
+    c = spec.model
     if spec.variant == "linear":
         return np.stack([
-            truncation(p[0], spec.r) * pr - spec.rate_q * p[0],
-            spec.rate_q * p[0] - spec.rate_a * p[1],
-            spec.rate_a * p[1] - spec.rate_d * truncation(p[2], spec.r),
+            truncation(p[0], c.r) * pr - c.rate_q * p[0],
+            c.rate_q * p[0] - c.rate_a * p[1],
+            c.rate_a * p[1] - c.rate_d * truncation(p[2], c.r),
         ])
-    inv_eps = 1.0 / spec.epsilon
+    inv_eps = 1.0 / c.epsilon
     return np.stack([
-        inv_eps * interface_polynomial(p[0], spec.r)[1] * (pr - spec.rate_q),
-        inv_eps * interface_polynomial(p[1], spec.r)[1] * (spec.rate_q - spec.rate_a),
-        inv_eps * interface_polynomial(p[2], spec.r)[1] * (spec.rate_a - spec.rate_d),
+        inv_eps * interface_polynomial(p[0], c.r)[1] * (pr - c.rate_q),
+        inv_eps * interface_polynomial(p[1], c.r)[1] * (c.rate_q - c.rate_a),
+        inv_eps * interface_polynomial(p[2], c.r)[1] * (c.rate_a - c.rate_d),
     ])
 
 
 def _healthy(p: np.ndarray, pr, spec: SourceSpec):
     """``S_healthy`` given the proliferation response ``pr``."""
     if spec.variant == "linear":
-        return -spec.kappa * pr * truncation(p[0], spec.r)
+        return -spec.model.kappa * pr * truncation(p[0], spec.model.r)
     return np.zeros(np.broadcast(p[0], pr).shape)
 
 
@@ -263,10 +258,11 @@ def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:
     linear growth bound; on the physical range of the phase field the
     truncation is the identity.
     """
+    c = spec.model
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    return (spec.rate_c * truncation(p[0], spec.r) * s[0]
-            - spec.rate_b * (spec.sigma_omega - s[0]))[None]
+    return (c.rate_c * truncation(p[0], c.r) * s[0]
+            - c.rate_b * (c.sigma_Omega - s[0]))[None]
 
 
 def source_velocity(p, s, spec: SourceSpec) -> np.ndarray:
@@ -276,30 +272,32 @@ def source_velocity(p, s, spec: SourceSpec) -> np.ndarray:
 
 def source_growth_constant(spec: SourceSpec) -> float:
     """Analytic constant B_S with |S_phi| + |S_sigma| <= B_S (|p|+|s|+|m|+1)."""
-    hr_max = spec.r + 2.0
-    p_max = spec.rate_p * spec.c_p
+    c = spec.model
+    hr_max = c.r + 2.0
+    p_max = c.rate_p * c.c_p
     if spec.variant == "linear":
-        b_phi = hr_max * p_max + spec.rate_d * hr_max + 2.0 * (spec.rate_q + spec.rate_a)
+        b_phi = hr_max * p_max + c.rate_d * hr_max + 2.0 * (c.rate_q + c.rate_a)
     else:
-        poly_max = _poly_sup(spec.r)
-        rate_span = max(abs(p_max - spec.rate_q), spec.rate_p,
-                        abs(spec.rate_q - spec.rate_a), abs(spec.rate_a - spec.rate_d))
-        b_phi = 3.0 * poly_max * (rate_span + spec.rate_q + spec.rate_p) / spec.epsilon
-    b_sig = spec.rate_c * hr_max + spec.rate_b * (spec.sigma_omega + 1.0)
+        poly_max = _poly_sup(c.r)
+        rate_span = max(abs(p_max - c.rate_q), c.rate_p,
+                        abs(c.rate_q - c.rate_a), abs(c.rate_a - c.rate_d))
+        b_phi = 3.0 * poly_max * (rate_span + c.rate_q + c.rate_p) / c.epsilon
+    b_sig = c.rate_c * hr_max + c.rate_b * (c.sigma_Omega + 1.0)
     return b_phi + b_sig
 
 
 def velocity_source_bound(spec: SourceSpec) -> float:
     """Analytic constant A_S with |S_v| <= A_S everywhere."""
-    hr_max = spec.r + 2.0
-    p_max = spec.rate_p * spec.c_p
+    c = spec.model
+    hr_max = c.r + 2.0
+    p_max = c.rate_p * c.c_p
     if spec.variant == "linear":
-        return (1.0 - spec.kappa) * p_max * hr_max + spec.rate_d * hr_max \
-            + spec.rate_p * hr_max
-    poly_max = _poly_sup(spec.r)
-    rate_span = max(abs(p_max - spec.rate_q) + spec.rate_p,
-                    abs(spec.rate_q - spec.rate_a), abs(spec.rate_a - spec.rate_d))
-    return 3.0 * poly_max * rate_span / spec.epsilon
+        return (1.0 - c.kappa) * p_max * hr_max + c.rate_d * hr_max \
+            + c.rate_p * hr_max
+    poly_max = _poly_sup(c.r)
+    rate_span = max(abs(p_max - c.rate_q) + c.rate_p,
+                    abs(c.rate_q - c.rate_a), abs(c.rate_a - c.rate_d))
+    return 3.0 * poly_max * rate_span / c.epsilon
 
 
 def _poly_sup(r: float) -> float:

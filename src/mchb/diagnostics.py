@@ -64,12 +64,17 @@ class EnergyReport:
 
 
 def nutrient_bc(bundle: SpecBundle):
-    """Nutrient wall closure: Robin with diffusivity chi_sigma, or no-flux."""
-    k = bundle.sources.k_boundary
-    if k == 0.0:
+    """Nutrient wall closure: no-flux when ``K = 0``, else Robin with rate
+    ``K``, target ``sigma_Gamma`` and diffusivity ``chi_sigma``.
+
+    The one reader of the model's ``K`` and ``sigma_Gamma``: the nutrient
+    solve, the dissipation, the boundary absorption and the Robin wall's
+    work all take the wall from the closure returned here.
+    """
+    m = bundle.params
+    if m.K == 0.0:
         return NEUMANN
-    return Robin(k=k, target=bundle.sources.sigma_gamma,
-                 diffusivity=bundle.chem.chi_sigma)
+    return Robin(k=m.K, target=m.sigma_Gamma, diffusivity=m.chi_sigma)
 
 
 def free_energy(state: StateFields, bundle: SpecBundle, *,
@@ -126,12 +131,12 @@ def dissipation_rate(state: StateFields, bundle: SpecBundle) -> float:
 
 def boundary_absorption(state: StateFields, bundle: SpecBundle) -> float:
     """Boundary term ``int_Gamma K chi_sigma |sigma|^2`` under the Robin
-    closure of the nutrient wall."""
-    k = bundle.sources.k_boundary
-    if k == 0.0:
+    closure of the nutrient wall, 0 on a no-flux wall."""
+    bc = nutrient_bc(bundle)
+    if not isinstance(bc, Robin):
         return 0.0
-    traces = wall_traces(state.sigma[0], nutrient_bc(bundle), state.grid)
-    return k * bundle.chem.chi_sigma * sum(
+    traces = wall_traces(state.sigma[0], bc, state.grid)
+    return bc.k * bc.diffusivity * sum(
         float((tr**2).sum()) * h for tr, h in traces)
 
 
@@ -171,19 +176,18 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
     work = 0.0  # so zero sources with negative potentials add to +0.0
     work += float((terms.s_phi * after.mu).sum()) * g.cell_area
     work -= float((terms.s_sigma * n_sigma_a).sum()) * g.cell_area
-    k = bundle.sources.k_boundary
-    if k > 0.0:
+    bc = nutrient_bc(bundle)
+    if isinstance(bc, Robin):
         # the Robin wall's work, K (sigma_Gamma N_sigma + sigma B phi) on the
         # traces, counted with the absorption it comes with
-        chem = bundle.chem
+        coupling = bundle.chem.coupling[0]
         phi_tr = [wall_traces(c, NEUMANN, g) for c in after.phi]
-        sigma_tr = wall_traces(after.sigma[0], nutrient_bc(bundle), g)
-        for wall, (s_tr, h) in enumerate(sigma_tr):
-            gsig_tr = sum(chem.coupling[0, l] * tr[wall][0]
-                          for l, tr in enumerate(phi_tr)) + chem.b_vec[0]
-            n_tr = chem.chi_sigma * s_tr - gsig_tr
-            work += k * float((bundle.sources.sigma_gamma * n_tr
-                               + s_tr * gsig_tr).sum()) * h
+        for wall, (s_tr, h) in enumerate(wall_traces(after.sigma[0], bc, g)):
+            bphi_tr = sum(coupling[l] * tr[wall][0]
+                          for l, tr in enumerate(phi_tr))
+            n_tr = bc.diffusivity * s_tr - bphi_tr
+            work += bc.k * float((bc.target * n_tr
+                                  + s_tr * bphi_tr).sum()) * h
 
     if transport is not None:
         conv_phi, conv_sigma = transport

@@ -18,7 +18,7 @@ discretization exactly, up to solver tolerances.  The outer Uzawa iteration
 updates the pressure with residual-minimizing (GCR) steps preconditioned in
 that basis.  Away from the walls the preconditioner divides by the
 symbol of the collocated Schur operator, the stabilization included; in the
-four cell layers next to each wall, where the first-order traction-free
+four cell layers next to each wall, where the one-sided traction-free
 rows break that symbol, it uses the compact Cahouet-Chabard model
 ``lc / (nu + eta_hat lc)`` (``_schur_model``).  Since the vanishing-viscosity
 fixed point is the Darcy discretization, the Darcy pressure ``p_D`` of the
@@ -50,6 +50,20 @@ its factorization next to the directions and rebuilds both only when one of
 these changes: one LU per live stepper, and steppers with different
 viscosities never evict each other.  A call without a space builds its own
 system, so it is cold and shares nothing with concurrent calls.
+
+Accuracy at the traction-free wall, measured by self-convergence (each
+grid against the 2x2 average of the next finer one; unit square, force
+``(sin 2 pi x cos pi y + x y, cos 3x e^y - 1/2)``, ``s_v = 0``, ``nu = 1``,
+tolerance 1e-11, 32x32 to 256x256): the velocity converges at order 1.5
+then 1.2 in L2 at ``eta = lambda = 1`` and 1.4 then 1.2 at 1e-2, not 2,
+and the interior pressure at the same rate, so the wall error reaches the
+interior.  The pressure in the two cell layers next to the walls stops
+converging after 64x64 at both viscosities (max error 3.5e-2, 1.8e-2,
+2.0e-2 at ``eta = 1``).  In a coupled run (zero-source preset, 6 steps)
+``div_residual`` falls at order about 0.5 against about 1 for Darcy.  The
+one-sided viscous rows and the Dirichlet pressure ghost, which is the
+Darcy limit's wall condition and not the traction condition at finite
+``eta``, are the likely cause.
 
 Each solve reports ``dissipation``, the flow's term of the energy law:
 ``v^T K v hx hy`` for the momentum operator ``K`` it solved, that is

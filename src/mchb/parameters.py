@@ -59,13 +59,25 @@ def _type_violations(obj) -> list[str]:
     return out
 
 
+class _Validated:
+    """``validate``: the object itself, or every violation in one error."""
+
+    def validate(self):
+        v = self.violations()
+        if v:
+            raise ConfigError("; ".join(v))
+        return self
+
+
 @dataclass(frozen=True)
-class ModelParameters:
+class ModelParameters(_Validated):
     """Every physical and model constant of the four-species system.
 
-    The counts are not constants: three tumor phases, one nutrient and two
-    dimensions are the model itself, fixed by the 1 x 3 coupling matrix of
-    ``_chemical_spec`` and by the grid.
+    Each constant lives here once, under one name: the source spec holds
+    this object and reads it, and only ``diagnostics.nutrient_bc`` turns
+    ``K`` and ``sigma_Gamma`` into the nutrient wall.  The counts are not constants: three tumor
+    phases, one nutrient and two dimensions are the model itself, fixed by
+    the 1 x 3 coupling matrix of ``build_specs`` and by the grid.
     """
 
     gamma: float = 1.0          # surface tension coefficient
@@ -117,12 +129,6 @@ class ModelParameters:
                      f"got c_n={self.c_n}, c_q={self.c_q}")
         return v
 
-    def validate(self) -> "ModelParameters":
-        v = self.violations()
-        if v:
-            raise ConfigError("; ".join(v))
-        return self
-
 
 @dataclass
 class SpecBundle:
@@ -134,31 +140,23 @@ class SpecBundle:
     sources: cst.SourceSpec
 
 
-def _chemical_spec(model: ModelParameters) -> cst.ChemicalEnergySpec:
-    """The concrete model's chemical energy coefficients."""
-    return cst.ChemicalEnergySpec(
-        chi_sigma=model.chi_sigma,
-        coupling=np.array([[model.chi_phi, -model.alpha, -model.beta]]),
-        a_vec=np.array([0.0, model.alpha * model.c_q, model.beta * model.c_n]),
-        b_vec=np.zeros(1))
-
-
 def build_specs(model: ModelParameters, *,
                 source_variant: str = "linear") -> SpecBundle:
-    """Assemble the concrete-model spec objects from the scalar constants."""
-    sources = cst.SourceSpec(
-        variant=source_variant,
-        rate_p=model.rate_p, rate_q=model.rate_q, rate_a=model.rate_a,
-        rate_d=model.rate_d, rate_c=model.rate_c, rate_b=model.rate_b,
-        kappa=model.kappa, c_p=model.c_p, r=model.r, epsilon=model.epsilon,
-        sigma_omega=model.sigma_Omega, k_boundary=model.K,
-        sigma_gamma=model.sigma_Gamma,
-    )
+    """Assemble the concrete-model spec objects from the scalar constants.
+
+    The chemical spec holds the model's coefficient arrays (the coupling
+    ``B = (chi_phi, -alpha, -beta)`` and ``a = (0, alpha c_q, beta c_n)``);
+    the source spec is the variant with ``model`` itself, copying nothing.
+    """
     return SpecBundle(
         params=model,
         potential=cst.PotentialSpec(),
-        chem=_chemical_spec(model),
-        sources=sources,
+        chem=cst.ChemicalEnergySpec(
+            chi_sigma=model.chi_sigma,
+            coupling=np.array([[model.chi_phi, -model.alpha, -model.beta]]),
+            a_vec=np.array([0.0, model.alpha * model.c_q,
+                            model.beta * model.c_n])),
+        sources=cst.SourceSpec(source_variant, model),
     )
 
 
@@ -189,8 +187,7 @@ def potential_coercivity_constant() -> float:
 def chemical_growth_constant(chem: cst.ChemicalEnergySpec) -> float:
     """C_G with ``|G(p, s)| <= C_G (|p||s| + |p| + |s| + 1)``."""
     return max(float(np.linalg.norm(chem.coupling, 2)),
-               float(np.linalg.norm(chem.a_vec)),
-               float(np.linalg.norm(chem.b_vec)))
+               float(np.linalg.norm(chem.a_vec)))
 
 
 def epsilon_bound(model: ModelParameters, chem: cst.ChemicalEnergySpec) -> float:
@@ -253,10 +250,10 @@ def validate_assumptions(model: ModelParameters, *,
         return AssumptionReport(passed, a_psi, math.nan, math.nan, msgs,
                                 param_errors)
 
-    chem = _chemical_spec(model)
+    bundle = build_specs(model, source_variant=source_variant)
+    chem = bundle.chem
     c_g = chemical_growth_constant(chem)
     eps_b = epsilon_bound(model, chem) if c_g > 0 else math.inf
-    bundle = build_specs(model, source_variant=source_variant)
     # a fixed seed, so the sampled checks give the same verdict every call
     rng = np.random.default_rng(7041)
 
@@ -372,7 +369,7 @@ def default_parameters(**overrides) -> ModelParameters:
     """Order-one defaults with epsilon placed at 0.8 of its admissible bound."""
     base = ModelParameters(**overrides)
     if "epsilon" not in overrides:
-        base = replace(base, epsilon=0.8 * epsilon_bound(base, _chemical_spec(base)))
+        base = replace(base, epsilon=0.8 * epsilon_bound(base, build_specs(base).chem))
     return base.validate()
 
 
@@ -383,7 +380,7 @@ PRESETS = ("stratified-tumor", "zero-source", "darcy-limit", "mms")
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Validated):
     """Fully resolved run description."""
 
     model: ModelParameters
@@ -454,12 +451,6 @@ class ScenarioConfig:
         if self.seed < 0:
             v.append(f"seed must be nonnegative, got {self.seed}")
         return v
-
-    def validate(self) -> "ScenarioConfig":
-        v = self.violations()
-        if v:
-            raise ConfigError("; ".join(v))
-        return self
 
 
 def default_dt(model: ModelParameters) -> float:

@@ -265,9 +265,10 @@ class TestSources:
             s = rng.uniform(-1, 3, 1)
             healthy = cst.source_velocity(p, s, sp) \
                 - cst.source_phase(p, s, np.zeros(3), sp).sum()
-            expect = -sp.kappa \
-                * cst.saturating_proliferation(s[0], sp.rate_p, sp.c_p) \
-                * cst.truncation(p[0], sp.r)
+            expect = -b.params.kappa \
+                * cst.saturating_proliferation(s[0], b.params.rate_p,
+                                               b.params.c_p) \
+                * cst.truncation(p[0], b.params.r)
             assert healthy == pytest.approx(expect, rel=1e-13, abs=1e-13)
         assert cst.source_velocity(np.array([1.0, 0, 0]), np.array([0.5]),
                                    b.sources) == pytest.approx(0.0, abs=1e-14)

@@ -91,8 +91,8 @@ class ReferenceImplicit:
         bundle = stepper.bundle
         self.a_neu, _ = fv_diffusion_matrix(g, NEUMANN)
         chi = bundle.chem.chi_sigma
-        k = bundle.sources.k_boundary
-        bc = Robin(k=k, target=bundle.sources.sigma_gamma,
+        k = bundle.params.K
+        bc = Robin(k=k, target=bundle.params.sigma_Gamma,
                    diffusivity=chi) if k > 0 else NEUMANN
         self.a_rob, self.rhs_rob = fv_diffusion_matrix(g, bc, chi)
 

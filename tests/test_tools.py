@@ -103,6 +103,38 @@ def test_real_change_of_a_roundoff_column_still_shows():
     assert lines[lines.index(name) + 2] == f"  report: all == except E {d:.2e}"
 
 
+def identity_case(residuals_a, residuals_b):
+    """Two result sets whose mms case steps ``E = -1.5`` at ``dt = 2e-6``
+    and whose identity residuals differ as given."""
+    a = result_set()
+    a["header"] = np.array(["t", "dt", "E", "identity_residual"])
+    name = agree.case_name(*agree.CASES[3])
+    for case in agree.CASES:
+        rows = np.zeros((3, 4))
+        rows[:, 0] = [2e-6, 4e-6, 6e-6]
+        rows[:, 1] = 2e-6
+        rows[:, 2] = -1.5
+        a[f"{agree.case_name(*case)}|report"] = rows
+    b = copy_of(a)
+    a[f"{name}|report"][:, 3] = residuals_a
+    b[f"{name}|report"][:, 3] = residuals_b
+    return agree.compare(a, b)[name]
+
+
+def test_identity_residual_at_one_ulp_of_e_over_dt_reads_absolute():
+    # one ulp of E = -1.5 over dt is 1.1e-10, far above ROUNDOFF * 1.5
+    ulp = np.spacing(1.5) / 2e-6
+    d = identity_case([0.0, ulp, 0.0], [0.0, 0.0, 0.0])["identity_residual"]
+    assert isinstance(d, agree.Absolute) and d == pytest.approx(ulp)
+
+
+def test_identity_residual_above_its_floor_reads_relative():
+    floor = agree.IDENTITY_ULPS * np.finfo(float).eps * 1.5 / 2e-6
+    d = identity_case([0.0, 2 * floor, 0.0], [0.0, 0.0, 0.0])[
+        "identity_residual"]
+    assert not isinstance(d, agree.Absolute) and d == 1.0
+
+
 MMS_STUDIES = ("darcy-pressure", "darcy-velocity", "ch-operator",
                "nutrient-operator", "advective-divergence")
 

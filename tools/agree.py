@@ -16,7 +16,11 @@ relative difference ``max |a - b| / max(|a|, |b|)``:
 A report column whose ``max(|a|, |b|)`` is below ``ROUNDOFF`` times the
 case's largest report value on either tree holds round-off on both, where
 the relative difference reads about 1 whatever the trees do; it shows the
-absolute ``max |a - b|`` instead, marked ``abs``.
+absolute ``max |a - b|`` instead, marked ``abs``.  ``identity_residual``
+has a floor of its own: it is ``(E(phi^{n+1}) - E(phi^n)) / dt`` plus the
+step's other terms, so it holds the rounding of ``E`` over ``dt``, far
+above that shared floor when ``dt`` is small; it reads ``abs`` below
+``IDENTITY_ULPS`` ulps of the case's largest ``|E|`` over its least ``dt``.
 
 It also compares the errors of every ``verification.run_all`` study on the
 grid ladder ``MMS_LADDER``, one value per study, and runs the random
@@ -57,6 +61,7 @@ MMS_LADDER = (32, 64, 128, 256)
 FIELDS = ("phi", "mu", "sigma", "v", "p")
 COUNTS = ("flow_iterations", "picard_iters")
 ROUNDOFF = 1e-12
+IDENTITY_ULPS = 16
 
 
 def large_step_configs(seed=1301, count=24):
@@ -173,12 +178,33 @@ def difference(a, b, noise: float = 0.0) -> float | None:
     return diff and diff / scale
 
 
+def report_floors(header: list[str], a, b) -> list[float]:
+    """Per report column, the level below which it holds only round-off on
+    both trees ``a`` and ``b`` (rows of steps, columns as in ``header``).
+
+    ``ROUNDOFF`` times the case's largest report value, and for
+    ``identity_residual`` at least ``IDENTITY_ULPS`` ulps of the largest
+    ``|E|`` over the least ``dt``, the rounding of its ``dE / dt`` term.
+    """
+    if not a.size:
+        return [0.0] * len(header)
+    floors = [ROUNDOFF * float(np.abs([a, b]).max())] * len(header)
+    if "identity_residual" in header:
+        e, dt = header.index("E"), header.index("dt")
+        ulps = IDENTITY_ULPS * np.finfo(float).eps \
+            * float(np.abs([a[:, e], b[:, e]]).max())
+        at = header.index("identity_residual")
+        floors[at] = max(floors[at],
+                         ulps / float(np.min([a[:, dt], b[:, dt]])))
+    return floors
+
+
 def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
     """Per case, the ``difference`` of each field, report column and count.
 
     A count is keyed ``counts|<name>``, apart from the report column of the
-    same name.  A report column is ``Absolute`` below ``ROUNDOFF`` times the
-    case's largest report value.
+    same name.  A report column is ``Absolute`` below its ``report_floors``
+    value.
     """
     header = [str(h) for h in ref["header"]]
     out = {}
@@ -192,10 +218,10 @@ def compare(ref: dict, new: dict) -> dict[str, dict[str, float | None]]:
             if a.shape != b.shape:
                 items.update(dict.fromkeys(cols, math.inf))
                 continue
-            noise = ROUNDOFF * float(np.abs([a, b]).max()) \
-                if table == "report" and a.size else 0.0
+            floors = report_floors(header, a, b) if table == "report" \
+                else [0.0] * len(cols)
             for j, col in enumerate(cols):
-                items[col] = difference(a[:, j], b[:, j], noise)
+                items[col] = difference(a[:, j], b[:, j], floors[j])
         out[name] = items
     return out
 
@@ -305,7 +331,9 @@ def main(argv: list[str]) -> int:
         new = _results_of(root / "src", tmp, "checkout")
     print(f"agreement of {commit} (a) with the checkout (b): "
           "== or max |a - b| / max(|a|, |b|); abs: max |a - b| of a report "
-          f"column below {ROUNDOFF:g} of the case's largest report value")
+          f"column below {ROUNDOFF:g} of the case's largest report value "
+          f"(identity_residual: below {IDENTITY_ULPS} ulps of max |E| over "
+          "min dt, if larger)")
     print("\n".join(format_report(compare(ref, new))
                     + format_mms(compare_mms(ref, new))
                     + format_large(compare_large(ref, new))))
