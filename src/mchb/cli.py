@@ -8,6 +8,12 @@ Exit codes are a total function of the outcome class:
 * 3  verification (convergence-slope) failure
 * 4  strict assumption failure
 
+Loading a configuration only parses and validates it.  ``--strict`` is
+applied by the commands: ``run`` and ``sweep-darcy`` stop with exit 4 before
+any output directory is made or any step runs, and ``validate`` prints its
+whole report first.  Without it, ``run`` warns once per failed assumption.
+``run`` takes at most one of ``--steps`` and ``--t-end``.
+
 Only ``parameters`` is imported here.  Each command imports the solver
 modules it runs, after its inputs are checked, so ``validate`` and a
 rejected configuration load no scipy module.
@@ -49,8 +55,9 @@ class SweepResult:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    strict = getattr(args, "strict", False)
-    if getattr(args, "config", None):
+    """The configuration of ``--config`` or ``--preset`` with the command
+    line's overrides, parsed and validated; the assumptions go unchecked."""
+    if args.config:
         path = Path(args.config)
         try:
             text = path.read_text(encoding="utf-8")
@@ -58,11 +65,9 @@ def _resolve_config(args) -> ScenarioConfig:
             raise ConfigError(f"configuration file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"configuration file {path}: {exc}") from None
-        cfg = load_config(text, strict=strict)
+        cfg = load_config(text)
     else:
         cfg = build_default_scenario(args.preset)
-        if strict:
-            require_assumptions(cfg)
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
@@ -77,8 +82,12 @@ def _resolve_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _out_dir(args) -> Path:
-    """The output directory, created before any step or solve."""
+def _run_dir(args, cfg: ScenarioConfig) -> Path:
+    """The output directory of a command that runs, created before any step
+    or solve, and only once ``--strict`` has passed ``cfg``: there a failed
+    assumption raises ``StrictAssumptionError`` first."""
+    if args.strict:
+        require_assumptions(cfg)
     out = Path(args.out_dir or os.environ.get("MCHB_OUT_DIR") or "mchb-out")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -92,9 +101,9 @@ def cmd_run(args) -> int:
     if not args.tag or os.path.basename(args.tag) != args.tag:
         raise ConfigError(f"--tag must be a non-empty file-name stem with no "
                           f"path separator, got {args.tag!r}")
+    out = _run_dir(args, cfg)
     for name in assumption_report(cfg).failing():
         print(f"warning: assumption {name} violated", file=sys.stderr)
-    out = _out_dir(args)
     from .io_formats import RunWriter
     from .stepping import TimeStepper
 
@@ -180,7 +189,7 @@ def cmd_sweep_darcy(args) -> int:
         raise ConfigError(f"bad eta ladder: {exc}") from None
     if not levels:
         raise ConfigError("empty eta ladder")
-    out = _out_dir(args)
+    out = _run_dir(args, cfg)
     from .flow import FlowSolverError
     from .io_formats import write_sweep_csv
     from .stepping import StepFailure
@@ -238,6 +247,11 @@ def cmd_validate(args) -> int:
     report = assumption_report(cfg)
     for line in report.lines():
         print(line)
+    # the interface resolution is a note, not a verdict
+    ratio = cfg.model.epsilon / max(cfg.domain_lx / cfg.grid_nx,
+                                    cfg.domain_ly / cfg.grid_ny)
+    print(f"note: epsilon/h = {ratio:.3g}, h the coarser cell width"
+          + ("" if ratio >= 1 else ": unresolved, below 1"))
     if args.strict and not report.all_pass:
         print("strict mode: assumption failure "
               + ", ".join(report.failing()), file=sys.stderr)
@@ -265,13 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None,
                        help="output root (default $MCHB_OUT_DIR or ./mchb-out)")
         p.add_argument("--strict", action="store_true",
-                       help="hard-enforce the model assumptions")
+                       help="exit 4 if a model assumption fails")
 
     p = sub.add_parser("run", help="advance a scenario and write reports")
     common(p, "stratified-tumor")
-    p.add_argument("--steps", type=int, default=None,
-                   help="override t_end as steps * dt")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
+    horizon = p.add_mutually_exclusive_group()
+    horizon.add_argument("--steps", type=int, default=None,
+                         help="override t_end as steps * dt")
+    horizon.add_argument("--t-end", type=float, default=None, dest="t_end")
     p.add_argument("--tag", default="run",
                    help="file-name stem of the run's outputs (default run)")
     p.set_defaults(func=cmd_run)

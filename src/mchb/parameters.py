@@ -8,9 +8,12 @@ source, potential coercivity/split, and the interface-thickness inequality
 ``epsilon < gamma chi_sigma A_psi / (8 C_G^2)``) and reports verdicts instead
 of raising.
 
-Scenario presets, the JSON configuration schema, the config round-trip and
-``check_ladder``, the grid-ladder check of the convergence studies, also
-live here.
+Scenario presets, one table (``PRESETS``) read by
+``build_default_scenario``, the JSON configuration schema, the config
+round-trip and ``check_ladder``, the grid-ladder check of the convergence
+studies, also live here.  Loading a configuration (``load_config``,
+``config_from_dict``) only parses and validates it; ``assumption_report``
+reports the assumptions and ``require_assumptions`` enforces them.
 """
 
 from __future__ import annotations
@@ -376,9 +379,6 @@ def default_parameters(**overrides) -> ModelParameters:
 # ---------------------------------------------------------------------------
 # scenario configuration
 
-PRESETS = ("stratified-tumor", "zero-source", "darcy-limit", "mms")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig(_Validated):
     """Fully resolved run description."""
@@ -458,33 +458,27 @@ def default_dt(model: ModelParameters) -> float:
     return 0.1 * model.epsilon**2 / model.gamma
 
 
+# name -> (model overrides, steps to t_end, config overrides); the model
+# takes ``default_parameters`` and the step ``default_dt`` of that model
+PRESETS = {
+    "stratified-tumor": ({}, 100, {"domain_lx": 20.0, "domain_ly": 20.0}),
+    "zero-source": ({"K": 0.0}, 200, {"sources_enabled": False,
+                                      "initial_condition": "random-smooth"}),
+    "darcy-limit": ({}, 5, {"domain_lx": 20.0, "domain_ly": 20.0,
+                            "flow_backend": "brinkman"}),
+    "mms": ({}, 0, {"sources_enabled": False, "initial_condition": "uniform"}),
+}
+
+
 def build_default_scenario(name: str) -> ScenarioConfig:
-    """Resolve one of the named presets into a full configuration."""
+    """Resolve one of the named ``PRESETS`` into a full configuration."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
-    model = default_parameters()
+    model_overrides, steps, overrides = PRESETS[name]
+    model = default_parameters(**model_overrides)
     dt = default_dt(model)
-    if name == "stratified-tumor":
-        cfg = ScenarioConfig(model=model, domain_lx=20.0, domain_ly=20.0,
-                             dt=dt, t_end=100 * dt, flow_backend="darcy",
-                             initial_condition="stratified")
-    elif name == "zero-source":
-        model = default_parameters(K=0.0)
-        dt = default_dt(model)
-        cfg = ScenarioConfig(model=model, domain_lx=1.0, domain_ly=1.0,
-                             dt=dt, t_end=200 * dt, flow_backend="darcy",
-                             sources_enabled=False,
-                             initial_condition="random-smooth")
-    elif name == "darcy-limit":
-        cfg = ScenarioConfig(model=model, domain_lx=20.0, domain_ly=20.0,
-                             dt=dt, t_end=5 * dt, flow_backend="brinkman",
-                             initial_condition="stratified")
-    else:  # mms
-        cfg = ScenarioConfig(model=model, domain_lx=1.0, domain_ly=1.0,
-                             dt=dt, t_end=0.0, flow_backend="darcy",
-                             sources_enabled=False,
-                             initial_condition="uniform")
-    return cfg.validate()
+    return ScenarioConfig(model=model, dt=dt, t_end=steps * dt,
+                          **overrides).validate()
 
 
 _MODEL_FIELDS = set(ModelParameters.__dataclass_fields__)
@@ -499,11 +493,12 @@ def serialize_config(config: ScenarioConfig) -> str:
     return json.dumps(config_to_dict(config), indent=2)
 
 
-def config_from_dict(doc: dict, *, strict: bool = False) -> ScenarioConfig:
+def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build a config from a JSON-style mapping over stratified-tumor defaults.
 
-    Unknown keys are errors; assumption violations downgrade to warnings
-    unless ``strict`` is set.
+    Unknown keys and malformed values are errors.  The structural
+    assumptions are not checked here: ``assumption_report`` reports them
+    and ``require_assumptions`` enforces them.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"configuration document must be an object, got {type(doc).__name__}")
@@ -518,21 +513,14 @@ def config_from_dict(doc: dict, *, strict: bool = False) -> ScenarioConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
     try:
-        model = replace(base.model, **model_doc)
+        config = replace(base, model=replace(base.model, **model_doc),
+                         **{k: doc[k] for k in doc if k != "model"})
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        config = replace(base, model=model, **{k: doc[k] for k in doc if k != "model"})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    config = config.validate()
-    if strict:
-        require_assumptions(config)
-    # non-strict violations downgrade to warnings, surfaced by the caller
-    return config
+    return config.validate()
 
 
-def load_config(text: str, *, strict: bool = False) -> ScenarioConfig:
+def load_config(text: str) -> ScenarioConfig:
     """Parse a JSON configuration document (empty means all defaults)."""
     text = text.strip()
     if not text:
@@ -544,7 +532,7 @@ def load_config(text: str, *, strict: bool = False) -> ScenarioConfig:
                           f"column {exc.colno}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # over-long integer, deep nesting
         raise ConfigError(f"configuration parse error: {exc}") from None
-    return config_from_dict(doc, strict=strict)
+    return config_from_dict(doc)
 
 
 def check_ladder(ns) -> None:

@@ -70,6 +70,28 @@ class TestFreeEnergy:
         assert errs[0] / errs[2] > 10.0  # roughly O(h^2)
 
 
+    def test_initial_mu_is_the_derivative_of_the_free_energy(self):
+        # (E(phi + tau psi) - E(phi - tau psi)) / (2 tau) = cell_area
+        # sum(mu psi) for the discrete E of free_energy and smooth psi
+        cfg = dataclasses.replace(build_default_scenario("zero-source"),
+                                  grid_nx=16, grid_ny=12, domain_ly=0.75)
+        state = build_initial_state(cfg)
+        bundle = build_specs(cfg.model)
+        g = state.grid
+        x, y = g.cell_centers()
+        cx, cy = np.cos(np.pi * x / g.lx), np.cos(np.pi * y / g.ly)
+        tau = 1e-6
+        for psi in (np.stack([cx, 0 * x, 0 * x]),
+                    np.stack([0 * x, x * y, cx * cy]),
+                    np.stack([np.sin(2 * np.pi * y / g.ly) * x, cy, 1 + 0 * x])):
+            e_up, _, _ = free_energy(
+                dataclasses.replace(state, phi=state.phi + tau * psi), bundle)
+            e_down, _, _ = free_energy(
+                dataclasses.replace(state, phi=state.phi - tau * psi), bundle)
+            want = g.cell_area * float((state.mu * psi).sum())
+            assert (e_up - e_down) / (2 * tau) == pytest.approx(want, rel=1e-7)
+
+
 class TestDissipation:
     def test_uniform_state_zero(self, grid, bundle):
         state = uniform_state(grid, (0.3, 0.2, 0.1), 1.0)
@@ -113,6 +135,29 @@ class TestDissipation:
         state = uniform_state(grid, sigma_val=0.8)
         got = boundary_absorption(state, b)
         assert got == pytest.approx(2.0 * 1.0 * 0.8**2 * 4.0, rel=1e-12)
+
+    def test_boundary_absorption_off_unit_chi_sigma(self):
+        # K chi_sigma sum h t**2 over the wall faces, where the trace t is
+        # the midpoint of the edge cell e and its ghost, and the Robin wall
+        # chi_sigma (ghost - e) / h = K (sigma_Gamma - t) fixes the ghost
+        k, chi, target = 1.5, 2.5, 0.8
+        b = build_specs(default_parameters(K=k, chi_sigma=chi,
+                                           sigma_Gamma=target))
+        g = Grid(12, 9, 1.3, 0.7)
+        state = uniform_state(g)
+        state.sigma = np.random.default_rng(11).uniform(0.2, 1.5,
+                                                        state.sigma.shape)
+        s = state.sigma[0]
+        total = 0.0
+        for edge, h_normal, h_face in ((s[:, 0], g.hx, g.hy),
+                                       (s[:, -1], g.hx, g.hy),
+                                       (s[0], g.hy, g.hx),
+                                       (s[-1], g.hy, g.hx)):
+            ghost = (k * target + (chi / h_normal - k / 2) * edge) \
+                / (chi / h_normal + k / 2)
+            total += h_face * float((((edge + ghost) / 2) ** 2).sum())
+        assert boundary_absorption(state, b) == pytest.approx(k * chi * total,
+                                                              rel=1e-13)
 
 
 def face_gradient(a, bc, g):

@@ -150,7 +150,57 @@ class TestCli:
         cfg.write_text(json.dumps({"model": {"epsilon": 0.06}}))
         res = run_cli(["validate", "--config", str(cfg), "--strict"])
         assert res.returncode == 4
-        assert "A8" in res.stderr
+        # the whole report comes first
+        assert "A8: FAIL" in res.stdout.splitlines()
+        assert res.stderr == "strict mode: assumption failure A8\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep-darcy"])
+    def test_strict_run_stops_before_its_output_directory(self, tmp_path,
+                                                          capsys, command):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"model": {"epsilon": 0.06}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--strict",
+                     "--out-dir", str(out)]) == 4
+        assert capsys.readouterr().err == \
+            "error: assumption check failed under strict mode: A8\n"
+        assert not out.exists()
+
+    def test_run_without_strict_warns_of_a_failed_assumption(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"model": {"epsilon": 0.06}}))
+        assert main(["run", "--config", str(cfg), "--t-end", "0",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "warning: assumption A8 violated\n"
+
+    def test_steps_and_t_end_are_exclusive(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "zero-source", "--steps", "2",
+                     "--t-end", "1.0", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: mchb run: argument --t-end: not allowed with argument "
+            "--steps\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, note", [
+        ({}, "epsilon/h = 0.0145, h the coarser cell width: unresolved, "
+             "below 1"),
+        ({"domain_lx": 0.25, "domain_ly": 0.25},
+         "epsilon/h = 1.16, h the coarser cell width"),
+        ({"domain_lx": 1.0, "domain_ly": 1.0, "grid_nx": 128, "grid_ny": 32},
+         "epsilon/h = 0.145, h the coarser cell width: unresolved, below 1")],
+        ids=["stratified-tumor", "resolved", "coarser-axis"])
+    def test_validate_notes_the_interface_resolution(self, tmp_path, capsys,
+                                                     doc, note):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"note: {note}"
+        # a note, not a verdict: the verdict lines are A1 to A8 alone
+        assert [line for line in lines if line.endswith(": pass")] == \
+            [f"A{i}: pass" for i in range(1, 9)]
 
     def test_validate_bad_kappa_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.json"

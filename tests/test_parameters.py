@@ -13,8 +13,8 @@ import mchb.parameters
 from mchb.parameters import (ConfigError, StrictAssumptionError,
                              assumption_report, build_default_scenario, config_from_dict,
                              default_parameters, epsilon_bound, load_config,
-                             potential_coercivity_constant, serialize_config,
-                             validate_assumptions, build_specs)
+                             potential_coercivity_constant, require_assumptions,
+                             serialize_config, validate_assumptions, build_specs)
 
 
 class TestValidator:
@@ -202,10 +202,10 @@ class TestConfigDocuments:
 
     def test_strict_mode_rejects_oversized_epsilon(self):
         doc = json.dumps({"model": {"epsilon": 0.06}})
-        cfg = load_config(doc)  # non-strict downgrades to a warning
+        cfg = load_config(doc)  # loading checks no assumption
         assert cfg.model.epsilon == 0.06
         with pytest.raises(StrictAssumptionError, match="A8"):
-            load_config(doc, strict=True)
+            require_assumptions(load_config(doc))
 
     @pytest.mark.parametrize("doc, field", [
         ({"grid_nx": "64"}, "grid_nx"),

@@ -3,7 +3,8 @@
 Each example is a 3-step run of a small configuration: 8 to 16 cells a
 side, either flow backend, flow and sources each on or off, every initial
 condition and source variant, a no-flux or a Robin nutrient wall, and a
-step from 0.1 to 1000 times the preset's default. The example count is
+step of 10**(k/10) times the preset's default, k from -10 to 30, so from
+0.1 to 1000 times. The example count is
 fixed and the search derandomized, so every run of the suite draws the
 same configurations.
 """
@@ -26,7 +27,9 @@ def small_configs(draw):
     cfg = build_default_scenario(draw(st.sampled_from(
         ["stratified-tumor", "zero-source", "darcy-limit"])))
     n = draw(st.integers(8, 16))
-    dt = cfg.dt * 10.0 ** draw(st.floats(-1.0, 3.0))
+    # the exponent in tenths, from a fixed list: an integer or float
+    # strategy draws its simplest value, dt = dt0, in a fifth or more of runs
+    dt = cfg.dt * 10.0 ** (draw(st.sampled_from(range(-10, 31))) / 10)
     return dataclasses.replace(
         cfg, model=dataclasses.replace(
             cfg.model, K=draw(st.sampled_from([0.0, 1.0]))),

@@ -1,5 +1,6 @@
 """The comparison of ``tools/agree.py`` on result sets made in the test,
-and the line count of ``tools/loc.py``."""
+the line count of ``tools/loc.py`` and the mutant list of
+``tools/mutants.py``."""
 
 import importlib.util
 from pathlib import Path
@@ -15,6 +16,10 @@ _LOC_SPEC = importlib.util.spec_from_file_location(
     "loc", _PATH.with_name("loc.py"))
 loc = importlib.util.module_from_spec(_LOC_SPEC)
 _LOC_SPEC.loader.exec_module(loc)
+_MUTANTS_SPEC = importlib.util.spec_from_file_location(
+    "mutants", _PATH.with_name("mutants.py"))
+mutants = importlib.util.module_from_spec(_MUTANTS_SPEC)
+_MUTANTS_SPEC.loader.exec_module(mutants)
 
 
 def result_set(seed=0):
@@ -237,3 +242,14 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
         "m.py             3           2",
         "n.py             4           -",
         "total            7           2"]
+
+
+def test_every_mutant_old_text_occurs_once_in_src():
+    # an edit of the source that moves an old text fails here, so the fixed
+    # list cannot rot into mutants that no longer apply
+    root = Path(__file__).resolve().parents[1]
+    for path, old, new, what, _ in mutants.MUTANTS:
+        assert path.startswith("src/") and old != new, what
+        assert (root / path).read_text(encoding="utf-8").count(old) == 1, what
+    assert mutants.killer("x\nFAILED tests/a.py::t - AssertionError\n") \
+        == "tests/a.py::t"
