@@ -174,15 +174,20 @@ def saturating_proliferation(s, rate_p: float, c_p: float):
 
     Linear ``rate_p * s`` up to ``c_p - 1``, saturated at ``rate_p * c_p``
     beyond ``c_p``, a monotone cubic bridge in between, and ``rate_p tanh(s)``
-    for negative arguments (value/slope matched at zero).
+    for negative arguments (value/slope matched at zero); ``c_p > 1``.  Each
+    branch is evaluated only where it applies.
     """
     s = np.asarray(s, dtype=float)
-    t = s - (c_p - 1.0)
-    bridge = rate_p * (c_p - 1.0) + rate_p * (t + t**2 - t**3)
-    out = np.where(s < 0.0, rate_p * np.tanh(s), rate_p * s)
-    out = np.where(s > c_p - 1.0, bridge, out)
-    out = np.where(s >= c_p, rate_p * c_p, out)
-    return out if out.ndim else float(out)
+    x = np.atleast_1d(s)
+    out = rate_p * x
+    neg = x < 0.0
+    out[neg] = rate_p * np.tanh(x[neg])
+    bridge = (x > c_p - 1.0) & (x < c_p)
+    t = x[bridge] - (c_p - 1.0)
+    # products, not t**3: a power is a libm call per element
+    out[bridge] = rate_p * (c_p - 1.0) + rate_p * (t + t * t - t * t * t)
+    out[x >= c_p] = rate_p * c_p
+    return out.reshape(s.shape) if s.ndim else float(out[0])
 
 
 def truncation(s, r: float):
@@ -210,45 +215,34 @@ def interface_polynomial(s, r: float):
 # ---------------------------------------------------------------------------
 # source terms
 
-def _proliferation(s: np.ndarray, spec: SourceSpec):
-    return saturating_proliferation(s[0], spec.model.rate_p, spec.model.c_p)
-
-
-def _lambda_phase(p: np.ndarray, pr, spec: SourceSpec) -> np.ndarray:
-    """``Lambda_phi`` given the proliferation response ``pr``."""
-    c = spec.model
-    if spec.variant == "linear":
-        return np.stack([
-            truncation(p[0], c.r) * pr - c.rate_q * p[0],
-            c.rate_q * p[0] - c.rate_a * p[1],
-            c.rate_a * p[1] - c.rate_d * truncation(p[2], c.r),
-        ])
-    inv_eps = 1.0 / c.epsilon
-    return np.stack([
-        inv_eps * interface_polynomial(p[0], c.r)[1] * (pr - c.rate_q),
-        inv_eps * interface_polynomial(p[1], c.r)[1] * (c.rate_q - c.rate_a),
-        inv_eps * interface_polynomial(p[2], c.r)[1] * (c.rate_a - c.rate_d),
-    ])
-
-
-def _healthy(p: np.ndarray, pr, spec: SourceSpec):
-    """``S_healthy`` given the proliferation response ``pr``."""
-    if spec.variant == "linear":
-        return -spec.model.kappa * pr * truncation(p[0], spec.model.r)
-    return np.zeros(np.broadcast(p[0], pr).shape)
-
-
 def source_phase(p, s, m, spec: SourceSpec, *, with_velocity: bool = False):
     """Phase source ``Lambda_phi(p, s)``; ``m`` is unused since theta = 0.
 
-    With ``with_velocity`` the volume source of ``source_velocity`` follows
-    as a second item, from the same evaluation of the proliferation law.
+    With ``with_velocity`` the volume source of ``source_velocity``,
+    ``1 . Lambda_phi + S_healthy``, follows as a second item, from the same
+    evaluation of the proliferation law and of the truncation.
     """
+    c = spec.model
     p = np.asarray(p, dtype=float)
-    pr = _proliferation(np.asarray(s, dtype=float), spec)
-    lam = _lambda_phase(p, pr, spec)
-    return (lam, lam.sum(axis=0) + _healthy(p, pr, spec)) if with_velocity \
-        else lam
+    pr = saturating_proliferation(np.asarray(s, dtype=float)[0], c.rate_p,
+                                  c.c_p)
+    if spec.variant == "linear":
+        h1 = truncation(p[0], c.r)
+        lam = np.stack([
+            h1 * pr - c.rate_q * p[0],
+            c.rate_q * p[0] - c.rate_a * p[1],
+            c.rate_a * p[1] - c.rate_d * truncation(p[2], c.r),
+        ])
+        healthy = -c.kappa * pr * h1
+    else:
+        inv_eps = 1.0 / c.epsilon
+        lam = np.stack([
+            inv_eps * interface_polynomial(p[0], c.r)[1] * (pr - c.rate_q),
+            inv_eps * interface_polynomial(p[1], c.r)[1] * (c.rate_q - c.rate_a),
+            inv_eps * interface_polynomial(p[2], c.r)[1] * (c.rate_a - c.rate_d),
+        ])
+        healthy = 0.0
+    return (lam, lam.sum(axis=0) + healthy) if with_velocity else lam
 
 
 def source_nutrient(p, s, m, spec: SourceSpec) -> np.ndarray:

@@ -412,6 +412,7 @@ class TimeStepper:
         self._carry = (((state.t, state.phi.copy()),), state.sigma.copy(), e0)
         if writer is not None:
             writer.snapshot(state, step=0)
+        dumped = 0  # the step of the last snapshot
         reports: list[StepReport] = []
         dt = cfg.dt
         halvings = 0
@@ -437,7 +438,8 @@ class TimeStepper:
                 if (cfg.snapshot_every > 0
                         and len(reports) % cfg.snapshot_every == 0):
                     writer.snapshot(state, step=len(reports))
-        if writer is not None and reports:
+                    dumped = len(reports)
+        if writer is not None and dumped != len(reports):
             writer.snapshot(state, step=len(reports))
         return RunSummary(reports, state, aborted=False, dt_final=dt,
                           e_initial=e0)

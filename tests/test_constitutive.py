@@ -162,6 +162,27 @@ class TestScalarLaws:
         assert cst.saturating_proliferation(10.0, 1.0, 2.0) == 2.0
         assert cst.saturating_proliferation(0.5, 1.0, 2.0) == 0.5
 
+    @pytest.mark.parametrize("rate_p, c_p", [(1.0, 2.0), (1.3, 2.0),
+                                             (0.7, 1.5), (2.0, 3.7)])
+    def test_proliferation_matches_the_where_formula(self, rate_p, c_p):
+        # the law as one np.where chain over the whole field, t**3 included
+        junctions = [0.0, c_p - 1.0, c_p]
+        s = np.concatenate([
+            np.linspace(-4.0, c_p + 3.0, 20001), junctions,
+            np.nextafter(junctions, -np.inf), np.nextafter(junctions, np.inf),
+            [-50.0, -1e-300, 1e-300, c_p + 1e6]])
+        t = s - (c_p - 1.0)
+        bridge = rate_p * (c_p - 1.0) + rate_p * (t + t**2 - t**3)
+        ref = np.where(s < 0.0, rate_p * np.tanh(s), rate_p * s)
+        ref = np.where(s > c_p - 1.0, bridge, ref)
+        ref = np.where(s >= c_p, rate_p * c_p, ref)
+        got = cst.saturating_proliferation(s.reshape(-1, 1), rate_p, c_p)
+        assert got.shape == (s.size, 1)
+        assert (np.abs(got[:, 0] - ref) <= 2 * np.spacing(np.abs(ref))).all()
+        for k in range(-13, 0):  # the scalar path at every listed point
+            value = cst.saturating_proliferation(s[k], rate_p, c_p)
+            assert type(value) is float and value == got[k, 0]
+
     def test_proliferation_monotone_bounded(self):
         s = np.linspace(-10, 10, 4001)
         p = cst.saturating_proliferation(s, 1.3, 2.0)

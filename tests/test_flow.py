@@ -52,6 +52,12 @@ def manufactured(grid, nu=1.0):
     return p, np.stack([vx, vy]), s_v, force
 
 
+def condition_bound(grid, eta, lam, nu):
+    """The bound on K's condition number that a Brinkman build checks."""
+    K = mchb.flow._velocity_operator(grid, eta, lam, nu)
+    return float(abs(K).sum(axis=1).max()) / nu
+
+
 def viscous_problem(n):
     """Unit-square grid, force ``(sin pi x cos pi y, y cos pi x)`` and
     ``s_v = cos pi x cos pi y / 10``."""
@@ -531,7 +537,8 @@ class TestFlowOperatorCache:
         cfg = build_default_scenario("darcy-limit")
         nu = cfg.model.nu
         system = mchb.flow._brinkman_system(grid, cfg.eta0, cfg.lambda0, nu)
-        kdiag = system.K.diagonal()
+        kdiag = mchb.flow._velocity_operator(grid, cfg.eta0, cfg.lambda0,
+                                             nu).diagonal()
         terms = []
         for axis, diag in ((0, kdiag[:grid.ncells]), (1, kdiag[grid.ncells:])):
             grad = cell_gradient_matrix(grid, axis, DIRICHLET)
@@ -704,12 +711,31 @@ class TestBrinkmanWarmStart:
         return force, s_v, cfg.eta0, cfg.lambda0, cfg.model.nu, g
 
     def test_symmetric_mode_lu_matches_direct_solve(self, problem):
+        # the interleaved factorization solves for the stacked (u, v) vector:
+        # the preset at 32x32 and 64x64, a non-square grid, and a viscosity
+        # whose condition bound is near 1e12.  Two direct solves differ by
+        # up to about eps times the condition number (8e-6 there, each 4e-6
+        # off a refined solution), so past a bound of 1e3 the agreement is
+        # scaled by it; the backward error is at rounding in every case
         _, _, eta, lam, nu, g = problem
-        system = mchb.flow._brinkman_system(g, eta, lam, nu)
-        b = np.random.default_rng(0).standard_normal(2 * g.ncells)
-        ref = spsolve(system.K, b)
-        got = system.k_lu.solve(b)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        stiff = Grid(16, 12, 1.0, 0.8)
+        eta_stiff = 1e12 / condition_bound(stiff, 1.0, 1.0, 1.0)
+        cases = [(g, eta, lam, nu), (Grid(64, 64, 20.0, 20.0), eta, lam, nu),
+                 (Grid(16, 12, 1.3, 0.9), 0.05, 0.02, 1.0),
+                 (stiff, eta_stiff, eta_stiff, 1.0)]
+        rng = np.random.default_rng(0)
+        for grid, eta, lam, nu in cases:
+            K = mchb.flow._velocity_operator(grid, eta, lam, nu)
+            bound = condition_bound(grid, eta, lam, nu)
+            system = mchb.flow._brinkman_system(grid, eta, lam, nu)
+            b = rng.standard_normal(2 * grid.ncells)
+            ref = spsolve(K.tocsc(), b)
+            got = system.k_lu.solve(b)
+            norm = np.linalg.norm
+            assert norm(got - ref) <= max(1e-12, 1e-15 * bound) * norm(ref)
+            assert norm(K @ got - b) <= 1e-15 * (nu * bound * norm(got)
+                                                  + norm(b))
+        assert 0.9e12 <= bound <= 1.1e12
 
     @staticmethod
     def converged(problem, opts=None):
@@ -934,6 +960,56 @@ class TestUzawaSpace:
         for name in ("phi", "mu", "sigma", "v", "p"):
             assert_array_equal(getattr(again.state, name),
                                getattr(first.state, name))
+
+    @staticmethod
+    def recorded_cancellation(monkeypatch):
+        """Per Gram-Schmidt call, the norm left over the norm given."""
+        orthogonalize, ratios = mchb.flow._orthogonalize, []
+
+        def recorded(W, Z, w, z):
+            given = np.linalg.norm(w)
+            left = orthogonalize(W, Z, w, z)
+            ratios.append(left / given)
+            return left
+
+        monkeypatch.setattr(mchb.flow, "_orthogonalize", recorded)
+        return ratios
+
+    @staticmethod
+    def orthonormality_defect(space):
+        W = space.W[:space.k]
+        return np.abs(W @ W.T - np.eye(space.k)).max()
+
+    def test_directions_stay_orthonormal_over_a_run(self, monkeypatch):
+        ratios = self.recorded_cancellation(monkeypatch)
+        st, summary = darcy_limit_run(24)
+        assert len(summary.reports) == 24 and not summary.aborted
+        space = st._uzawa_space
+        assert space.k == len(ratios) > 20
+        assert self.orthonormality_defect(space) <= 1e-12
+
+    def test_a_cancelling_direction_is_orthogonalized_twice(self, problem,
+                                                           monkeypatch):
+        # a preconditioned residual pushed almost into span Z adds the same
+        # direction to the space, but one pass leaves ~1e-6 of w, and a
+        # single pass would lose orthogonality at about 1e-10
+        space = self.filled(problem)
+        precondition = mchb.flow._BrinkmanSystem.precondition
+
+        def nearly_in_span(system, r):
+            z = precondition(system, r)
+            kept = space.Z[:space.k].sum(axis=0)
+            return z + 1e6 * np.linalg.norm(z) / np.linalg.norm(kept) * kept
+
+        ratios = self.recorded_cancellation(monkeypatch)
+        monkeypatch.setattr(mchb.flow._BrinkmanSystem, "precondition",
+                            nearly_in_span)
+        force = problem[0][::-1].copy()
+        got = solve_brinkman(force, *problem[1:], space=space)
+        assert len(ratios) == got.iterations > 1
+        # every sweep cancels, so every one takes the second pass
+        assert max(ratios) < np.sqrt(0.5)
+        assert self.orthonormality_defect(space) <= 1e-12
 
 
 class TestKortewegForce:

@@ -6,13 +6,16 @@ condition and source variant, a no-flux or a Robin nutrient wall, and a
 step of 10**(k/10) times the preset's default, k from -10 to 30, so from
 0.1 to 1000 times. The example count is
 fixed and the search derandomized, so every run of the suite draws the
-same configurations.
+same configurations.  The search never draws the top of that range, so two
+explicit examples run at 1000 times the default step: darcy-limit with
+Brinkman flow and sources on, and zero-source with both off, where the
+mass and energy laws are asserted.
 """
 
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mchb.diagnostics import component_masses
 from mchb.parameters import build_default_scenario
@@ -43,8 +46,20 @@ def small_configs(draw):
         seed=draw(st.integers(0, 999))).validate()
 
 
+def at_1000_dt0(preset, **changes):
+    """A 16x16, 3-step run of ``preset`` at 1000 times its default step."""
+    cfg = build_default_scenario(preset)
+    dt = 1000.0 * cfg.dt
+    return dataclasses.replace(cfg, grid_nx=16, grid_ny=16, dt=dt,
+                               t_end=3 * dt, **changes).validate()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(cfg=small_configs())
+@example(cfg=at_1000_dt0("darcy-limit", flow_backend="brinkman",
+                         flow_enabled=True, sources_enabled=True))
+@example(cfg=at_1000_dt0("zero-source", flow_enabled=False,
+                         sources_enabled=False))
 def test_a_run_finishes_or_aborts_with_a_message_and_keeps_its_laws(cfg):
     stepper = TimeStepper(cfg)
     start = build_initial_state(cfg, stepper.bundle)

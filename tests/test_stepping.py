@@ -340,6 +340,26 @@ class TestRunControl:
         assert calls == [0]
         assert not summary.aborted and summary.reports == []
 
+    @pytest.mark.parametrize("every, steps", [(2, [0, 2, 4]),
+                                              (3, [0, 3, 4]),
+                                              (0, [0, 4])])
+    def test_each_step_is_dumped_once(self, every, steps):
+        # the final state is dumped unless the periodic dump just wrote it
+        cfg = small_config(snapshot_every=every)
+        cfg = dataclasses.replace(cfg, t_end=4 * cfg.dt)
+        calls = []
+
+        class Writer:
+            def snapshot(self, state, step):
+                calls.append(step)
+
+            def write_row(self, row):
+                pass
+
+        summary = TimeStepper(cfg).run(Writer())
+        assert len(summary.reports) == 4 and not summary.aborted
+        assert calls == steps
+
     def test_dt_halving_then_abort(self):
         # an unresolvable step: one nonlinear iteration allowed, huge dt
         cfg = small_config(sources_enabled=True, flow_enabled=False,

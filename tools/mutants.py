@@ -43,7 +43,7 @@ MUTANTS = (
      "+ c.rate_b * (c.sigma_Omega - s[0]))[None]",
      "vasculature supply with the wrong sign", None),
     ("src/mchb/flow.py",
-     "dissipation = float(v_flat @ (system.K @ v_flat)) * grid.cell_area",
+     "dissipation = float(v_flat @ rhs) * grid.cell_area",
      "dissipation = nu * float(v_flat @ v_flat) * grid.cell_area",
      "Brinkman dissipation taken as Darcy's", None),
     ("src/mchb/grid.py",
@@ -64,6 +64,10 @@ MUTANTS = (
      "+ m.gamma / m.epsilon * grad[i] + n_phi[i]",
      "+ m.gamma / m.epsilon * grad[i]",
      "initial mu without its chemical part N_phi", None),
+    ("src/mchb/flow.py",
+     "return y.reshape(-1, 2).T.ravel()",
+     "return y",
+     "interleaved K solve returned without its inverse permutation", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
