@@ -28,22 +28,23 @@ that the last converged solve on its ``UzawaSpace`` ended with (zero when
 there is none).  That start is the previous pressure plus the increment the
 Darcy solve predicts; only the slowly varying viscous correction is carried
 over.  The count still grows with the grid at finite viscosity: on the
-darcy-limit initial state at tolerance 1e-9 a cold start (the Darcy
+darcy-limit initial state at ``FLOW_TOL`` (1e-9) a cold start (the Darcy
 pressure) takes 8, 11 and 17 sweeps at 32x32, 64x64 and 128x128 for
 ``eta = lambda = 1e-2``, and 2-3 at ``1e-4``.  On a darcy-limit run the
 start alone cuts the count to 5, 5-6 and 6-7 on the steps after the first.
 The Schur operator is fixed for a run, so the stepper also keeps the search
 directions found so far (``UzawaSpace``): a solve first removes the part of
-its residual that lies in their span and sweeps only on the rest.  Over a
-darcy-limit run the counts then fall to 8, 5, 4, 2, 1, 1, 1, 1 at 32x32
-and 11, 6, 5, 2, 2, 2, 1, 1 at 64x64, then stay at 1-2; at 128x128 they
-fall to 17, 9, 7, 4 and then 1-3.  When the 80 kept directions fill and
-restart (at step 24 there) the offset is kept: the step after the restart
-takes 6 sweeps, not the 17 of a cold start, and the next ones 2-4.  Each
-sweep orthogonalizes its new direction against the kept ones in one block
-Gram-Schmidt pass, and in a second one only when the first cancels, leaving
-less than ``1/sqrt 2`` of the direction's norm; over darcy-limit runs at
-32x32 and 64x64 no sweep cancels.  The inner
+its residual that lies in their span and sweeps only on the rest.  Over
+24 darcy-limit steps the counts then fall to 8, 5, 4, 2 and then 0-1 at
+32x32 (10 steps take none: the start meets the tolerance) and to 11, 6,
+5, 2 and then 0-2 at 64x64; at 128x128 they fall to 17, 9, 7, 4 and then
+2-3.  When the 80 kept directions fill and restart (during step 22 there)
+the offset is kept: the step after the restart takes 6 sweeps, not the 17
+of a cold start, and the next ones 2-4.  Each sweep orthogonalizes its
+new direction against the kept ones in one block Gram-Schmidt pass, and
+in a second one only when the first cancels, leaving less than
+``1/sqrt 2`` of the direction's norm; over darcy-limit runs at 32x32 and
+64x64 no sweep cancels.  The inner
 velocity subproblems reuse one sparse factorization of the fixed SPD
 momentum operator, a symmetric-mode LU (minimum-degree ordering of
 the symmetric pattern, diagonal pivots) with about two thirds of the fill of
@@ -120,9 +121,19 @@ class FlowResult:
     iterations: int
 
 
+# The relative residual both solves stop at.  The Darcy solve is direct, so
+# for it the tolerance only guards the transform's result; the Brinkman
+# Uzawa iteration runs until its constraint residual is this fraction of
+# the data.  On the darcy-limit state after 3 steps, a solve to 1e-9 is
+# within 2.2e-10, 1.1e-9 and 2.3e-9 (relative L2 velocity) of one to 1e-13
+# at 32x32, 64x64 and 128x128, in 8, 11 and 17 sweeps against 13, 20 and
+# 33, and its ``div_residual`` agrees in the first ten digits.
+FLOW_TOL = 1e-9
+
+
 @dataclass
 class BrinkmanOptions:
-    tol: float = 1e-9
+    tol: float = FLOW_TOL
 
 
 MAX_SWEEPS = 600  # Uzawa sweeps of one Brinkman solve
@@ -200,7 +211,7 @@ def _darcy_pressure(force: np.ndarray, s_v: np.ndarray, nu: float,
 
 
 def solve_darcy(force: np.ndarray, s_v: np.ndarray, nu: float, grid: Grid,
-                tol: float = 1e-9) -> FlowResult:
+                tol: float = FLOW_TOL) -> FlowResult:
     """Pressure-Poisson Darcy solve; see the module docstring.
 
     ``tol`` bounds the normwise backward error of the pressure,
@@ -484,6 +495,9 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
     none of these builds anything.  A momentum operator whose condition
     bound exceeds ``MAX_CONDITION`` (a viscosity too large over ``nu`` for
     the grid) raises ``FlowSolverError`` before it is factorized.
+    ``iterations`` is the number of sweeps run: 0 for a start that already
+    meets the tolerance and for zero data.  ``opts`` defaults to
+    ``FLOW_TOL``.
     """
     if nu <= 0:
         raise ValueError("permeability coefficient nu must be positive")
@@ -503,7 +517,7 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
         # the exact solution; no nonzero guess meets a tolerance relative to
         # vanishing data
         return FlowResult(v=np.zeros((2,) + grid.shape), p=np.zeros(grid.shape),
-                          div_residual=0.0, dissipation=0.0, iterations=1)
+                          div_residual=0.0, dissipation=0.0, iterations=0)
     ops = _flow_operators(grid)
     space = space if space is not None else UzawaSpace()
     system = space.system_for(grid, eta, lam, nu)
@@ -570,4 +584,4 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
     # v^T K v, with K v the right-hand side just solved
     dissipation = float(v_flat @ rhs) * grid.cell_area
     return FlowResult(v=v, p=p.reshape(grid.shape), div_residual=div_res,
-                      dissipation=dissipation, iterations=max(sweeps, 1))
+                      dissipation=dissipation, iterations=sweeps)

@@ -85,10 +85,6 @@ class Grid:
         y = (np.arange(self.ny) + 0.5) * self.hy
         return x[None, :], y[:, None]
 
-    def cell_centers(self):
-        x, y = self.cell_axes()
-        return np.meshgrid(x[0], y[:, 0])
-
 
 # ---------------------------------------------------------------------------
 # boundary conditions

@@ -381,7 +381,12 @@ def default_parameters(**overrides) -> ModelParameters:
 
 @dataclass(frozen=True)
 class ScenarioConfig(_Validated):
-    """Fully resolved run description."""
+    """Fully resolved run description: the model, its domain and data.
+
+    The scheme's constants are not fields: the phase tolerance and update
+    cap live in ``stepping``, the flow tolerance in ``flow`` and the
+    random-smooth amplitude in ``state``, each beside its justification.
+    """
 
     model: ModelParameters
     grid_nx: int = 64
@@ -397,13 +402,9 @@ class ScenarioConfig(_Validated):
     source_variant: str = "linear"
     sources_enabled: bool = True
     initial_condition: str = "stratified"
-    init_amplitude: float = 0.05
     init_modes: int = 5
     seed: int = 20240
     snapshot_every: int = 0
-    tol_flow: float = 1e-9
-    tol_ch: float = 1e-8
-    max_nonlinear_iter: int = 50
 
     def violations(self) -> list[str]:
         v = self.model.violations()
@@ -438,12 +439,6 @@ class ScenarioConfig(_Validated):
                      f"got {self.source_variant!r}")
         if self.initial_condition not in ("stratified", "random-smooth", "uniform"):
             v.append(f"unknown initial_condition {self.initial_condition!r}")
-        if self.max_nonlinear_iter < 1:
-            v.append(f"max_nonlinear_iter must be at least 1, "
-                     f"got {self.max_nonlinear_iter}")
-        for name in ("tol_flow", "tol_ch"):
-            if not getattr(self, name) > 0:
-                v.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.init_modes < 1:
             v.append(f"init_modes must be at least 1, got {self.init_modes}")
         if self.snapshot_every < 0:

@@ -14,6 +14,12 @@ from . import constitutive as cst
 from .grid import NEUMANN, Grid, fv_diffusion_matrix
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 
+# random-smooth: base fractions in the convex region of the double well, so
+# the seeded perturbation of this peak amplitude relaxes smoothly instead of
+# spinodally
+RANDOM_BASE = (0.08, 0.06, 0.05)
+RANDOM_AMPLITUDE = 0.05
+
 
 @dataclass
 class StateFields:
@@ -92,7 +98,7 @@ def build_initial_state(config: ScenarioConfig,
 
     if config.initial_condition == "stratified":
         # nested annuli: proliferating rim, quiescent shell, necrotic core
-        x, y = grid.cell_centers()
+        x, y = grid.cell_axes()
         rad = np.hypot(x - 0.5 * grid.lx, y - 0.5 * grid.ly)
         scale = min(grid.lx, grid.ly)
         r3, r2, r1 = 0.10 * scale, 0.20 * scale, 0.30 * scale
@@ -101,17 +107,14 @@ def build_initial_state(config: ScenarioConfig,
         phi[1] = _annulus(rad, r3, r2, width)
         phi[2] = _annulus(rad, 0.0, r3, width)
     elif config.initial_condition == "random-smooth":
-        # base fractions sit in the convex region of the double well so the
-        # seeded perturbation relaxes smoothly instead of spinodally
         seeds = np.random.SeedSequence(config.seed).spawn(n_phase + n_nutrient)
-        base = (0.08, 0.06, 0.05)
         for i in range(n_phase):
             rng = np.random.default_rng(seeds[i])
-            phi[i] = base[i] + smooth_random_field(
-                rng, grid, config.init_modes, config.init_amplitude)
+            phi[i] = RANDOM_BASE[i] + smooth_random_field(
+                rng, grid, config.init_modes, RANDOM_AMPLITUDE)
         rng = np.random.default_rng(seeds[n_phase])
         sigma[0] += smooth_random_field(rng, grid, config.init_modes,
-                                        config.init_amplitude)
+                                        RANDOM_AMPLITUDE)
     elif config.initial_condition == "uniform":
         phi[0] = 1.0
     else:

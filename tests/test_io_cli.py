@@ -19,6 +19,7 @@ from mchb.parameters import (ConfigError, ModelParameters, ScenarioConfig,
                              build_default_scenario, load_config,
                              serialize_config)
 import mchb.cli
+import mchb.stepping
 from mchb.cli import main
 from mchb.flow import FlowSolverError
 from mchb.stepping import TimeStepper
@@ -224,9 +225,11 @@ class TestCli:
         cfg.write_text(serialize_config(build_default_scenario("zero-source")))
         assert main(["validate", "--config", str(cfg)]) == 0
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
-        for doc in ({"max_nonlinear_iter": 0}, {"grid_nx": "64"},
-                    {"grid_nx": 64.5}, {"flow_enabled": "no"},
-                    {"t_end": float("nan")},
+        # the solver constants are not keys, at any value
+        for doc in ({"tol_flow": 1e-9}, {"tol_ch": 1e-8},
+                    {"max_nonlinear_iter": 50}, {"init_amplitude": 0.05},
+                    {"grid_nx": "64"}, {"grid_nx": 64.5},
+                    {"flow_enabled": "no"}, {"t_end": float("nan")},
                     {"flow_backend": "brinkman", "lambda0": float("nan")},
                     {"tol_nutrient": 1e-12}):
             bad = tmp_path / "bad.json"
@@ -371,10 +374,12 @@ class TestSweepCli:
         assert "sweep aborted" in res.stderr
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr
 
-    def test_failed_snapshot_step_aborts_in_one_line(self, tmp_path, capsys):
-        # one phase update does not reach tol_ch on the 16x16 preset
+    def test_failed_snapshot_step_aborts_in_one_line(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # one phase update does not reach PHASE_TOL on the 16x16 preset
+        monkeypatch.setattr(mchb.stepping, "MAX_PHASE_UPDATES", 1)
         cfg = replace(build_default_scenario("darcy-limit"), grid_nx=16,
-                      grid_ny=16, max_nonlinear_iter=1)
+                      grid_ny=16)
         path = tmp_path / "c.json"
         path.write_text(serialize_config(cfg))
         out = tmp_path / "out"
@@ -415,13 +420,14 @@ class TestExitCodes:
     def test_aborted_run_exit_code(self, tmp_path):
         cfg = tmp_path / "abort.json"
         cfg.write_text(json.dumps({
-            "grid_nx": 16, "grid_ny": 16, "dt": 1.0, "t_end": 2.0,
-            "max_nonlinear_iter": 1, "flow_enabled": False,
+            "grid_nx": 16, "grid_ny": 16, "dt": 1e6, "t_end": 2e6,
+            "flow_enabled": False,
         }))
         res = run_cli(["run", "--config", str(cfg),
                        "--out-dir", str(tmp_path / "out")])
         assert res.returncode == 2
         assert "aborted" in res.stderr
+        assert "phase solve stalled" in res.stderr
 
     def test_large_viscosity_run_aborts_with_a_message(self, tmp_path):
         # the Rhie-Chow face weight of eta0 = 1e300 once overflowed a float

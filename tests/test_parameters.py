@@ -170,9 +170,16 @@ class TestConfigDocuments:
         with pytest.raises(ConfigError, match="dt"):
             load_config('{"dt": 0.0}')
 
-    def test_zero_nonlinear_iterations_rejected(self):
-        with pytest.raises(ConfigError, match="max_nonlinear_iter"):
-            config_from_dict({"max_nonlinear_iter": 0})
+    @pytest.mark.parametrize("key, value", [
+        ("tol_flow", 1e-9), ("tol_ch", 1e-8), ("max_nonlinear_iter", 50),
+        ("init_amplitude", 0.05)])
+    def test_solver_constants_are_not_keys(self, key, value):
+        # the scheme's tolerances, update cap and the random-smooth
+        # amplitude are module constants; naming one, even at its value,
+        # is an unknown key
+        with pytest.raises(ConfigError,
+                           match=f"^unknown configuration keys: {key}$"):
+            load_config(json.dumps({key: value}))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -215,7 +222,7 @@ class TestConfigDocuments:
         ({"flow_backend": "brinkman", "lambda0": math.nan}, "lambda0"),
         ({"model": {"gamma": "1"}}, "gamma"),
         ({"model": {"L": 3.0}}, "L"),
-        ({"tol_ch": -1e-12}, "tol_ch"),
+        ({"grid_ny": True}, "grid_ny"),
         ({"snapshot_every": -3}, "snapshot_every"),
         ({"init_modes": 0}, "init_modes"),
         ({"seed": -1}, "seed"),

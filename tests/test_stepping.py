@@ -18,8 +18,7 @@ import mchb.diagnostics
 import mchb.stepping
 from mchb.grid import NEUMANN, Grid, Robin, eigenbasis, fv_diffusion_matrix
 from mchb.diagnostics import component_masses, free_energy
-from mchb.parameters import (ConfigError, build_default_scenario,
-                             default_parameters)
+from mchb.parameters import build_default_scenario, default_parameters
 from mchb.state import StateFields, build_initial_state, smooth_random_field
 from mchb.stepping import (StepFailure, TimeStepper, explicit_terms,
                            extrapolate, transport_terms)
@@ -146,7 +145,8 @@ class ChordReference(TimeStepper):
 
     Each component factorizes the Jacobian of its residual at the step's
     starting state once (sparse LU) and reuses it until the residual meets
-    the stepper's stopping test.  It starts from phi^n and ignores ``start``.
+    the stepper's stopping test, read from the same module constants.  It
+    starts from phi^n and ignores ``start``.
     """
 
     def _ch_solve(self, phi_n, rhs0, const_mu_part, dt, start):
@@ -162,12 +162,12 @@ class ChordReference(TimeStepper):
             jac = eye + dt * ge * (A @ A) + dt * gi * (A @ sp.diags(hess))
             solve = spla.splu(jac.tocsc()).solve
             x = phi_n[i].ravel().copy()
-            for it in range(self.config.max_nonlinear_iter + 1):
+            for it in range(mchb.stepping.MAX_PHASE_UPDATES + 1):
                 mu = ge * (A @ x) + gi * cst.convex_gradient(x, pot) \
                     + const_mu_part[i].ravel()
                 res = x + dt * (A @ mu) - rhs0[i].ravel()
                 res_norm = float(np.abs(res).max())
-                if res_norm <= self.config.tol_ch * (1.0 + np.abs(x).max()):
+                if res_norm <= mchb.stepping.PHASE_TOL * (1.0 + np.abs(x).max()):
                     break
                 x = x - solve(res)
             else:
@@ -250,7 +250,7 @@ class TestConservation:
 
 
 class TestPhaseTolerance:
-    """What the default ``tol_ch`` leaves in each accepted component."""
+    """What ``PHASE_TOL`` leaves in each accepted component."""
 
     @staticmethod
     def per_component(monkeypatch, check):
@@ -360,22 +360,24 @@ class TestRunControl:
         assert len(summary.reports) == 4 and not summary.aborted
         assert calls == steps
 
-    def test_dt_halving_then_abort(self):
+    def test_dt_halving_then_abort(self, monkeypatch):
         # an unresolvable step: one nonlinear iteration allowed, huge dt
+        monkeypatch.setattr(mchb.stepping, "MAX_PHASE_UPDATES", 1)
         cfg = small_config(sources_enabled=True, flow_enabled=False,
-                           dt=1.0, t_end=2.0, max_nonlinear_iter=1)
+                           dt=1.0, t_end=2.0)
         summary = TimeStepper(cfg).run()
         assert summary.aborted
         assert "halv" in summary.message
         assert summary.dt_final < 1.0
 
-    def test_last_allowed_update_is_checked(self):
-        # a step that needs exactly max_nonlinear_iter updates converges
+    def test_last_allowed_update_is_checked(self, monkeypatch):
+        # a step that needs exactly MAX_PHASE_UPDATES updates converges
         cfg = small_config(t_end=small_config().dt)
         default = TimeStepper(cfg).run()
         n = default.reports[0].picard_iters
         assert n >= 1
-        tight = TimeStepper(dataclasses.replace(cfg, max_nonlinear_iter=n)).run()
+        monkeypatch.setattr(mchb.stepping, "MAX_PHASE_UPDATES", n)
+        tight = TimeStepper(cfg).run()
         assert not tight.aborted
         assert tight.reports == default.reports
         for name in ("phi", "mu", "sigma", "v", "p"):
@@ -445,8 +447,9 @@ class TestTransformPhaseSolve:
     @pytest.mark.parametrize("preset", ["zero-source", "stratified-tumor"])
     def test_matches_factorized_path(self, preset, monkeypatch):
         # both paths solve to 1e-12, so they agree to 1e-10
+        monkeypatch.setattr(mchb.stepping, "PHASE_TOL", 1e-12)
         cfg = dataclasses.replace(build_default_scenario(preset),
-                                  grid_nx=32, grid_ny=32, tol_ch=1e-12)
+                                  grid_nx=32, grid_ny=32)
         fast, ref = TimeStepper(cfg), ChordReference(cfg)
         a = b = build_initial_state(cfg, fast.bundle)
         factorizations = counting(monkeypatch, spla, "splu")
@@ -463,8 +466,9 @@ class TestTransformPhaseSolve:
     def test_newton_steps_match_factorized_path(self, monkeypatch):
         # at 64 dt0 on 64^2 a sweep shrinks the residual by less than half,
         # so the solve switches to P-preconditioned GMRES Newton steps
+        monkeypatch.setattr(mchb.stepping, "PHASE_TOL", 1e-12)
         cfg = build_default_scenario("stratified-tumor")
-        cfg = dataclasses.replace(cfg, dt=64 * cfg.dt, tol_ch=1e-12)
+        cfg = dataclasses.replace(cfg, dt=64 * cfg.dt)
         st = TimeStepper(cfg)
         s0 = build_initial_state(cfg, st.bundle)
         newton_solves = counting(monkeypatch, spla, "gmres")
@@ -521,8 +525,8 @@ class TestTransformPhaseSolve:
                 res, mu = phase_residual(st, new.phi[i], rhs0[i], const_mu[i],
                                          cfg.dt)
                 res_norm = np.abs(res).max()
-                assert res_norm <= cfg.tol_ch * (1.0 + np.abs(new.phi[i]).max()) \
-                    + rounding
+                assert res_norm <= mchb.stepping.PHASE_TOL \
+                    * (1.0 + np.abs(new.phi[i]).max()) + rounding
                 assert np.abs(new.mu[i].ravel() - mu).max() \
                     <= 1e-12 * np.abs(mu).max()
                 worst = max(worst, res_norm)
@@ -531,11 +535,12 @@ class TestTransformPhaseSolve:
             s = new
 
     def test_stalled_solve_reports_the_max_norm_residual(self, monkeypatch):
-        # one update at 10 dt0 does not reach tol_ch; the failure reports
+        # one update at 10 dt0 does not reach PHASE_TOL; the failure reports
         # the max norm of the last iterate's residual, not the RMS that
         # gates the max-norm test
+        monkeypatch.setattr(mchb.stepping, "MAX_PHASE_UPDATES", 1)
         base = small_config(flow_enabled=False, sources_enabled=False)
-        cfg = dataclasses.replace(base, dt=10 * base.dt, max_nonlinear_iter=1)
+        cfg = dataclasses.replace(base, dt=10 * base.dt)
         st = TimeStepper(cfg)
         s0 = build_initial_state(cfg, st.bundle)
         iterates = []
@@ -613,7 +618,8 @@ class TestStartGuess:
 
     def test_history_moves_only_the_start(self, monkeypatch):
         # solved to 1e-12, the two starts end within 1e-10
-        cfg = small_config(tol_ch=1e-12)
+        monkeypatch.setattr(mchb.stepping, "PHASE_TOL", 1e-12)
+        cfg = small_config()
         st = TimeStepper(cfg)
         s = build_initial_state(cfg, st.bundle)
         for _ in range(3):
@@ -713,11 +719,6 @@ def test_large_random_steps_finish_at_full_size(cfg):
 
 
 class TestStepWork:
-    def test_zero_nonlinear_iterations_rejected(self):
-        with pytest.raises(ConfigError, match="max_nonlinear_iter"):
-            TimeStepper(dataclasses.replace(small_config(),
-                                            max_nonlinear_iter=0))
-
     def test_energy_before_reused_from_energy_law(self, monkeypatch):
         cfg = small_config()
         st = TimeStepper(cfg)
@@ -858,7 +859,7 @@ class TestNutrientSolve:
 
 def full_grid_random_field(rng, grid, modes, amplitude):
     """``smooth_random_field`` with every mode evaluated on the full grid."""
-    x, y = grid.cell_centers()
+    x, y = np.broadcast_arrays(*grid.cell_axes())
     coeff = rng.standard_normal((modes, modes))
     out = np.zeros(grid.shape)
     for i in range(modes):
@@ -906,4 +907,4 @@ class TestScenarioBehaviors:
         for _ in range(3):
             s, rep = st.step(s, cfg.dt)
         s.check_finite()
-        assert rep.picard_iters <= cfg.max_nonlinear_iter
+        assert rep.picard_iters <= mchb.stepping.MAX_PHASE_UPDATES

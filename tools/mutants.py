@@ -55,7 +55,7 @@ MUTANTS = (
      "None)",
      "phase solve started from phi^n, not the extrapolated state",
      "the start moves only where the iteration begins: every step still "
-     "meets tol_ch, so it costs updates, not accuracy"),
+     "meets PHASE_TOL, so it costs updates, not accuracy"),
     ("src/mchb/diagnostics.py",
      "return bc.k * bc.diffusivity * sum(",
      "return bc.k * sum(",
@@ -68,6 +68,10 @@ MUTANTS = (
      "return y.reshape(-1, 2).T.ravel()",
      "return y",
      "interleaved K solve returned without its inverse permutation", None),
+    ("src/mchb/flow.py",
+     "iterations=sweeps)",
+     "iterations=max(sweeps, 1))",
+     "Brinkman solve reporting a sweep it never ran", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
