@@ -3,7 +3,8 @@
 Exit codes are a total function of the outcome class:
 
 * 0  success
-* 1  configuration error, including a malformed command line
+* 1  configuration error, including a malformed command line and an
+     output directory or file that cannot be made or written
 * 2  aborted run / aborted sweep / failed MMS flow solve
 * 3  verification (convergence-slope) failure
 * 4  strict assumption failure
@@ -89,10 +90,7 @@ def _run_dir(args, cfg: ScenarioConfig) -> Path:
     if args.strict:
         require_assumptions(cfg)
     out = Path(args.out_dir or os.environ.get("MCHB_OUT_DIR") or "mchb-out")
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"output directory {out}: {exc}") from None
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -276,13 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default=preset_default,
                        help=f"preset name (default {preset_default})")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out-dir", default=None,
-                       help="output root (default $MCHB_OUT_DIR or ./mchb-out)")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 if a model assumption fails")
 
+    def out_dir(p):
+        p.add_argument("--out-dir", default=None,
+                       help="output root (default $MCHB_OUT_DIR or ./mchb-out)")
+
     p = sub.add_parser("run", help="advance a scenario and write reports")
     common(p, "stratified-tumor")
+    out_dir(p)
     horizon = p.add_mutually_exclusive_group()
     horizon.add_argument("--steps", type=int, default=None,
                          help="override t_end as steps * dt")
@@ -293,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-darcy", help="vanishing-viscosity comparison")
     common(p, "darcy-limit")
+    out_dir(p)
     p.add_argument("--levels", default="1e-1,1e-2,1e-3,1e-4",
                    help="comma-separated eta ladder (lambda = eta)")
     p.add_argument("--jobs", type=int, default=1)
@@ -314,7 +316,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # every path a command opens past its configuration is an output
+        # path, so an OSError is an output directory or file that cannot be
+        # made or written
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, StrictAssumptionError):
             return EXIT_STRICT

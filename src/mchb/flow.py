@@ -50,15 +50,15 @@ momentum operator, a symmetric-mode LU (minimum-degree ordering of
 the symmetric pattern, diagonal pivots) with about two thirds of the fill of
 a general column-ordered LU.  It factors the operator with each cell's two
 unknowns adjacent, ``u_0, v_0, u_1, v_1, ...``, and its solves take and
-return the stacked ``(u, v)`` vector.  On the darcy-limit preset that order
-cuts the fill from 1.105M to 0.993M at 64x64 and from 5.71M to 4.89M at
-128x128.  The viscosities are the numbers ``eta`` and
-``lambda`` (assumption A3 asks only for their bounds), so that operator
-depends only on them, the grid and ``nu``.  The caller's ``UzawaSpace`` keeps
-its factorization next to the directions and rebuilds both only when one of
-these changes: one LU per live stepper, and steppers with different
-viscosities never evict each other.  A call without a space builds its own
-system, so it is cold and shares nothing with concurrent calls.
+return the stacked ``(u, v)`` vector; on the darcy-limit preset its fill
+is 0.993M at 64x64 and 4.89M at 128x128.  The viscosities are the numbers
+``eta`` and ``lambda`` (assumption A3 asks only for their bounds), so that
+operator depends only on them, the grid and ``nu``.  The caller's
+``UzawaSpace`` keeps its factorization next to the directions and rebuilds
+both only when one of these changes: one LU per live stepper, and steppers
+with different viscosities never evict each other.  A call without a space
+builds a space of its own, so it is cold and shares nothing with concurrent
+calls.
 
 Accuracy at the traction-free wall, measured by self-convergence (each
 grid against the 2x2 average of the next finer one; unit square, force
@@ -83,26 +83,26 @@ of its final velocity solve in place of ``K v``.
 What is kept: per grid, a small cache holds only the operators every solve
 reads (``_FlowOperators``): the cell divergence matrices, one stacked
 pressure-gradient matrix and the Dirichlet pressure Laplacian with its
-eigenbasis.  A Brinkman build (``_brinkman_system``) makes ``K``, its LU, the
-Rhie-Chow correction and the Schur model; the ``UzawaSpace`` keeps these, but
-not ``K`` itself, which no solve reads.
-The face average, face divergence and face gradient matrices that the
-correction is assembled from are made by that build and dropped when it
-returns, so a Darcy solve never builds them.  The Korteweg force applies
-``grid.cell_gradient`` by slices and keeps nothing.
+eigenbasis.  Everything else a Brinkman solve reads has one owner, its
+``UzawaSpace``: for one key ``(grid, eta, lam, nu)`` the space builds and
+keeps the LU of ``K``, the Rhie-Chow correction, the Schur model symbols
+with their wall band and the Dirichlet basis, next to the search
+directions and the offset.  It drops ``K`` itself, which no solve reads,
+and the face average, face divergence and face gradient matrices that the
+correction is assembled from, so a Darcy solve never builds them.  The
+Korteweg force applies ``grid.cell_gradient`` by slices and keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import (DIRICHLET, EXTRAPOLATE, Eigenbasis, Grid, cell_gradient,
+from .grid import (DIRICHLET, EXTRAPOLATE, Grid, cell_gradient,
                    cell_gradient_matrix, eigenbasis,
                    face_average_matrix, face_divergence_matrix,
                    face_gradient_matrix, fv_diffusion_matrix, l2_norm)
@@ -149,8 +149,8 @@ class _FlowOperators:
     rows stacked over the y rows, ``(2 ncells, ncells)``, so one product
     gives the stacked ``(u, v)`` vector) and the Dirichlet pressure
     Laplacian with its eigenbasis.  The face matrices of the Rhie-Chow
-    stabilization are built by ``_rhie_chow`` for each Brinkman system and
-    dropped once it is built.
+    stabilization are built by ``_rhie_chow`` when a ``UzawaSpace`` builds
+    its system, and dropped once the correction is made.
     """
 
     def __init__(self, grid: Grid):
@@ -356,27 +356,9 @@ class _InterleavedLU:
         return y.reshape(-1, 2).T.ravel()
 
 
-class _BrinkmanSystem(NamedTuple):
-    """The right-hand-side independent part of a Brinkman solve."""
-
-    k_lu: _InterleavedLU             # LU of the momentum operator nu I + V
-    correction: sp.csr_matrix        # Rhie-Chow stabilization of the constraint
-    interior: np.ndarray             # Schur model symbol off the wall band
-    wall: np.ndarray                 # Schur model symbol on the wall band
-    band: np.ndarray                 # cells next to the walls, (ny, nx) bool
-    basis: Eigenbasis                # the Dirichlet pressure eigenbasis
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        """The model inverse: ``interior`` off the band, ``wall`` on it."""
-        coef = self.basis.forward(r.reshape(self.band.shape))
-        z = np.where(self.band, self.basis.inverse(coef / self.wall),
-                     self.basis.inverse(coef / self.interior))
-        return z.ravel()
-
-
-def _brinkman_system(grid: Grid, eta: float, lam: float,
-                     nu: float) -> _BrinkmanSystem:
-    """Build everything a Brinkman solve needs apart from its right-hand side."""
+def _momentum_lu(grid: Grid, eta: float, lam: float,
+                 nu: float) -> tuple[_InterleavedLU, np.ndarray]:
+    """The LU of the momentum operator ``K = nu I + V`` and its diagonal."""
     with np.errstate(over="ignore"):  # an overflowing K is refused below
         K = _velocity_operator(grid, eta, lam, nu)
     # V is PSD and zero on constant fields, so the smallest eigenvalue of K
@@ -390,13 +372,9 @@ def _brinkman_system(grid: Grid, eta: float, lam: float,
         raise FlowSolverError(f"momentum operator condition bound {cond:.3e} "
                               f"exceeds {MAX_CONDITION:.0e}: eta/nu too large")
     try:
-        k_lu = _InterleavedLU(K)
+        return _InterleavedLU(K), K.diagonal()
     except RuntimeError as exc:  # a zero pivot: K singular in rounding
         raise FlowSolverError(f"momentum operator: {exc}") from None
-    correction = _rhie_chow(grid, K.diagonal(), nu)
-    return _BrinkmanSystem(k_lu, correction,
-                           *_schur_model(grid, eta, lam, nu),
-                           _flow_operators(grid).pressure_basis)
 
 
 def _orthogonalize(W: np.ndarray, Z: np.ndarray, w: np.ndarray,
@@ -431,8 +409,13 @@ def _viscosity_number(a: np.ndarray, grid: Grid) -> float:
 class UzawaSpace:
     """What a Brinkman solve reuses across solves: system, directions, offset.
 
-    The factorized system is kept for the key ``(grid, eta, lam, nu)`` of
-    numbers, so a run's viscosities are factorized once.  Rows
+    The system of one key ``(grid, eta, lam, nu)`` of numbers is kept, so a
+    run's viscosities are factorized once: ``k_lu``, the LU of the momentum
+    operator ``K = nu I + V`` (``K`` itself is not kept, no solve reads it),
+    ``correction``, the Rhie-Chow stabilization of the constraint, the Schur
+    model symbols ``interior`` and ``wall`` with the wall ``band`` they
+    split on (``_schur_model``), and ``basis``, the Dirichlet pressure
+    eigenbasis they are symbols in.  Rows
     ``Z[:k]`` are pressure directions and ``W[:k] = S Z[:k]`` their images
     under the Schur operator ``S`` of that system; ``W[:k]`` is orthonormal.
     ``S`` depends only on the key, so directions found for one right-hand
@@ -449,7 +432,7 @@ class UzawaSpace:
 
     def __init__(self) -> None:
         self.key: tuple | None = None
-        self.system: _BrinkmanSystem | None = None
+        self.k_lu: _InterleavedLU | None = None
         self.Z = self.W = np.empty((0, 0))
         self.k = 0
         self.offset: np.ndarray | None = None
@@ -458,20 +441,29 @@ class UzawaSpace:
         self.k = 0
         self.offset = None
 
-    def system_for(self, grid: Grid, eta: float, lam: float,
-                   nu: float) -> _BrinkmanSystem:
-        """The kept system if the key matches, else a new one on an empty space."""
+    def build(self, grid: Grid, eta: float, lam: float, nu: float) -> None:
+        """Keep the system of ``(grid, eta, lam, nu)``: unless it is the
+        kept key, empty the space and build that system."""
         key = (grid, eta, lam, nu)
         if self.key == key:
-            return self.system
+            return
         # release the old LU before the new one exists
-        self.key = self.system = None
+        self.key = self.k_lu = None
         self.Z = np.empty((MAX_DIRECTIONS, grid.ncells))
         self.W = np.empty((MAX_DIRECTIONS, grid.ncells))
         self.clear()
-        self.system = _brinkman_system(grid, eta, lam, nu)
+        self.k_lu, kdiag = _momentum_lu(grid, eta, lam, nu)
+        self.correction = _rhie_chow(grid, kdiag, nu)
+        self.interior, self.wall, self.band = _schur_model(grid, eta, lam, nu)
+        self.basis = _flow_operators(grid).pressure_basis
         self.key = key
-        return self.system
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """The model inverse: ``interior`` off the band, ``wall`` on it."""
+        coef = self.basis.forward(r.reshape(self.band.shape))
+        z = np.where(self.band, self.basis.inverse(coef / self.wall),
+                     self.basis.inverse(coef / self.interior))
+        return z.ravel()
 
 
 def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
@@ -486,7 +478,7 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
     ``space`` keeps the factorized system, the search directions and the
     offset of earlier solves and receives this solve's; a solve that raises
     leaves its directions and offset empty.  Without it the call builds and
-    factorizes its own system, so it is cold and shares nothing; any start
+    factorizes a fresh space, so it is cold and shares nothing; any start
     gives the same solution to the tolerance.  Each viscosity is a number,
     or a uniform field over the grid that stands for its value.  A
     non-uniform field or a viscosity outside assumption A3 raises
@@ -520,8 +512,8 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
                           div_residual=0.0, dissipation=0.0, iterations=0)
     ops = _flow_operators(grid)
     space = space if space is not None else UzawaSpace()
-    system = space.system_for(grid, eta, lam, nu)
-    k_lu, correction = system.k_lu, system.correction
+    space.build(grid, eta, lam, nu)
+    k_lu, correction = space.k_lu, space.correction
     f_flat = force.reshape(-1)
 
     def schur_apply(z: np.ndarray) -> np.ndarray:
@@ -555,7 +547,7 @@ def solve_brinkman(force: np.ndarray, s_v: np.ndarray, eta: float,
             if len(history) > 50 and history[-1] > 0.999**50 * history[-51]:
                 raise FlowSolverError(
                     f"Uzawa stagnation: residual {rnorm:.3e} after {sweeps} sweeps")
-            z = system.precondition(r)
+            z = space.precondition(r)
             w = schur_apply(z)
             if space.k == MAX_DIRECTIONS:
                 space.k = 0  # periodic restart; sliding truncation can cycle

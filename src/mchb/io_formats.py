@@ -62,12 +62,13 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.tag = tag
         self.csv_path = self.dir / f"{tag}_report.csv"
+        meta = {"seed": config.seed, "config": config_to_dict(config),
+                "format_version": VERSION}
+        # the metadata first: if it cannot be written, no report is open
+        (self.dir / f"{tag}_meta.json").write_text(json.dumps(meta, indent=2))
         self._fh = open(self.csv_path, "w", newline="")
         self._csv = csv.writer(self._fh, lineterminator="\n")
         self._csv.writerow(CSV_HEADER)
-        meta = {"seed": config.seed, "config": config_to_dict(config),
-                "format_version": VERSION}
-        (self.dir / f"{tag}_meta.json").write_text(json.dumps(meta, indent=2))
 
     def write_row(self, row: list[str]) -> None:
         self._csv.writerow(row)

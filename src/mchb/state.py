@@ -33,10 +33,6 @@ class StateFields:
     t: float
     grid: Grid
 
-    def copy(self) -> "StateFields":
-        return StateFields(self.phi.copy(), self.mu.copy(), self.sigma.copy(),
-                           self.v.copy(), self.p.copy(), self.t, self.grid)
-
     def check_finite(self):
         for name in ("phi", "mu", "sigma", "v", "p"):
             if not np.all(np.isfinite(getattr(self, name))):

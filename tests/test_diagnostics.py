@@ -252,8 +252,10 @@ class TestEnergyIdentity:
         bundle = build_specs(cfg.model)
         state = uniform_state(grid, (1.0, 0.0, 0.0), cfg.model.sigma_Omega)
         terms = explicit_terms(state, bundle, False, False)
-        rep = energy_law_residual(state, state.copy(), 1e-3, bundle, terms,
-                                  None)
+        same = dataclasses.replace(
+            state, **{name: getattr(state, name).copy()
+                      for name in ("phi", "mu", "sigma", "v", "p")})
+        rep = energy_law_residual(state, same, 1e-3, bundle, terms, None)
         assert rep.identity_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_signed_residual_is_overdissipative_without_flow(self):

@@ -313,7 +313,7 @@ class TestBrinkman:
         with pytest.raises(FlowSolverError, match="not finite"):
             solve_brinkman(force, s_v, np.full(grid.shape, 0.1),
                            np.full(grid.shape, 0.1), 1.0, grid, space=space)
-        assert factorizations == [] and space.system is None
+        assert factorizations == [] and space.key is None
 
 
     @pytest.mark.parametrize("target,value,form", [
@@ -339,25 +339,33 @@ class TestBrinkman:
         with pytest.raises(ValueError, match="viscosity"):
             solve_brinkman(force, s_v, visc["eta"], visc["lam"], 1.0, grid,
                            space=space)
-        assert factorizations == [] and space.system is None
+        assert factorizations == [] and space.key is None
 
 
 ETA_LADDER = (1e-4, 1e-2, 5e-2, 0.5)
 
 
-def wall_symbol_everywhere(system):
-    """The system with the compact wall model on every cell."""
-    return system._replace(band=np.ones_like(system.band))
+def built_space(grid, eta, lam, nu):
+    """A new ``UzawaSpace`` holding the Brinkman system of its key."""
+    space = mchb.flow.UzawaSpace()
+    space.build(grid, eta, lam, nu)
+    return space
 
 
-def schur_matrix(system, grid):
+def wall_symbol_everywhere(space):
+    """The space, given the compact wall model on every cell."""
+    space.band = np.ones_like(space.band)
+    return space
+
+
+def schur_matrix(space, grid):
     """Dense Schur operator ``-div K^-1 G + C``, one apply per column."""
     ops = mchb.flow._flow_operators(grid)
     cols = []
     for z in np.eye(grid.ncells):
-        dv = system.k_lu.solve(-(ops.grad @ z))
+        dv = space.k_lu.solve(-(ops.grad @ z))
         cols.append(ops.div_cells(dv.reshape(2, grid.ny, grid.nx)).ravel()
-                    + system.correction @ z)
+                    + space.correction @ z)
     return np.array(cols).T
 
 
@@ -381,8 +389,8 @@ def dense_stencil_band(grid, correction):
     return (stencil != centre).any(axis=(1, 2)).reshape(grid.shape)
 
 
-def preconditioned_eigenvalues(system, S):
-    pre = np.array([system.precondition(z) for z in np.eye(len(S))]).T
+def preconditioned_eigenvalues(space, S):
+    pre = np.array([space.precondition(z) for z in np.eye(len(S))]).T
     return np.linalg.eigvals(pre @ S)
 
 
@@ -390,10 +398,10 @@ class TestSchurPreconditioner:
     @pytest.mark.parametrize("eta", ETA_LADDER)
     def test_spectrum_in_the_right_half_plane(self, eta):
         grid = Grid(16, 16, 1.0, 1.0)
-        system = mchb.flow._brinkman_system(grid, eta, eta, 1.0)
-        S = schur_matrix(system, grid)
-        got = preconditioned_eigenvalues(system, S)
-        ref = preconditioned_eigenvalues(wall_symbol_everywhere(system), S)
+        space = built_space(grid, eta, eta, 1.0)
+        S = schur_matrix(space, grid)
+        got = preconditioned_eigenvalues(space, S)
+        ref = preconditioned_eigenvalues(wall_symbol_everywhere(space), S)
         # the interior symbol alone put the wall modes near -0.1 +- 0.8i
         assert got.real.min() >= 0.5
 
@@ -407,8 +415,8 @@ class TestSchurPreconditioner:
                                       Grid(24, 16, 1.0, 1.7)])
     def test_band_is_where_the_stabilization_leaves_its_interior_row(self,
                                                                      grid):
-        system = mchb.flow._brinkman_system(grid, 0.05, 0.02, 1.0)
-        C = system.correction.tocsr()
+        space = built_space(grid, 0.05, 0.02, 1.0)
+        C = space.correction.tocsr()
 
         def row(j, i):
             r = C.getrow(j * grid.nx + i)
@@ -418,15 +426,15 @@ class TestSchurPreconditioner:
         centre = row(grid.ny // 2, grid.nx // 2)
         differs = np.array([[row(j, i) != centre for i in range(grid.nx)]
                             for j in range(grid.ny)])
-        assert_array_equal(system.band, differs)
+        assert_array_equal(space.band, differs)
         frame = np.ones(grid.shape, dtype=bool)
         frame[4:-4, 4:-4] = False
-        assert_array_equal(system.band, frame)
+        assert_array_equal(space.band, frame)
 
     @pytest.mark.parametrize("grid", [Grid(16, 24), Grid(64, 64),
                                       Grid(128, 128)])
     def test_band_equals_the_dense_stencil_comparison(self, grid):
-        # the band a darcy-limit system keeps, without its LU
+        # the band a darcy-limit space keeps, without its LU
         cfg = build_default_scenario("darcy-limit")
         C = darcy_limit_correction(grid)
         _, _, band = mchb.flow._schur_model(grid, cfg.eta0, cfg.lambda0,
@@ -443,9 +451,8 @@ class TestSchurPreconditioner:
         # every cell of an 8-cell axis lies in one of the 4 layers next to
         # a wall, the central cell included
         cfg = build_default_scenario("darcy-limit")
-        system = mchb.flow._brinkman_system(grid, cfg.eta0, cfg.lambda0,
-                                            cfg.model.nu)
-        assert system.band.all()
+        space = built_space(grid, cfg.eta0, cfg.lambda0, cfg.model.nu)
+        assert space.band.all()
 
     @pytest.mark.parametrize("grid", [Grid(8, 8), Grid(24, 16, 1.0, 1.7),
                                       Grid(128, 96, 2.0, 1.0)])
@@ -484,9 +491,13 @@ class TestSchurPreconditioner:
                                    opts).iterations for eta in ETA_LADDER]
 
         got = sweeps()
-        build = mchb.flow._brinkman_system
-        monkeypatch.setattr(mchb.flow, "_brinkman_system",
-                            lambda *a: wall_symbol_everywhere(build(*a)))
+        build = mchb.flow.UzawaSpace.build
+
+        def wall_everywhere(space, *key):
+            build(space, *key)
+            wall_symbol_everywhere(space)
+
+        monkeypatch.setattr(mchb.flow.UzawaSpace, "build", wall_everywhere)
         ref = sweeps()
         assert all(a <= b for a, b in zip(got, ref)), (got, ref)
         assert sum(got) < sum(ref)
@@ -529,14 +540,14 @@ class TestFlowOperatorCache:
         assert set(vars(mchb.flow._flow_operators(grid))) == {
             "grid", "dx_e", "dy_e", "grad", "poisson_dir", "pressure_basis",
             "poisson_dir_symbol"}
-        mchb.flow._brinkman_system(grid, 0.05, 0.02, 1.0)
+        built_space(grid, 0.05, 0.02, 1.0)
         assert sorted(calls) == sorted(2 * FACE_MATRICES)
 
     @pytest.mark.parametrize("grid", [Grid(16, 24), Grid(64, 64)])
     def test_correction_equals_the_face_matrix_assembly(self, grid):
         cfg = build_default_scenario("darcy-limit")
         nu = cfg.model.nu
-        system = mchb.flow._brinkman_system(grid, cfg.eta0, cfg.lambda0, nu)
+        space = built_space(grid, cfg.eta0, cfg.lambda0, nu)
         kdiag = mchb.flow._velocity_operator(grid, cfg.eta0, cfg.lambda0,
                                              nu).diagonal()
         terms = []
@@ -549,7 +560,7 @@ class TestFlowOperatorCache:
                          @ (avg @ grad
                             - face_gradient_matrix(grid, axis, DIRICHLET)))
         ref = (terms[0] + terms[1]).tocsr()
-        got = system.correction
+        got = space.correction
         for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
                      (got.data, ref.data)):
             assert a.dtype == b.dtype
@@ -727,10 +738,10 @@ class TestBrinkmanWarmStart:
         for grid, eta, lam, nu in cases:
             K = mchb.flow._velocity_operator(grid, eta, lam, nu)
             bound = condition_bound(grid, eta, lam, nu)
-            system = mchb.flow._brinkman_system(grid, eta, lam, nu)
+            space = built_space(grid, eta, lam, nu)
             b = rng.standard_normal(2 * grid.ncells)
             ref = spsolve(K.tocsc(), b)
-            got = system.k_lu.solve(b)
+            got = space.k_lu.solve(b)
             norm = np.linalg.norm
             assert norm(got - ref) <= max(1e-12, 1e-15 * bound) * norm(ref)
             assert norm(K @ got - b) <= 1e-15 * (nu * bound * norm(got)
@@ -893,12 +904,12 @@ class TestUzawaSpace:
 
     def test_breakdown_leaves_space_empty(self, problem, monkeypatch):
         space = self.filled(problem)
-        precondition = mchb.flow._BrinkmanSystem.precondition
+        precondition = mchb.flow.UzawaSpace.precondition
 
-        def failing(system, r):
-            return np.full_like(precondition(system, r), np.nan)
+        def failing(space, r):
+            return np.full_like(precondition(space, r), np.nan)
 
-        monkeypatch.setattr(mchb.flow._BrinkmanSystem, "precondition", failing)
+        monkeypatch.setattr(mchb.flow.UzawaSpace, "precondition", failing)
         with pytest.raises(FlowSolverError, match="breakdown"):
             solve_brinkman(problem[0][::-1].copy(), *problem[1:], space=space)
         assert space.k == 0 and space.offset is None
@@ -911,7 +922,7 @@ class TestUzawaSpace:
         if drop == "clear":
             space.clear()
         else:
-            space.system_for(g, eta, lam, 2.0 * nu)
+            space.build(g, eta, lam, 2.0 * nu)
         assert space.offset is None
 
     def test_zero_data_skips_projection(self, problem):
@@ -1004,15 +1015,15 @@ class TestUzawaSpace:
         # direction to the space, but one pass leaves ~1e-6 of w, and a
         # single pass would lose orthogonality at about 1e-10
         space = self.filled(problem)
-        precondition = mchb.flow._BrinkmanSystem.precondition
+        precondition = mchb.flow.UzawaSpace.precondition
 
-        def nearly_in_span(system, r):
-            z = precondition(system, r)
+        def nearly_in_span(owner, r):
+            z = precondition(owner, r)
             kept = space.Z[:space.k].sum(axis=0)
             return z + 1e6 * np.linalg.norm(z) / np.linalg.norm(kept) * kept
 
         ratios = self.recorded_cancellation(monkeypatch)
-        monkeypatch.setattr(mchb.flow._BrinkmanSystem, "precondition",
+        monkeypatch.setattr(mchb.flow.UzawaSpace, "precondition",
                             nearly_in_span)
         force = problem[0][::-1].copy()
         got = solve_brinkman(force, *problem[1:], space=space)

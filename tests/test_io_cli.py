@@ -107,25 +107,35 @@ class TestCli:
 
     @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8",
                                       "run-out-dir-file",
-                                      "sweep-out-dir-file"])
+                                      "sweep-out-dir-file",
+                                      "run_report.csv", "run_meta.json",
+                                      "run_state_000000.bin",
+                                      "sweep_darcy.csv"])
     def test_unusable_paths_are_config_errors(self, tmp_path, case):
-        # an unreadable config or an output directory that cannot be made
-        # ends in one error line, before any step or solve
+        # an unreadable config, an output directory that cannot be made
+        # (both before any step or solve) or an output file that cannot be
+        # opened, here a directory in its place, ends in one error line
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"grid_nx": 8, "grid_ny": 8}))
         taken = tmp_path / "taken"
         taken.write_text("")
+        out = tmp_path / "out"
+        run = ["run", "--config", str(cfg), "--steps", "1"]
+        sweep = ["sweep-darcy", "--config", str(cfg), "--snapshot-steps", "1",
+                 "--levels", "1e-2"]
         if case == "config-directory":
             argv = ["validate", "--config", str(tmp_path)]
         elif case == "config-not-utf8":
             cfg.write_bytes(b'{"grid_nx": 8, "grid_ny": 8}\xff\n')
             argv = ["validate", "--config", str(cfg)]
         elif case == "run-out-dir-file":
-            argv = ["run", "--config", str(cfg), "--steps", "1",
-                    "--out-dir", str(taken)]
+            argv = [*run, "--out-dir", str(taken)]
+        elif case == "sweep-out-dir-file":
+            argv = [*sweep, "--out-dir", str(taken)]
         else:
-            argv = ["sweep-darcy", "--config", str(cfg), "--snapshot-steps",
-                    "1", "--levels", "1e-2", "--out-dir", str(taken)]
+            (out / case).mkdir(parents=True)
+            argv = [*(sweep if case.startswith("sweep") else run),
+                    "--out-dir", str(out)]
         res = run_cli(argv)
         assert res.returncode == 1
         assert res.stderr.count("error:") == 1
@@ -261,8 +271,9 @@ class TestCli:
         assert field in err
 
     def test_usage_errors_are_config_errors(self, capsys):
+        # validate writes no file, so it takes no output root
         for argv in ([], ["run", "--steps", "abc"], ["run", "--bogus"],
-                     ["frobnicate"]):
+                     ["frobnicate"], ["validate", "--out-dir", "x"]):
             assert main(argv) == 1, argv
             assert "usage: mchb" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:

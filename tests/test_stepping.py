@@ -133,11 +133,10 @@ class ReferenceImplicit:
 
         x0 = np.concatenate([phin.ravel(), sign.ravel()])
         x = newton_krylov(residual, x0, f_tol=1e-13, maxiter=200)
-        out = state.copy()
-        out.phi = x[:3 * n].reshape(3, g.ny, g.nx)
-        out.sigma = x[3 * n:].reshape(1, g.ny, g.nx)
-        out.t = state.t + dt
-        return out
+        return dataclasses.replace(
+            state, phi=x[:3 * n].reshape(3, g.ny, g.nx), mu=state.mu.copy(),
+            sigma=x[3 * n:].reshape(1, g.ny, g.nx), v=state.v.copy(),
+            p=state.p.copy(), t=state.t + dt)
 
 
 class ChordReference(TimeStepper):

@@ -72,6 +72,14 @@ MUTANTS = (
      "iterations=sweeps)",
      "iterations=max(sweeps, 1))",
      "Brinkman solve reporting a sweep it never ran", None),
+    ("src/mchb/flow.py",
+     "        self.clear()\n        self.k_lu, kdiag = ",
+     "        self.k_lu, kdiag = ",
+     "Uzawa space kept its directions and offset across a new key", None),
+    ("src/mchb/flow.py",
+     "self.basis.inverse(coef / self.wall)",
+     "self.basis.inverse(coef / self.interior)",
+     "Schur preconditioner with the interior symbol on the wall band", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
