@@ -199,14 +199,15 @@ def cmd_sweep_darcy(args) -> int:
         # a snapshot step or the Darcy reference failed: no level was solved
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    write_sweep_csv(out / "sweep_darcy.csv", result.eta_levels,
-                    result.velocity_gaps, result.velocity_gaps_rel,
-                    result.darcy_residuals, partial=result.partial)
+    # the levels are printed first, so a CSV that cannot be written loses none
     for eta, gap, rel, res, sweeps in zip(
             result.eta_levels, result.velocity_gaps, result.velocity_gaps_rel,
             result.darcy_residuals, result.sweeps):
         print(f"eta={eta:.3e}  gap={gap:.6e}  rel={rel:.6e}  residual={res:.6e}"
               f"  sweeps={sweeps}")
+    write_sweep_csv(out / "sweep_darcy.csv", result.eta_levels,
+                    result.velocity_gaps, result.velocity_gaps_rel,
+                    result.darcy_residuals, partial=result.partial)
     if result.partial:
         print("sweep aborted: solver failure, partial results flagged",
               file=sys.stderr)

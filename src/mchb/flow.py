@@ -3,9 +3,11 @@
 Darcy: eliminate the velocity to get a pressure Poisson problem with a
 homogeneous Dirichlet condition (the degenerate limit of the traction-free
 closure) on the compact five-point system, and reconstruct ``v = (force - grad
-p) / nu``.  The Dirichlet ``grid.eigenbasis``, the sine transform, diagonalizes
-that system exactly: the pressure is one forward transform, a division by the
-eigenvalues and one inverse transform; a residual check guards the result.
+p) / nu``.  The Dirichlet ``grid.eigenbasis``, the orthonormal DST (two dense
+products up to ``grid.DENSE_BASIS_MAX`` cells an axis, scipy's transform
+above), diagonalizes that system exactly: the pressure is one forward change
+of basis, a division by the eigenvalues and one inverse change of basis; a
+residual check guards the result.
 
 Brinkman: a preconditioned Uzawa iteration on the saddle problem.  The
 velocity operator ``nu I + V`` collects the symmetric viscous form

@@ -7,8 +7,10 @@ average, the compact face divergence, the centred cell gradient (the
 average of the two adjacent face differences) and the flux-form diffusion
 matrix ``fv_diffusion_matrix``, whose Neumann instance is minus the
 five-point Laplacian; summation by parts is exact for zero-flux closures.
-``wall_terms`` is its wall part, ``eigenbasis`` diagonalizes it, and
-``wall_traces`` gives the boundary-face values of a field.
+``wall_terms`` is its wall part, ``eigenbasis`` diagonalizes it (by two
+dense products with the DCT/DST matrices up to ``DENSE_BASIS_MAX`` cells an
+axis, where they cost less than scipy's transforms, and by the transforms
+above), and ``wall_traces`` gives the boundary-face values of a field.
 ``cell_gradient`` is the Neumann centred cell gradient applied by slices;
 the convective term ``advective_divergence`` and the Korteweg force both
 take it.
@@ -281,6 +283,28 @@ def fv_diffusion_matrix(grid: Grid, bc: BC, coeff: float = 1.0):
 
 Eigenbasis = namedtuple("Eigenbasis", "forward inverse lam_y lam_x")
 
+# The largest axis of a Neumann or Dirichlet grid whose basis changes by two
+# dense products rather than by scipy's DCT/DST.  On n x n grids, forward plus
+# inverse on one OpenBLAS thread of a 2-core Xeon, dense over transform reads
+# 0.2-0.3 at n = 16-32, 0.5 at 64, 0.7 at 80 and 0.8-0.9 at 96; at 100 the
+# transform won one repeat of 14, and from 112 it wins every one.
+DENSE_BASIS_MAX = 96
+
+
+def _sinusoid_matrix(n: int, m0: int) -> np.ndarray:
+    """The orthonormal type-II DCT (``m0 = 0``) or DST (``m0 = 1``) matrix
+    by columns: ``q.T @ f`` is ``dct``/``dst(f, type=2, norm="ortho",
+    axis=0)``, mode ``m`` from ``m0`` in column ``m - m0``."""
+    # the angle pi (2j + 1) m / 2n, reduced below 2 pi in integers first
+    theta = np.pi / (2 * n) * (np.outer(2 * np.arange(n) + 1,
+                                         np.arange(m0, n + m0)) % (4 * n))
+    q = np.sqrt(2.0 / n) * (np.sin(theta) if m0 else np.cos(theta))
+    if m0:
+        q[:, -1] /= np.sqrt(2.0)  # the mode m = n, (-1)^j / sqrt(n)
+    else:
+        q[:, 0] /= np.sqrt(2.0)  # the constant mode, 1 / sqrt(n)
+    return q
+
 
 def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
     """Orthonormal eigenbasis ``(forward, inverse, lam_y, lam_x)`` of
@@ -288,29 +312,44 @@ def eigenbasis(grid: Grid, bc: BC, coeff: float = 1.0) -> Eigenbasis:
 
     ``inverse((lam_y[:, None] + lam_x[None, :]) * forward(f))`` applies it
     to an ``(ny, nx)`` field (fast diagonalization; Lynch, Rice and Thomas,
-    Numer. Math. 6, 1964).  Neumann axes take the type-II DCT and Dirichlet
-    axes the DST (modes ``m`` from 0 and from 1), with the keywords of
-    ``dctn`` and the eigenvalue ``coeff (2 - 2 cos(pi m / n)) / h**2``;
-    Robin axes take ``eigh`` of their dense operators.  Extrapolate, whose
-    ghost reads past the edge layer, raises ``TypeError``.
+    Numer. Math. 6, 1964).  Neumann axes take the type-II DCT basis and
+    Dirichlet axes the DST basis (modes ``m`` from 0 and from 1), with the
+    eigenvalue ``coeff (2 - 2 cos(pi m / n)) / h**2``; Robin axes take
+    ``eigh`` of their dense operators.  Extrapolate, whose ghost reads past
+    the edge layer, raises ``TypeError``.
+
+    The change of basis is two dense products, ``forward(f) = q_y.T f q_x``
+    and ``inverse(c) = q_y c q_x.T``, on Robin grids and on Neumann and
+    Dirichlet grids with no axis above ``DENSE_BASIS_MAX`` cells, where they
+    cost less than the transforms (the analytic matrices of
+    ``_sinusoid_matrix``, so the Neumann mode 0 is the constant
+    ``1/sqrt(n)``).  Larger Neumann and Dirichlet grids take ``dctn`` and
+    ``dstn`` with their keywords; the dense functions accept and ignore
+    ``overwrite_x``.
     """
     axes = ((grid.ny, grid.hy), (grid.nx, grid.hx))
     if isinstance(bc, (Neumann, Dirichlet)):
         m0 = int(isinstance(bc, Dirichlet))
-        fwd, inv = (dstn, idstn) if m0 else (dctn, idctn)
-        return Eigenbasis(
-            partial(fwd, type=2, norm="ortho"), partial(inv, type=2, norm="ortho"),
-            *(coeff * (2.0 - 2.0 * np.cos(np.arange(m0, n + m0) * np.pi / n))
-              / h**2 for n, h in axes))
-    pairs = []
-    for n, h in axes:
-        t = coeff / h**2
-        mat = t * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
-        w, _ = _wall_closure(bc, h)
-        mat[0, 0] = mat[-1, -1] = t + coeff * (1.0 - w) / h**2
-        pairs.append(np.linalg.eigh(mat))
-    (lam_y, q_y), (lam_x, q_x) = pairs
-    return Eigenbasis(lambda f: q_y.T @ f @ q_x, lambda c: q_y @ c @ q_x.T,
+        lam_y, lam_x = (
+            coeff * (2.0 - 2.0 * np.cos(np.arange(m0, n + m0) * np.pi / n))
+            / h**2 for n, h in axes)
+        if max(grid.nx, grid.ny) > DENSE_BASIS_MAX:
+            fwd, inv = (dstn, idstn) if m0 else (dctn, idctn)
+            return Eigenbasis(partial(fwd, type=2, norm="ortho"),
+                              partial(inv, type=2, norm="ortho"), lam_y, lam_x)
+        q_y, q_x = (_sinusoid_matrix(n, m0) for n, _ in axes)
+    else:
+        pairs = []
+        for n, h in axes:
+            t = coeff / h**2
+            mat = t * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+            w, _ = _wall_closure(bc, h)
+            mat[0, 0] = mat[-1, -1] = t + coeff * (1.0 - w) / h**2
+            pairs.append(np.linalg.eigh(mat))
+        (lam_y, q_y), (lam_x, q_x) = pairs
+    q_y, q_x, q_yt, q_xt = map(np.ascontiguousarray, (q_y, q_x, q_y.T, q_x.T))
+    return Eigenbasis(lambda f, overwrite_x=False: q_yt @ f @ q_x,
+                      lambda c, overwrite_x=False: q_y @ c @ q_xt,
                       lam_y, lam_x)
 
 

@@ -62,17 +62,24 @@ class RunWriter:
         self.dir.mkdir(parents=True, exist_ok=True)
         self.tag = tag
         self.csv_path = self.dir / f"{tag}_report.csv"
+        self.meta_path = self.dir / f"{tag}_meta.json"
+        self._rows = 0
         meta = {"seed": config.seed, "config": config_to_dict(config),
                 "format_version": VERSION}
         # the metadata first: if it cannot be written, no report is open
-        (self.dir / f"{tag}_meta.json").write_text(json.dumps(meta, indent=2))
-        self._fh = open(self.csv_path, "w", newline="")
+        self.meta_path.write_text(json.dumps(meta, indent=2))
+        try:
+            self._fh = open(self.csv_path, "w", newline="")
+        except OSError:
+            self.meta_path.unlink()
+            raise
         self._csv = csv.writer(self._fh, lineterminator="\n")
         self._csv.writerow(CSV_HEADER)
 
     def write_row(self, row: list[str]) -> None:
         self._csv.writerow(row)
         self._fh.flush()
+        self._rows += 1
 
     def snapshot(self, state: StateFields, step: int) -> None:
         stack = np.concatenate([state.phi, state.mu, state.sigma,
@@ -85,8 +92,13 @@ class RunWriter:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         self.close()
+        if exc_type is not None and not self._rows:
+            # a run that failed before its first step leaves no metadata and
+            # header-only report that read like a finished run of 0 steps
+            self.meta_path.unlink(missing_ok=True)
+            self.csv_path.unlink(missing_ok=True)
 
 
 def read_csv_report(path):

@@ -8,7 +8,7 @@ coupling, sources and transport explicit, and (iv) one implicit nutrient
 solve of ``(I/dt + N) sigma = rhs`` with the updated phase field inside the
 flux.  Under either wall closure, no-flux (``K = 0``) or Robin, ``N`` is
 the Kronecker sum of two axis operators, and ``grid.eigenbasis``
-diagonalizes it (by cosine transform on the no-flux wall): the solve, for
+diagonalizes it (in the cosine basis on the no-flux wall): the solve, for
 the increment ``sigma - sigma^n``, is a change of basis per axis and a
 division by ``1/dt + lambda_y + lambda_x``.
 
@@ -24,8 +24,9 @@ with the Shen-Yang stabilization: ``A`` is the Neumann Laplacian and ``c``
 the mid-range of the convex-part Hessian ``h`` over the value range of the
 component at the step's starting state, ``[min phi^n, max phi^n]``
 (``constitutive.convex_hessian_range``: ``h`` is a parabola, so three
-values of it give the range).  Its ``eigenbasis``, the DCT, diagonalizes
-``A`` exactly, so the sweep
+values of it give the range).  Its ``eigenbasis``, the orthonormal DCT
+(two dense products up to ``grid.DENSE_BASIS_MAX`` cells an axis, scipy's
+transform above), diagonalizes ``A`` exactly, so the sweep
 ``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``:
 ``R^ = (1 + dt gamma eps lambda^2) x^ + dt gamma/eps lambda DCT(psi1'(x))
 + b^``, with ``psi1'`` from ``constitutive.convex_gradient`` and ``b^``

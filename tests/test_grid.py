@@ -5,9 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dctn, dstn, idctn, idstn
 
-from mchb.grid import (DIRICHLET, EXTRAPOLATE, NEUMANN, Grid, Robin,
-                       advective_divergence, cell_gradient,
+import mchb.grid
+
+from mchb.grid import (DENSE_BASIS_MAX, DIRICHLET, EXTRAPOLATE, NEUMANN,
+                       Grid, Robin, advective_divergence, cell_gradient,
                        cell_gradient_matrix, eigenbasis,
                        face_average_matrix, face_divergence_matrix,
                        face_gradient_matrix, fv_diffusion_matrix, wall_terms,
@@ -256,6 +259,56 @@ class TestDiffusionAssembly:
         returned = (mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
                     + rhs.nbytes)
         assert peak <= 2.5 * returned
+
+
+CUT = DENSE_BASIS_MAX
+
+
+class TestEigenbasisBranches:
+    """Dense products up to ``DENSE_BASIS_MAX`` cells an axis, the scipy
+    transforms above it: the same basis and eigenvalues either way."""
+
+    @pytest.mark.parametrize("dims", [(24, 40, 1.3, 0.7), (CUT, 48, 2.0, 1.1),
+                                      (CUT, CUT, 1.0, 1.0),
+                                      (CUT + 1, 40, 1.7, 0.9),
+                                      (16, CUT + 1, 1.0, 2.5)],
+                             ids=["below", "at-x", "at", "above-x", "above-y"])
+    @pytest.mark.parametrize("bc, fwd, inv", [(NEUMANN, dctn, idctn),
+                                              (DIRICHLET, dstn, idstn)],
+                             ids=["neumann", "dirichlet"])
+    def test_matches_the_scipy_transforms(self, dims, bc, fwd, inv,
+                                          monkeypatch):
+        grid = Grid(*dims)
+        calls = []
+        monkeypatch.setattr(mchb.grid, fwd.__name__,
+                            lambda *a, **k: calls.append(1) or fwd(*a, **k))
+        basis = eigenbasis(grid, bc, 0.7)
+        f = rand_field(grid, seed=9)
+        coef = basis.forward(f)
+        # the dense branch calls no transform; only a larger axis does
+        assert bool(calls) == (max(grid.nx, grid.ny) > CUT)
+        want = fwd(f, type=2, norm="ortho")
+        assert np.abs(coef - want).max() <= 1e-13 * np.abs(want).max()
+        back = inv(coef, type=2, norm="ortho")
+        assert np.abs(basis.inverse(coef) - back).max() \
+            <= 1e-13 * np.abs(back).max()
+        assert np.abs(basis.inverse(coef, overwrite_x=True) - f).max() \
+            <= 1e-13 * np.abs(f).max()
+        # the analytic eigenvalues, bit for bit, with lambda_0 = 0 on Neumann
+        m0 = int(bc is DIRICHLET)
+        for lam, n, h in ((basis.lam_y, grid.ny, grid.hy),
+                          (basis.lam_x, grid.nx, grid.hx)):
+            m = np.arange(m0, n + m0)
+            assert lam.tobytes() == (
+                0.7 * (2.0 - 2.0 * np.cos(m * np.pi / n)) / h**2).tobytes()
+        if bc is NEUMANN:
+            assert basis.lam_y[0] == basis.lam_x[0] == 0.0
+            # mode (0, 0) is the positive constant 1/sqrt(N) the phase
+            # solve's mean-mode step divides by
+            unit = np.zeros(grid.shape)
+            unit[0, 0] = 1.0
+            mode = basis.inverse(unit)
+            assert np.abs(mode * np.sqrt(grid.ncells) - 1.0).max() <= 1e-15
 
 
 class TestBoundaryClosures:

@@ -141,6 +141,12 @@ class TestCli:
         assert res.stderr.count("error:") == 1
         assert res.stderr.startswith("error: ")
         assert "Traceback" not in res.stderr
+        if case.startswith("run_"):
+            # a run that fails before its first step leaves no file behind
+            assert [p.name for p in out.iterdir()] == [case]
+        if case == "sweep_darcy.csv":
+            # the solved level is printed before the CSV is opened
+            assert res.stdout.startswith("eta=1.000e-02  gap=")
 
     def test_zero_horizon_initial_snapshot_only(self, tmp_path):
         res = run_cli(["run", "--preset", "zero-source", "--t-end", "0",

@@ -15,8 +15,10 @@ from scipy.optimize import newton_krylov
 
 import mchb.constitutive as cst
 import mchb.diagnostics
+import mchb.grid
 import mchb.stepping
-from mchb.grid import NEUMANN, Grid, Robin, eigenbasis, fv_diffusion_matrix
+from mchb.grid import (DENSE_BASIS_MAX, NEUMANN, Grid, Robin, eigenbasis,
+                       fv_diffusion_matrix)
 from mchb.diagnostics import component_masses, free_energy
 from mchb.parameters import build_default_scenario, default_parameters
 from mchb.state import StateFields, build_initial_state, smooth_random_field
@@ -246,6 +248,23 @@ class TestConservation:
             s, rep = st.step(s, cfg.dt)
             assert rep.energy_after < e_prev
             e_prev = rep.energy_after
+
+    def test_transform_branch_keeps_mass_and_energy(self, monkeypatch):
+        # above DENSE_BASIS_MAX cells an axis the phase sweep runs on the DCT
+        n = DENSE_BASIS_MAX + 8
+        transforms = counting(monkeypatch, mchb.grid, "dctn")
+        cfg = small_config(flow_enabled=False, grid_nx=n, grid_ny=n)
+        st = TimeStepper(cfg)
+        s = build_initial_state(cfg, st.bundle)
+        m0, _, _ = component_masses(s)
+        e_prev, _, _ = free_energy(s, st.bundle)
+        for _ in range(3):
+            s, rep = st.step(s, cfg.dt)
+            assert rep.energy_after < e_prev
+            e_prev = rep.energy_after
+        m, _, _ = component_masses(s)
+        assert np.abs(m - m0).max() <= 1e-9 * st.grid.area
+        assert transforms
 
 
 class TestPhaseTolerance:

@@ -80,6 +80,14 @@ MUTANTS = (
      "self.basis.inverse(coef / self.wall)",
      "self.basis.inverse(coef / self.interior)",
      "Schur preconditioner with the interior symbol on the wall band", None),
+    ("src/mchb/grid.py",
+     "q[:, 0] /= np.sqrt(2.0)",
+     "q[:, 0] /= 1.0",
+     "dense Neumann basis without the 1/sqrt(2) of its column 0", None),
+    ("src/mchb/grid.py",
+     "q[:, -1] /= np.sqrt(2.0)",
+     "q[:, 0] /= np.sqrt(2.0)",
+     "dense Dirichlet basis scaling its column 0, not its last column", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
