@@ -4,8 +4,11 @@ Exit codes are a total function of the outcome class:
 
 * 0  success
 * 1  configuration error, including a malformed command line and an
-     output directory or file that cannot be made or written
-* 2  aborted run / aborted sweep / failed MMS flow solve
+     output directory or file that cannot be made or written before a run
+     has written a report row
+* 2  aborted run (a solver failure, or an output file that cannot be
+     written once a report row is written) / aborted sweep / failed MMS
+     flow solve
 * 3  verification (convergence-slope) failure
 * 4  strict assumption failure
 
@@ -106,7 +109,16 @@ def cmd_run(args) -> int:
     from .stepping import TimeStepper
 
     with RunWriter(out, cfg, tag=args.tag) as writer:
-        summary = TimeStepper(cfg).run(writer)
+        try:
+            summary = TimeStepper(cfg).run(writer)
+        except OSError as exc:
+            # once a row is written the run has output to keep: it stops as
+            # an aborted run, with its rows
+            if not writer.rows:
+                raise
+            print(f"run aborted after {writer.rows} steps: {exc}",
+                  file=sys.stderr)
+            return EXIT_ABORTED
     print(f"run finished: {len(summary.reports)} steps, "
           f"E0={summary.e_initial:.6g}, out={out}")
     if summary.aborted:

@@ -89,10 +89,23 @@ def double_well_gradient(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _well_root(p: np.ndarray) -> np.ndarray:
+    """``p (1 - p)`` per component, whose square is its double well."""
+    out = 1.0 - np.asarray(p, dtype=float)
+    out *= p
+    return out
+
+
 def potential_value(p: np.ndarray) -> np.ndarray:
     """Value of ``psi(p) = sum_i p_i^2 (1 - p_i)^2`` alone."""
-    p = np.asarray(p, dtype=float)
-    return (p**2 * (1.0 - p) ** 2).sum(axis=0)
+    q = _well_root(p)
+    return (q * q).sum(axis=0)
+
+
+def potential_sum(p: np.ndarray) -> float:
+    """``potential_value(p)`` summed over the cells, with one temporary."""
+    q = _well_root(p)
+    return float(np.vdot(q, q))
 
 
 def potential_eval(p: np.ndarray):

@@ -10,6 +10,12 @@ The nutrient flux of the dissipation has the interior differences of
 ``chi_sigma sigma - B phi``; under the Robin closure its wall faces add
 ``cell_area sum (k (sigma_Gamma - t))**2`` over the nutrient traces ``t``,
 since the closure sets ``chi_sigma (ghost - edge) / h = k (sigma_Gamma - t)``.
+The energy of a state the stepper made takes ``int |grad phi_i|^2`` as
+``cell_area <phi_i, A phi_i>`` from the phase solve's product ``A phi_i``
+(``A`` the Neumann ``fv_diffusion_matrix``): summation by parts makes that
+the sum of the same squared face differences, equal up to rounding.  The
+difference sums stay the reference for every state without that product,
+such as a run's initial state.
 
 The energy-identity residual balances one step: change of energy per unit
 time, plus dissipation and the boundary absorption term, minus the work done
@@ -17,7 +23,9 @@ by the sources, by the Robin wall, by transport, and by the flow force.  The
 identity consumes the step's own explicit terms, built once by
 ``stepping.explicit_terms`` and ``stepping.transport_terms``: the sources
 (zeros when switched off) and Korteweg force of the earlier state and the
-transport in the new velocity.  The flow's dissipation is the one its solve
+transport in the new velocity.  The new state's energy comes from the
+stepper too, with the chemical derivatives it keeps for the next step.
+The flow's dissipation is the one its solve
 reported (``FlowResult.dissipation``); the phase and nutrient dissipation
 integrands use the updated fields with the model's unit mobilities, and the
 boundary terms use the Robin closure the nutrient solve used.  A positive
@@ -78,22 +86,31 @@ def nutrient_bc(bundle: SpecBundle):
 
 
 def free_energy(state: StateFields, bundle: SpecBundle, *,
-                with_n_sigma: bool = False):
+                a_phi: np.ndarray | None = None,
+                with_derivatives: bool = False):
     """Total free energy and its Ginzburg-Landau / chemical split.
 
-    With ``with_n_sigma`` the chemical derivative ``N_sigma`` of ``state``
-    follows as a fourth item, from the same evaluation of ``N``.
+    ``a_phi`` is ``A phi`` per component, ``A`` the Neumann matrix of
+    ``fv_diffusion_matrix``, when the caller has it, as the phase solve
+    does: then ``int |grad phi_i|^2`` is ``cell_area <phi_i, A phi_i>``,
+    which sums by parts to the face differences and differs from them only
+    by rounding.  With ``with_derivatives`` the chemical derivatives
+    ``N_phi`` and ``N_sigma`` of ``state`` follow as fourth and fifth items,
+    from the same evaluation of ``N``.
     """
     g = state.grid
     m = bundle.params
-    psi = cst.potential_value(state.phi)
-    gl = m.gamma / m.epsilon * float(psi.sum()) * g.cell_area
-    for c in state.phi:
-        gl += 0.5 * m.gamma * m.epsilon * _gradient_square_sum(c, g)
-    n_val, _, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma,
-                                               bundle.chem)
-    chem = float(n_val.sum()) * g.cell_area
-    return (gl + chem, gl, chem, n_sigma) if with_n_sigma \
+    w = g.cell_area
+    if a_phi is None:
+        grad_sq = sum(_gradient_square_sum(c, g) for c in state.phi)
+    else:
+        grad_sq = float(np.vdot(state.phi, a_phi)) * w
+    gl = (m.gamma / m.epsilon * cst.potential_sum(state.phi) * w
+          + 0.5 * m.gamma * m.epsilon * grad_sq)
+    n_val, n_phi, n_sigma, _ = cst.chemical_energy(state.phi, state.sigma,
+                                                   bundle.chem)
+    chem = float(n_val.sum()) * w
+    return (gl + chem, gl, chem, n_phi, n_sigma) if with_derivatives \
         else (gl + chem, gl, chem)
 
 
@@ -153,29 +170,34 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
                         bundle: SpecBundle, terms: StepTerms,
                         transport: tuple | None, *,
                         flow_dissipation: float = 0.0,
-                        e_before: float | None = None) -> EnergyReport:
+                        e_before: float | None = None,
+                        e_after: tuple | None = None) -> EnergyReport:
     """Assemble the one-step energy identity and return its residual.
 
     ``terms`` are the step's explicit terms at ``before`` (``explicit_terms``
     in ``stepping``) and ``transport`` its ``(conv_phi, conv_sigma)`` in the
     new velocity, None when the flow is off.  ``flow_dissipation`` is the
     dissipation the step's flow solve reported, 0 with the flow off.
-    ``e_before`` is the free energy of ``before`` when the caller already
-    has it, as a stepper does from its previous step; otherwise it is
-    computed here.
+    ``e_before`` is the free energy of ``before`` and ``e_after`` the
+    ``free_energy(after, bundle, with_derivatives=True)`` items when the
+    caller already has them, as a stepper does; otherwise they are computed
+    here.  With the sources off their work terms are zero and are skipped.
     """
     g = before.grid
+    w = g.cell_area
     if e_before is None:
         e_before, _, _ = free_energy(before, bundle)
-    e_after, gl_after, chem_after, n_sigma_a = free_energy(
-        after, bundle, with_n_sigma=True)
+    if e_after is None:
+        e_after = free_energy(after, bundle, with_derivatives=True)
+    e_total, gl_after, chem_after, _, n_sigma_a = e_after
 
     dissipation = dissipation_rate(after, bundle) + flow_dissipation
     boundary = boundary_absorption(after, bundle)
 
-    work = 0.0  # so zero sources with negative potentials add to +0.0
-    work += float((terms.s_phi * after.mu).sum()) * g.cell_area
-    work -= float((terms.s_sigma * n_sigma_a).sum()) * g.cell_area
+    work = 0.0
+    if terms.sources:
+        work += float(np.vdot(terms.s_phi, after.mu)) * w
+        work -= float(np.vdot(terms.s_sigma, n_sigma_a)) * w
     bc = nutrient_bc(bundle)
     if isinstance(bc, Robin):
         # the Robin wall's work, K (sigma_Gamma N_sigma + sigma B phi) on the
@@ -191,14 +213,14 @@ def energy_law_residual(before: StateFields, after: StateFields, dt: float,
 
     if transport is not None:
         conv_phi, conv_sigma = transport
-        for i in range(before.phi.shape[0]):
-            work -= float((conv_phi[i] * after.mu[i]).sum()) * g.cell_area
-        work -= float((conv_sigma * n_sigma_a[0]).sum()) * g.cell_area
-        work += float((terms.force * after.v).sum()) * g.cell_area
-        work += float((after.p * terms.s_v).sum()) * g.cell_area
+        work -= float(np.vdot(conv_phi, after.mu)) * w
+        work -= float(np.vdot(conv_sigma, n_sigma_a[0])) * w
+        work += float(np.vdot(terms.force, after.v)) * w
+        if terms.sources:
+            work += float(np.vdot(after.p, terms.s_v)) * w
 
-    signed = (e_after - e_before) / dt + dissipation + boundary - work
-    return EnergyReport(t=after.t, e_total=e_after, ginzburg_landau=gl_after,
+    signed = (e_total - e_before) / dt + dissipation + boundary - work
+    return EnergyReport(t=after.t, e_total=e_total, ginzburg_landau=gl_after,
                         chemical=chem_after, dissipation=dissipation,
                         boundary_term=boundary, source_work=work,
                         identity_residual=abs(signed), residual_signed=signed,

@@ -92,7 +92,8 @@ with their wall band and the Dirichlet basis, next to the search
 directions and the offset.  It drops ``K`` itself, which no solve reads,
 and the face average, face divergence and face gradient matrices that the
 correction is assembled from, so a Darcy solve never builds them.  The
-Korteweg force applies ``grid.cell_gradient`` by slices and keeps nothing.
+Korteweg force applies ``grid.cell_gradient`` by slices, or takes the
+step's stack of those gradients, and keeps nothing.
 """
 
 from __future__ import annotations
@@ -180,19 +181,25 @@ def _flow_operators(grid: Grid) -> _FlowOperators:
 
 
 def korteweg_force(phi: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                   n_sigma: np.ndarray, grid: Grid) -> np.ndarray:
+                   n_sigma: np.ndarray, grid: Grid,
+                   grads: np.ndarray | None = None) -> np.ndarray:
     """Capillary/chemical force ``(grad phi)^T mu + (grad sigma)^T N_sigma``
-    with ``grid.cell_gradient``, the gradient the transport uses."""
+    with ``grid.cell_gradient``, the gradient the transport uses.
+
+    ``grads`` stacks ``cell_gradient`` of ``phi_1, ..., sigma_1`` as ``(L +
+    M, 2, ny, nx)`` when the caller has them; they are read, not written,
+    and give the same bits as the gradients formed here.
+    """
     if phi.shape[1:] != grid.shape or sigma.shape[1:] != grid.shape:
         raise ValueError("fields do not share the flow grid")
+    if grads is None:
+        grads = [cell_gradient(q, grid) for q in [*phi, *sigma]]
     force = np.zeros((2,) + grid.shape)
-    # one work array for every field's gradient: fresh ones cost more than
-    # the differences at 128^2
+    # one work array for every field's term: fresh ones cost more than the
+    # products at 128^2
     term = np.empty_like(force)
-    for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):
-        cell_gradient(q, grid, out=term)
-        term *= w
-        force += term
+    for grad, w in zip(grads, [*mu, *n_sigma]):
+        force += np.multiply(grad, w, out=term)
     return force
 
 

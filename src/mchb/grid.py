@@ -13,7 +13,8 @@ axis, where they cost less than scipy's transforms, and by the transforms
 above), and ``wall_traces`` gives the boundary-face values of a field.
 ``cell_gradient`` is the Neumann centred cell gradient applied by slices;
 the convective term ``advective_divergence`` and the Korteweg force both
-take it.
+take it, or the caller's copy of it, so a step that needs both forms each
+field's gradient once.
 
 Boundary closures are ghost-cell based, all defined in ``_ghost``:
 
@@ -374,12 +375,19 @@ def cell_gradient(q: np.ndarray, grid: Grid,
 
 
 def advective_divergence(q: np.ndarray, vx: np.ndarray, vy: np.ndarray,
-                         s_v: np.ndarray, grid: Grid) -> np.ndarray:
+                         s_v: np.ndarray, grid: Grid,
+                         grad: np.ndarray | None = None) -> np.ndarray:
     """Convective term ``(grad q) . v + q s_v`` with ``cell_gradient``, the
     gradient of the Korteweg force, so the transport's work against a
-    potential equals the force's work against ``v``."""
-    gx, gy = cell_gradient(q, grid)
-    gx *= vx
-    gx += np.multiply(gy, vy, out=gy)
-    gx += np.multiply(q, s_v, out=gy)
-    return gx
+    potential equals the force's work against ``v``.
+
+    ``grad`` is ``cell_gradient(q, grid)`` when the caller has it; it is
+    read, not written, and gives the same bits as the gradient formed here.
+    """
+    if grad is None:
+        grad = cell_gradient(q, grid)
+    out = grad[0] * vx
+    work = np.multiply(grad[1], vy)
+    out += work
+    out += np.multiply(q, s_v, out=work)
+    return out

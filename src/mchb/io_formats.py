@@ -63,7 +63,7 @@ class RunWriter:
         self.tag = tag
         self.csv_path = self.dir / f"{tag}_report.csv"
         self.meta_path = self.dir / f"{tag}_meta.json"
-        self._rows = 0
+        self.rows = 0  # report rows written
         meta = {"seed": config.seed, "config": config_to_dict(config),
                 "format_version": VERSION}
         # the metadata first: if it cannot be written, no report is open
@@ -79,7 +79,7 @@ class RunWriter:
     def write_row(self, row: list[str]) -> None:
         self._csv.writerow(row)
         self._fh.flush()
-        self._rows += 1
+        self.rows += 1
 
     def snapshot(self, state: StateFields, step: int) -> None:
         stack = np.concatenate([state.phi, state.mu, state.sigma,
@@ -94,7 +94,7 @@ class RunWriter:
 
     def __exit__(self, exc_type, *exc):
         self.close()
-        if exc_type is not None and not self._rows:
+        if exc_type is not None and not self.rows:
             # a run that failed before its first step leaves no metadata and
             # header-only report that read like a finished run of 0 steps
             self.meta_path.unlink(missing_ok=True)

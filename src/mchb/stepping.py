@@ -93,6 +93,18 @@ dissipates the discrete free energy unconditionally: the convex split, the
 explicit evaluation of the (phi-independent) chemical derivative, and the
 implicit nutrient flux built from the updated phase field make the cross
 terms cancel exactly.
+
+Each quantity a step needs is evaluated once per state.  A flow-on step
+forms ``grid.cell_gradient`` of ``phi_1..3`` and ``sigma`` once, and the
+Korteweg force and the transport share that stack.  The new state's free
+energy evaluates the chemical energy ``N`` once; its derivatives ``N_phi``
+and ``N_sigma`` are kept with the energy, and the next step takes them, and
+the energy, when its state equals the returned one in ``phi`` and
+``sigma``, so a run's first step evaluates ``N`` twice and every later one
+once.  The gradient part of that energy is ``cell_area <phi_i, A phi_i>``
+with the phase solve's own ``A phi_i``.  None of this changes ``phi``,
+``mu``, ``sigma``, ``v`` or ``p`` by a bit; the energy columns change only
+by rounding.
 """
 
 from __future__ import annotations
@@ -106,8 +118,8 @@ from . import constitutive as cst
 from . import diagnostics as diag
 from .flow import FlowSolverError, UzawaSpace, korteweg_force, \
     solve_brinkman, solve_darcy
-from .grid import (NEUMANN, Grid, advective_divergence, eigenbasis,
-                   fv_diffusion_matrix, wall_terms)
+from .grid import (NEUMANN, Grid, advective_divergence, cell_gradient,
+                   eigenbasis, fv_diffusion_matrix, wall_terms)
 from .parameters import ScenarioConfig, SpecBundle, build_specs
 from .state import StateFields, build_initial_state
 
@@ -154,18 +166,28 @@ class StepTerms:
     s_sigma: np.ndarray
     s_v: np.ndarray
     force: np.ndarray | None
+    grads: np.ndarray | None
+    sources: bool
 
 
 def explicit_terms(state: StateFields, bundle: SpecBundle,
-                   sources_enabled: bool, flow_enabled: bool) -> StepTerms:
+                   sources_enabled: bool, flow_enabled: bool,
+                   chem: tuple | None = None) -> StepTerms:
     """Chemical derivatives, sources and Korteweg force of ``state``.
 
-    Sources are zeros when sources are off and the force is None when the
-    flow is off.  The step, its energy identity and the Darcy sweep's frozen
-    snapshot all take their terms from here, so each is evaluated once.
+    Sources are zeros when sources are off, and the force and the gradients
+    are None when the flow is off.  ``grads`` stacks ``cell_gradient`` of
+    ``phi_1, ..., sigma_1``, which the force and the transport share.
+    ``chem`` is ``(N_phi, N_sigma)`` of ``state`` when the caller has them,
+    as a stepper does from the last state's energy.  The step, its energy
+    identity and the Darcy sweep's frozen snapshot all take their terms from
+    here, so each is evaluated once.
     """
     p, s, mu = state.phi, state.sigma, state.mu
-    _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
+    if chem is None:
+        _, n_phi, n_sigma, _ = cst.chemical_energy(p, s, bundle.chem)
+    else:
+        n_phi, n_sigma = chem
     if sources_enabled:
         s_phi, s_v = cst.source_phase(p, s, mu, bundle.sources,
                                       with_velocity=True)
@@ -173,16 +195,24 @@ def explicit_terms(state: StateFields, bundle: SpecBundle,
     else:
         sources = (np.zeros_like(p), np.zeros_like(s),
                    np.zeros(state.grid.shape))
-    force = korteweg_force(p, mu, s, n_sigma, state.grid) if flow_enabled \
-        else None
-    return StepTerms(n_phi, *sources, force)
+    force = grads = None
+    if flow_enabled:
+        g = state.grid
+        grads = np.empty((len(p) + len(s), 2) + g.shape)
+        for q, out in zip([*p, *s], grads):
+            cell_gradient(q, g, out=out)
+        force = korteweg_force(p, mu, s, n_sigma, g, grads)
+    return StepTerms(n_phi, *sources, force, grads, sources_enabled)
 
 
-def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray):
-    """Advective divergences ``(conv_phi, conv_sigma)`` of ``state`` in ``v``."""
-    g = state.grid
-    conv = [advective_divergence(q, v[0], v[1], s_v, g)
-            for q in [*state.phi, state.sigma[0]]]
+def transport_terms(state: StateFields, v: np.ndarray, s_v: np.ndarray,
+                    grads: np.ndarray | None = None):
+    """Advective divergences ``(conv_phi, conv_sigma)`` of ``state`` in ``v``,
+    from the stacked gradients ``grads`` of ``explicit_terms`` if given."""
+    fields = [*state.phi, state.sigma[0]]
+    grads = [None] * len(fields) if grads is None else grads
+    conv = [advective_divergence(q, v[0], v[1], s_v, state.grid, gq)
+            for q, gq in zip(fields, grads)]
     return np.stack(conv[:-1]), conv[-1]
 
 
@@ -222,8 +252,9 @@ class TimeStepper:
         self._nutrient_wall = wall_terms(g, nutrient_bc, chi)
         self._nutrient_basis = eigenbasis(g, nutrient_bc, chi)
         self._uzawa_space = UzawaSpace()
-        # (history, sigma, free energy) of the state the last step returned;
-        # history holds (t, phi) of it and of up to three states before it
+        # (history, sigma, free energy, (N_phi, N_sigma) or None) of the
+        # state the last step returned; history holds (t, phi) of it and of
+        # up to three states before it
         self._carry: tuple | None = None
 
     # -- phase-field update -------------------------------------------------
@@ -235,7 +266,9 @@ class TimeStepper:
 
         Each component starts from ``start`` (phi_n when it is None) and
         takes up to ``MAX_PHASE_UPDATES`` updates; the residual is checked
-        after every one of them.
+        after every one of them.  Returns ``(phi, mu, updates, residual,
+        A phi)``: the product ``A phi`` that ``mu`` is formed from is kept
+        for the new state's gradient energy.
         """
         m = self.config.model
         pot = self.bundle.potential
@@ -244,6 +277,7 @@ class TimeStepper:
         tol, max_iter = PHASE_TOL, MAX_PHASE_UPDATES
         phi_new = np.empty_like(phi_n)
         mu_new = np.empty_like(phi_n)
+        a_phi = np.empty_like(phi_n)
         iters_used = 0
         res_max = 0.0
         A = self._neu_laplacian
@@ -312,10 +346,11 @@ class TimeStepper:
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
             phi_new[i] = x
+            ax = A @ x.ravel()
+            a_phi[i] = ax.reshape(shape)
             # psi1 is the last sweep's, at the converged x
-            mu_new[i] = (ge * (A @ x.ravel()) + gi * psi1.ravel()
-                         + cmu).reshape(shape)
-        return phi_new, mu_new, iters_used, res_max
+            mu_new[i] = (ge * ax + gi * psi1.ravel() + cmu).reshape(shape)
+        return phi_new, mu_new, iters_used, res_max, a_phi
 
     # -- nutrient update ----------------------------------------------------
 
@@ -345,8 +380,21 @@ class TimeStepper:
         m = cfg.model
         g = self.grid
         bundle = self.bundle
+        # the energy and the chemical derivatives of the state the stepper
+        # returned last, if it returned this one; the extrapolated start
+        # also needs the same time
+        e_before, chem, history = None, None, None
+        if self._carry is not None:
+            kept, sigma, energy, derivatives = self._carry
+            t_last, phi_last = kept[-1]
+            if np.array_equal(phi_last, state.phi):
+                if np.array_equal(sigma, state.sigma):
+                    e_before, chem = energy, derivatives
+                if t_last == state.t:
+                    history = kept
+        history = history or ((state.t, state.phi.copy()),)
         terms = explicit_terms(state, bundle, cfg.sources_enabled,
-                               cfg.flow_enabled)
+                               cfg.flow_enabled, chem)
 
         flow_iters, div_residual, flow_dissipation, transport = 0, 0.0, 0.0, None
         if cfg.flow_enabled:
@@ -359,7 +407,7 @@ class TimeStepper:
             v, p = flow.v, flow.p
             flow_iters, div_residual = flow.iterations, flow.div_residual
             flow_dissipation = flow.dissipation
-            transport = transport_terms(state, v, terms.s_v)
+            transport = transport_terms(state, v, terms.s_v, terms.grads)
         else:
             v = np.zeros((2, g.ny, g.nx))
             p = np.zeros(g.shape)
@@ -367,24 +415,13 @@ class TimeStepper:
         conv_phi, conv_sigma = transport or (0.0, 0.0)
 
         # phase update: implicit convex part, everything else explicit; it
-        # starts from the extrapolation of the states the stepper returned
-        # last, if it returned this one
+        # starts from the extrapolation of the kept states
         rhs0 = state.phi - dt * conv_phi + dt * terms.s_phi
         const_mu = m.gamma / m.epsilon * cst.concave_gradient(
             state.phi, bundle.potential) + terms.n_phi
-        e_before, history = None, None
-        if self._carry is not None:
-            kept, sigma, energy = self._carry
-            t_last, phi_last = kept[-1]
-            if np.array_equal(phi_last, state.phi):
-                if np.array_equal(sigma, state.sigma):
-                    e_before = energy
-                if t_last == state.t:
-                    history = kept
-        history = history or ((state.t, state.phi.copy()),)
         # overflow ends the step as a FloatingPointError the run loop retries
         with np.errstate(over="raise", invalid="raise"):
-            phi_new, mu_new, picard_iters, picard_res = self._ch_solve(
+            phi_new, mu_new, picard_iters, picard_res, a_phi = self._ch_solve(
                 state.phi, rhs0, const_mu, dt,
                 extrapolate(history, state.t + dt))
 
@@ -395,13 +432,18 @@ class TimeStepper:
                                 v=v, p=p, t=state.t + dt, grid=g)
         new_state.check_finite()
 
+        # the new state's energy takes its gradient part from the phase
+        # solve's A phi, and its chemical derivatives go to the next step
+        after = diag.free_energy(new_state, bundle, a_phi=a_phi,
+                                 with_derivatives=True)
         energy = diag.energy_law_residual(
             state, new_state, dt, bundle, terms, transport,
-            flow_dissipation=flow_dissipation, e_before=e_before)
+            flow_dissipation=flow_dissipation, e_before=e_before,
+            e_after=after)
         # a step too short to advance t in floating point restarts the history
         kept = history[-3:] if new_state.t > state.t else ()
         history = (*kept, (new_state.t, phi_new.copy()))
-        self._carry = (history, sigma_new.copy(), energy.e_total)
+        self._carry = (history, sigma_new.copy(), energy.e_total, after[3:])
         report = StepReport(dt=dt, flow_iterations=flow_iters,
                             picard_iters=picard_iters, picard_residual=picard_res,
                             div_residual=div_residual, energy=energy)
@@ -416,7 +458,8 @@ class TimeStepper:
         # each run starts from no kept directions and no earlier states, so
         # equal runs are bit-equal
         self._uzawa_space.clear()
-        self._carry = (((state.t, state.phi.copy()),), state.sigma.copy(), e0)
+        self._carry = (((state.t, state.phi.copy()),), state.sigma.copy(), e0,
+                       None)
         if writer is not None:
             writer.snapshot(state, step=0)
         dumped = 0  # the step of the last snapshot

@@ -148,6 +148,25 @@ class TestCli:
             # the solved level is printed before the CSV is opened
             assert res.stdout.startswith("eta=1.000e-02  gap=")
 
+    def test_output_error_after_a_row_aborts_and_keeps_the_rows(self,
+                                                                 tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"grid_nx": 8, "grid_ny": 8,
+                                   "snapshot_every": 1}))
+        out = tmp_path / "out"
+        (out / "run_state_000002.bin").mkdir(parents=True)
+        res = run_cli(["run", "--config", str(cfg), "--steps", "4",
+                       "--out-dir", str(out)])
+        assert res.returncode == 2
+        assert res.stderr.startswith("run aborted after 2 steps: [Errno 21]")
+        assert res.stderr.count("\n") == 1
+        assert res.stdout == ""
+        _, data = read_csv_report(out / "run_report.csv")
+        assert data.shape[0] == 2
+        assert sorted(p.name for p in out.iterdir()) == [
+            "run_meta.json", "run_report.csv", "run_state_000000.bin",
+            "run_state_000001.bin", "run_state_000002.bin"]
+
     def test_zero_horizon_initial_snapshot_only(self, tmp_path):
         res = run_cli(["run", "--preset", "zero-source", "--t-end", "0",
                        "--out-dir", str(tmp_path)])

@@ -15,12 +15,13 @@ from scipy.optimize import newton_krylov
 
 import mchb.constitutive as cst
 import mchb.diagnostics
+import mchb.flow
 import mchb.grid
 import mchb.stepping
 from mchb.grid import (DENSE_BASIS_MAX, NEUMANN, Grid, Robin, eigenbasis,
                        fv_diffusion_matrix)
 from mchb.diagnostics import component_masses, free_energy
-from mchb.parameters import build_default_scenario, default_parameters
+from mchb.parameters import PRESETS, build_default_scenario, default_parameters
 from mchb.state import StateFields, build_initial_state, smooth_random_field
 from mchb.stepping import (StepFailure, TimeStepper, explicit_terms,
                            extrapolate, transport_terms)
@@ -157,6 +158,7 @@ class ChordReference(TimeStepper):
         A = self._neu_laplacian
         eye = sp.identity(self.grid.ncells, format="csr")
         phi_new, mu_new = np.empty_like(phi_n), np.empty_like(phi_n)
+        a_phi = np.empty_like(phi_n)
         iters, res_max = 0, 0.0
         for i in range(phi_n.shape[0]):
             hess = cst.convex_part_diag_hessian(phi_n[i], pot).ravel()
@@ -176,7 +178,8 @@ class ChordReference(TimeStepper):
             iters, res_max = max(iters, it), max(res_max, res_norm)
             phi_new[i] = x.reshape(self.grid.shape)
             mu_new[i] = mu.reshape(self.grid.shape)
-        return phi_new, mu_new, iters, res_max
+            a_phi[i] = (A @ x).reshape(self.grid.shape)
+        return phi_new, mu_new, iters, res_max, a_phi
 
 
 class TestFixedPoint:
@@ -286,7 +289,8 @@ class TestPhaseTolerance:
                       parts[-1][2])
             return (np.concatenate([p[0] for p in parts]),
                     np.concatenate([p[1] for p in parts]),
-                    max(p[2] for p in parts), max(p[3] for p in parts))
+                    max(p[2] for p in parts), max(p[3] for p in parts),
+                    np.concatenate([p[4] for p in parts]))
 
         monkeypatch.setattr(TimeStepper, "_ch_solve", split)
 
@@ -772,28 +776,73 @@ class TestStepWork:
     def test_explicit_terms_evaluated_once_per_step(self, monkeypatch, preset):
         # the flow, the phase and nutrient updates and the energy identity
         # share one evaluation of each explicit term, the new state's energy
-        # and N_sigma share one more of N, and the unit mobilities are not
-        # evaluated at all
+        # and N_sigma share one more of N, which the next step reuses, the
+        # force and the transport share one gradient of each field, and the
+        # unit mobilities are not evaluated at all
         cfg = dataclasses.replace(build_default_scenario(preset),
                                   grid_nx=16, grid_ny=16)
         st = TimeStepper(cfg)
-        s1, _ = st.step(build_initial_state(cfg, st.bundle), cfg.dt)
+        s0 = build_initial_state(cfg, st.bundle)
         targets = [(module, name) for module in (mchb.stepping, mchb.diagnostics)
                    for name in ("korteweg_force", "advective_divergence")]
+        targets += [(module, "cell_gradient")
+                    for module in (mchb.stepping, mchb.flow, mchb.grid)]
         targets += [(cst, name) for name in ("chemical_energy", "mobility",
                                              "source_phase", "source_nutrient",
                                              "source_velocity",
                                              "saturating_proliferation")]
         calls = [counting(monkeypatch, owner, name) for owner, name in targets]
+        s1, _ = st.step(s0, cfg.dt)
+        # a state the stepper did not return has no carried energy or
+        # chemistry: N is evaluated for the terms, E(before) and E(after)
+        assert Counter(name for c in calls for name in c)[
+            "chemical_energy"] == 3
+        for c in calls:
+            c.clear()
         st.step(s1, cfg.dt)
         counts = Counter(name for c in calls for name in c)
-        assert counts.pop("chemical_energy") == 2
+        assert counts.pop("chemical_energy") == 1
         # the volume source comes with the phase source, from the same
         # evaluation of the proliferation law
         src = int(cfg.sources_enabled)
         assert counts == Counter(korteweg_force=1, advective_divergence=4,
+                                 cell_gradient=4,
                                  source_phase=src, source_nutrient=src,
                                  saturating_proliferation=src)
+
+    @pytest.mark.parametrize("field", ["phi", "sigma"])
+    def test_state_mutated_in_place_gets_fresh_chemistry(self, field):
+        # N_phi depends on sigma and N_sigma on phi: a step from a returned
+        # state changed in place matches, bit for bit, the step of a stepper
+        # with the same kept states and no carried chemistry
+        cfg = small_config()
+        assert cfg.flow_enabled
+        st, fresh = TimeStepper(cfg), TimeStepper(cfg)
+        s0 = build_initial_state(cfg, st.bundle)
+        s1, _ = st.step(s0, cfg.dt)
+        fresh.step(s0, cfg.dt)
+        fresh._carry = (*fresh._carry[:3], None)
+        getattr(s1, field)[0, 3, 5] += 1e-2
+        got, rep = st.step(s1, cfg.dt)
+        ref, ref_rep = fresh.step(s1, cfg.dt)
+        for name in ("phi", "mu", "sigma", "v", "p"):
+            assert_array_equal(getattr(got, name), getattr(ref, name))
+        assert rep.energy == ref_rep.energy
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_energy_from_the_phase_solve_matches_the_differences(self, preset):
+        # the step's E takes int |grad phi|^2 as cell_area <phi, A phi> with
+        # the phase solve's A phi: summation by parts of the face differences
+        cfg = dataclasses.replace(build_default_scenario(preset),
+                                  grid_nx=16, grid_ny=16)
+        st = TimeStepper(cfg)
+        s = build_initial_state(cfg, st.bundle)
+        for _ in range(3):
+            s, rep = st.step(s, cfg.dt)
+            e, gl, chem = free_energy(s, st.bundle)
+            assert rep.energy.chemical == chem
+            assert rep.energy.ginzburg_landau == pytest.approx(gl, rel=1e-13)
+            assert rep.energy_after == pytest.approx(e, rel=1e-13)
 
     def test_constant_nutrient_mobility_assembled_once(self, monkeypatch):
         cfg = dataclasses.replace(build_default_scenario("stratified-tumor"),

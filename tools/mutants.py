@@ -31,8 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # equivalent or None)
 MUTANTS = (
     ("src/mchb/flow.py",
-     "for q, w in zip([*phi, *sigma], [*mu, *n_sigma]):",
-     "for q, w in zip([*phi], [*mu]):",
+     "zip(grads, [*mu, *n_sigma])",
+     "zip(grads, [*mu])",
      "Korteweg force without its nutrient term", None),
     ("src/mchb/stepping.py",
      "- conv_sigma - s_sigma[0]",
@@ -88,6 +88,16 @@ MUTANTS = (
      "q[:, -1] /= np.sqrt(2.0)",
      "q[:, 0] /= np.sqrt(2.0)",
      "dense Dirichlet basis scaling its column 0, not its last column", None),
+    ("src/mchb/stepping.py",
+     "cfg.flow_enabled, chem)",
+     "cfg.flow_enabled, self._carry and self._carry[3])",
+     "carried chemistry reused without the equality guard", None),
+    ("src/mchb/stepping.py",
+     "free_energy(new_state, bundle, a_phi=a_phi,",
+     "free_energy(new_state, bundle, a_phi=np.stack(\n"
+     "            [(self._neu_laplacian @ c.ravel()).reshape(g.shape)\n"
+     "             for c in state.phi]),",
+     "gradient energy from the previous state's A phi", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
