@@ -26,24 +26,22 @@ component at the step's starting state, ``[min phi^n, max phi^n]``
 (``constitutive.convex_hessian_range``: ``h`` is a parabola, so three
 values of it give the range).  Its ``eigenbasis``, the orthonormal DCT
 (two dense products up to ``grid.DENSE_BASIS_MAX`` cells an axis, scipy's
-transform above), diagonalizes ``A`` exactly, so the sweep
-``x <- x - P^-1 R(x)`` runs on the coefficients ``x^ = DCT(x)``:
-``R^ = (1 + dt gamma eps lambda^2) x^ + dt gamma/eps lambda DCT(psi1'(x))
-+ b^``, with ``psi1'`` from ``constitutive.convex_gradient`` and ``b^``
-formed once per component.  The residual's symbol carries no constant of
-the potential: the whole convex gradient goes through the transform.  A
-sweep is one forward transform of ``psi1'``, one inverse transform of
-``x^`` and pointwise work; ``mu`` is formed once, at the converged ``x``,
-from the last sweep's ``psi1'``.  Before the first sweep the mean mode,
-whose symbol is 1 and which has no nonlinear part, is set exactly, ``x^[0,
-0] = -b^[0, 0]``, and ``x`` shifts by that change over ``sqrt(N)``.  The
-stopping test is ``max|R| <= PHASE_TOL (1 + max|x|)`` in physical space, and
-it is checked before the first update too: a component whose start meets
-it is accepted with 0 updates, and the exact mean mode gives it the mass
-of the step's right side, ``sum x = sum rhs``.  The RMS of ``R^`` equals
-that of ``R`` and never exceeds ``max|R|``, so it gates the test: only a
-residual whose RMS meets the bound is transformed back for the exact
-max-norm check.  The sweep contracts the linearized error in L2 by at most
+transform above), diagonalizes ``A`` exactly, so ``P^-1`` is a forward
+transform, a division by the symbol ``1 + dt gamma eps lambda^2 + dt
+gamma/eps c lambda`` and an inverse transform, and the sweep is ``x <- x -
+P^-1 R(x)``.  The residual is formed in physical space: an evaluation is
+``psi1'(x)`` (``constitutive.convex_gradient``), ``A x``, ``mu`` and ``R``,
+two products with ``A`` and pointwise work, and the converged evaluation's
+``mu`` and ``A x`` are returned as they are.  Before the first evaluation
+the start shifts by ``(sum rhs - sum x) / N``: the columns of ``A`` sum to
+zero, so ``sum R = sum x - sum rhs``, and the mean mode of ``P`` is 1, so
+every sweep keeps that balance and a component accepted with 0 updates
+still has the mass of the step's right side.  The stopping test is
+``max|R| <= PHASE_TOL (1 + max|x|)``, and it is checked before the first
+update too.  The RMS of ``R`` never exceeds ``max|R|``, so it gates the
+test: only a residual whose RMS meets the bound takes the max.
+
+The sweep contracts the linearized error in L2 by at most
 ``rho = max dt gamma/eps delta lambda / P(lambda)`` over the eigenvalues
 ``lambda`` of ``A``, ``delta`` being the half-range of ``h``; ``h = 12 p^2
 - 12 p + 2 + s0 >= s0 - 1 >= 0`` gives ``c - delta = min h >= 0``, so
@@ -59,6 +57,19 @@ cap only tells a stalled solve from a slow one: no step of the full
 zero-source and stratified-tumor presets or of the cases of
 ``tools/agree.py`` takes more than 4 updates, and none of its 24 random
 configurations at 1 to 1000 times the default step more than 14.
+
+A component with ``k`` updates costs ``2k`` basis changes and ``2(k + 1)``
+products with ``A``.  The sweep once ran on the cosine coefficients, with the
+residual formed there from one transform of ``psi1'``: ``2k + 4`` basis
+changes (of the right side, of the start, of the last ``psi1'`` and of the
+residual for the max test) and 2 products.  That was the cheaper form while
+a component took about 6 sweeps.  Since the tolerance below and the cubic
+start a component takes 1 to 3 updates, a product costs about 0.4 of a
+transform at ``128^2`` (44 against 124 us on one core), and the 4 fixed
+transforms outweigh the 2 products an update adds: the first 4 flow-off
+zero-source steps at ``128^2`` (seed 201) went from 28.25 basis changes
+and 7 products with ``A`` a step, the nutrient flux's included, to 14.5
+and 21.5.
 
 ``PHASE_TOL`` is 1e-8, about the square root of the machine
 epsilon, while one step's time error is about 1e-3.  With the flow and the
@@ -244,7 +255,11 @@ class TimeStepper:
                              config.domain_lx, config.domain_ly)
         self.bundle = build_specs(config.model,
                                   source_variant=config.source_variant)
-        self._neu_laplacian, _ = fv_diffusion_matrix(g, NEUMANN)
+        # in DIA storage: its offsets (-nx, -1, 0, 1, nx) are the column
+        # order of the CSR rows, and a product sums the diagonals from zero
+        # in that order, so it equals the CSR product bit for bit (up to the
+        # sign of an exact zero) at about 4/5 of its cost
+        self._neu_laplacian = fv_diffusion_matrix(g, NEUMANN)[0].todia()
         self._neu_basis = eigenbasis(g, NEUMANN)
         # nutrient flux chi_sigma grad(sigma) - B grad(phi): N is chi_sigma
         # times the Neumann Laplacian plus the wall part of its diagonal
@@ -266,8 +281,9 @@ class TimeStepper:
 
         Each component starts from ``start`` (phi_n when it is None) and
         takes up to ``MAX_PHASE_UPDATES`` updates; the residual is checked
-        after every one of them.  Returns ``(phi, mu, updates, residual,
-        A phi)``: the product ``A phi`` that ``mu`` is formed from is kept
+        before the first and after every one of them.  Returns ``(phi, mu,
+        updates, residual, A phi)``: ``mu`` and the product ``A phi`` it is
+        formed from are the converged evaluation's, and ``A phi`` is kept
         for the new state's gradient energy.
         """
         m = self.config.model
@@ -283,46 +299,47 @@ class TimeStepper:
         A = self._neu_laplacian
         dct, idct, lam_y, lam_x = self._neu_basis
         lam = lam_y[:, None] + lam_x[None, :]
-        shape = self.grid.shape
-        n = self.grid.ncells
-        start = phi_n if start is None else start
-        # R^ = lin x^ + dt gamma/eps lam DCT(psi1'(x)) + b^
+        shape, n = self.grid.shape, self.grid.ncells
+        # every component as one row of cells, the layout A works on
+        rows = (phi_n.shape[0], n)
+        rhs0, const_mu_part = rhs0.reshape(rows), const_mu_part.reshape(rows)
+        start = (phi_n if start is None else start).reshape(rows)
+        # the symbol of P is lin + nonlin c, c the component's mid-range of
+        # the convex-part Hessian
         lin = 1.0 + dt * ge * lam**2
         nonlin = dt * gi * lam
         for i in range(phi_n.shape[0]):
-            # the symbol of P, with c the mid-range of the Hessian
             h_min, h_max = cst.convex_hessian_range(phi_n[i], pot)
-            symbol = 1.0 + dt * lam * (ge * lam + gi * 0.5 * (h_min + h_max))
+            symbol = lin + nonlin * (0.5 * (h_min + h_max))
 
             def solve(r: np.ndarray) -> np.ndarray:  # r -> P^-1 r
-                coef = dct(r.reshape(shape))
-                return idct(coef / symbol).ravel()
-            cmu = const_mu_part[i].ravel()
-            b_hat = dct((dt * (A @ cmu)).reshape(shape) - rhs0[i])
-            # the mean mode has symbol 1 and no nonlinear part: set it
-            # exactly, so a component accepted with 0 updates keeps the mass
-            x_hat = dct(start[i])
-            x = start[i] + (-b_hat[0, 0] - x_hat[0, 0]) / np.sqrt(n)
-            x_hat[0, 0] = -b_hat[0, 0]
-            inv_symbol = 1.0 / symbol
+                return idct(dct(r.reshape(shape)) / symbol).ravel()
+            cmu, b = const_mu_part[i], rhs0[i]
+            # A's columns sum to zero, so sum R = sum x - sum b: a start with
+            # the mass of the right side keeps it even with 0 updates, and
+            # P's mean mode, 1, keeps it through every sweep
+            x = start[i] + (b.sum() - start[i].sum()) / n
             newton, rms_prev = False, np.inf
             for it in range(max_iter + 1):
-                psi1 = cst.convex_gradient(x, pot)
-                r_hat = dct(psi1)
-                r_hat *= nonlin
-                r_hat += b_hat
-                r_hat += lin * x_hat
+                ax = A @ x
+                mu = cst.convex_gradient(x, pot)
+                mu *= gi
+                mu += ge * ax
+                mu += cmu
+                res = A @ mu
+                res *= dt
+                res += x
+                res -= b
                 bound = tol * (1.0 + max(float(x.max()), -float(x.min())))
-                rms = float(np.sqrt(np.vdot(r_hat, r_hat) / n))
+                rms = float(np.sqrt(np.vdot(res, res) / n))
                 # once a sweep shrinks the residual's RMS by less than half,
                 # take Newton steps: P-preconditioned GMRES on the Jacobian
                 newton = newton or rms > 0.5 * rms_prev
                 rms_prev = rms
-                # the RMS of R never exceeds max|R|, so the residual goes back
-                # to physical space for the max test only once its RMS meets
-                # the bound, or for a Newton step or the failure report
-                if rms <= bound or newton or it == max_iter:
-                    res = idct(r_hat)
+                # the RMS of R never exceeds max|R|, so only a residual whose
+                # RMS meets the bound, or the last one for the failure
+                # report, takes the max test
+                if rms <= bound or it == max_iter:
                     res_norm = float(np.abs(res).max())
                     if res_norm <= bound:
                         break
@@ -331,25 +348,20 @@ class TimeStepper:
                         f"phase solve stalled at residual {res_norm:.3e} "
                         f"after {max_iter} iterations (component {i})")
                 if newton:
-                    h = gi * cst.convex_part_diag_hessian(x, pot).ravel()
+                    h = gi * cst.convex_part_diag_hessian(x, pot)
                     J = spla.LinearOperator(
                         (n, n), lambda d: d + dt * (A @ (ge * (A @ d) + h * d)),
                         dtype=float)
                     P = spla.LinearOperator((n, n), solve, dtype=float)
-                    x = x - spla.gmres(J, res.ravel(), M=P, rtol=1e-3,
-                                       atol=0.0, maxiter=5)[0].reshape(shape)
-                    x_hat = dct(x)
+                    x -= spla.gmres(J, res, M=P, rtol=1e-3, atol=0.0,
+                                    maxiter=5)[0]
                 else:
-                    r_hat *= inv_symbol
-                    x_hat -= r_hat
-                    x = idct(x_hat)
+                    x -= solve(res)
             iters_used = max(iters_used, it)
             res_max = max(res_max, res_norm)
-            phi_new[i] = x
-            ax = A @ x.ravel()
+            phi_new[i] = x.reshape(shape)
+            mu_new[i] = mu.reshape(shape)
             a_phi[i] = ax.reshape(shape)
-            # psi1 is the last sweep's, at the converged x
-            mu_new[i] = (ge * ax + gi * psi1.ravel() + cmu).reshape(shape)
         return phi_new, mu_new, iters_used, res_max, a_phi
 
     # -- nutrient update ----------------------------------------------------

@@ -556,6 +556,43 @@ class TestTransformPhaseSolve:
                                                         abs=rounding)
             s = new
 
+    def test_each_update_costs_two_basis_changes(self, monkeypatch):
+        # a component with k sweeps changes basis 2k times and takes 2(k + 1)
+        # products with A, one pair per evaluation; the nutrient flux takes
+        # one more product a step
+        cfg = small_config(flow_enabled=False, grid_nx=32, grid_ny=32)
+        st = TimeStepper(cfg)
+        counts, lap = Counter(), st._neu_laplacian
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                counts["basis"] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        class Product:
+            def __matmul__(self, v):
+                counts["product"] += 1
+                return lap @ v
+
+        basis = st._neu_basis
+        st._neu_basis = basis._replace(forward=counted(basis.forward),
+                                       inverse=counted(basis.inverse))
+        st._neu_laplacian = Product()
+        updates = []
+        TestPhaseTolerance.per_component(
+            monkeypatch, lambda *args: updates.append(args[-1]))
+        newton_solves = counting(monkeypatch, spla, "gmres")
+        s = build_initial_state(cfg, st.bundle)
+        for _ in range(6):
+            counts.clear()
+            updates.clear()
+            s, _ = st.step(s, cfg.dt)
+            k = sum(updates)
+            assert len(updates) == 3 and k > 0
+            assert counts == Counter(basis=2 * k, product=2 * (k + 3) + 1)
+        assert newton_solves == []
+
     def test_stalled_solve_reports_the_max_norm_residual(self, monkeypatch):
         # one update at 10 dt0 does not reach PHASE_TOL; the failure reports
         # the max norm of the last iterate's residual, not the RMS that
@@ -922,6 +959,54 @@ class TestNutrientSolve:
         s = summary.state
         assert not s.v.any() and not s.p.any()
         assert np.unique(s.sigma).size == 1
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [(8, 8, 1.0, 1.0),
+                                            (16, 37, 2.3, 0.7),
+                                            (64, 64, 1.0, 1.0),
+                                            (128, 128, 1.0, 1.0)])
+class TestDiaLaplacian:
+    """The stepper keeps the Neumann Laplacian in DIA storage: its offsets
+    are the column order of the CSR rows, so the products are bit-equal."""
+
+    @staticmethod
+    def steppers(nx, ny, lx, ly, **over):
+        cfg = small_config(grid_nx=nx, grid_ny=ny, domain_lx=lx, domain_ly=ly,
+                           **over)
+        st, ref = TimeStepper(cfg), TimeStepper(cfg)
+        ref._neu_laplacian, _ = fv_diffusion_matrix(ref.grid, NEUMANN)
+        assert ref._neu_laplacian.format == "csr"
+        assert st._neu_laplacian.format == "dia"
+        assert list(st._neu_laplacian.offsets) == [-nx, -1, 0, 1, nx]
+        return st, ref
+
+    def test_products_equal_the_csr_products(self, nx, ny, lx, ly):
+        st, ref = self.steppers(nx, ny, lx, ly)
+        rng = np.random.default_rng(nx * ny)
+        smooth = full_grid_random_field(rng, st.grid, 5, 0.3)
+        for v in [*rng.standard_normal((3, st.grid.ncells)), smooth.ravel()]:
+            assert_array_equal(st._neu_laplacian @ v, ref._neu_laplacian @ v)
+
+    def test_nutrient_flux_and_step_equal_the_csr_ones(self, nx, ny, lx, ly):
+        # the Robin closure and a non-unit chi_sigma, so the wall part and
+        # the weight of N show
+        st, ref = self.steppers(nx, ny, lx, ly, sources_enabled=True,
+                                model=default_parameters(K=1.5, chi_sigma=2.5))
+        g = st.grid
+        rng = np.random.default_rng(nx + ny)
+        sigma_n = rng.uniform(0.0, 1.0, (1, *g.shape))
+        phi_new = rng.uniform(0.0, 0.3, (3, *g.shape))
+        conv_sigma = rng.standard_normal(g.shape)
+        s_sigma = rng.standard_normal((1, *g.shape))
+        got, ref_sigma = (s._nutrient_solve(sigma_n, phi_new, conv_sigma,
+                                            s_sigma, st.config.dt)[0]
+                          for s in (st, ref))
+        assert_array_equal(got, ref_sigma)
+        s0 = build_initial_state(st.config, st.bundle)
+        (a, rep_a), (b, rep_b) = (s.step(s0, st.config.dt) for s in (st, ref))
+        for name in ("phi", "mu", "sigma", "v", "p"):
+            assert_array_equal(getattr(a, name), getattr(b, name))
+        assert rep_a == rep_b
 
 
 def full_grid_random_field(rng, grid, modes, amplitude):

@@ -98,6 +98,14 @@ MUTANTS = (
      "            [(self._neu_laplacian @ c.ravel()).reshape(g.shape)\n"
      "             for c in state.phi]),",
      "gradient energy from the previous state's A phi", None),
+    ("src/mchb/stepping.py",
+     "x = start[i] + (b.sum() - start[i].sum()) / n",
+     "x = start[i].copy()",
+     "phase solve started without the mass of the right side", None),
+    ("src/mchb/stepping.py",
+     "if res_norm <= bound:",
+     "if rms <= bound:",
+     "phase solve accepting on the RMS of the residual alone", None),
 )
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
